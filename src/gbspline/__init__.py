@@ -24,10 +24,8 @@ from .curvefile import load_curve, save_curve
 from .knots import (
     KnotFunctionFamily,
     KnotVector,
-    active_region,
     build_family,
     build_integral_table,
-    knot_function_value,
     validate_open_knot_vector,
 )
 from .poly import (
@@ -40,7 +38,7 @@ from .poly import (
     right_taylor_series,
     taylor_shift,
 )
-from .reference import QuadratureConfig, ReferenceEvaluator, adaptive_simpson, oracle_eval_basis
+from .reference import QuadratureConfig, ReferenceEvaluator, adaptive_simpson
 from .refine import (
     derive_family,
     elevate_degree,

@@ -12,7 +12,7 @@ Built values are immutable and safe to evaluate concurrently.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,18 +20,32 @@ from .errors import (
     AllMissingDiagonal,
     DegreeTooSmall,
     InconsistentCoefficient,
-    IntervalStraddle,
     LengthMismatch,
-    OutOfActiveRegion,
     TooFewRows,
 )
-from .knots import KnotFunctionFamily, KnotVector, readonly
+from .knots import KnotFunctionFamily, KnotVector, containing_spans, find_interval, readonly
 from .poly import DEFAULT_TOL, integrate_poly, poly_eval
+
+
+def _point(x):
+    """A float for control points shaped (n,), the component array for (n, d)."""
+    return float(x) if x.ndim == 0 else x
+
+
+def _check_cpts(cpts, n_basis):
+    if cpts.ndim not in (1, 2) or len(cpts) != n_basis:
+        raise LengthMismatch(
+            f"{n_basis} basis functions but control points shaped {cpts.shape}; "
+            "expected (n,) or (n, d)")
 
 
 @dataclass(frozen=True, eq=False)
 class SplineCurve:
-    """Control-point form of a one-dimensional spline curve."""
+    """Control-point form of a spline curve.
+
+    Control points are shaped (n,) for a scalar curve or (n, d) for a curve
+    with d components; every component goes through the same projection.
+    """
 
     kv: KnotVector
     fam: KnotFunctionFamily
@@ -39,11 +53,7 @@ class SplineCurve:
 
     def __post_init__(self):
         object.__setattr__(self, "cpts", readonly(self.cpts))
-        if self.cpts.ndim != 1:
-            raise LengthMismatch("control points must be one-dimensional")
-        if len(self.cpts) != self.kv.n_basis:
-            raise LengthMismatch(
-                f"{self.kv.n_basis} basis functions but {len(self.cpts)} control points")
+        _check_cpts(self.cpts, self.kv.n_basis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,34 +88,34 @@ class PiecewiseCurve:
     Polynomial coefficients are local to each interval.  Generator
     coefficients pair with the generators of the family span containing each
     interval; before refinement that is the interval itself, after splitting
-    it is the coarser source span.
+    it is the coarser source span.  A trailing axis of d components is
+    optional; `slots` maps each interval to its family span.
     """
 
     breaks: np.ndarray
-    poly_parts: np.ndarray   # (intervals, width)
-    gen_coefs: np.ndarray    # (intervals, 2)
+    poly_parts: np.ndarray   # (intervals, width[, d])
+    gen_coefs: np.ndarray    # (intervals, 2[, d])
     degree: int
     fam: KnotFunctionFamily
+    slots: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "breaks", readonly(self.breaks))
         object.__setattr__(self, "poly_parts", readonly(self.poly_parts))
         object.__setattr__(self, "gen_coefs", readonly(self.gen_coefs))
+        object.__setattr__(self, "slots", containing_spans(self.fam.spans, self.breaks))
 
     def value(self, t, tol=DEFAULT_TOL):
+        """Curve value at t: a float, or an array of the d components."""
         br = self.breaks
-        if t < br[0] or t > br[-1]:
-            raise OutOfActiveRegion(f"t={t} outside [{br[0]}, {br[-1]}]")
-        j = min(int(np.searchsorted(br, t, side="right")) - 1, len(br) - 2)
-        while j > 0 and br[j + 1] - br[j] <= tol:
-            j -= 1
-        slot = self.fam.slot_containing(br[j], br[j + 1], tol)
-        if slot is None:
-            raise IntervalStraddle(f"interval [{br[j]}, {br[j + 1]}] has no generators")
+        j = find_interval(br, t, tol)
+        slot = int(self.slots[j])
+        if slot < 0:   # positive length only under a tolerance below the default
+            slot = int(containing_spans(self.fam.spans, br[j : j + 2], tol)[0])
         u = self.fam.value(slot, "u", self.degree - 1, t, tol)
         v = self.fam.value(slot, "v", self.degree - 1, t, tol)
-        return float(poly_eval(self.poly_parts[j], t - br[j])
-                     + self.gen_coefs[j, 0] * u + self.gen_coefs[j, 1] * v)
+        return _point(poly_eval(self.poly_parts[j], t - br[j])
+                      + self.gen_coefs[j, 0] * u + self.gen_coefs[j, 1] * v)
 
 
 # construction ----------------------------------------------------------------
@@ -196,21 +206,6 @@ def build_local_basis(kv: KnotVector, fam: KnotFunctionFamily, tol=DEFAULT_TOL) 
 
 # evaluation ------------------------------------------------------------------
 
-def _locate_interval(knots, degree, t, tol=DEFAULT_TOL):
-    """Global index of the positive-length interval containing t.
-
-    Half-open lookup [t_j, t_{j+1}) with the final active interval closed.
-    """
-    m = len(knots)
-    lo, hi = knots[degree], knots[m - degree - 1]
-    if t < lo or t > hi:
-        raise OutOfActiveRegion(f"t={t} outside [{lo}, {hi}]")
-    j = min(int(np.searchsorted(knots, t, side="right")) - 1, m - degree - 2)
-    while j > degree and knots[j + 1] - knots[j] <= tol:
-        j -= 1
-    return j
-
-
 def eval_basis_function(basis: LocalBasis, i, t, tol=DEFAULT_TOL) -> float:
     """Value of basis function i at t inside the active region."""
     kv = basis.kv
@@ -220,7 +215,7 @@ def eval_basis_function(basis: LocalBasis, i, t, tol=DEFAULT_TOL) -> float:
     # the final function owns the closed right end of the active region
     if i == n - 1 and t == knots[-1] and knots[p] != knots[-1]:
         return 1.0
-    j = _locate_interval(knots, p, t, tol)
+    j = p + find_interval(kv.active_region(), t, tol)
     if not i <= j <= i + p:
         return 0.0
     c = j - i
@@ -235,7 +230,7 @@ def nonzero_basis_values(basis: LocalBasis, t, tol=DEFAULT_TOL):
     """(first index, values) of the degree+1 basis functions covering t."""
     kv = basis.kv
     p, knots = kv.degree, kv.knots
-    j = _locate_interval(knots, p, t, tol)
+    j = p + find_interval(kv.active_region(), t, tol)
     slot = basis.fam.slot_for_interval(j)
     s = t - knots[j]
     u = basis.fam.value(slot, "u", p - 1, t, tol)
@@ -250,13 +245,16 @@ def nonzero_basis_values(basis: LocalBasis, t, tol=DEFAULT_TOL):
     return first, vals
 
 
-def eval_curve(curve: SplineCurve, basis: LocalBasis, t, tol=DEFAULT_TOL) -> float:
-    """Curve value sum(cpts_i * N_i(t)) over the nonzero basis functions."""
+def eval_curve(curve: SplineCurve, basis: LocalBasis, t, tol=DEFAULT_TOL):
+    """Curve value sum(cpts_i * N_i(t)) over the nonzero basis functions.
+
+    A float for control points shaped (n,), an array of d components for
+    (n, d).
+    """
     if len(curve.cpts) != basis.n_basis:
         raise LengthMismatch("curve and basis sizes differ")
     first, vals = nonzero_basis_values(basis, t, tol)
-    p = basis.degree
-    return float(curve.cpts[first : first + p + 1] @ vals)
+    return _point(vals @ curve.cpts[first : first + basis.degree + 1])
 
 
 # piecewise form and reindexing -----------------------------------------------
@@ -279,24 +277,28 @@ def full_reverse_diagonals(a):
 
 
 def reverse_diagonal_averages(coefs, tol=1e-6):
-    """Average anti-diagonal entries of a 2-D table, ignoring NaN markers.
+    """Average anti-diagonal entries of a table, ignoring NaN markers.
 
-    Entries on anti-diagonal r + c = d are the per-interval estimates of one
-    coefficient; a finite entry straying from its diagonal's mean by more
-    than tol * max(1, |mean|) flags an ill-posed projection.
+    Entries on anti-diagonal r + c = d of the first two axes are the
+    per-interval estimates of one coefficient; an optional trailing axis
+    holds components.  A finite entry straying from its diagonal's mean by
+    more than tol * max(1, |mean|), component by component, flags an
+    ill-posed projection.  An estimate counts only if all its components are
+    finite.
     """
     coefs = np.asarray(coefs, dtype=float)
-    rows, cols = coefs.shape
-    out = np.empty(rows + cols - 1)
+    rows, cols = coefs.shape[:2]
+    out = np.empty((rows + cols - 1,) + coefs.shape[2:])
     for d in range(rows + cols - 1):
         r0 = max(0, d - cols + 1)
         r1 = min(rows - 1, d)
         vals = np.array([coefs[r, d - r] for r in range(r0, r1 + 1)])
-        vals = vals[np.isfinite(vals)]
+        finite = np.isfinite(vals)
+        vals = vals[finite if vals.ndim == 1 else finite.all(axis=1)]
         if len(vals) == 0:
             raise AllMissingDiagonal(f"no finite estimates for coefficient {d}")
-        avg = float(vals.mean())
-        if np.any(np.abs(vals - avg) > tol * max(1.0, abs(avg))):
+        avg = vals.mean(axis=0)
+        if np.any(np.abs(vals - avg) > tol * np.maximum(1.0, np.abs(avg))):
             raise InconsistentCoefficient(
                 f"estimates for coefficient {d} disagree: {vals.tolist()}")
         out[d] = avg
@@ -308,13 +310,12 @@ def form_piecewise(cpts, basis: LocalBasis) -> PiecewiseCurve:
 
     Scales every stored local representation by its control point, reindexes
     function-major storage to interval-major, and sums the contributions of
-    the nonzero functions on each interval.
+    the nonzero functions on each interval.  Control points shaped (n, d)
+    give parts with a trailing axis of d components.
     """
     cpts = np.asarray(cpts, dtype=float)
-    if cpts.shape != (basis.n_basis,):
-        raise LengthMismatch(
-            f"{basis.n_basis} basis functions but control points shaped {cpts.shape}")
-    poly = full_reverse_diagonals(basis.poly_parts * cpts[:, None, None]).sum(axis=1)
-    gen = full_reverse_diagonals(basis.gen_coefs * cpts[:, None, None]).sum(axis=1)
+    _check_cpts(cpts, basis.n_basis)
+    poly, gen = (full_reverse_diagonals(np.einsum("icw,i...->icw...", parts, cpts)).sum(axis=1)
+                 for parts in (basis.poly_parts, basis.gen_coefs))
     return PiecewiseCurve(breaks=basis.kv.active_region(), poly_parts=poly,
                           gen_coefs=gen, degree=basis.degree, fam=basis.fam)

@@ -15,6 +15,7 @@ from .basis import (
     SplineCurve,
     build_local_basis,
     eval_basis_function,
+    eval_curve,
     form_piecewise,
     nonzero_basis_values,
 )
@@ -46,13 +47,11 @@ def _sample_points(kv, samples):
 
 
 def _cmd_eval(args, tol, coef_tol):
-    kv, fam, cpts = load_curve(args.curve, tol)
-    basis = build_local_basis(kv, fam, tol)
-    rows = []
-    for t in _sample_points(kv, args.samples):
-        first, vals = nonzero_basis_values(basis, float(t), tol)
-        rows.append([t, *(vals @ cpts[first : first + kv.degree + 1])])
-    _write_csv(args.out, ["t"] + [f"f{k}" for k in range(cpts.shape[1])], rows)
+    curve = SplineCurve(*load_curve(args.curve, tol))
+    basis = build_local_basis(curve.kv, curve.fam, tol)
+    rows = [[t, *eval_curve(curve, basis, float(t), tol)]
+            for t in _sample_points(curve.kv, args.samples)]
+    _write_csv(args.out, ["t"] + [f"f{k}" for k in range(curve.cpts.shape[1])], rows)
     return 0
 
 
@@ -67,32 +66,17 @@ def _cmd_basis(args, tol, coef_tol):
     return 0
 
 
-def _refine_componentwise(kv, fam, cpts, tol, coef_tol, **kwargs):
-    basis = build_local_basis(kv, fam, tol)
-    columns = []
-    for k in range(cpts.shape[1]):
-        curve = SplineCurve(kv=kv, fam=fam, cpts=cpts[:, k])
-        if "new_knots" in kwargs:
-            out = insert_knots(curve, basis, kwargs["new_knots"], tol, coef_tol)
-        else:
-            out = elevate_degree(curve, basis, kwargs["by"], tol, coef_tol)
-        columns.append(out.cpts)
-    return out.kv, out.fam, np.stack(columns, axis=1)
-
-
 def _cmd_insert(args, tol, coef_tol):
-    kv, fam, cpts = load_curve(args.curve, tol)
-    kv1, fam1, cpts1 = _refine_componentwise(kv, fam, cpts, tol, coef_tol,
-                                             new_knots=args.at)
-    save_curve(args.out, kv1, fam1, cpts1)
+    curve = SplineCurve(*load_curve(args.curve, tol))
+    out = insert_knots(curve, None, args.at, tol, coef_tol)
+    save_curve(args.out, out.kv, out.fam, out.cpts)
     return 0
 
 
 def _cmd_elevate(args, tol, coef_tol):
-    kv, fam, cpts = load_curve(args.curve, tol)
-    kv1, fam1, cpts1 = _refine_componentwise(kv, fam, cpts, tol, coef_tol,
-                                             by=args.by)
-    save_curve(args.out, kv1, fam1, cpts1)
+    curve = SplineCurve(*load_curve(args.curve, tol))
+    out = elevate_degree(curve, None, args.by, tol, coef_tol)
+    save_curve(args.out, out.kv, out.fam, out.cpts)
     return 0
 
 
@@ -114,14 +98,13 @@ def _cmd_check(args, tol, coef_tol):
         worst_pu = max(worst_pu, abs(float(vals.sum()) - 1.0))
     worst_jump = 0.0
     breaks = kv.active_region()
-    for k in range(cpts.shape[1]):
-        piece = form_piecewise(cpts[:, k], basis)
-        for j in range(1, len(breaks) - 1):
-            if breaks[j] - breaks[j - 1] <= tol or breaks[j + 1] - breaks[j] <= tol:
-                continue
-            x = float(breaks[j])
-            left = piece.value(np.nextafter(x, -np.inf), tol)
-            worst_jump = max(worst_jump, abs(piece.value(x, tol) - left))
+    piece = form_piecewise(cpts, basis)
+    for j in range(1, len(breaks) - 1):
+        if breaks[j] - breaks[j - 1] <= tol or breaks[j + 1] - breaks[j] <= tol:
+            continue
+        x = float(breaks[j])
+        jump = piece.value(x, tol) - piece.value(np.nextafter(x, -np.inf), tol)
+        worst_jump = max(worst_jump, float(np.max(np.abs(jump))))
     scale = 1.0 + float(np.max(np.abs(cpts)))
     ok = worst_pu <= 1e-9 and worst_jump <= 1e-8 * scale
     print(f"partition of unity: max deviation {worst_pu:.3e}")

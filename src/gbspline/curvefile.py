@@ -17,6 +17,7 @@ exactly (shortest form preserving all 17 significant digits).
 from __future__ import annotations
 
 import json
+import math
 import numbers
 
 import numpy as np
@@ -31,7 +32,13 @@ _FAMILY_FIELDS = {"kind", "omega"}
 def _real(x, what):
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
         raise CurveFileError(f"{what} must be a number, got {x!r}")
-    return float(x)
+    try:
+        value = float(x)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise CurveFileError(f"{what} must be finite, got {x!r}")
+    return value
 
 
 def load_curve(path, tol=1e-10):

@@ -8,7 +8,7 @@ class GBSplineError(Exception):
 # knot vectors
 
 class NotNondecreasing(GBSplineError):
-    """Knot values decrease somewhere."""
+    """Knot values decrease somewhere or are not finite."""
 
 
 class NotOpen(GBSplineError):
@@ -27,10 +27,6 @@ class InvalidFamily(GBSplineError):
 
 class OutOfInterval(GBSplineError):
     pass
-
-
-class UnsupportedOrder(GBSplineError):
-    """No closed form for the requested integral/derivative order."""
 
 
 class IntervalStraddle(GBSplineError):

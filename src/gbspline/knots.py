@@ -12,8 +12,7 @@ All types are immutable after construction and safe for concurrent reads.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,12 +22,15 @@ from .errors import (
     InvalidFamily,
     NotNondecreasing,
     NotOpen,
+    OutOfActiveRegion,
     OutOfInterval,
     TooShort,
 )
 from .poly import DEFAULT_TOL
 
 KINDS = ("linear", "trigonometric", "exponential")
+# trigonometric pairs stop being Chebyshev at pi; sinh overflows past log(max)
+_OMEGA_H_MAX = {"trigonometric": math.pi, "exponential": math.log(np.finfo(float).max)}
 
 
 def readonly(a, dtype=float):
@@ -43,6 +45,7 @@ class KnotVector:
 
     knots: np.ndarray
     degree: int
+    _active: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "knots", readonly(self.knots))
@@ -51,10 +54,11 @@ class KnotVector:
             raise DegreeTooSmall("degree must be nonnegative")
         if m < 2 * p + 2:
             raise TooShort(f"degree {p} needs at least {2 * p + 2} knots, got {m}")
-        if np.any(np.diff(k) < 0):
-            raise NotNondecreasing("knots must be nondecreasing")
+        if not (np.all(np.isfinite(k)) and np.all(np.diff(k) >= 0)):
+            raise NotNondecreasing("knots must be finite and nondecreasing")
         if k[0] != k[p] or k[m - p - 1] != k[m - 1]:
             raise NotOpen(f"first and last knots need multiplicity {p + 1}")
+        object.__setattr__(self, "_active", k[p : m - p])
 
     @property
     def m(self) -> int:
@@ -66,7 +70,7 @@ class KnotVector:
 
     def active_region(self) -> np.ndarray:
         """Breakpoints t_p..t_{m-p-1}, interior multiplicities retained."""
-        return self.knots[self.degree : self.m - self.degree]
+        return self._active
 
 
 def validate_open_knot_vector(knots, degree) -> KnotVector:
@@ -74,8 +78,37 @@ def validate_open_knot_vector(knots, degree) -> KnotVector:
     return KnotVector(np.asarray(knots, dtype=float), int(degree))
 
 
-def active_region(kv: KnotVector) -> np.ndarray:
-    return kv.active_region()
+# interval index ---------------------------------------------------------------
+
+def find_interval(breaks, t, tol=DEFAULT_TOL) -> int:
+    """Index j of the positive-length interval [breaks[j], breaks[j+1]) holding t.
+
+    The final interval is closed on the right; zero-length intervals are
+    skipped leftwards.
+    """
+    if t < breaks[0] or t > breaks[-1]:
+        raise OutOfActiveRegion(f"t={t} outside [{breaks[0]}, {breaks[-1]}]")
+    j = min(int(np.searchsorted(breaks, t, side="right")) - 1, len(breaks) - 2)
+    while j > 0 and breaks[j + 1] - breaks[j] <= tol:
+        j -= 1
+    return j
+
+
+def containing_spans(spans, breaks, tol=DEFAULT_TOL) -> np.ndarray:
+    """Row of `spans` (sorted, disjoint (s, 2) endpoints) holding each interval
+    of `breaks`, or -1 for intervals of zero length.  An interval that fits
+    in no span raises IntervalStraddle naming it."""
+    br = np.asarray(breaks, dtype=float)
+    a, b = br[:-1], br[1:]
+    idx = np.searchsorted(spans[:, 0], a + tol, side="right") - 1
+    lo, hi = spans[idx].T if len(spans) else (a, b)
+    pos = b - a > tol
+    bad = np.flatnonzero(pos & ((idx < 0) | (a < lo - tol) | (b > hi + tol)))
+    if len(bad):
+        j = int(bad[0])
+        raise IntervalStraddle(
+            f"interval {j} [{a[j]}, {b[j]}] does not sit inside a single source span")
+    return np.where(pos, idx, -1)
 
 
 # closed-form ladders ---------------------------------------------------------
@@ -143,18 +176,6 @@ class KnotFunctionFamily:
     def slot_for_interval(self, j) -> int:
         return int(self.slots[j])
 
-    def slot_containing(self, a, b, tol=DEFAULT_TOL):
-        """Slot whose span contains [a, b], or None if it straddles spans."""
-        if self.n_spans == 0:
-            return None
-        idx = bisect_right(self.spans[:, 0], a + tol) - 1
-        if idx < 0:
-            return None
-        left, right = self.spans[idx]
-        if a >= left - tol and b <= right + tol:
-            return int(idx)
-        return None
-
     def value(self, slot, which, order, t, tol=DEFAULT_TOL):
         """Canonical ladder value of generator `which` at global parameter t.
 
@@ -182,18 +203,15 @@ def build_family(knots, kind="trigonometric", omega=math.pi / 2, *,
     """Attach generator pairs to the positive-length intervals of `knots`.
 
     Give a single `kind`/`omega` for all intervals, or per-interval sequences
-    (ordered over positive-length intervals only).  The frequency is ignored
-    for the linear kind; trigonometric intervals must keep omega * h < pi so
-    the pair stays Chebyshev.
+    (ordered over positive-length intervals only).  Frequencies must be
+    finite; the linear kind ignores them otherwise.  Trigonometric intervals
+    must keep omega * h < pi so the pair stays Chebyshev, exponential ones
+    omega * h < log(largest float) so sinh stays finite.
     """
     knots = np.asarray(knots, dtype=float)
-    num = len(knots) - 1
-    slots = np.full(num, -1, dtype=int)
-    spans = []
-    for j in range(num):
-        if knots[j + 1] - knots[j] > tol:
-            slots[j] = len(spans)
-            spans.append((knots[j], knots[j + 1]))
+    pos = np.diff(knots) > tol
+    slots = np.where(pos, np.cumsum(pos) - 1, -1)
+    spans = np.stack([knots[:-1][pos], knots[1:][pos]], axis=1)
     count = len(spans)
     out_kinds = tuple([kind] * count) if kinds is None else tuple(kinds)
     out_omegas = (np.full(count, omega, dtype=float) if omegas is None
@@ -202,28 +220,23 @@ def build_family(knots, kind="trigonometric", omega=math.pi / 2, *,
         raise InvalidFamily(
             f"need one spec per positive interval: {count} intervals, "
             f"{len(out_kinds)} kinds, {len(out_omegas)} frequencies")
-    for i, (kd, w) in enumerate(zip(out_kinds, out_omegas)):
+    for (a, b), kd, w in zip(spans.tolist(), out_kinds, out_omegas.tolist()):
         if kd not in KINDS:
             raise InvalidFamily(f"unknown kind {kd!r}")
+        if not math.isfinite(w):
+            raise InvalidFamily(f"frequency {w} on [{a}, {b}] must be finite")
         if kd != "linear":
             if not w > 0:
                 raise InvalidFamily("frequency must be positive")
-            h = spans[i][1] - spans[i][0]
-            if kd == "trigonometric" and w * h >= math.pi:
-                raise InvalidFamily(
-                    f"omega * h = {w * h:.6g} on [{spans[i][0]}, {spans[i][1]}] "
-                    "must stay below pi")
+            if w * (b - a) >= _OMEGA_H_MAX[kd]:
+                raise InvalidFamily(f"omega * h = {w * (b - a):.6g} on [{a}, {b}] "
+                                    f"must stay below {_OMEGA_H_MAX[kd]:.6g}")
     return KnotFunctionFamily(
-        spans=readonly(np.array(spans, dtype=float).reshape(count, 2)),
+        spans=readonly(spans),
         kinds=out_kinds,
         omegas=readonly(out_omegas),
         slots=readonly(slots, dtype=int),
     )
-
-
-def knot_function_value(fam: KnotFunctionFamily, interval, which, order, t):
-    """Ladder value for the family's `interval`-th positive-length interval."""
-    return fam.value(int(interval), which, int(order), float(t))
 
 
 def build_integral_table(fam: KnotFunctionFamily, breakpoints, derivative_offset,
@@ -238,18 +251,12 @@ def build_integral_table(fam: KnotFunctionFamily, breakpoints, derivative_offset
     if derivative_offset < 0:
         raise ValueError("derivative_offset must be nonnegative")
     br = np.asarray(breakpoints, dtype=float)
-    num = len(br) - 1
-    out = np.zeros((max_order + 1, num, 2, 2))
-    for j in range(num):
-        a, b = br[j], br[j + 1]
-        if b - a <= tol:
-            continue
-        slot = fam.slot_containing(a, b, tol)
-        if slot is None:
-            raise IntervalStraddle(
-                f"[{a}, {b}] does not sit inside a single source interval")
+    slots = containing_spans(fam.spans, br, tol)
+    out = np.zeros((max_order + 1, len(slots), 2, 2))
+    for j in np.flatnonzero(slots >= 0):
+        slot = int(slots[j])
         for k in range(max_order + 1):
-            for e, x in enumerate((a, b)):
+            for e, x in enumerate(br[j : j + 2]):
                 for w, which in enumerate("uv"):
                     out[k, j, e, w] = fam.value(slot, which, k - derivative_offset, x, tol)
     return out

@@ -15,7 +15,10 @@ DEFAULT_TOL = 1e-10
 
 
 def poly_eval(coeffs, s):
-    """Horner evaluation of sum(c_k * s**k); `s` may be scalar or array."""
+    """Horner evaluation of sum(c_k * s**k); `s` may be scalar or array.
+
+    With a scalar `s`, coefficients may carry trailing component axes.
+    """
     coeffs = np.asarray(coeffs, dtype=float)
     s = np.asarray(s, dtype=float)
     acc = np.zeros(s.shape)
@@ -42,13 +45,13 @@ def derive_poly(coeffs):
 
 
 def taylor_shift(coeffs, tau):
-    """Coefficients of P(s + tau): the polynomial over an origin moved right by tau."""
+    """Coefficients of P(s + tau): the polynomial over an origin moved right by tau.
+
+    Axis 0 indexes the degree; trailing axes carry through.
+    """
     coeffs = np.asarray(coeffs, dtype=float)
-    out = np.zeros(len(coeffs))
-    for deg in range(len(coeffs)):
-        c = coeffs[deg]
-        if c == 0.0:
-            continue
+    out = np.zeros(coeffs.shape)
+    for deg, c in enumerate(coeffs):
         for k in range(deg + 1):
             out[k] += c * math.comb(deg, k) * tau ** (deg - k)
     return out
@@ -74,23 +77,28 @@ def restrict_poly(coeffs, source, targets, tol=DEFAULT_TOL):
 
 
 def elevate_polys(polys, target_degree):
-    """Zero-pad coefficient rows (last axis) up to target_degree + 1 columns."""
+    """Zero-pad coefficient rows shaped (rows, width[, d]) up to
+    target_degree + 1 coefficients along axis 1."""
     polys = np.asarray(polys, dtype=float)
-    width = polys.shape[-1]
+    width = polys.shape[1]
     if target_degree + 1 < width:
         raise TargetTooSmall(f"cannot drop degree {width - 1} to {target_degree}")
-    pad = [(0, 0)] * (polys.ndim - 1) + [(0, target_degree + 1 - width)]
+    pad = [(0, 0)] * polys.ndim
+    pad[1] = (0, target_degree + 1 - width)
     return np.pad(polys, pad)
 
 
-def left_taylor_series(derivs, h):
-    """Polynomial matching the given derivative values at the left endpoint."""
+def left_taylor_series(derivs):
+    """Polynomial matching the given derivative values at the left endpoint.
+
+    Axis 0 indexes the derivative order; trailing axes carry through.
+    """
     derivs = np.asarray(derivs, dtype=float)
     fact = np.array([math.factorial(k) for k in range(len(derivs))], dtype=float)
-    return derivs / fact
+    return derivs / fact.reshape((-1,) + (1,) * (derivs.ndim - 1))
 
 
 def right_taylor_series(derivs, h):
     """Polynomial matching the given derivative values at s = h, expressed in
     the left-shifted power basis."""
-    return taylor_shift(left_taylor_series(derivs, h), -h)
+    return taylor_shift(left_taylor_series(derivs), -h)

@@ -138,7 +138,3 @@ class ReferenceEvaluator:
                 self._areas[key] = float(np.sum(self._interval_integrals(i, p)))
         return self._areas[key]
 
-
-def oracle_eval_basis(knots, fam, i, p, t, cfg=None) -> float:
-    """One-off reference value; build a ReferenceEvaluator to amortize caches."""
-    return ReferenceEvaluator(knots, fam, cfg).basis_value(i, p, t)

@@ -29,14 +29,19 @@ from .errors import (
     DegreeTooSmall,
     FamilyNotClosedUnderDerivative,
     InconsistentCoefficient,
-    IntervalStraddle,
     KnotOutsideActiveRegion,
     MultiplicityOverflow,
     SingularGeneratorSystem,
     SingularLocalSystem,
     TaylorMismatch,
 )
-from .knots import KnotFunctionFamily, KnotVector, build_family, build_integral_table
+from .knots import (
+    KnotFunctionFamily,
+    KnotVector,
+    build_family,
+    build_integral_table,
+    containing_spans,
+)
 from .poly import (
     DEFAULT_TOL,
     elevate_polys,
@@ -50,7 +55,10 @@ PIVOT_RATIO_WARN = 1e12
 
 
 def _solve(matrix, rhs, error):
-    """Dense Gaussian elimination with partial pivoting for tiny systems."""
+    """Dense Gaussian elimination with partial pivoting for tiny systems.
+
+    `rhs` is shaped (n,) or (n, d): d right-hand sides share one elimination.
+    """
     a = np.array(matrix, dtype=float)
     b = np.array(rhs, dtype=float)
     n = len(b)
@@ -67,12 +75,12 @@ def _solve(matrix, rhs, error):
         if col + 1 < n:
             f = a[col + 1 :, col] / a[col, col]
             a[col + 1 :] -= np.outer(f, a[col])
-            b[col + 1 :] -= f * b[col]
+            b[col + 1 :] -= np.multiply.outer(f, b[col])
     ratio = float(np.abs(pivots).max() / np.abs(pivots).min())
     if ratio > PIVOT_RATIO_WARN:
         warnings.warn(f"poorly conditioned local system (pivot ratio {ratio:.2e})",
                       RuntimeWarning, stacklevel=2)
-    x = np.empty(n)
+    x = np.empty(b.shape)
     for row in range(n - 1, -1, -1):
         x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
     return x
@@ -84,29 +92,18 @@ def refine_local(curve: PiecewiseCurve, dst_breaks, tol=DEFAULT_TOL) -> Piecewis
     Polynomial terms are re-expanded over each contained positive-length
     target interval; generator coefficient rows are copied unchanged from
     the source interval containing each target.  Zero-length targets get
-    zero rows.
+    zero rows.  A trailing component axis carries through.
     """
     src = np.asarray(curve.breaks, dtype=float)
     dst = np.asarray(dst_breaks, dtype=float)
-    width = curve.poly_parts.shape[1]
-    num = len(dst) - 1
-    poly = np.zeros((num, width))
-    gen = np.zeros((num, 2))
-    pos_rows = [i for i in range(len(src) - 1) if src[i + 1] - src[i] > tol]
-    pos_lefts = [src[i] for i in pos_rows]
-    for j in range(num):
-        a, b = dst[j], dst[j + 1]
-        if b - a <= tol:
-            continue
-        idx = bisect_right(pos_lefts, a + tol) - 1
-        if idx < 0:
-            raise IntervalStraddle(f"[{a}, {b}] precedes every source interval")
-        row = pos_rows[idx]
-        lo, hi = src[row], src[row + 1]
-        if a < lo - tol or b > hi + tol:
-            raise IntervalStraddle(
-                f"[{a}, {b}] crosses the source breakpoint at {hi}")
-        poly[j] = restrict_poly(curve.poly_parts[row], (lo, hi), (a, b), tol)[0]
+    rows = np.flatnonzero(np.diff(src) > tol)
+    spans = np.stack([src[rows], src[rows + 1]], axis=1)
+    idx = containing_spans(spans, dst, tol)
+    poly = np.zeros((len(idx),) + curve.poly_parts.shape[1:])
+    gen = np.zeros((len(idx),) + curve.gen_coefs.shape[1:])
+    for j in np.flatnonzero(idx >= 0):
+        row = rows[idx[j]]
+        poly[j] = restrict_poly(curve.poly_parts[row], spans[idx[j]], dst[j : j + 2], tol)[0]
         gen[j] = curve.gen_coefs[row]
     return PiecewiseCurve(breaks=dst, poly_parts=poly, gen_coefs=gen,
                           degree=curve.degree, fam=curve.fam)
@@ -123,26 +120,28 @@ def represent_knot_funcs(gen_coefs, tables_src, tables_dst, lens, pos,
     derivative differences are absorbed into polynomial corrections,
     reconstructed as the average of the Taylor expansions at both endpoints.
     A disagreement between the two expansions means the source generators lie
-    outside the target span.
+    outside the target span; it is measured component by component when
+    `gen_coefs` carries a trailing component axis.
 
     Returns (new coefficient rows, polynomial corrections to add).
     """
     orders, num = tables_src.shape[:2]
     gen_coefs = np.asarray(gen_coefs, dtype=float)
-    ivals = np.einsum("kjew,jw->kje", tables_src, gen_coefs)
-    ngen = np.zeros((num, 2))
+    tail = gen_coefs.shape[2:]
+    ivals = np.einsum("kjew,jw...->kje...", tables_src, gen_coefs)
+    ngen = np.zeros((num, 2) + tail)
     for j in range(num):
         if pos[j]:
             ngen[j] = _solve(tables_dst[0, j], ivals[0, j], SingularGeneratorSystem)
-    nints = np.einsum("kjew,jw->kje", tables_dst[1:], ngen)
+    nints = np.einsum("kjew,jw...->kje...", tables_dst[1:], ngen)
     diffs = ivals[1:] - nints
-    offsets = np.zeros((num, max(orders - 1, 0)))
+    offsets = np.zeros((num, max(orders - 1, 0)) + tail)
     for j in range(num):
         if not pos[j] or orders < 2:
             continue
-        left = left_taylor_series(diffs[::-1, j, 0], lens[j])
+        left = left_taylor_series(diffs[::-1, j, 0])
         right = right_taylor_series(diffs[::-1, j, 1], lens[j])
-        scale = max(1.0, float(np.max(np.abs(left))), float(np.max(np.abs(right))))
+        scale = np.maximum(1.0, np.maximum(np.abs(left).max(axis=0), np.abs(right).max(axis=0)))
         if np.any(np.abs(left - right) > coef_tol * scale):
             raise TaylorMismatch(
                 f"endpoint reconstructions disagree on interval {j}: "
@@ -158,7 +157,9 @@ def refine_curve(curve: PiecewiseCurve, basis: LocalBasis, tables_src, tables_ds
     Runs the projection pipeline: reindex onto the target breakpoints, pad
     polynomial terms to the target width, rewrite generator terms, then per
     positive-length interval solve for the coefficients of the nonzero basis
-    functions and aggregate by anti-diagonal averaging.
+    functions and aggregate by anti-diagonal averaging.  A curve with a
+    trailing axis of d components gives control points shaped (n, d), each
+    interval solved once with d right-hand sides.
     """
     if coef_tol is None:
         coef_tol = tol * COEF_TOL_FACTOR
@@ -180,7 +181,7 @@ def refine_curve(curve: PiecewiseCurve, basis: LocalBasis, tables_src, tables_ds
     lbases = full_reverse_diagonals(
         np.concatenate([basis.poly_parts, basis.gen_coefs], axis=2))
     lfunc = np.concatenate([poly, ngen], axis=1)
-    coefs = np.full((len(lens), q + 1), np.nan)
+    coefs = np.full((len(lens), q + 1) + ngen.shape[2:], np.nan)
     for j in range(len(lens)):
         if pos[j]:
             coefs[j] = _solve(lbases[j].T, lfunc[j], SingularLocalSystem)
@@ -224,18 +225,10 @@ def _refined_knots(kv: KnotVector, inserts, raise_by, tol):
 def derive_family(fam: KnotFunctionFamily, knots, tol=DEFAULT_TOL) -> KnotFunctionFamily:
     """Family for refined knots: every positive interval inherits the kind and
     frequency of the source span containing it."""
-    knots = np.asarray(knots, dtype=float)
-    kinds, omegas = [], []
-    for j in range(len(knots) - 1):
-        if knots[j + 1] - knots[j] <= tol:
-            continue
-        slot = fam.slot_containing(knots[j], knots[j + 1], tol)
-        if slot is None:
-            raise IntervalStraddle(
-                f"[{knots[j]}, {knots[j + 1]}] crosses a source span boundary")
-        kinds.append(fam.kinds[slot])
-        omegas.append(float(fam.omegas[slot]))
-    return build_family(knots, kinds=tuple(kinds), omegas=omegas, tol=tol)
+    slots = containing_spans(fam.spans, knots, tol)
+    slots = slots[slots >= 0]
+    return build_family(knots, kinds=tuple(fam.kinds[s] for s in slots),
+                        omegas=fam.omegas[slots], tol=tol)
 
 
 def refined_spline(curve: SplineCurve, basis: LocalBasis | None = None, *,
@@ -247,7 +240,8 @@ def refined_spline(curve: SplineCurve, basis: LocalBasis | None = None, *,
     projection.  Raising the degree repeats every interior breakpoint so the
     original continuity is preserved, and requires generator derivatives that
     still span the target local spaces (true for the trigonometric and
-    exponential kinds, never for linear).
+    exponential kinds, never for linear).  Control points shaped (n, d) are
+    refined together: one target basis, one pair of integral tables.
     """
     p = curve.kv.degree
     if p < 2:
@@ -300,22 +294,19 @@ def greville_abscissae(basis: LocalBasis, tol=DEFAULT_TOL, coef_tol=None) -> np.
         raise DegreeTooSmall("identity representation needs degree >= 2")
     breaks = basis.kv.active_region()
     num = len(breaks) - 1
+    slots = containing_spans(basis.fam.spans, breaks, tol)
+    pos = slots >= 0
     poly = np.zeros((num, p - 1))
     gen = np.zeros((num, 2))
-    for j in range(num):
-        if breaks[j + 1] - breaks[j] <= tol:
-            continue
-        if p >= 3:
-            poly[j, 0] = breaks[j]
-            poly[j, 1] = 1.0
-        else:
-            slot = basis.fam.slot_containing(breaks[j], breaks[j + 1], tol)
-            if basis.fam.kinds[slot] != "linear":
-                raise InconsistentCoefficient(
-                    "y = x lies outside the degree-2 local spaces of this family")
-            # first integrals of the linear pair sum to the local coordinate
-            poly[j, 0] = breaks[j]
-            gen[j] = (1.0, 1.0)
+    poly[pos, 0] = breaks[:-1][pos]
+    if p >= 3:
+        poly[pos, 1] = 1.0
+    else:
+        if any(basis.fam.kinds[s] != "linear" for s in slots[pos]):
+            raise InconsistentCoefficient(
+                "y = x lies outside the degree-2 local spaces of this family")
+        # first integrals of the linear pair sum to the local coordinate
+        gen[pos] = 1.0
     piece = PiecewiseCurve(breaks=breaks, poly_parts=poly, gen_coefs=gen,
                            degree=p, fam=basis.fam)
     tables = build_integral_table(basis.fam, breaks, 0, p - 1, tol)

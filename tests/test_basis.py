@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from gbspline import (
+    PiecewiseCurve,
     SplineCurve,
     adaptive_simpson,
     build_family,
@@ -306,3 +307,37 @@ class TestCurveEvaluation:
         for t in np.linspace(0, 1, 50):
             assert eval_curve(curve, basis, float(t)) == pytest.approx(
                 0.7 * eval_basis_function(basis, 2, float(t)), abs=1e-13)
+
+    def test_components_evaluate_like_columns(self):
+        """(n, d) control points give d-component values, one per column."""
+        kv, fam, basis = make_basis(4, interior=(0.3, 0.6), kind="exponential", omega=1.5)
+        cpts = np.random.default_rng(13).uniform(-1, 1, (basis.n_basis, 2))
+        curve = SplineCurve(kv=kv, fam=fam, cpts=cpts)
+        piece = form_piecewise(cpts, basis)
+        columns = [SplineCurve(kv=kv, fam=fam, cpts=cpts[:, k]) for k in range(2)]
+        pieces = [form_piecewise(cpts[:, k], basis) for k in range(2)]
+        for t in np.linspace(0, 1, 41):
+            want = [eval_curve(c, basis, float(t)) for c in columns]
+            assert all(type(w) is float for w in want)
+            np.testing.assert_allclose(eval_curve(curve, basis, float(t)), want,
+                                       rtol=0, atol=1e-14)
+            want = [pc.value(float(t)) for pc in pieces]
+            assert all(type(w) is float for w in want)
+            np.testing.assert_allclose(piece.value(float(t)), want, rtol=0, atol=1e-14)
+
+    def test_control_points_of_three_axes_rejected(self):
+        kv, fam, basis = make_basis(2, kind="linear")
+        with pytest.raises(LengthMismatch):
+            SplineCurve(kv=kv, fam=fam, cpts=np.ones((basis.n_basis, 2, 1)))
+
+
+def test_piecewise_value_under_finer_tolerance():
+    """An interval shorter than the default tolerance still finds its span
+    when evaluated with a finer one."""
+    breaks = np.array([0.0, 0.5, 0.5 + 1e-12, 1.0])
+    fam = build_family(breaks, kind="linear", tol=1e-14)
+    piece = PiecewiseCurve(breaks=breaks, poly_parts=np.zeros((3, 1)),
+                           gen_coefs=np.ones((3, 2)), degree=2, fam=fam)
+    # first integrals of the linear pair sum to the local coordinate
+    t = 0.5 + 5e-13
+    assert piece.value(t, tol=1e-14) == pytest.approx(t - 0.5, rel=1e-9, abs=0)

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from gbspline import load_curve, save_curve
+import gbspline.cli
+import gbspline.refine
+from gbspline import build_local_basis, load_curve, save_curve
 from gbspline.cli import main
 from gbspline.errors import CurveFileError
 from conftest import make_basis
@@ -69,6 +71,21 @@ class TestCurveFile:
         doc["families"] = doc["families"][:-1]
         path.write_text(json.dumps(doc))
         with pytest.raises(CurveFileError):
+            load_curve(path)
+
+    @pytest.mark.parametrize("field", ["knots", "omega", "control_points"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400])
+    def test_non_finite_numbers_rejected(self, tmp_path, field, bad):
+        path = tmp_path / "c.json"
+        doc = write_demo_curve(path)
+        if field == "knots":
+            doc["knots"][5] = bad
+        elif field == "omega":
+            doc["families"][0]["omega"] = bad
+        else:
+            doc["control_points"][2][1] = bad
+        path.write_text(json.dumps(doc))   # json writes NaN, Infinity and big integers
+        with pytest.raises(CurveFileError, match="finite"):
             load_curve(path)
 
     def test_linear_kind_needs_no_omega(self, tmp_path):
@@ -169,6 +186,32 @@ class TestCommands:
                      "--out", str(out)])
         assert code == 1
         assert "KnotOutsideActiveRegion" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [["insert", "--at", "0.3"], ["elevate", "--by", "1"]])
+    def test_refinement_builds_two_bases(self, tmp_path, monkeypatch, args):
+        """A 3-D curve is refined in one projection: source and target basis."""
+        calls = []
+
+        def counting(*a, **kw):
+            calls.append(1)
+            return build_local_basis(*a, **kw)
+
+        for module in (gbspline.cli, gbspline.refine):
+            monkeypatch.setattr(module, "build_local_basis", counting)
+        src = tmp_path / "c.json"
+        write_demo_curve(src, dim=3, seed=4)
+        assert main([args[0], "--curve", str(src), *args[1:],
+                     "--out", str(tmp_path / "r.json")]) == 0
+        assert len(calls) == 2
+
+    def test_exponential_overflow_is_a_file_error(self, tmp_path, capsys):
+        src = tmp_path / "c.json"
+        doc = write_demo_curve(src, kind="exponential")
+        doc["families"][1]["omega"] = 2000.0   # omega * h = 1000: sinh overflows
+        src.write_text(json.dumps(doc))
+        assert main(["eval", "--curve", str(src), "--samples", "4"]) == 2
+        err = capsys.readouterr().err
+        assert "CurveFileError" in err and "[0.5, 1.0]" in err
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         src = tmp_path / "c.json"

@@ -6,11 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gbspline import (
-    active_region,
     adaptive_simpson,
     build_family,
     build_integral_table,
-    knot_function_value,
     validate_open_knot_vector,
 )
 from gbspline.errors import (
@@ -46,23 +44,33 @@ class TestValidation:
         with pytest.raises(TooShort):
             validate_open_knot_vector([0, 0, 0, 1, 1], 2)
 
+    @pytest.mark.parametrize("knots, degree", [
+        ([0, 0, 0, 0, math.nan, 1, 1, 1, 1], 3),
+        ([0, 0, 0, 0, 1, math.inf, math.inf, math.inf, math.inf], 3),
+        ([-math.inf, -math.inf, 0, 0], 1),
+        ([0, math.inf], 0),
+    ])
+    def test_rejects_non_finite(self, knots, degree):
+        with pytest.raises(NotNondecreasing):
+            validate_open_knot_vector(knots, degree)
+
 
 class TestActiveRegion:
     def test_interior_knot(self):
         kv = validate_open_knot_vector([0, 0, 0, 0, 0, .5, 1, 1, 1, 1, 1], 4)
-        np.testing.assert_array_equal(active_region(kv), [0, .5, 1])
+        np.testing.assert_array_equal(kv.active_region(), [0, .5, 1])
 
     def test_interior_multiplicity_retained(self):
         kv = validate_open_knot_vector([0, 0, 0, .5, .5, 1, 1, 1], 2)
-        np.testing.assert_array_equal(active_region(kv), [0, .5, .5, 1])
+        np.testing.assert_array_equal(kv.active_region(), [0, .5, .5, 1])
 
     def test_degree_zero(self):
         kv = validate_open_knot_vector([0, 1], 0)
-        np.testing.assert_array_equal(active_region(kv), [0, 1])
+        np.testing.assert_array_equal(kv.active_region(), [0, 1])
 
     def test_length_and_endpoints(self):
         kv = validate_open_knot_vector([0, 0, 0, .2, .7, .7, 1, 1, 1], 2)
-        reg = active_region(kv)
+        reg = kv.active_region()
         assert len(reg) == kv.m - 2 * kv.degree
         assert reg[0] == kv.knots[kv.degree]
         assert reg[-1] == kv.knots[kv.m - kv.degree - 1]
@@ -115,6 +123,17 @@ class TestFamilies:
         with pytest.raises(InvalidFamily):
             build_family([0, 1], kind="trigonometric", omega=math.pi)
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_rejects_non_finite_omega(self, kind):
+        with pytest.raises(InvalidFamily, match=r"\[0\.0, 1\.0\]"):
+            build_family([0, 1], kind=kind, omega=math.inf)
+
+    def test_rejects_exponential_overflow(self):
+        """sinh(omega * h) would overflow on the second interval only."""
+        build_family([0, 1], kind="exponential", omega=700.0)
+        with pytest.raises(InvalidFamily, match=r"\[1\.0, 2\.0\]"):
+            build_family([0, 1, 2], kinds=("exponential",) * 2, omegas=[700.0, 720.0])
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(InvalidFamily):
             build_family([0, 1], kind="rational")
@@ -139,17 +158,17 @@ class TestFamilies:
 class TestKnotFunctionValue:
     def test_linear_generator(self):
         fam = build_family([0, 1], kind="linear")
-        assert knot_function_value(fam, 0, "u", 0, 0.5) == pytest.approx(0.5)
+        assert fam.value(0, "u", 0, 0.5) == pytest.approx(0.5)
 
     def test_trig_endpoint(self):
         fam = build_family([0, 1], kind="trigonometric", omega=math.pi / 2)
-        assert knot_function_value(fam, 0, "u", 0, 1.0) == pytest.approx(1.0)
+        assert fam.value(0, "u", 0, 1.0) == pytest.approx(1.0)
 
     def test_trig_first_integral_against_quadrature(self):
         fam = build_family([0, 1], kind="trigonometric", omega=math.pi / 2)
         # independent check: integrate u(t) = sin(pi t / 2) from 0 to 1
         oracle = adaptive_simpson(lambda t: math.sin(math.pi * t / 2), 0.0, 1.0)
-        got = knot_function_value(fam, 0, "u", 1, 1.0)
+        got = fam.value(0, "u", 1, 1.0)
         assert got == pytest.approx(oracle, abs=1e-9)
         assert got == pytest.approx(2 / math.pi, abs=1e-12)
 

@@ -117,11 +117,11 @@ def test_elevate_preserves_values(coeffs, extra):
 
 
 def test_left_taylor_plain():
-    np.testing.assert_allclose(left_taylor_series([1, 2], 1.0), [1, 2])
+    np.testing.assert_allclose(left_taylor_series([1, 2]), [1, 2])
 
 
 def test_left_taylor_second_derivative():
-    np.testing.assert_allclose(left_taylor_series([0, 0, 2], 1.0), [0, 0, 1])
+    np.testing.assert_allclose(left_taylor_series([0, 0, 2]), [0, 0, 1])
 
 
 def test_right_taylor_constant():
@@ -143,7 +143,7 @@ def test_left_right_taylor_agree(coeffs, h):
         derivs_left.append(poly_eval(current, 0.0))
         derivs_right.append(poly_eval(current, h))
         current = derive_poly(current)
-    left = left_taylor_series(derivs_left, h)
+    left = left_taylor_series(derivs_left)
     right = right_taylor_series(derivs_right, h)
     scale = max(1.0, float(np.max(np.abs(derivs_left))),
                 float(np.max(np.abs(derivs_right))))

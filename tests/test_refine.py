@@ -8,6 +8,7 @@ from gbspline import (
     build_family,
     build_integral_table,
     build_local_basis,
+    derive_family,
     elevate_degree,
     eval_basis_function,
     eval_curve,
@@ -84,6 +85,10 @@ class TestRefineLocal:
         piece = form_piecewise(np.ones(basis.n_basis), basis)
         with pytest.raises(IntervalStraddle):
             refine_local(piece, np.array([0, .6, 1.0]))
+        with pytest.raises(IntervalStraddle, match=r"interval 1 \[0\.2, 0\.6\]"):
+            build_integral_table(fam, [0, .2, .6, 1.0], 0, 1)
+        with pytest.raises(IntervalStraddle, match=r"interval 2 \[0\.0, 0\.6\]"):
+            derive_family(fam, [0, 0, 0, .6, 1, 1, 1])
 
 
 class TestRepresentKnotFuncs:
@@ -173,6 +178,13 @@ class TestRefineCurve:
         piece = PiecewiseCurve(breaks=breaks, poly_parts=poly,
                                gen_coefs=np.zeros((2, 2)), degree=3, fam=fam)
         tables = build_integral_table(fam, breaks, 0, 2)
+        with pytest.raises(InconsistentCoefficient):
+            refine_curve(piece, basis, tables, tables)
+        # tolerances hold per component: a smooth first component (y = t)
+        # does not hide the kink in the second
+        smooth = np.array([[0.0, 1.0], [0.5, 1.0]])
+        piece = PiecewiseCurve(breaks=breaks, poly_parts=np.stack([smooth, poly], axis=2),
+                               gen_coefs=np.zeros((2, 2, 2)), degree=3, fam=fam)
         with pytest.raises(InconsistentCoefficient):
             refine_curve(piece, basis, tables, tables)
 
@@ -319,3 +331,26 @@ class TestGreville:
         kv, fam, basis = make_basis(2, interior=(0.5,))
         with pytest.raises(InconsistentCoefficient):
             greville_abscissae(basis)
+
+
+# (kind, inserted knots, degree raise): insertion for every kind, elevation
+# and both at once for the kinds closed under derivatives
+COMPONENT_CASES = ([(kind, (0.3, 0.7), 0) for kind in ALL_KINDS]
+                   + [(kind, (), 1) for kind in ("trigonometric", "exponential")]
+                   + [(kind, (0.3,), 2) for kind in ("trigonometric", "exponential")])
+
+
+@pytest.mark.parametrize("kind, insert, raise_by", COMPONENT_CASES)
+def test_components_refine_like_columns(kind, insert, raise_by):
+    """One projection of (n, 3) control points matches three scalar runs."""
+    kv, fam, basis = make_basis(4, interior=(0.5,), kind=kind)
+    cpts = np.random.default_rng(17).uniform(-1, 1, (basis.n_basis, 3))
+    out = refined_spline(SplineCurve(kv=kv, fam=fam, cpts=cpts), basis,
+                         insert=insert, elevate_by=raise_by)
+    assert out.cpts.shape == (out.kv.n_basis, 3)
+    for k in range(3):
+        col = refined_spline(SplineCurve(kv=kv, fam=fam, cpts=cpts[:, k]), basis,
+                             insert=insert, elevate_by=raise_by)
+        assert col.kv.knots.tolist() == out.kv.knots.tolist()
+        bound = 1e-13 * max(1.0, float(np.max(np.abs(col.cpts))))
+        np.testing.assert_allclose(out.cpts[:, k], col.cpts, rtol=0, atol=bound)
