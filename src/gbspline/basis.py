@@ -20,6 +20,7 @@ from .errors import (
     AllMissingDiagonal,
     DegreeTooSmall,
     InconsistentCoefficient,
+    IntervalStraddle,
     LengthMismatch,
     TooFewRows,
 )
@@ -89,7 +90,10 @@ class PiecewiseCurve:
     coefficients pair with the generators of the family span containing each
     interval; before refinement that is the interval itself, after splitting
     it is the coarser source span.  A trailing axis of d components is
-    optional; `slots` maps each interval to its family span.
+    optional.  `slots` maps each interval to its family span, -1 for
+    intervals without generators; the builders pass the map they made under
+    their own tolerance, and it defaults to `containing_spans` under the
+    default one.
     """
 
     breaks: np.ndarray
@@ -97,21 +101,23 @@ class PiecewiseCurve:
     gen_coefs: np.ndarray    # (intervals, 2[, d])
     degree: int
     fam: KnotFunctionFamily
-    slots: np.ndarray = field(init=False, repr=False)
+    slots: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "breaks", readonly(self.breaks))
         object.__setattr__(self, "poly_parts", readonly(self.poly_parts))
         object.__setattr__(self, "gen_coefs", readonly(self.gen_coefs))
-        object.__setattr__(self, "slots", containing_spans(self.fam.spans, self.breaks))
+        slots = (containing_spans(self.fam.spans, self.breaks) if self.slots is None
+                 else self.slots)
+        object.__setattr__(self, "slots", readonly(slots, dtype=int))
 
     def value(self, t, tol=DEFAULT_TOL):
         """Curve value at t: a float, or an array of the d components."""
         br = self.breaks
         j = find_interval(br, t, tol)
         slot = int(self.slots[j])
-        if slot < 0:   # positive length only under a tolerance below the default
-            slot = int(containing_spans(self.fam.spans, br[j : j + 2], tol)[0])
+        if slot < 0:
+            raise IntervalStraddle(f"interval {j} [{br[j]}, {br[j + 1]}] has no generators")
         u = self.fam.value(slot, "u", self.degree - 1, t, tol)
         v = self.fam.value(slot, "v", self.degree - 1, t, tol)
         return _point(poly_eval(self.poly_parts[j], t - br[j])
@@ -317,5 +323,7 @@ def form_piecewise(cpts, basis: LocalBasis) -> PiecewiseCurve:
     _check_cpts(cpts, basis.n_basis)
     poly, gen = (full_reverse_diagonals(np.einsum("icw,i...->icw...", parts, cpts)).sum(axis=1)
                  for parts in (basis.poly_parts, basis.gen_coefs))
+    p, m = basis.degree, basis.kv.m
     return PiecewiseCurve(breaks=basis.kv.active_region(), poly_parts=poly,
-                          gen_coefs=gen, degree=basis.degree, fam=basis.fam)
+                          gen_coefs=gen, degree=p, fam=basis.fam,
+                          slots=basis.fam.slots[p : m - p - 1])

@@ -101,12 +101,14 @@ def refine_local(curve: PiecewiseCurve, dst_breaks, tol=DEFAULT_TOL) -> Piecewis
     idx = containing_spans(spans, dst, tol)
     poly = np.zeros((len(idx),) + curve.poly_parts.shape[1:])
     gen = np.zeros((len(idx),) + curve.gen_coefs.shape[1:])
+    slots = np.full(len(idx), -1)
     for j in np.flatnonzero(idx >= 0):
         row = rows[idx[j]]
         poly[j] = restrict_poly(curve.poly_parts[row], spans[idx[j]], dst[j : j + 2], tol)[0]
         gen[j] = curve.gen_coefs[row]
+        slots[j] = curve.slots[row]
     return PiecewiseCurve(breaks=dst, poly_parts=poly, gen_coefs=gen,
-                          degree=curve.degree, fam=curve.fam)
+                          degree=curve.degree, fam=curve.fam, slots=slots)
 
 
 def represent_knot_funcs(gen_coefs, tables_src, tables_dst, lens, pos,
@@ -308,6 +310,6 @@ def greville_abscissae(basis: LocalBasis, tol=DEFAULT_TOL, coef_tol=None) -> np.
         # first integrals of the linear pair sum to the local coordinate
         gen[pos] = 1.0
     piece = PiecewiseCurve(breaks=breaks, poly_parts=poly, gen_coefs=gen,
-                           degree=p, fam=basis.fam)
+                           degree=p, fam=basis.fam, slots=slots)
     tables = build_integral_table(basis.fam, breaks, 0, p - 1, tol)
     return refine_curve(piece, basis, tables, tables, tol, coef_tol)

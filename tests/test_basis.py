@@ -20,6 +20,7 @@ from gbspline.errors import (
     AllMissingDiagonal,
     DegreeTooSmall,
     InconsistentCoefficient,
+    IntervalStraddle,
     LengthMismatch,
     OutOfActiveRegion,
     TooFewRows,
@@ -331,13 +332,17 @@ class TestCurveEvaluation:
             SplineCurve(kv=kv, fam=fam, cpts=np.ones((basis.n_basis, 2, 1)))
 
 
-def test_piecewise_value_under_finer_tolerance():
-    """An interval shorter than the default tolerance still finds its span
-    when evaluated with a finer one."""
+def test_piecewise_value_follows_the_interval_map():
+    """A curve evaluates with the interval map it was built with: an interval
+    shorter than the default tolerance has generators only under a map made
+    with a finer one."""
     breaks = np.array([0.0, 0.5, 0.5 + 1e-12, 1.0])
     fam = build_family(breaks, kind="linear", tol=1e-14)
-    piece = PiecewiseCurve(breaks=breaks, poly_parts=np.zeros((3, 1)),
-                           gen_coefs=np.ones((3, 2)), degree=2, fam=fam)
+    parts = dict(breaks=breaks, poly_parts=np.zeros((3, 1)), gen_coefs=np.ones((3, 2)),
+                 degree=2, fam=fam)
+    piece = PiecewiseCurve(**parts, slots=fam.slots)
     # first integrals of the linear pair sum to the local coordinate
     t = 0.5 + 5e-13
     assert piece.value(t, tol=1e-14) == pytest.approx(t - 0.5, rel=1e-9, abs=0)
+    with pytest.raises(IntervalStraddle, match=r"interval 1 \["):
+        PiecewiseCurve(**parts).value(t, tol=1e-14)

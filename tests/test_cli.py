@@ -231,6 +231,23 @@ class TestCommands:
         monkeypatch.setenv("GBS_TOL", "1e-9")
         assert main(["check", "--curve", str(src)]) == 0
 
+    @pytest.mark.parametrize("via_env", [False, True])
+    def test_interval_below_caller_tolerance(self, tmp_path, monkeypatch, via_env):
+        src = tmp_path / "c.json"
+        doc = write_demo_curve(src, knots=[0, 0, 0, 0, 0, .5, .5 + 1e-9, 1, 1, 1, 1, 1],
+                               dim=3)
+        # one family per interval longer than the tolerance
+        doc["families"] = doc["families"][:2]
+        src.write_text(json.dumps(doc))
+        if via_env:
+            monkeypatch.setenv("GBS_TOL", "1e-8")
+        tol = [] if via_env else ["--tol", "1e-8"]
+        out = str(tmp_path / "r.json")
+        assert main(["check", "--curve", str(src), *tol]) == 0
+        assert main(["greville", "--curve", str(src), *tol]) == 0
+        assert main(["insert", "--curve", str(src), "--at", "0.3", "--out", out, *tol]) == 0
+        assert main(["elevate", "--curve", str(src), "--by", "1", "--out", out, *tol]) == 0
+
     def test_multidimensional_round_trip(self, tmp_path):
         src = tmp_path / "c.json"
         write_demo_curve(src, dim=3, seed=5)

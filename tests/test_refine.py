@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from gbspline import (
+    KnotVector,
     PiecewiseCurve,
     SplineCurve,
     build_family,
@@ -354,3 +355,30 @@ def test_components_refine_like_columns(kind, insert, raise_by):
         assert col.kv.knots.tolist() == out.kv.knots.tolist()
         bound = 1e-13 * max(1.0, float(np.max(np.abs(col.cpts))))
         np.testing.assert_allclose(out.cpts[:, k], col.cpts, rtol=0, atol=bound)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_interval_below_caller_tolerance(kind):
+    """An interval longer than the default tolerance but shorter than the
+    caller's carries no generators, and every stage skips it alike."""
+    tol = 1e-8
+    knots = np.array([0, 0, 0, 0, .25, .5, .5 + 1e-9, .75, 1, 1, 1, 1])
+    kv = KnotVector(knots, 3)
+    fam = build_family(knots, kind=kind, omega=1.0, tol=tol)
+    basis = build_local_basis(kv, fam, tol)
+    curve = SplineCurve(kv=kv, fam=fam,
+                        cpts=np.random.default_rng(2).uniform(-1, 1, (kv.n_basis, 2)))
+    piece = form_piecewise(curve.cpts, basis)
+    ts = [float(t) for t in np.linspace(0, 1, 101)]
+    want = np.array([eval_curve(curve, basis, t, tol) for t in ts])
+    np.testing.assert_allclose([piece.value(t, tol) for t in ts], want, rtol=0, atol=1e-12)
+    outs = [insert_knots(curve, basis, [0.3], tol)]
+    if kind != "linear":
+        outs.append(elevate_degree(curve, basis, 1, tol))
+    for out in outs:
+        got = [eval_curve(out, build_local_basis(out.kv, out.fam, tol), t, tol) for t in ts]
+        # merging the short interval into its breakpoint moves the curve by ~1e-9
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-7)
+    ident = SplineCurve(kv=kv, fam=fam, cpts=greville_abscissae(basis, tol))
+    np.testing.assert_allclose([eval_curve(ident, basis, t, tol) for t in ts], ts,
+                               rtol=0, atol=1e-8)
