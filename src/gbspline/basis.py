@@ -1,12 +1,12 @@
 """Local-representation construction and evaluation of the spline basis.
 
-A degree-p basis function starting at knot i is stored on the p+1 intervals
-of its support: a polynomial term of degree at most p-2 plus a coefficient
-pair (a, b) multiplying the (p-1)-th integrals of that interval's generator
-pair.  Construction runs the recursive-integral definition level by level,
-but every integral is exact: the polynomial part is integrated symbolically
-and the generator part uses the closed-form ladders, so no quadrature enters
-the production path.
+On each knot interval a degree-p basis function is a polynomial term of
+degree at most p-2 plus a coefficient pair (a, b) multiplying the (p-1)-th
+integrals of that interval's generator pair.  The basis is stored interval
+by interval and evaluated through `PiecewiseCurve.value_on` alone.
+Construction runs the recursive-integral definition function by function,
+but every integral is exact (symbolic for polynomial parts, closed-form
+ladders for generator parts), so no quadrature enters the production path.
 
 Built values are immutable and safe to evaluate concurrently.
 """
@@ -24,7 +24,8 @@ from .errors import (
     LengthMismatch,
     TooFewRows,
 )
-from .knots import KnotFunctionFamily, KnotVector, containing_spans, find_interval, readonly
+from .knots import (KnotFunctionFamily, KnotVector, build_integral_table, containing_spans,
+                    find_interval, readonly)
 from .poly import DEFAULT_TOL, integrate_poly, poly_eval
 
 
@@ -59,18 +60,18 @@ class SplineCurve:
 
 @dataclass(frozen=True, eq=False)
 class LocalBasis:
-    """Per-function, per-support-interval local representations.
+    """The basis functions stored interval by interval over the active region.
 
-    poly_parts has shape (n, p+1, max(p-1, 0)) and gen_coefs (n, p+1, 2);
-    slot c of function i covers the knot interval [t_{i+c}, t_{i+c+1}).
-    Slots over zero-length intervals hold zeros and are never evaluated.
+    `local` is a PiecewiseCurve with p+1 components: on active interval j,
+    component c is basis function j+c, so `local.poly_parts` has shape
+    (intervals, max(p-1, 0), p+1) and `local.gen_coefs` (intervals, 2, p+1).
+    Rows over zero-length intervals hold zeros and are never evaluated.
     deltas[k-1] lists the level-k normalization integrals.
     """
 
     kv: KnotVector
     fam: KnotFunctionFamily
-    poly_parts: np.ndarray
-    gen_coefs: np.ndarray
+    local: PiecewiseCurve
     deltas: tuple
 
     @property
@@ -113,36 +114,34 @@ class PiecewiseCurve:
 
     def value(self, t, tol=DEFAULT_TOL):
         """Curve value at t: a float, or an array of the d components."""
-        br = self.breaks
-        j = find_interval(br, t, tol)
+        return _point(self.value_on(find_interval(self.breaks, t, tol), t, tol))
+
+    def value_on(self, j, t, tol=DEFAULT_TOL):
+        """Value at t on interval j, one Horner pass over every component."""
         slot = int(self.slots[j])
         if slot < 0:
+            br = self.breaks
             raise IntervalStraddle(f"interval {j} [{br[j]}, {br[j + 1]}] has no generators")
         u = self.fam.value(slot, "u", self.degree - 1, t, tol)
         v = self.fam.value(slot, "v", self.degree - 1, t, tol)
-        return _point(poly_eval(self.poly_parts[j], t - br[j])
-                      + self.gen_coefs[j, 0] * u + self.gen_coefs[j, 1] * v)
+        return (poly_eval(self.poly_parts[j], t - self.breaks[j])
+                + self.gen_coefs[j, 0] * u + self.gen_coefs[j, 1] * v)
 
 
 # construction ----------------------------------------------------------------
 
-def _interval_integrals(knots, lens, alive, fam, poly, gen, level):
-    """Integral of each stored representation over each support interval."""
+def _interval_integrals(lens, alive, poly, gen, right):
+    """Integral of each stored representation over each support interval.
+
+    `right` holds the level's ladder values at the right end of every knot
+    interval; they equal the integrals of the level below over the interval
+    because positive orders vanish on the left.
+    """
     n_f, n_slots = gen.shape[:2]
-    out = np.zeros((n_f, n_slots))
-    for i in range(n_f):
-        for c in range(n_slots):
-            j = i + c
-            if not alive[j]:
-                continue
-            slot = fam.slot_for_interval(j)
-            val = poly_eval(integrate_poly(poly[i, c]), lens[j])
-            # ladder value `level` at the right endpoint equals the integral
-            # of level-1 over the interval (positive orders vanish on the left)
-            val += gen[i, c, 0] * fam.value(slot, "u", level, knots[j + 1])
-            val += gen[i, c, 1] * fam.value(slot, "v", level, knots[j + 1])
-            out[i, c] = val
-    return out
+    j = np.arange(n_f)[:, None] + np.arange(n_slots)
+    val = (poly_eval(np.moveaxis(integrate_poly(poly), -1, 0), lens[j])
+           + gen[..., 0] * right[j, 0] + gen[..., 1] * right[j, 1])
+    return np.where(alive[j], val, 0.0)
 
 
 def _elevate_level(knots, alive, poly, gen, ints, delta, level):
@@ -196,17 +195,21 @@ def build_local_basis(kv: KnotVector, fam: KnotFunctionFamily, tol=DEFAULT_TOL) 
     gen[:, 0, 0] = 1.0
     gen[:, 1, 1] = 1.0
 
+    # ladder values at the right end of every knot interval, orders 0..p
+    right = build_integral_table(fam, knots, 0, p, tol)[:, :, 1]
     deltas = []
     for level in range(1, p):
-        ints = _interval_integrals(knots, lens, alive, fam, poly, gen, level)
+        ints = _interval_integrals(lens, alive, poly, gen, right[level])
         delta = ints.sum(axis=1)
         deltas.append(delta)
         poly, gen = _elevate_level(knots, alive, poly, gen, ints, delta, level)
-    ints = _interval_integrals(knots, lens, alive, fam, poly, gen, p)
-    deltas.append(ints.sum(axis=1))
+    deltas.append(_interval_integrals(lens, alive, poly, gen, right[p]).sum(axis=1))
 
-    return LocalBasis(kv=kv, fam=fam, poly_parts=readonly(poly),
-                      gen_coefs=readonly(gen),
+    # function-major slots become interval-major rows, components last
+    poly, gen = (np.moveaxis(full_reverse_diagonals(a), 1, -1) for a in (poly, gen))
+    local = PiecewiseCurve(breaks=kv.active_region(), poly_parts=poly, gen_coefs=gen,
+                           degree=p, fam=fam, slots=fam.slots[p : m - p - 1])
+    return LocalBasis(kv=kv, fam=fam, local=local,
                       deltas=tuple(readonly(d) for d in deltas))
 
 
@@ -221,34 +224,14 @@ def eval_basis_function(basis: LocalBasis, i, t, tol=DEFAULT_TOL) -> float:
     # the final function owns the closed right end of the active region
     if i == n - 1 and t == knots[-1] and knots[p] != knots[-1]:
         return 1.0
-    j = p + find_interval(kv.active_region(), t, tol)
-    if not i <= j <= i + p:
-        return 0.0
-    c = j - i
-    slot = basis.fam.slot_for_interval(j)
-    u = basis.fam.value(slot, "u", p - 1, t, tol)
-    v = basis.fam.value(slot, "v", p - 1, t, tol)
-    return float(poly_eval(basis.poly_parts[i, c], t - knots[j])
-                 + basis.gen_coefs[i, c, 0] * u + basis.gen_coefs[i, c, 1] * v)
+    j = find_interval(basis.local.breaks, t, tol)
+    return float(basis.local.value_on(j, t, tol)[i - j]) if j <= i <= j + p else 0.0
 
 
 def nonzero_basis_values(basis: LocalBasis, t, tol=DEFAULT_TOL):
     """(first index, values) of the degree+1 basis functions covering t."""
-    kv = basis.kv
-    p, knots = kv.degree, kv.knots
-    j = p + find_interval(kv.active_region(), t, tol)
-    slot = basis.fam.slot_for_interval(j)
-    s = t - knots[j]
-    u = basis.fam.value(slot, "u", p - 1, t, tol)
-    v = basis.fam.value(slot, "v", p - 1, t, tol)
-    first = j - p
-    vals = np.empty(p + 1)
-    for c in range(p + 1):
-        sl = j - (first + c)
-        vals[c] = (poly_eval(basis.poly_parts[first + c, sl], s)
-                   + basis.gen_coefs[first + c, sl, 0] * u
-                   + basis.gen_coefs[first + c, sl, 1] * v)
-    return first, vals
+    j = find_interval(basis.local.breaks, t, tol)
+    return j, basis.local.value_on(j, t, tol)
 
 
 def eval_curve(curve: SplineCurve, basis: LocalBasis, t, tol=DEFAULT_TOL):
@@ -314,16 +297,15 @@ def reverse_diagonal_averages(coefs, tol=1e-6):
 def form_piecewise(cpts, basis: LocalBasis) -> PiecewiseCurve:
     """Piecewise form of the curve with the given control points.
 
-    Scales every stored local representation by its control point, reindexes
-    function-major storage to interval-major, and sums the contributions of
-    the nonzero functions on each interval.  Control points shaped (n, d)
-    give parts with a trailing axis of d components.
+    On each interval, sums the stored local representations of the nonzero
+    functions weighted by their control points.  Control points shaped
+    (n, d) give parts with a trailing axis of d components.
     """
     cpts = np.asarray(cpts, dtype=float)
     _check_cpts(cpts, basis.n_basis)
-    poly, gen = (full_reverse_diagonals(np.einsum("icw,i...->icw...", parts, cpts)).sum(axis=1)
-                 for parts in (basis.poly_parts, basis.gen_coefs))
-    p, m = basis.degree, basis.kv.m
-    return PiecewiseCurve(breaks=basis.kv.active_region(), poly_parts=poly,
-                          gen_coefs=gen, degree=p, fam=basis.fam,
-                          slots=basis.fam.slots[p : m - p - 1])
+    local = basis.local
+    windows = cpts[np.arange(len(local.breaks) - 1)[:, None] + np.arange(basis.degree + 1)]
+    poly, gen = (np.einsum("jwc,jc...->jw...", parts, windows)
+                 for parts in (local.poly_parts, local.gen_coefs))
+    return PiecewiseCurve(breaks=local.breaks, poly_parts=poly, gen_coefs=gen,
+                          degree=basis.degree, fam=basis.fam, slots=local.slots)

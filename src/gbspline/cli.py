@@ -6,6 +6,7 @@ class name on stderr) or failed checks, 2 I/O or parse errors.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -25,9 +26,19 @@ from .poly import DEFAULT_TOL
 from .refine import COEF_TOL_FACTOR, elevate_degree, greville_abscissae, insert_knots
 
 
-def _tol_default():
-    env = os.environ.get("GBS_TOL")
-    return float(env) if env else DEFAULT_TOL
+def _tolerances(args):
+    """(tol, coef_tol), each finite and positive: nan, inf or a value <= 0
+    would switch the package's checks off."""
+    tol, name = args.tol, "--tol"
+    if tol is None:
+        tol, name = float(os.environ.get("GBS_TOL") or DEFAULT_TOL), "GBS_TOL"
+    coef_tol, coef_name = args.coef_tol, "--coef-tol"
+    if coef_tol is None:
+        coef_tol, coef_name = tol * COEF_TOL_FACTOR, f"{name} * {COEF_TOL_FACTOR:g}"
+    for what, value in ((name, tol), (coef_name, coef_tol)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{what} must be finite and positive, got {value}")
+    return tol, coef_tol
 
 
 def _write_csv(path, header, rows):
@@ -167,9 +178,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        tol = args.tol if args.tol is not None else _tol_default()
-        coef_tol = args.coef_tol if args.coef_tol is not None else tol * COEF_TOL_FACTOR
-        return args.func(args, tol, coef_tol)
+        return args.func(args, *_tolerances(args))
     except CurveFileError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

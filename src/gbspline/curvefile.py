@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import CurveFileError, GBSplineError
 from .knots import KnotFunctionFamily, KnotVector, build_family, validate_open_knot_vector
+from .poly import DEFAULT_TOL
 
 _FIELDS = {"degree", "knots", "families", "control_points"}
 _FAMILY_FIELDS = {"kind", "omega"}
@@ -41,7 +42,7 @@ def _real(x, what):
     return value
 
 
-def load_curve(path, tol=1e-10):
+def load_curve(path, tol=DEFAULT_TOL):
     """Read and validate a curve file.
 
     Returns (KnotVector, KnotFunctionFamily, control points shaped (n, d)).

@@ -173,9 +173,6 @@ class KnotFunctionFamily:
     def n_spans(self) -> int:
         return len(self.spans)
 
-    def slot_for_interval(self, j) -> int:
-        return int(self.slots[j])
-
     def value(self, slot, which, order, t, tol=DEFAULT_TOL):
         """Canonical ladder value of generator `which` at global parameter t.
 
@@ -200,7 +197,8 @@ class KnotFunctionFamily:
 
 def build_family(knots, kind="trigonometric", omega=math.pi / 2, *,
                  kinds=None, omegas=None, tol=DEFAULT_TOL) -> KnotFunctionFamily:
-    """Attach generator pairs to the positive-length intervals of `knots`.
+    """Attach generator pairs to the intervals of `knots` longer than `tol`;
+    there must be at least one.
 
     Give a single `kind`/`omega` for all intervals, or per-interval sequences
     (ordered over positive-length intervals only).  Frequencies must be
@@ -213,6 +211,8 @@ def build_family(knots, kind="trigonometric", omega=math.pi / 2, *,
     slots = np.where(pos, np.cumsum(pos) - 1, -1)
     spans = np.stack([knots[:-1][pos], knots[1:][pos]], axis=1)
     count = len(spans)
+    if not count:
+        raise InvalidFamily(f"no knot interval is longer than tol={tol:g}")
     out_kinds = tuple([kind] * count) if kinds is None else tuple(kinds)
     out_omegas = (np.full(count, omega, dtype=float) if omegas is None
                   else np.asarray(omegas, dtype=float))

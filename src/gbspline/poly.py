@@ -17,7 +17,8 @@ DEFAULT_TOL = 1e-10
 def poly_eval(coeffs, s):
     """Horner evaluation of sum(c_k * s**k); `s` may be scalar or array.
 
-    With a scalar `s`, coefficients may carry trailing component axes.
+    Axis 0 of the coefficients indexes the degree; trailing axes broadcast
+    against `s`.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -28,11 +29,11 @@ def poly_eval(coeffs, s):
 
 
 def integrate_poly(coeffs):
-    """Antiderivative chosen to vanish at the local origin."""
+    """Antiderivative vanishing at the local origin; the last axis is the degree."""
     coeffs = np.asarray(coeffs, dtype=float)
-    out = np.zeros(coeffs.shape[-1] + 1)
-    if coeffs.shape[-1]:
-        out[1:] = coeffs / np.arange(1, coeffs.shape[-1] + 1)
+    width = coeffs.shape[-1]
+    out = np.zeros(coeffs.shape[:-1] + (width + 1,))
+    out[..., 1:] = coeffs / np.arange(1, width + 1)
     return out
 
 

@@ -88,9 +88,9 @@ class ReferenceEvaluator:
     def _seed(self, i, t):
         knots = self.knots
         if knots[i] <= t < knots[i + 1]:
-            return self.fam.value(self.fam.slot_for_interval(i), "u", 0, t)
+            return self.fam.value(self.fam.slots[i], "u", 0, t)
         if knots[i + 2] - knots[i + 1] > self.tol and knots[i + 1] <= t <= knots[i + 2]:
-            return self.fam.value(self.fam.slot_for_interval(i + 1), "v", 0, t)
+            return self.fam.value(self.fam.slots[i + 1], "v", 0, t)
         return 0.0
 
     def _phi(self, i, p, t):

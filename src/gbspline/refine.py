@@ -22,7 +22,6 @@ from .basis import (
     SplineCurve,
     build_local_basis,
     form_piecewise,
-    full_reverse_diagonals,
     reverse_diagonal_averages,
 )
 from .errors import (
@@ -180,13 +179,12 @@ def refine_curve(curve: PiecewiseCurve, basis: LocalBasis, tables_src, tables_ds
                                          lens, pos, coef_tol)
     poly = poly + offsets
 
-    lbases = full_reverse_diagonals(
-        np.concatenate([basis.poly_parts, basis.gen_coefs], axis=2))
+    lbases = np.concatenate([basis.local.poly_parts, basis.local.gen_coefs], axis=1)
     lfunc = np.concatenate([poly, ngen], axis=1)
     coefs = np.full((len(lens), q + 1) + ngen.shape[2:], np.nan)
     for j in range(len(lens)):
         if pos[j]:
-            coefs[j] = _solve(lbases[j].T, lfunc[j], SingularLocalSystem)
+            coefs[j] = _solve(lbases[j], lfunc[j], SingularLocalSystem)
     return reverse_diagonal_averages(coefs, coef_tol)
 
 

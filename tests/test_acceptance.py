@@ -187,10 +187,11 @@ def test_criterion_8_smoothness():
     from gbspline.poly import derive_poly, poly_eval
 
     def one_sided(basis, i, j, order, at_right):
-        slot = basis.fam.slot_for_interval(j)
-        if i <= j <= i + basis.degree:
-            coeffs = np.array(basis.poly_parts[i, j - i])
-            a, b = basis.gen_coefs[i, j - i]
+        slot = basis.fam.slots[j]
+        p = basis.degree
+        if i <= j <= i + p:
+            coeffs = np.array(basis.local.poly_parts[j - p, :, i - j + p])
+            a, b = basis.local.gen_coefs[j - p, :, i - j + p]
         else:
             coeffs, a, b = np.zeros(1), 0.0, 0.0
         for _ in range(order):

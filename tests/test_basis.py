@@ -152,12 +152,13 @@ class TestCoxDeBoorReduction:
 
 def _rep_derivative(basis, i, j, order, at_right):
     """Exact order-th derivative of function i's representation on interval j."""
-    slot = basis.fam.slot_for_interval(j)
+    slot = basis.fam.slots[j]
     if slot < 0:
         return None
-    if i <= j <= i + basis.degree:
-        coeffs = np.array(basis.poly_parts[i, j - i])
-        a, b = basis.gen_coefs[i, j - i]
+    p = basis.degree
+    if i <= j <= i + p:
+        coeffs = np.array(basis.local.poly_parts[j - p, :, i - j + p])
+        a, b = basis.local.gen_coefs[j - p, :, i - j + p]
     else:
         coeffs, a, b = np.zeros(1), 0.0, 0.0
     for _ in range(order):
@@ -346,3 +347,26 @@ def test_piecewise_value_follows_the_interval_map():
     assert piece.value(t, tol=1e-14) == pytest.approx(t - 0.5, rel=1e-9, abs=0)
     with pytest.raises(IntervalStraddle, match=r"interval 1 \["):
         PiecewiseCurve(**parts).value(t, tol=1e-14)
+
+
+class TestSubToleranceInterval:
+    """Knots with a 1e-9 interval at 0.5, the family built at tol 1e-8: that
+    interval has no generators, and the default tolerance sees it."""
+
+    def setup_method(self):
+        self.kv = validate_open_knot_vector([0.0] * 4 + [0.5, 0.5 + 1e-9] + [1.0] * 4, 3)
+        self.fam = build_family(self.kv.knots, tol=1e-8)
+
+    def test_evaluation_names_the_interval(self):
+        basis = build_local_basis(self.kv, self.fam, tol=1e-8)
+        curve = SplineCurve(kv=self.kv, fam=self.fam, cpts=np.ones(basis.n_basis))
+        t = 0.5000000005
+        for call in (lambda: eval_curve(curve, basis, t),
+                     lambda: nonzero_basis_values(basis, t),
+                     lambda: eval_basis_function(basis, 2, t)):
+            with pytest.raises(IntervalStraddle, match=r"interval 1 \["):
+                call()
+
+    def test_construction_rejects_the_finer_tolerance(self):
+        with pytest.raises(IntervalStraddle):
+            build_local_basis(self.kv, self.fam)

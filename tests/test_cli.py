@@ -7,7 +7,13 @@ import pytest
 
 import gbspline.cli
 import gbspline.refine
-from gbspline import build_local_basis, load_curve, save_curve
+from gbspline import (
+    build_family,
+    build_local_basis,
+    load_curve,
+    save_curve,
+    validate_open_knot_vector,
+)
 from gbspline.cli import main
 from gbspline.errors import CurveFileError
 from conftest import make_basis
@@ -256,3 +262,48 @@ class TestCommands:
                      "--out", str(refined)]) == 0
         _, _, cpts = load_curve(refined)
         assert cpts.shape == (7, 3)
+
+
+class TestTolerances:
+    @pytest.mark.parametrize("args, env, named", [
+        (["--coef-tol", "nan"], None, "--coef-tol"),
+        (["--coef-tol", "-1"], None, "--coef-tol"),
+        (["--tol", "nan"], None, "--tol"),
+        (["--tol", "inf"], None, "--tol"),
+        (["--tol", "-1"], None, "--tol"),
+        (["--tol", "0"], None, "--tol"),
+        ([], "nan", "GBS_TOL"),
+        ([], "-1e-9", "GBS_TOL"),
+    ])
+    def test_rejected_with_the_name(self, tmp_path, monkeypatch, capsys, args, env, named):
+        src = tmp_path / "c.json"
+        write_demo_curve(src)
+        if env is not None:
+            monkeypatch.setenv("GBS_TOL", env)
+        assert main(["check", "--curve", str(src), *args]) == 2
+        assert f"{named} must be finite and positive" in capsys.readouterr().err
+
+    def test_nan_coefficient_tolerance_writes_nothing(self, tmp_path):
+        """nan made every agreement test false, so an insertion that fails its
+        Taylor check used to write a curve off by 7.3e-6."""
+        p, n = 5, 64
+        knots = [0.0] * p + np.linspace(0, 1, n + 1).tolist() + [1.0] * p
+        cpts = np.random.default_rng(0).uniform(-1, 1, (n + p, 1))
+        src, out = tmp_path / "c.json", tmp_path / "r.json"
+        save_curve(src, validate_open_knot_vector(knots, p),
+                   build_family(knots, omega=math.pi / 2), cpts)
+        assert main(["insert", "--curve", str(src), "--at", "0.010703125",
+                     "--coef-tol", "nan", "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("knots", [[0.0] * 8, [0.0] * 4 + [1e-12] * 4])
+@pytest.mark.parametrize("command", [["eval", "--samples", "4"], ["check"],
+                                     ["basis", "--samples", "4", "--out", "b.csv"]])
+def test_knots_without_a_positive_interval(tmp_path, capsys, knots, command):
+    src = tmp_path / "c.json"
+    src.write_text(json.dumps({"degree": 3, "knots": knots, "families": [],
+                               "control_points": [[0.0]] * 4}))
+    args = [str(tmp_path / a) if a.endswith(".csv") else a for a in command]
+    assert main([args[0], "--curve", str(src), *args[1:]]) == 2
+    assert "CurveFileError" in capsys.readouterr().err

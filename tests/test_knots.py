@@ -147,12 +147,17 @@ class TestFamilies:
         with pytest.raises(OutOfInterval):
             fam.value(0, "u", 0, 1.5)
 
+    @pytest.mark.parametrize("knots", [[0.0] * 8, [0.0] * 4 + [1e-12] * 4])
+    def test_rejects_knots_without_a_positive_interval(self, knots):
+        with pytest.raises(InvalidFamily, match="no knot interval"):
+            build_family(knots)
+
     def test_zero_length_intervals_skipped(self):
         fam = build_family([0, 0, .5, 1, 1], kind="linear")
         assert fam.n_spans == 2
-        assert fam.slot_for_interval(0) == -1
-        assert fam.slot_for_interval(1) == 0
-        assert fam.slot_for_interval(3) == -1
+        assert fam.slots[0] == -1
+        assert fam.slots[1] == 0
+        assert fam.slots[3] == -1
 
 
 class TestKnotFunctionValue:
