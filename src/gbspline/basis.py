@@ -145,33 +145,28 @@ def _interval_integrals(lens, alive, poly, gen, right):
 
 
 def _elevate_level(knots, alive, poly, gen, ints, delta, level):
-    """One level of the construction recurrence (level -> level + 1)."""
+    """One level of the construction recurrence (level -> level + 1), for
+    every function at once.
+
+    Function f's accumulated, normalized integral fills its support slots
+    0..level; right of its support (or when f vanishes identically) it is the
+    unit step in slot level+1.  New function i is that accumulation for f = i
+    minus the one for f = i+1, which starts one interval later.
+    """
     k = level
-    m = len(knots)
-    n_new = m - k - 2
-    poly_new = np.zeros((n_new, k + 2, k))
-    gen_new = np.zeros((n_new, k + 2, 2))
-    prefix = np.concatenate([np.zeros((gen.shape[0], 1)), np.cumsum(ints, axis=1)], axis=1)
-    for i in range(n_new):
-        d_lo, d_hi = delta[i], delta[i + 1]
-        for c in range(k + 2):
-            if not alive[i + c]:
-                continue
-            # accumulated, normalized integral of the function starting at knot i;
-            # right of its support (or when it vanishes identically) this is the
-            # unit step sitting at knot i+k+1
-            if c == k + 1:
-                poly_new[i, c, 0] += 1.0
-            elif d_lo != 0.0:
-                poly_new[i, c, 0] += prefix[i, c] / d_lo
-                poly_new[i, c] += integrate_poly(poly[i, c]) / d_lo
-                gen_new[i, c] += gen[i, c] / d_lo
-            # minus the same accumulation for the function starting at knot i+1
-            if c >= 1 and d_hi != 0.0:
-                poly_new[i, c, 0] -= prefix[i + 1, c - 1] / d_hi
-                poly_new[i, c] -= integrate_poly(poly[i + 1, c - 1]) / d_hi
-                gen_new[i, c] -= gen[i + 1, c - 1] / d_hi
-    return poly_new, gen_new
+    n_new = len(knots) - k - 2
+    cum = integrate_poly(poly)
+    cum[:, 1:, 0] = np.cumsum(ints[:, :-1], axis=1)
+    live = delta != 0.0
+    acc_poly = np.zeros((len(delta), k + 2, k))
+    acc_gen = np.zeros((len(delta), k + 2, 2))
+    acc_poly[:, k + 1, 0] = 1.0
+    acc_poly[live, : k + 1] += cum[live] / delta[live, None, None]
+    acc_gen[live, : k + 1] += gen[live] / delta[live, None, None]
+    acc_poly[:-1, 1:] -= acc_poly[1:, : k + 1]
+    acc_gen[:-1, 1:] -= acc_gen[1:, : k + 1]
+    on = alive[np.arange(n_new)[:, None] + np.arange(k + 2)][..., None]
+    return np.where(on, acc_poly[:-1], 0.0), np.where(on, acc_gen[:-1], 0.0)
 
 
 def build_local_basis(kv: KnotVector, fam: KnotFunctionFamily, tol=DEFAULT_TOL) -> LocalBasis:
@@ -277,21 +272,22 @@ def reverse_diagonal_averages(coefs, tol=1e-6):
     """
     coefs = np.asarray(coefs, dtype=float)
     rows, cols = coefs.shape[:2]
-    out = np.empty((rows + cols - 1,) + coefs.shape[2:])
-    for d in range(rows + cols - 1):
-        r0 = max(0, d - cols + 1)
-        r1 = min(rows - 1, d)
-        vals = np.array([coefs[r, d - r] for r in range(r0, r1 + 1)])
-        finite = np.isfinite(vals)
-        vals = vals[finite if vals.ndim == 1 else finite.all(axis=1)]
-        if len(vals) == 0:
-            raise AllMissingDiagonal(f"no finite estimates for coefficient {d}")
-        avg = vals.mean(axis=0)
-        if np.any(np.abs(vals - avg) > tol * np.maximum(1.0, np.abs(avg))):
-            raise InconsistentCoefficient(
-                f"estimates for coefficient {d} disagree: {vals.tolist()}")
-        out[d] = avg
-    return out
+    flat = coefs.reshape(rows * cols, -1)
+    diag = (np.arange(rows)[:, None] + np.arange(cols)).ravel()
+    ok = np.isfinite(flat).all(axis=1)
+    count = np.bincount(diag[ok], minlength=rows + cols - 1)
+    if not count.all():
+        raise AllMissingDiagonal(
+            f"no finite estimates for coefficient {np.flatnonzero(count == 0)[0]}")
+    total = np.zeros((rows + cols - 1, flat.shape[1]))
+    np.add.at(total, diag[ok], flat[ok])
+    avg = total / count[:, None]
+    stray = ok & (np.abs(flat - avg[diag]) > tol * np.maximum(1.0, np.abs(avg[diag]))).any(axis=1)
+    if stray.any():
+        d = diag[stray].min()
+        vals = flat[ok & (diag == d)].reshape((-1,) + coefs.shape[2:])
+        raise InconsistentCoefficient(f"estimates for coefficient {d} disagree: {vals.tolist()}")
+    return avg.reshape((rows + cols - 1,) + coefs.shape[2:])
 
 
 def form_piecewise(cpts, basis: LocalBasis) -> PiecewiseCurve:

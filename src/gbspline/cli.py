@@ -6,7 +6,6 @@ class name on stderr) or failed checks, 2 I/O or parse errors.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -23,7 +22,8 @@ from .basis import (
 from .curvefile import load_curve, save_curve
 from .errors import CurveFileError, GBSplineError
 from .poly import DEFAULT_TOL
-from .refine import COEF_TOL_FACTOR, elevate_degree, greville_abscissae, insert_knots
+from .refine import (COEF_TOL_FACTOR, check_tolerance, elevate_degree, greville_abscissae,
+                     insert_knots)
 
 
 def _tolerances(args):
@@ -35,9 +35,8 @@ def _tolerances(args):
     coef_tol, coef_name = args.coef_tol, "--coef-tol"
     if coef_tol is None:
         coef_tol, coef_name = tol * COEF_TOL_FACTOR, f"{name} * {COEF_TOL_FACTOR:g}"
-    for what, value in ((name, tol), (coef_name, coef_tol)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{what} must be finite and positive, got {value}")
+    check_tolerance(name, tol)
+    check_tolerance(coef_name, coef_tol)
     return tol, coef_tol
 
 

@@ -153,6 +153,40 @@ _PURE = {
     "trigonometric": _pure_trigonometric,
     "exponential": _pure_exponential,
 }
+_FACTORIAL = np.array([math.factorial(k) for k in range(171)], dtype=float)
+
+
+def _each(fn, *args):
+    """fn (a math function, or pow) over equal-shaped arrays, element by
+    element through Python floats and ints.  numpy's sin, sinh and power
+    differ from math's and pow's in the last ulp on some inputs, and array
+    ladder values must equal scalar ones bit for bit."""
+    values = map(fn, *(a.ravel().tolist() for a in args))
+    return np.fromiter(values, float, args[0].size).reshape(args[0].shape)
+
+
+def _pure_array(kind, which, k, s, h, omega):
+    """_pure_<kind>, operation for operation, over equal-shaped (rows, n)
+    arrays with integer orders `k`.  Each column keeps one span, so the
+    normalizing 1/sin(omega*h) or 1/sinh(omega*h) is computed once per column."""
+    if kind == "linear":
+        e = np.maximum(k, 0)
+        rise = _each(pow, s, e + 1) / (_FACTORIAL[e + 1] * h)
+        if which == "u":
+            return np.where(k >= 0, rise, np.where(k == -1, 1.0 / h, 0.0))
+        fall = _each(pow, s, e) / _FACTORIAL[e] - rise
+        return np.where(k > 0, fall, np.where(k == 0, (h - s) / h,
+                                              np.where(k == -1, -1.0 / h, 0.0)))
+    sign, x = (1.0, s) if which == "u" else (np.where(k % 2 == 0, 1.0, -1.0), h - s)
+    if kind == "trigonometric":
+        c = 1.0 / _each(math.sin, omega[0] * h[0])
+        g = _each(math.sin, omega * x - k * math.pi / 2)
+    else:
+        c = 1.0 / _each(math.sinh, omega[0] * h[0])
+        arg, odd = omega * x, k % 2 == 1
+        g = np.empty(arg.shape)
+        g[~odd], g[odd] = _each(math.sinh, arg[~odd]), _each(math.cosh, arg[odd])
+    return c * sign * g / _each(pow, omega, k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,6 +202,11 @@ class KnotFunctionFamily:
     kinds: tuple
     omegas: np.ndarray
     slots: np.ndarray   # (number of knot intervals,)
+    _kind_ids: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_kind_ids",
+                           readonly([KINDS.index(k) for k in self.kinds], dtype=int))
 
     @property
     def n_spans(self) -> int:
@@ -178,10 +217,13 @@ class KnotFunctionFamily:
 
         order 0 is the generator itself, positive orders are repeated
         integrals from the interval's left endpoint, negative orders are
-        derivatives.
+        derivatives.  With an array `t` (and `slot` broadcasting against
+        it) every entry equals the scalar call bit for bit.
         """
         if which not in ("u", "v"):
             raise ValueError("which must be 'u' or 'v'")
+        if isinstance(t, np.ndarray):
+            return self._values(slot, which, order, t, tol)
         left, right = self.spans[slot]
         if t < left - tol or t > right + tol:
             raise OutOfInterval(f"t={t} outside [{left}, {right}]")
@@ -193,6 +235,33 @@ class KnotFunctionFamily:
         for j in range(1, max(order, 0) + 1):
             val -= pure(which, j, 0.0, h, omega) * s ** (order - j) / math.factorial(order - j)
         return val
+
+    def _values(self, slot, which, order, t, tol):
+        shape = t.shape
+        slot, t = np.broadcast_to(slot, shape).ravel(), t.astype(float).ravel()
+        left, right = self.spans[slot].T
+        outside = np.flatnonzero((t < left - tol) | (t > right + tol))
+        if len(outside):
+            i = outside[0]
+            raise OutOfInterval(f"t={t[i]} outside [{left[i]}, {right[i]}]")
+        # row 0 is the closed form at s; row j >= 1 the order-j closed form at
+        # s = 0, which the scalar path subtracts times s**(order-j)/(order-j)!
+        j = np.arange(max(order, 0) + 1)[:, None]
+        k, s, h, omega = np.broadcast_arrays(np.where(j == 0, order, j),
+                                             np.where(j == 0, t - left, 0.0),
+                                             right - left, self.omegas[slot])
+        ids = self._kind_ids[slot]
+        val = np.empty(len(t))
+        for code in np.flatnonzero(np.bincount(ids, minlength=len(KINDS))).tolist():
+            sel = ids == code
+            ks, ss = k[:, sel], s[:, sel]
+            terms = _pure_array(KINDS[code], which, ks, ss, h[:, sel], omega[:, sel])
+            e = order - ks[1:]
+            v = terms[0]
+            for term in terms[1:] * _each(pow, np.broadcast_to(ss[0], e.shape), e) / _FACTORIAL[e]:
+                v = v - term
+            val[sel] = v
+        return val.reshape(shape)
 
 
 def build_family(knots, kind="trigonometric", omega=math.pi / 2, *,
@@ -247,16 +316,17 @@ def build_integral_table(fam: KnotFunctionFamily, breakpoints, derivative_offset
     `derivative_offset`-th derivative of generator w ('u' first) of the
     source interval containing target interval j, evaluated at endpoint e
     (left, then right).  Zero-length target intervals are left as zeros.
+    One array `fam.value` call per order and generator covers every target.
     """
     if derivative_offset < 0:
         raise ValueError("derivative_offset must be nonnegative")
     br = np.asarray(breakpoints, dtype=float)
     slots = containing_spans(fam.spans, br, tol)
+    live = np.flatnonzero(slots >= 0)
+    ends = np.stack([br[live], br[live + 1]], axis=1)
     out = np.zeros((max_order + 1, len(slots), 2, 2))
-    for j in np.flatnonzero(slots >= 0):
-        slot = int(slots[j])
-        for k in range(max_order + 1):
-            for e, x in enumerate(br[j : j + 2]):
-                for w, which in enumerate("uv"):
-                    out[k, j, e, w] = fam.value(slot, which, k - derivative_offset, x, tol)
+    for k in range(max_order + 1):
+        for w, which in enumerate("uv"):
+            out[k, live, :, w] = fam.value(slots[live, None], which, k - derivative_offset,
+                                           ends, tol)
     return out

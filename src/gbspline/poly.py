@@ -48,13 +48,16 @@ def derive_poly(coeffs):
 def taylor_shift(coeffs, tau):
     """Coefficients of P(s + tau): the polynomial over an origin moved right by tau.
 
-    Axis 0 indexes the degree; trailing axes carry through.
+    Axis 0 indexes the degree; trailing axes carry through.  `tau` may be an
+    array broadcasting against the trailing axes: one shift per row.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    out = np.zeros(coeffs.shape)
+    tau = np.asarray(tau, dtype=float)
+    powers = [tau**e for e in range(len(coeffs))]
+    out = np.zeros((len(coeffs),) + np.broadcast_shapes(coeffs.shape[1:], tau.shape))
     for deg, c in enumerate(coeffs):
         for k in range(deg + 1):
-            out[k] += c * math.comb(deg, k) * tau ** (deg - k)
+            out[k] += c * math.comb(deg, k) * powers[deg - k]
     return out
 
 
@@ -74,7 +77,9 @@ def restrict_poly(coeffs, source, targets, tol=DEFAULT_TOL):
         raise TargetsOutsideSource(
             f"targets span [{targets[0]}, {targets[-1]}] outside source [{a}, {b}]"
         )
-    return np.array([taylor_shift(coeffs, e - a) for e in targets[:-1]])
+    coeffs = np.asarray(coeffs, dtype=float)
+    tau = (targets[:-1] - a).reshape((-1,) + (1,) * (coeffs.ndim - 1))
+    return np.moveaxis(taylor_shift(coeffs[:, None], tau), 0, 1)
 
 
 def elevate_polys(polys, target_degree):

@@ -7,10 +7,14 @@ coefficients of the nonzero target basis functions; anti-diagonal averaging
 aggregates the per-interval results.  Knot insertion, degree elevation, and
 any simultaneous combination all ride on the same pipeline.
 
-Per-interval solves are independent; aggregation is a sequential reduction.
+Per-interval work is independent, so every stage runs on arrays over all
+target intervals at once: one Taylor shift re-expands the polynomial parts,
+one batched elimination solves all local systems of a kind, and one scatter
+averages the anti-diagonals.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from bisect import bisect_right
 
@@ -45,67 +49,91 @@ from .poly import (
     DEFAULT_TOL,
     elevate_polys,
     left_taylor_series,
-    restrict_poly,
     right_taylor_series,
+    taylor_shift,
 )
 
 COEF_TOL_FACTOR = 1e4   # coefficient-agreement tolerance = tol * this
 PIVOT_RATIO_WARN = 1e12
 
 
-def _solve(matrix, rhs, error):
-    """Dense Gaussian elimination with partial pivoting for tiny systems.
+def check_tolerance(name, value):
+    """Raise ValueError naming `name` unless `value` is finite and positive:
+    nan, inf or a value <= 0 would switch the package's checks off."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
-    `rhs` is shaped (n,) or (n, d): d right-hand sides share one elimination.
+
+def _tolerances(tol, coef_tol):
+    """(tol, coef_tol), both checked; coef_tol defaults to tol * COEF_TOL_FACTOR."""
+    check_tolerance("tol", tol)
+    coef_tol = tol * COEF_TOL_FACTOR if coef_tol is None else coef_tol
+    check_tolerance("coef_tol", coef_tol)
+    return tol, coef_tol
+
+
+def _solve(matrices, rhs, error, name):
+    """Gaussian elimination with partial pivoting over a stack of tiny systems.
+
+    `matrices` is (systems, n, n) and `rhs` (systems, n) or (systems, n, d):
+    d right-hand sides share one elimination.  `name(i)` describes system i.
+    A pivot at or below 1e-13 times the system's largest entry (at least 1)
+    raises `error`; pivot ratios above PIVOT_RATIO_WARN give one warning for
+    the whole stack, at its worst system.
     """
-    a = np.array(matrix, dtype=float)
-    b = np.array(rhs, dtype=float)
-    n = len(b)
-    scale = max(1.0, float(np.abs(a).max()))
-    pivots = np.empty(n)
+    rhs = np.asarray(rhs, dtype=float)
+    count, n = rhs.shape[:2]
+    a = np.concatenate([np.asarray(matrices, dtype=float), rhs.reshape(count, n, -1)], axis=2)
+    floor = 1e-13 * np.maximum(1.0, np.abs(a[:, :, :n]).max(axis=(1, 2), initial=0.0))
+    every = np.arange(count)
     for col in range(n):
-        r = col + int(np.argmax(np.abs(a[col:, col])))
-        if abs(a[r, col]) <= 1e-13 * scale:
-            raise error(f"system is singular at column {col}")
-        if r != col:
-            a[[col, r]] = a[[r, col]]
-            b[[col, r]] = b[[r, col]]
-        pivots[col] = a[col, col]
-        if col + 1 < n:
-            f = a[col + 1 :, col] / a[col, col]
-            a[col + 1 :] -= np.outer(f, a[col])
-            b[col + 1 :] -= np.multiply.outer(f, b[col])
-    ratio = float(np.abs(pivots).max() / np.abs(pivots).min())
-    if ratio > PIVOT_RATIO_WARN:
-        warnings.warn(f"poorly conditioned local system (pivot ratio {ratio:.2e})",
+        r = col + np.argmax(np.abs(a[:, col:, col]), axis=1)
+        low = np.flatnonzero(np.abs(a[every, r, col]) <= floor)
+        if len(low):
+            i = low[0]
+            raise error(f"system is singular at column {col} on {name(i)}: "
+                        f"|pivot| {abs(a[i, r[i], col]):.3e} <= floor {floor[i]:.3e}")
+        a[every, col], a[every, r] = a[every, r], a[every, col]
+        pivot = a[:, col : col + 1, col : col + 1]
+        a[:, col + 1 :] -= a[:, col + 1 :, col : col + 1] / pivot * a[:, col : col + 1]
+    pivots = np.abs(np.diagonal(a, axis1=1, axis2=2))
+    ratio = pivots.max(axis=1) / pivots.min(axis=1)
+    if count and ratio.max() > PIVOT_RATIO_WARN:
+        i = int(np.argmax(ratio))
+        warnings.warn(f"poorly conditioned local system on {name(i)} "
+                      f"(pivot ratio {ratio[i]:.2e}, the worst of {count})",
                       RuntimeWarning, stacklevel=2)
-    x = np.empty(b.shape)
+    x = a[:, :, n:]
     for row in range(n - 1, -1, -1):
-        x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
-    return x
+        dot = np.einsum("ik,ikm->im", a[:, row, row + 1 : n], x[:, row + 1 :])
+        x[:, row] = (x[:, row] - dot) / a[:, row, row, None]
+    return x.reshape(rhs.shape)
 
 
 def refine_local(curve: PiecewiseCurve, dst_breaks, tol=DEFAULT_TOL) -> PiecewiseCurve:
     """Reindex a piecewise curve onto finer breakpoints.
 
     Polynomial terms are re-expanded over each contained positive-length
-    target interval; generator coefficient rows are copied unchanged from
-    the source interval containing each target.  Zero-length targets get
-    zero rows.  A trailing component axis carries through.
+    target interval (one Taylor shift, by each target's offset in its
+    source); generator coefficient rows are copied unchanged from the source
+    interval containing each target.  Zero-length targets get zero rows.  A
+    trailing component axis carries through.
     """
     src = np.asarray(curve.breaks, dtype=float)
     dst = np.asarray(dst_breaks, dtype=float)
     rows = np.flatnonzero(np.diff(src) > tol)
     spans = np.stack([src[rows], src[rows + 1]], axis=1)
     idx = containing_spans(spans, dst, tol)
+    live = np.flatnonzero(idx >= 0)
+    row = rows[idx[live]]
+    parts = curve.poly_parts[row]
+    tau = (dst[live] - spans[idx[live], 0]).reshape((-1,) + (1,) * (parts.ndim - 2))
     poly = np.zeros((len(idx),) + curve.poly_parts.shape[1:])
+    poly[live] = np.moveaxis(taylor_shift(np.moveaxis(parts, 1, 0), tau), 0, 1)
     gen = np.zeros((len(idx),) + curve.gen_coefs.shape[1:])
+    gen[live] = curve.gen_coefs[row]
     slots = np.full(len(idx), -1)
-    for j in np.flatnonzero(idx >= 0):
-        row = rows[idx[j]]
-        poly[j] = restrict_poly(curve.poly_parts[row], spans[idx[j]], dst[j : j + 2], tol)[0]
-        gen[j] = curve.gen_coefs[row]
-        slots[j] = curve.slots[row]
+    slots[live] = curve.slots[row]
     return PiecewiseCurve(breaks=dst, poly_parts=poly, gen_coefs=gen,
                           degree=curve.degree, fam=curve.fam, slots=slots)
 
@@ -129,25 +157,27 @@ def represent_knot_funcs(gen_coefs, tables_src, tables_dst, lens, pos,
     orders, num = tables_src.shape[:2]
     gen_coefs = np.asarray(gen_coefs, dtype=float)
     tail = gen_coefs.shape[2:]
+    live = np.flatnonzero(pos)
     ivals = np.einsum("kjew,jw...->kje...", tables_src, gen_coefs)
     ngen = np.zeros((num, 2) + tail)
-    for j in range(num):
-        if pos[j]:
-            ngen[j] = _solve(tables_dst[0, j], ivals[0, j], SingularGeneratorSystem)
-    nints = np.einsum("kjew,jw...->kje...", tables_dst[1:], ngen)
-    diffs = ivals[1:] - nints
+    ngen[live] = _solve(tables_dst[0, live], ivals[0, live], SingularGeneratorSystem,
+                        lambda i: f"interval {live[i]} (length {lens[live[i]]})")
     offsets = np.zeros((num, max(orders - 1, 0)) + tail)
-    for j in range(num):
-        if not pos[j] or orders < 2:
-            continue
-        left = left_taylor_series(diffs[::-1, j, 0])
-        right = right_taylor_series(diffs[::-1, j, 1], lens[j])
-        scale = np.maximum(1.0, np.maximum(np.abs(left).max(axis=0), np.abs(right).max(axis=0)))
-        if np.any(np.abs(left - right) > coef_tol * scale):
-            raise TaylorMismatch(
-                f"endpoint reconstructions disagree on interval {j}: "
-                f"{left.tolist()} vs {right.tolist()}")
-        offsets[j] = 0.5 * (left + right)
+    if orders < 2:
+        return ngen, offsets
+    diffs = ivals[1:] - np.einsum("kjew,jw...->kje...", tables_dst[1:], ngen)
+    left = left_taylor_series(diffs[::-1, live, 0])
+    right = right_taylor_series(diffs[::-1, live, 1],
+                                lens[live].reshape((-1,) + (1,) * len(tail)))
+    scale = np.maximum(1.0, np.maximum(np.abs(left).max(axis=0), np.abs(right).max(axis=0)))
+    bad = np.abs(left - right) > coef_tol * scale
+    stray = np.flatnonzero(bad.any(axis=(0,) + tuple(range(2, bad.ndim))))
+    if len(stray):
+        i = stray[0]
+        raise TaylorMismatch(
+            f"endpoint reconstructions disagree on interval {live[i]}: "
+            f"{left[:, i].tolist()} vs {right[:, i].tolist()}")
+    offsets[live] = np.moveaxis(0.5 * (left + right), 0, 1)
     return ngen, offsets
 
 
@@ -162,8 +192,7 @@ def refine_curve(curve: PiecewiseCurve, basis: LocalBasis, tables_src, tables_ds
     trailing axis of d components gives control points shaped (n, d), each
     interval solved once with d right-hand sides.
     """
-    if coef_tol is None:
-        coef_tol = tol * COEF_TOL_FACTOR
+    tol, coef_tol = _tolerances(tol, coef_tol)
     kv = basis.kv
     q = kv.degree
     breaks = kv.active_region()
@@ -181,10 +210,11 @@ def refine_curve(curve: PiecewiseCurve, basis: LocalBasis, tables_src, tables_ds
 
     lbases = np.concatenate([basis.local.poly_parts, basis.local.gen_coefs], axis=1)
     lfunc = np.concatenate([poly, ngen], axis=1)
+    live = np.flatnonzero(pos)
     coefs = np.full((len(lens), q + 1) + ngen.shape[2:], np.nan)
-    for j in range(len(lens)):
-        if pos[j]:
-            coefs[j] = _solve(lbases[j], lfunc[j], SingularLocalSystem)
+    coefs[live] = _solve(
+        lbases[live], lfunc[live], SingularLocalSystem,
+        lambda i: f"interval {live[i]} [{breaks[live[i]]}, {breaks[live[i] + 1]}]")
     return reverse_diagonal_averages(coefs, coef_tol)
 
 
@@ -243,6 +273,7 @@ def refined_spline(curve: SplineCurve, basis: LocalBasis | None = None, *,
     exponential kinds, never for linear).  Control points shaped (n, d) are
     refined together: one target basis, one pair of integral tables.
     """
+    tol, coef_tol = _tolerances(tol, coef_tol)
     p = curve.kv.degree
     if p < 2:
         raise DegreeTooSmall("refinement needs degree >= 2")
@@ -289,6 +320,7 @@ def greville_abscissae(basis: LocalBasis, tol=DEFAULT_TOL, coef_tol=None) -> np.
     the local polynomial part is a bare constant, so the identity exists only
     when the generator integrals supply the slope (the linear kind).
     """
+    tol, coef_tol = _tolerances(tol, coef_tol)
     p = basis.kv.degree
     if p < 2:
         raise DegreeTooSmall("identity representation needs degree >= 2")

@@ -103,6 +103,16 @@ class TestEvaluation:
         _, _, basis = make_basis(3, interior=(0.5,), kind="exponential", omega=2.0)
         assert eval_basis_function(basis, 0, 0.0) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_degree_eight_curve_interpolates_its_ends(self, kind):
+        """Holds only while the construction's ladder table and the
+        evaluator's scalar ladder values agree bit for bit."""
+        _, fam, basis = make_basis(8, interior=(0.25, 0.5, 0.75), kind=kind)
+        cpts = np.random.default_rng(0).uniform(-1, 1, basis.n_basis)
+        curve = SplineCurve(kv=basis.kv, fam=fam, cpts=cpts)
+        assert abs(eval_curve(curve, basis, 0.0) - cpts[0]) <= 1e-12
+        assert abs(eval_curve(curve, basis, 1.0) - cpts[-1]) <= 1e-12
+
     def test_out_of_active_region(self):
         _, _, basis = make_basis(2, kind="linear")
         with pytest.raises(OutOfActiveRegion):
@@ -236,6 +246,16 @@ class TestDiagonals:
     def test_averages_flag_disagreement(self):
         with pytest.raises(InconsistentCoefficient):
             reverse_diagonal_averages(np.array([[1.0, 2.0], [2.5, 3.0]]), tol=1e-6)
+
+    def test_averages_of_components(self):
+        coefs = np.array([[[1.0, 5.0], [2.0, 6.0]],
+                          [[2.0, np.nan], [3.0, 7.0]]])   # one component missing
+        np.testing.assert_allclose(reverse_diagonal_averages(coefs),
+                                   [[1, 5], [2, 6], [3, 7]])
+        coefs[1, 0, 1] = 6.5
+        with pytest.raises(InconsistentCoefficient,
+                           match=r"coefficient 1 disagree: \[\[2.0, 6.0\], \[2.0, 6.5\]\]"):
+            reverse_diagonal_averages(coefs)
 
     def test_averages_flag_missing_diagonal(self):
         with pytest.raises(AllMissingDiagonal):

@@ -19,6 +19,7 @@ from gbspline.errors import (
     OutOfInterval,
     TooShort,
 )
+from gbspline.knots import containing_spans
 from conftest import ALL_KINDS
 
 
@@ -226,3 +227,55 @@ class TestIntegralTable:
         fam = build_family([0, 1], kind="linear")
         table = build_integral_table(fam, [0, .5, .5, 1], 0, 1)
         np.testing.assert_array_equal(table[:, 1], 0.0)
+
+
+class TestArrayLadder:
+    """Array calls equal scalar `fam.value` calls bit for bit: at high order
+    the closed forms cancel, and end interpolation holds only because
+    construction and evaluation round alike."""
+
+    KINDS = ALL_KINDS + ("mixed",)
+
+    @staticmethod
+    def family(kind):
+        # unequal spans and one zero-length interval
+        knots = [0.0, 0.3, 0.3, 0.7, 1.6, 2.0]
+        if kind == "mixed":
+            return build_family(knots, kinds=ALL_KINDS + ("trigonometric",),
+                                omegas=[0.0, 1.3, 2.0, 0.7])
+        return build_family(knots, kind=kind, omega=1.3)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("offset", [0, 1, 2])
+    def test_integral_table_matches_scalar_calls(self, kind, offset):
+        fam = self.family(kind)
+        # targets inside spans, on their ends, and of zero length
+        targets = [0.0, 0.1, 0.3, 0.3, 0.45, 0.7, 0.7, 1.2, 1.6, 2.0]
+        table = build_integral_table(fam, targets, offset, 8)
+        slots = containing_spans(fam.spans, np.array(targets))
+        live = np.flatnonzero(slots >= 0)
+        want = [[[[fam.value(int(slots[j]), which, k - offset, targets[j + e])
+                   for which in "uv"] for e in (0, 1)] for j in live] for k in range(9)]
+        assert table[:, live].tobytes() == np.array(want).tobytes()
+        np.testing.assert_array_equal(table[:, slots < 0], 0.0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_array_t_matches_scalar_calls(self, kind):
+        fam = self.family(kind)
+        rng = np.random.default_rng(3)
+        slot = rng.integers(0, fam.n_spans, size=(3, 20))
+        left, right = fam.spans[slot, 0], fam.spans[slot, 1]
+        t = left + rng.uniform(0, 1, slot.shape) * (right - left)
+        t[:, 0], t[:, 1] = left[:, 0], right[:, 1]
+        for which in "uv":
+            for order in range(-2, 9):
+                got = fam.value(slot, which, order, t)
+                want = [[fam.value(int(sl), which, order, float(x)) for sl, x in zip(*row)]
+                        for row in zip(slot, t)]
+                assert got.shape == t.shape
+                assert got.tobytes() == np.array(want).tobytes()
+
+    def test_array_t_outside_its_interval(self):
+        fam = self.family("trigonometric")
+        with pytest.raises(OutOfInterval, match="t=0.5 outside"):
+            fam.value(0, "u", 0, np.array([0.1, 0.5]))

@@ -1,4 +1,6 @@
 """Projection-based refinement: reindexing, generator rewrites, drivers."""
+import math
+
 import numpy as np
 import pytest
 
@@ -29,9 +31,11 @@ from gbspline.errors import (
     KnotOutsideActiveRegion,
     MultiplicityOverflow,
     SingularGeneratorSystem,
+    SingularLocalSystem,
     TaylorMismatch,
 )
-from conftest import ALL_KINDS, make_basis
+from gbspline.refine import _solve
+from conftest import ALL_KINDS, make_basis, open_kv
 
 
 def max_curve_diff(c0, b0, c1, b1, samples=1001):
@@ -382,3 +386,76 @@ def test_interval_below_caller_tolerance(kind):
     ident = SplineCurve(kv=kv, fam=fam, cpts=greville_abscissae(basis, tol))
     np.testing.assert_allclose([eval_curve(ident, basis, t, tol) for t in ts], ts,
                                rtol=0, atol=1e-8)
+
+
+def uniform_curve(kind, degree, intervals, omega=np.pi / 2):
+    kv = open_kv(degree, np.linspace(0, 1, intervals + 1)[1:-1])
+    fam = build_family(kv.knots, kind=kind, omega=omega)
+    cpts = np.random.default_rng(0).uniform(-1, 1, kv.n_basis)
+    return SplineCurve(kv=kv, fam=fam, cpts=cpts), build_local_basis(kv, fam)
+
+
+class TestTolerances:
+    """nan, inf or a value <= 0 would switch the checks off; they are refused."""
+
+    BAD = [math.nan, math.inf, -1e-9, 0.0]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_drivers_reject(self, bad):
+        curve, basis = uniform_curve("trigonometric", 3, 4)
+        with pytest.raises(ValueError, match="^tol must be finite and positive"):
+            insert_knots(curve, basis, [0.3], tol=bad)
+        with pytest.raises(ValueError, match="^coef_tol must be finite and positive"):
+            refined_spline(curve, basis, elevate_by=1, coef_tol=bad)
+        with pytest.raises(ValueError, match="^tol must be finite and positive"):
+            greville_abscissae(basis, tol=bad)
+        with pytest.raises(ValueError, match="^coef_tol must be finite and positive"):
+            greville_abscissae(basis, coef_tol=bad)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_refine_curve_rejects(self, bad):
+        curve, basis = uniform_curve("trigonometric", 3, 4)
+        tables = build_integral_table(curve.fam, curve.kv.active_region(), 0, 2)
+        piece = form_piecewise(curve.cpts, basis)
+        with pytest.raises(ValueError, match="^tol must"):
+            refine_curve(piece, basis, tables, tables, tol=bad)
+        with pytest.raises(ValueError, match="^coef_tol must"):
+            refine_curve(piece, basis, tables, tables, coef_tol=bad)
+
+    def test_nan_coef_tol_no_longer_hides_a_moved_curve(self):
+        # with a nan coef_tol this insertion returned a curve 7.25e-6 away
+        curve, basis = uniform_curve("trigonometric", 5, 64)
+        with pytest.raises(ValueError, match="^coef_tol"):
+            insert_knots(curve, basis, [0.010703125], coef_tol=math.nan)
+        with pytest.raises(TaylorMismatch):
+            insert_knots(curve, basis, [0.010703125])
+
+
+class TestBatchedSolve:
+    def test_singular_local_system_names_the_interval(self):
+        _, basis = uniform_curve("linear", 8, 16)
+        with pytest.raises(SingularLocalSystem, match=(
+                r"singular at column 8 on interval 0 \[0\.0, 0\.0625\]: "
+                r"\|pivot\| \S+ <= floor \S+")):
+            greville_abscissae(basis)
+
+    def test_first_singular_system_is_named(self):
+        mats = np.stack([np.eye(2), np.eye(2), [[1.0, 2.0], [2.0, 4.0]]])
+        message = r"column 1 on system 2: \|pivot\| 0\.000e\+00 <= floor 4\.000e-13"
+        with pytest.raises(SingularGeneratorSystem, match=message):
+            _solve(mats, np.ones((3, 2)), SingularGeneratorSystem, lambda i: f"system {i}")
+
+    def test_one_pivot_warning_at_the_worst_system(self):
+        mats = np.stack([np.eye(2), np.diag([1e8, 5e-5]), np.diag([1e8, 1e-3])])
+        with pytest.warns(RuntimeWarning) as record:
+            x = _solve(mats, np.ones((3, 2, 2)), SingularLocalSystem, lambda i: f"system {i}")
+        assert [str(w.message) for w in record] == [
+            "poorly conditioned local system on system 1 (pivot ratio 2.00e+12, the worst of 3)"]
+        np.testing.assert_allclose(x[1], [[1e-8, 1e-8], [2e4, 2e4]])
+
+    def test_matches_dense_solves(self):
+        rng = np.random.default_rng(4)
+        mats = rng.uniform(-1, 1, (6, 5, 5))
+        rhs = rng.uniform(-1, 1, (6, 5, 3))
+        x = _solve(mats, rhs, SingularLocalSystem, str)
+        np.testing.assert_allclose(x, np.linalg.solve(mats, rhs), rtol=0, atol=1e-12)
