@@ -23,10 +23,10 @@ from gbspline import (
     build_family,
     build_local_basis,
     elevate_degree,
-    eval_basis_function,
     eval_curve,
     greville_abscissae,
     insert_knots,
+    nonzero_basis_values,
     validate_open_knot_vector,
 )
 
@@ -42,8 +42,10 @@ def write_csv(path, header, rows):
 def sample_basis(basis, samples):
     reg = basis.kv.active_region()
     ts = np.linspace(float(reg[0]), float(reg[-1]), samples)
-    rows = [[t] + [eval_basis_function(basis, i, float(t))
-                   for i in range(basis.n_basis)] for t in ts]
+    first, vals = nonzero_basis_values(basis, ts)
+    rows = np.column_stack([ts, np.zeros((len(ts), basis.n_basis))])
+    np.put_along_axis(rows, 1 + first[:, None] + np.arange(basis.degree + 1), vals, axis=1)
+    rows[ts == reg[-1], -1] = 1.0   # the last function owns the closed right end
     header = ["t"] + [f"N{i}" for i in range(basis.n_basis)]
     return header, rows
 
@@ -84,9 +86,9 @@ def insertion(outdir, samples):
     refined_basis = build_local_basis(refined.kv, refined.fam)
     ts = np.linspace(0, 1, samples)
     write_csv(outdir / "insertion_before.csv", ["t", "f"],
-              [[t, eval_curve(curve, basis, float(t))] for t in ts])
+              np.column_stack([ts, eval_curve(curve, basis, ts)]))
     write_csv(outdir / "insertion_after.csv", ["t", "f"],
-              [[t, eval_curve(refined, refined_basis, float(t))] for t in ts])
+              np.column_stack([ts, eval_curve(refined, refined_basis, ts)]))
     write_csv(outdir / "insertion_mesh_before.csv", ["x", "y"],
               zip(greville_abscissae(basis), curve.cpts))
     write_csv(outdir / "insertion_mesh_after.csv", ["x", "y"],

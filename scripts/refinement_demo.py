@@ -23,8 +23,7 @@ from gbspline import (
 def gap(c0, b0, c1, b1, samples=801):
     reg = c0.kv.active_region()
     ts = np.linspace(float(reg[0]), float(reg[-1]), samples)
-    return max(abs(eval_curve(c0, b0, float(t)) - eval_curve(c1, b1, float(t)))
-               for t in ts)
+    return float(np.max(np.abs(eval_curve(c0, b0, ts) - eval_curve(c1, b1, ts))))
 
 
 def main():

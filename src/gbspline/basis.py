@@ -113,19 +113,28 @@ class PiecewiseCurve:
         object.__setattr__(self, "slots", readonly(slots, dtype=int))
 
     def value(self, t, tol=DEFAULT_TOL):
-        """Curve value at t: a float, or an array of the d components."""
+        """Curve value at t: a float, or an array of the d components.  An
+        array of N parameters gives values shaped (N,) or (N, d)."""
         return _point(self.value_on(find_interval(self.breaks, t, tol), t, tol))
 
     def value_on(self, j, t, tol=DEFAULT_TOL):
-        """Value at t on interval j, one Horner pass over every component."""
-        slot = int(self.slots[j])
-        if slot < 0:
-            br = self.breaks
-            raise IntervalStraddle(f"interval {j} [{br[j]}, {br[j + 1]}] has no generators")
+        """Value at t on interval j, one Horner pass over every component.
+
+        Arrays j and t of N samples give a leading axis of N; each row
+        equals the scalar call bit for bit.
+        """
+        slot = self.slots[j]
+        missing = np.extract(slot < 0, j) if isinstance(j, np.ndarray) else [j] if slot < 0 else []
+        if len(missing):
+            k, br = missing[0], self.breaks
+            raise IntervalStraddle(f"interval {k} [{br[k]}, {br[k + 1]}] has no generators")
         u = self.fam.value(slot, "u", self.degree - 1, t, tol)
         v = self.fam.value(slot, "v", self.degree - 1, t, tol)
-        return (poly_eval(self.poly_parts[j], t - self.breaks[j])
-                + self.gen_coefs[j, 0] * u + self.gen_coefs[j, 1] * v)
+        parts, s = self.poly_parts[j], t - self.breaks[j]
+        if isinstance(j, np.ndarray):   # degree first for Horner; samples, then components
+            parts = parts.swapaxes(0, 1)
+            s, u, v = (a.reshape(a.shape + (1,) * (self.gen_coefs.ndim - 2)) for a in (s, u, v))
+        return poly_eval(parts, s) + self.gen_coefs[j, 0] * u + self.gen_coefs[j, 1] * v
 
 
 # construction ----------------------------------------------------------------
@@ -224,7 +233,11 @@ def eval_basis_function(basis: LocalBasis, i, t, tol=DEFAULT_TOL) -> float:
 
 
 def nonzero_basis_values(basis: LocalBasis, t, tol=DEFAULT_TOL):
-    """(first index, values) of the degree+1 basis functions covering t."""
+    """(first index, values) of the degree+1 basis functions covering t.
+
+    An array of N parameters gives first indices shaped (N,) and values
+    shaped (N, degree+1).
+    """
     j = find_interval(basis.local.breaks, t, tol)
     return j, basis.local.value_on(j, t, tol)
 
@@ -233,12 +246,18 @@ def eval_curve(curve: SplineCurve, basis: LocalBasis, t, tol=DEFAULT_TOL):
     """Curve value sum(cpts_i * N_i(t)) over the nonzero basis functions.
 
     A float for control points shaped (n,), an array of d components for
-    (n, d).
+    (n, d).  An array of N parameters gives values shaped (N,) or (N, d),
+    each equal to the scalar call bit for bit.
     """
     if len(curve.cpts) != basis.n_basis:
         raise LengthMismatch("curve and basis sizes differ")
     first, vals = nonzero_basis_values(basis, t, tol)
-    return _point(vals @ curve.cpts[first : first + basis.degree + 1])
+    if not isinstance(first, np.ndarray):
+        return _point(vals @ curve.cpts[first : first + basis.degree + 1])
+    # row by row the same (1, p+1) @ (p+1, d) product as the scalar call
+    cpts = curve.cpts.reshape(len(curve.cpts), -1)
+    window = cpts[first[:, None] + np.arange(basis.degree + 1)]
+    return (vals[:, None, :] @ window)[:, 0].reshape(first.shape + curve.cpts.shape[1:])
 
 
 # piecewise form and reindexing -----------------------------------------------

@@ -6,6 +6,7 @@ class name on stderr) or failed checks, 2 I/O or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -14,7 +15,6 @@ import numpy as np
 from .basis import (
     SplineCurve,
     build_local_basis,
-    eval_basis_function,
     eval_curve,
     form_piecewise,
     nonzero_basis_values,
@@ -42,7 +42,7 @@ def _tolerances(args):
 
 def _write_csv(path, header, rows):
     lines = [",".join(header)]
-    lines += [",".join(repr(float(x)) for x in row) for row in rows]
+    lines += [",".join(map(repr, row)) for row in rows.tolist()]
     text = "\n".join(lines) + "\n"
     if path:
         with open(path, "w", encoding="utf-8") as fh:
@@ -59,8 +59,8 @@ def _sample_points(kv, samples):
 def _cmd_eval(args, tol, coef_tol):
     curve = SplineCurve(*load_curve(args.curve, tol))
     basis = build_local_basis(curve.kv, curve.fam, tol)
-    rows = [[t, *eval_curve(curve, basis, float(t), tol)]
-            for t in _sample_points(curve.kv, args.samples)]
+    ts = _sample_points(curve.kv, args.samples)
+    rows = np.column_stack([ts, eval_curve(curve, basis, ts, tol)])
     _write_csv(args.out, ["t"] + [f"f{k}" for k in range(curve.cpts.shape[1])], rows)
     return 0
 
@@ -68,10 +68,12 @@ def _cmd_eval(args, tol, coef_tol):
 def _cmd_basis(args, tol, coef_tol):
     kv, fam, _ = load_curve(args.curve, tol)
     basis = build_local_basis(kv, fam, tol)
-    rows = []
-    for t in _sample_points(kv, args.samples):
-        rows.append([t] + [eval_basis_function(basis, i, float(t), tol)
-                           for i in range(kv.n_basis)])
+    ts = _sample_points(kv, args.samples)
+    first, vals = nonzero_basis_values(basis, ts, tol)
+    rows = np.column_stack([ts, np.zeros((len(ts), kv.n_basis))])
+    np.put_along_axis(rows, 1 + first[:, None] + np.arange(kv.degree + 1), vals, axis=1)
+    # as in eval_basis_function, the last function owns the closed right end
+    rows[ts == kv.knots[-1], -1] = 1.0
     _write_csv(args.out, ["t"] + [f"N{i}" for i in range(kv.n_basis)], rows)
     return 0
 
@@ -101,20 +103,14 @@ def _cmd_greville(args, tol, coef_tol):
 def _cmd_check(args, tol, coef_tol):
     kv, fam, cpts = load_curve(args.curve, tol)
     basis = build_local_basis(kv, fam, tol)
-    ts = _sample_points(kv, 500)
-    worst_pu = 0.0
-    for t in ts:
-        _, vals = nonzero_basis_values(basis, float(t), tol)
-        worst_pu = max(worst_pu, abs(float(vals.sum()) - 1.0))
-    worst_jump = 0.0
-    breaks = kv.active_region()
+    _, vals = nonzero_basis_values(basis, _sample_points(kv, 500), tol)
+    worst_pu = float(np.max(np.abs(vals.sum(axis=1) - 1.0)))
+    # interior breakpoints between two intervals longer than tol
+    br = kv.active_region()
+    x = br[1:-1][(br[1:-1] - br[:-2] > tol) & (br[2:] - br[1:-1] > tol)]
     piece = form_piecewise(cpts, basis)
-    for j in range(1, len(breaks) - 1):
-        if breaks[j] - breaks[j - 1] <= tol or breaks[j + 1] - breaks[j] <= tol:
-            continue
-        x = float(breaks[j])
-        jump = piece.value(x, tol) - piece.value(np.nextafter(x, -np.inf), tol)
-        worst_jump = max(worst_jump, float(np.max(np.abs(jump))))
+    jump = piece.value(x, tol) - piece.value(np.nextafter(x, -np.inf), tol)
+    worst_jump = float(np.max(np.abs(jump), initial=0.0))
     scale = 1.0 + float(np.max(np.abs(cpts)))
     ok = worst_pu <= 1e-9 and worst_jump <= 1e-8 * scale
     print(f"partition of unity: max deviation {worst_pu:.3e}")
@@ -173,9 +169,11 @@ def build_parser():
     return parser
 
 
+_parser = functools.cache(build_parser)   # parse_args leaves the parser unchanged
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args, *_tolerances(args))
     except CurveFileError as exc:

@@ -80,18 +80,32 @@ def validate_open_knot_vector(knots, degree) -> KnotVector:
 
 # interval index ---------------------------------------------------------------
 
-def find_interval(breaks, t, tol=DEFAULT_TOL) -> int:
+def find_interval(breaks, t, tol=DEFAULT_TOL):
     """Index j of the positive-length interval [breaks[j], breaks[j+1]) holding t.
 
     The final interval is closed on the right; zero-length intervals are
-    skipped leftwards.
+    skipped leftwards.  A 1-D array `t` gives an int array of one index per
+    entry, from one search.  A t outside the breaks, or not finite, raises
+    OutOfActiveRegion, naming the first such entry of an array.
     """
-    if t < breaks[0] or t > breaks[-1]:
-        raise OutOfActiveRegion(f"t={t} outside [{breaks[0]}, {breaks[-1]}]")
-    j = min(int(np.searchsorted(breaks, t, side="right")) - 1, len(breaks) - 2)
-    while j > 0 and breaks[j + 1] - breaks[j] <= tol:
-        j -= 1
-    return j
+    if not isinstance(t, np.ndarray) or t.ndim == 0:
+        if not breaks[0] <= t <= breaks[-1]:
+            raise OutOfActiveRegion(f"t={t} outside [{breaks[0]}, {breaks[-1]}]")
+        j = min(int(np.searchsorted(breaks, t, side="right")) - 1, len(breaks) - 2)
+        return int(_positive_at_or_left(breaks, tol)[j]) if breaks[j + 1] - breaks[j] <= tol else j
+    outside = np.flatnonzero(~((t >= breaks[0]) & (t <= breaks[-1])))
+    if len(outside):
+        i = int(outside[0])
+        raise OutOfActiveRegion(f"t[{i}]={t.flat[i]} outside [{breaks[0]}, {breaks[-1]}]")
+    j = np.minimum(np.searchsorted(breaks, t, side="right") - 1, len(breaks) - 2)
+    return _positive_at_or_left(breaks, tol)[j]
+
+
+def _positive_at_or_left(breaks, tol):
+    """Per interval j, the last interval at or left of j longer than tol (0 if none)."""
+    pos = np.diff(breaks) > tol
+    pos[0] = True
+    return np.maximum.accumulate(np.where(pos, np.arange(len(pos)), 0))
 
 
 def containing_spans(spans, breaks, tol=DEFAULT_TOL) -> np.ndarray:
@@ -157,36 +171,43 @@ _FACTORIAL = np.array([math.factorial(k) for k in range(171)], dtype=float)
 
 
 def _each(fn, *args):
-    """fn (a math function, or pow) over equal-shaped arrays, element by
-    element through Python floats and ints.  numpy's sin, sinh and power
-    differ from math's and pow's in the last ulp on some inputs, and array
-    ladder values must equal scalar ones bit for bit."""
-    values = map(fn, *(a.ravel().tolist() for a in args))
-    return np.fromiter(values, float, args[0].size).reshape(args[0].shape)
+    """fn (a math function, or pow) over broadcast arrays, element by element
+    through Python floats and ints.  numpy's sin, sinh and power differ from
+    math's and pow's in the last ulp on some inputs, and array ladder values
+    must equal scalar ones bit for bit."""
+    shape = np.broadcast(*args).shape
+    columns = []
+    for a in args:
+        full = np.empty(shape, a.dtype)
+        full[...] = a
+        columns.append(full.ravel().tolist())
+    return np.fromiter(map(fn, *columns), float, math.prod(shape)).reshape(shape)
 
 
-def _pure_array(kind, which, k, s, h, omega):
-    """_pure_<kind>, operation for operation, over equal-shaped (rows, n)
-    arrays with integer orders `k`.  Each column keeps one span, so the
-    normalizing 1/sin(omega*h) or 1/sinh(omega*h) is computed once per column."""
+def _pure_array(kind, which, k, s, h, omega, at):
+    """_pure_<kind>, operation for operation, over (rows, n) arrays `s` with
+    one integer order per row (`k`, shaped (rows, 1)).  `h` and `omega` hold
+    one entry per span and `at` maps each column to its span, so factors of
+    span and order alone (1/sin(omega*h) or 1/sinh(omega*h), omega**k) are
+    computed once per span."""
     if kind == "linear":
         e = np.maximum(k, 0)
-        rise = _each(pow, s, e + 1) / (_FACTORIAL[e + 1] * h)
+        rise = _each(pow, s, e + 1) / (_FACTORIAL[e + 1] * h)[:, at]
         if which == "u":
-            return np.where(k >= 0, rise, np.where(k == -1, 1.0 / h, 0.0))
+            return np.where(k >= 0, rise, np.where(k == -1, (1.0 / h)[at], 0.0))
         fall = _each(pow, s, e) / _FACTORIAL[e] - rise
-        return np.where(k > 0, fall, np.where(k == 0, (h - s) / h,
-                                              np.where(k == -1, -1.0 / h, 0.0)))
-    sign, x = (1.0, s) if which == "u" else (np.where(k % 2 == 0, 1.0, -1.0), h - s)
+        return np.where(k > 0, fall, np.where(k == 0, (h[at] - s) / h[at],
+                                              np.where(k == -1, (-1.0 / h)[at], 0.0)))
+    sign, x = (1.0, s) if which == "u" else (np.where(k % 2 == 0, 1.0, -1.0), h[at] - s)
     if kind == "trigonometric":
-        c = 1.0 / _each(math.sin, omega[0] * h[0])
-        g = _each(math.sin, omega * x - k * math.pi / 2)
+        c = (1.0 / _each(math.sin, omega * h))[at]
+        g = _each(math.sin, omega[at] * x - k * math.pi / 2)
     else:
-        c = 1.0 / _each(math.sinh, omega[0] * h[0])
-        arg, odd = omega * x, k % 2 == 1
+        c = (1.0 / _each(math.sinh, omega * h))[at]
+        arg, odd = omega[at] * x, np.broadcast_to(k % 2 == 1, s.shape)
         g = np.empty(arg.shape)
         g[~odd], g[odd] = _each(math.sinh, arg[~odd]), _each(math.cosh, arg[odd])
-    return c * sign * g / _each(pow, omega, k)
+    return c * sign * g / _each(pow, omega, k)[:, at]
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,22 +265,22 @@ class KnotFunctionFamily:
         if len(outside):
             i = outside[0]
             raise OutOfInterval(f"t={t[i]} outside [{left[i]}, {right[i]}]")
-        # row 0 is the closed form at s; row j >= 1 the order-j closed form at
-        # s = 0, which the scalar path subtracts times s**(order-j)/(order-j)!
-        j = np.arange(max(order, 0) + 1)[:, None]
-        k, s, h, omega = np.broadcast_arrays(np.where(j == 0, order, j),
-                                             np.where(j == 0, t - left, 0.0),
-                                             right - left, self.omegas[slot])
-        ids = self._kind_ids[slot]
+        s, ids = t - left, self._kind_ids[slot]
         val = np.empty(len(t))
         for code in np.flatnonzero(np.bincount(ids, minlength=len(KINDS))).tolist():
             sel = ids == code
-            ks, ss = k[:, sel], s[:, sel]
-            terms = _pure_array(KINDS[code], which, ks, ss, h[:, sel], omega[:, sel])
-            e = order - ks[1:]
-            v = terms[0]
-            for term in terms[1:] * _each(pow, np.broadcast_to(ss[0], e.shape), e) / _FACTORIAL[e]:
-                v = v - term
+            used = np.zeros(self.n_spans, dtype=bool)
+            used[slot[sel]] = True
+            spans, at = np.flatnonzero(used), (np.cumsum(used) - 1)[slot[sel]]
+            h, omega = self.spans[spans, 1] - self.spans[spans, 0], self.omegas[spans]
+            v = _pure_array(KINDS[code], which, np.array([[order]]), s[None, sel], h, omega, at)[0]
+            if order > 0:   # minus the order-j closed forms at s = 0 times s**(order-j)/(order-j)!
+                j = np.arange(1, order + 1)[:, None]
+                zero = _pure_array(KINDS[code], which, j, np.zeros((order, len(spans))), h, omega,
+                                   np.arange(len(spans)))
+                e = order - j
+                for term in zero[:, at] * _each(pow, s[None, sel], e) / _FACTORIAL[e]:
+                    v = v - term
             val[sel] = v
         return val.reshape(shape)
 

@@ -236,8 +236,9 @@ def _refined_knots(kv: KnotVector, inserts, raise_by, tol):
             raise KnotOutsideActiveRegion(
                 f"knot {x} not strictly inside ({a}, {b})")
         idx = bisect_right([g[0] for g in groups], x)
-        if idx > 0 and abs(x - groups[idx - 1][0]) <= tol:
-            groups[idx - 1][1] += 1
+        near = min(groups[max(idx - 1, 0) : idx + 1], key=lambda g: abs(x - g[0]), default=None)
+        if near is not None and abs(x - near[0]) <= tol:
+            near[1] += 1
         else:
             groups.insert(idx, [x, 1])
     p = kv.degree

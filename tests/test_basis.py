@@ -26,7 +26,7 @@ from gbspline.errors import (
     TooFewRows,
 )
 from gbspline.poly import derive_poly, poly_eval
-from conftest import ALL_KINDS, cox_de_boor, make_basis, random_interiors
+from conftest import ALL_KINDS, cox_de_boor, make_basis, open_kv, random_interiors
 
 
 class TestConstruction:
@@ -112,11 +112,23 @@ class TestEvaluation:
         curve = SplineCurve(kv=basis.kv, fam=fam, cpts=cpts)
         assert abs(eval_curve(curve, basis, 0.0) - cpts[0]) <= 1e-12
         assert abs(eval_curve(curve, basis, 1.0) - cpts[-1]) <= 1e-12
+        ends = eval_curve(curve, basis, np.array([0.0, 1.0]))
+        assert np.all(np.abs(ends - cpts[[0, -1]]) <= 1e-12)
 
     def test_out_of_active_region(self):
         _, _, basis = make_basis(2, kind="linear")
         with pytest.raises(OutOfActiveRegion):
             eval_basis_function(basis, 0, 1.5)
+
+    def test_non_finite_parameter_rejected(self):
+        kv, fam, basis = make_basis(3, interior=(0.25, 0.5, 0.75))
+        curve = SplineCurve(kv=kv, fam=fam, cpts=np.ones(basis.n_basis))
+        for call in (lambda t: eval_curve(curve, basis, t),
+                     lambda t: nonzero_basis_values(basis, t),
+                     lambda t: eval_basis_function(basis, 2, t)):
+            for t in (np.nan, np.inf, -np.inf):
+                with pytest.raises(OutOfActiveRegion, match=f"t={t} outside"):
+                    call(t)
 
     def test_nonnegative_on_support(self):
         for kind in ALL_KINDS:
@@ -387,6 +399,94 @@ class TestSubToleranceInterval:
             with pytest.raises(IntervalStraddle, match=r"interval 1 \["):
                 call()
 
+    def test_batch_evaluation_names_the_interval(self):
+        basis = build_local_basis(self.kv, self.fam, tol=1e-8)
+        curve = SplineCurve(kv=self.kv, fam=self.fam, cpts=np.ones(basis.n_basis))
+        ts = np.array([0.25, 0.5000000005, 0.75])
+        for call in (lambda: eval_curve(curve, basis, ts),
+                     lambda: nonzero_basis_values(basis, ts),
+                     lambda: form_piecewise(curve.cpts, basis).value(ts)):
+            with pytest.raises(IntervalStraddle, match=r"interval 1 \["):
+                call()
+
     def test_construction_rejects_the_finer_tolerance(self):
         with pytest.raises(IntervalStraddle):
             build_local_basis(self.kv, self.fam)
+
+
+class TestBatchEvaluation:
+    """Arrays of parameters go through the scalar path's arithmetic: every
+    batch result equals the stacked scalar calls bit for bit."""
+
+    @staticmethod
+    def parameters(kv):
+        """Every breakpoint, both ends included, and the float just left of
+        each breakpoint but the first."""
+        reg = kv.active_region()
+        return np.concatenate([reg, np.nextafter(reg[1:], -np.inf)])
+
+    @staticmethod
+    def assert_batch_matches_scalar(kv, fam, dim):
+        basis = build_local_basis(kv, fam)
+        ts = TestBatchEvaluation.parameters(kv)
+        shape = (kv.n_basis,) if dim is None else (kv.n_basis, dim)
+        cpts = np.random.default_rng(kv.m).uniform(-1, 1, shape)
+        curve = SplineCurve(kv=kv, fam=fam, cpts=cpts)
+        piece = form_piecewise(cpts, basis)
+
+        first, vals = nonzero_basis_values(basis, ts)
+        scalar = [nonzero_basis_values(basis, float(t)) for t in ts]
+        assert first.shape == (len(ts),) and vals.shape == (len(ts), kv.degree + 1)
+        assert np.array_equal(first, [j for j, _ in scalar])
+        assert np.array_equal(vals, np.array([v for _, v in scalar]))
+        for batch, one in ((eval_curve(curve, basis, ts), lambda t: eval_curve(curve, basis, t)),
+                           (piece.value(ts), piece.value)):
+            assert batch.shape == (len(ts),) + shape[1:]
+            assert np.array_equal(batch, np.array([one(float(t)) for t in ts]))
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("degree", range(1, 9))
+    @pytest.mark.parametrize("n", [1, 4, 16])
+    @pytest.mark.parametrize("dim", [None, 3])
+    def test_uniform_knots(self, kind, degree, n, dim):
+        kv = open_kv(degree, np.linspace(0, 1, n + 1)[1:-1])
+        fam = build_family(kv.knots, kind=kind, omega=np.pi / 2)
+        self.assert_batch_matches_scalar(kv, fam, dim)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("degree", [2, 3, 5, 8])
+    @pytest.mark.parametrize("interior", [(0.3, 0.5, 0.5, 0.8), (0.3, 0.5, 0.5 + 1e-11, 0.8)],
+                             ids=["double-knot", "sub-tolerance-interval"])
+    @pytest.mark.parametrize("dim", [None, 3])
+    def test_repeated_and_short_intervals(self, kind, degree, interior, dim):
+        kv = open_kv(degree, interior)
+        fam = build_family(kv.knots, kind=kind, omega=np.pi / 2)
+        self.assert_batch_matches_scalar(kv, fam, dim)
+
+    @pytest.mark.parametrize("dim", [None, 2])
+    def test_empty_batch(self, dim):
+        kv, fam, basis = make_basis(3, interior=(0.5,))
+        shape = (basis.n_basis,) if dim is None else (basis.n_basis, dim)
+        curve = SplineCurve(kv=kv, fam=fam, cpts=np.ones(shape))
+        first, vals = nonzero_basis_values(basis, np.array([]))
+        assert first.shape == (0,) and vals.shape == (0, 4)
+        assert eval_curve(curve, basis, np.array([])).shape == (0,) + shape[1:]
+
+    def test_zero_dimensional_array_is_a_scalar(self):
+        kv, fam, basis = make_basis(3, interior=(0.5,))
+        curve = SplineCurve(kv=kv, fam=fam, cpts=np.arange(10.0).reshape(5, 2))
+        assert np.array_equal(eval_curve(curve, basis, np.array(0.3)),
+                              eval_curve(curve, basis, 0.3))
+        first, vals = nonzero_basis_values(basis, np.array(0.3))
+        assert first == nonzero_basis_values(basis, 0.3)[0] and vals.shape == (4,)
+
+    @pytest.mark.parametrize("bad", [1.5, -0.25, np.nan, np.inf])
+    def test_outside_the_region_names_the_sample(self, bad):
+        kv, fam, basis = make_basis(3, interior=(0.5,))
+        curve = SplineCurve(kv=kv, fam=fam, cpts=np.ones(basis.n_basis))
+        ts = np.array([0.0, 0.5, bad, 1.0, bad])
+        for call in (lambda: eval_curve(curve, basis, ts),
+                     lambda: nonzero_basis_values(basis, ts),
+                     lambda: form_piecewise(curve.cpts, basis).value(ts)):
+            with pytest.raises(OutOfActiveRegion, match=rf"t\[2\]={bad} outside"):
+                call()

@@ -8,9 +8,14 @@ import pytest
 import gbspline.cli
 import gbspline.refine
 from gbspline import (
+    SplineCurve,
     build_family,
     build_local_basis,
+    eval_basis_function,
+    eval_curve,
+    form_piecewise,
     load_curve,
+    nonzero_basis_values,
     save_curve,
     validate_open_knot_vector,
 )
@@ -262,6 +267,95 @@ class TestCommands:
                      "--out", str(refined)]) == 0
         _, _, cpts = load_curve(refined)
         assert cpts.shape == (7, 3)
+
+
+class TestSampledOutputs:
+    """`eval`, `basis` and `check` sample through one batch call each; their
+    output is byte for byte what per-sample scalar library calls give."""
+
+    CURVES = {
+        "trig-2d": dict(),
+        "exp-3d-double-knot": dict(knots=[0] * 4 + [.3, .5, .5, .8] + [1] * 4, degree=3,
+                                   dim=3, kind="exponential", seed=1),
+        "linear-1d-short-interval": dict(knots=[0] * 3 + [.4, .4 + 1e-11, .7] + [1] * 3,
+                                         degree=2, dim=1, kind="linear", seed=2),
+    }
+
+    @staticmethod
+    def csv(header, rows):
+        return "\n".join([",".join(header)] + [",".join(repr(float(x)) for x in row)
+                                               for row in rows]) + "\n"
+
+    @pytest.fixture(params=list(CURVES))
+    def curve_file(self, request, tmp_path):
+        src = tmp_path / "c.json"
+        doc = write_demo_curve(src, **self.CURVES[request.param])
+        knots = doc["knots"]
+        # one family per interval longer than the default tolerance
+        doc["families"] = doc["families"][:sum(b - a > 1e-10 for a, b in zip(knots, knots[1:]))]
+        src.write_text(json.dumps(doc))
+        kv, fam, cpts = load_curve(src)
+        return src, kv, fam, cpts, build_local_basis(kv, fam)
+
+    def test_eval(self, curve_file, tmp_path):
+        src, kv, fam, cpts, basis = curve_file
+        curve = SplineCurve(kv=kv, fam=fam, cpts=cpts)
+        ts = np.linspace(0.0, 1.0, 301)
+        want = self.csv(["t"] + [f"f{k}" for k in range(cpts.shape[1])],
+                        [[t, *eval_curve(curve, basis, float(t))] for t in ts])
+        out = tmp_path / "e.csv"
+        assert main(["eval", "--curve", str(src), "--samples", "300", "--out", str(out)]) == 0
+        assert out.read_text() == want
+
+    def test_basis(self, curve_file, tmp_path):
+        src, kv, fam, cpts, basis = curve_file
+        ts = np.linspace(0.0, 1.0, 61)
+        want = self.csv(["t"] + [f"N{i}" for i in range(kv.n_basis)],
+                        [[t] + [eval_basis_function(basis, i, float(t))
+                                for i in range(kv.n_basis)] for t in ts])
+        out = tmp_path / "b.csv"
+        assert main(["basis", "--curve", str(src), "--samples", "60", "--out", str(out)]) == 0
+        assert out.read_text() == want
+
+    def test_check(self, curve_file, capsys):
+        src, kv, fam, cpts, basis = curve_file
+        pu = max(abs(float(nonzero_basis_values(basis, float(t))[1].sum()) - 1.0)
+                 for t in np.linspace(0.0, 1.0, 501))
+        piece, br, jump = form_piecewise(cpts, basis), kv.active_region(), 0.0
+        for j in range(1, len(br) - 1):
+            if br[j] - br[j - 1] > 1e-10 and br[j + 1] - br[j] > 1e-10:
+                x = float(br[j])
+                diff = piece.value(x) - piece.value(np.nextafter(x, -np.inf))
+                jump = max(jump, float(np.max(np.abs(diff))))
+        want = (f"partition of unity: max deviation {pu:.3e}\n"
+                f"breakpoint continuity: max jump {jump:.3e}\nOK\n")
+        assert main(["check", "--curve", str(src)]) == 0
+        assert capsys.readouterr().out == want
+
+
+def test_successive_calls_share_no_state(tmp_path, monkeypatch, capsys):
+    """main() parses with one parser per process; each call starts from the
+    defaults."""
+    tols = []
+
+    def recording(kv, fam, tol):
+        tols.append(tol)
+        return build_local_basis(kv, fam, tol)
+
+    monkeypatch.setattr(gbspline.cli, "build_local_basis", recording)
+    src = tmp_path / "c.json"
+    write_demo_curve(src)
+    assert main(["check", "--curve", str(src), "--tol", "1e-8"]) == 0
+    assert main(["eval", "--curve", str(src), "--samples", "3"]) == 0
+    assert main(["greville", "--curve", str(src), "--tol", "1e-9", "--coef-tol", "1e-3"]) == 0
+    assert main(["basis", "--curve", str(src), "--samples", "3",
+                 "--out", str(tmp_path / "b.csv")]) == 0
+    assert tols == [1e-8, 1e-10, 1e-9, 1e-10]
+    for at in ("0.25", "0.75"):
+        out = tmp_path / f"r{at}.json"
+        assert main(["insert", "--curve", str(src), "--at", at, "--out", str(out)]) == 0
+        kv, _, _ = load_curve(out)
+        assert kv.knots[5:7].tolist() == sorted([float(at), 0.5])
 
 
 class TestTolerances:

@@ -16,10 +16,11 @@ from gbspline.errors import (
     InvalidFamily,
     NotNondecreasing,
     NotOpen,
+    OutOfActiveRegion,
     OutOfInterval,
     TooShort,
 )
-from gbspline.knots import containing_spans
+from gbspline.knots import containing_spans, find_interval
 from conftest import ALL_KINDS
 
 
@@ -159,6 +160,31 @@ class TestFamilies:
         assert fam.slots[0] == -1
         assert fam.slots[1] == 0
         assert fam.slots[3] == -1
+
+
+class TestFindInterval:
+    # zero-length intervals first, in the middle (two in a row) and last
+    BREAKS = np.array([0.0, 0.0, 0.2, 0.5, 0.5, 0.5 + 1e-12, 0.8, 1.0, 1.0])
+
+    def test_batch_matches_scalar_calls(self):
+        ts = np.concatenate([self.BREAKS, np.nextafter(self.BREAKS[2:], -np.inf),
+                             np.linspace(0, 1, 41)])
+        got = find_interval(self.BREAKS, ts)
+        assert got.dtype.kind == "i"
+        assert got.tolist() == [find_interval(self.BREAKS, float(t)) for t in ts]
+        # a zero-length interval hands its parameters to the interval on its left
+        for t, j in [(0.0, 1), (0.5, 2), (0.5 + 5e-13, 2), (0.5 + 1e-12, 5), (1.0, 6)]:
+            assert find_interval(self.BREAKS, t) == j
+
+    def test_empty_batch(self):
+        assert find_interval(self.BREAKS, np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.5])
+    def test_rejects_non_finite_or_outside(self, bad):
+        with pytest.raises(OutOfActiveRegion, match=f"t={bad} outside"):
+            find_interval(self.BREAKS, bad)
+        with pytest.raises(OutOfActiveRegion, match=rf"t\[1\]={bad} outside"):
+            find_interval(self.BREAKS, np.array([0.5, bad, 0.2, bad]))
 
 
 class TestKnotFunctionValue:

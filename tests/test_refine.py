@@ -235,6 +235,13 @@ class TestInsertKnots:
                                    atol=1e-10)
         np.testing.assert_allclose(out.cpts[k + 1 :], curve.cpts[k:], atol=1e-10)
 
+    @pytest.mark.parametrize("offset", [5e-11, -5e-11])
+    def test_knot_within_tol_merges_from_either_side(self, offset):
+        kv, fam, basis = make_basis(3, interior=(0.25, 0.5, 0.75))
+        curve = SplineCurve(kv=kv, fam=fam, cpts=np.ones(basis.n_basis))
+        out = insert_knots(curve, basis, [0.5 + offset])
+        assert out.kv.knots.tolist() == [0.0] * 4 + [0.25, 0.5, 0.5, 0.75] + [1.0] * 4
+
     def test_rejects_knot_outside_region(self):
         kv, fam, basis = make_basis(2, interior=(), kind="linear")
         curve = SplineCurve(kv=kv, fam=fam, cpts=np.ones(basis.n_basis))
