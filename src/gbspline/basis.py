@@ -24,8 +24,7 @@ from .errors import (
     LengthMismatch,
     TooFewRows,
 )
-from .knots import (KnotFunctionFamily, KnotVector, build_integral_table, containing_spans,
-                    find_interval, readonly)
+from .knots import KnotFunctionFamily, KnotVector, containing_spans, find_interval, readonly
 from .poly import DEFAULT_TOL, integrate_poly, poly_eval
 
 
@@ -66,13 +65,15 @@ class LocalBasis:
     component c is basis function j+c, so `local.poly_parts` has shape
     (intervals, max(p-1, 0), p+1) and `local.gen_coefs` (intervals, 2, p+1).
     Rows over zero-length intervals hold zeros and are never evaluated.
-    deltas[k-1] lists the level-k normalization integrals.
+    deltas[k-1] lists the level-k normalization integrals; ladder_table, kept from
+    construction, equals build_integral_table(fam, active region, 0, p-1)[1:].
     """
 
     kv: KnotVector
     fam: KnotFunctionFamily
     local: PiecewiseCurve
     deltas: tuple
+    ladder_table: np.ndarray
 
     @property
     def degree(self) -> int:
@@ -128,12 +129,14 @@ class PiecewiseCurve:
         if len(missing):
             k, br = missing[0], self.breaks
             raise IntervalStraddle(f"interval {k} [{br[k]}, {br[k + 1]}] has no generators")
-        u = self.fam.value(slot, "u", self.degree - 1, t, tol)
-        v = self.fam.value(slot, "v", self.degree - 1, t, tol)
         parts, s = self.poly_parts[j], t - self.breaks[j]
         if isinstance(j, np.ndarray):   # degree first for Horner; samples, then components
+            u, v = self.fam.ladders(slot, [self.degree - 1], t, tol)[0]
             parts = parts.swapaxes(0, 1)
             s, u, v = (a.reshape(a.shape + (1,) * (self.gen_coefs.ndim - 2)) for a in (s, u, v))
+        else:
+            u = self.fam.value(slot, "u", self.degree - 1, t, tol)
+            v = self.fam.value(slot, "v", self.degree - 1, t, tol)
         return poly_eval(parts, s) + self.gen_coefs[j, 0] * u + self.gen_coefs[j, 1] * v
 
 
@@ -199,22 +202,26 @@ def build_local_basis(kv: KnotVector, fam: KnotFunctionFamily, tol=DEFAULT_TOL) 
     gen[:, 0, 0] = 1.0
     gen[:, 1, 1] = 1.0
 
-    # ladder values at the right end of every knot interval, orders 0..p
-    right = build_integral_table(fam, knots, 0, p, tol)[:, :, 1]
+    # ladder values of orders 1..p at the right end of every knot interval
+    slots = containing_spans(fam.spans, knots, tol)
+    live = np.flatnonzero(slots >= 0)
+    right = np.zeros((p, m - 1, 2))
+    right[:, live] = fam.ladders(slots[live], range(1, p + 1), knots[live + 1], tol).swapaxes(1, 2)
     deltas = []
     for level in range(1, p):
-        ints = _interval_integrals(lens, alive, poly, gen, right[level])
+        ints = _interval_integrals(lens, alive, poly, gen, right[level - 1])
         delta = ints.sum(axis=1)
         deltas.append(delta)
         poly, gen = _elevate_level(knots, alive, poly, gen, ints, delta, level)
-    deltas.append(_interval_integrals(lens, alive, poly, gen, right[p]).sum(axis=1))
+    deltas.append(_interval_integrals(lens, alive, poly, gen, right[p - 1]).sum(axis=1))
 
     # function-major slots become interval-major rows, components last
     poly, gen = (np.moveaxis(full_reverse_diagonals(a), 1, -1) for a in (poly, gen))
     local = PiecewiseCurve(breaks=kv.active_region(), poly_parts=poly, gen_coefs=gen,
                            degree=p, fam=fam, slots=fam.slots[p : m - p - 1])
-    return LocalBasis(kv=kv, fam=fam, local=local,
-                      deltas=tuple(readonly(d) for d in deltas))
+    right = right[: p - 1, p : m - p - 1]
+    return LocalBasis(kv=kv, fam=fam, local=local, deltas=tuple(readonly(d) for d in deltas),
+                      ladder_table=readonly(np.stack([np.zeros_like(right), right], axis=2)))
 
 
 # evaluation ------------------------------------------------------------------

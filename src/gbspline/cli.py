@@ -112,8 +112,10 @@ def _cmd_check(args, tol, coef_tol):
     jump = piece.value(x, tol) - piece.value(np.nextafter(x, -np.inf), tol)
     worst_jump = float(np.max(np.abs(jump), initial=0.0))
     scale = 1.0 + float(np.max(np.abs(cpts)))
-    ok = worst_pu <= 1e-9 and worst_jump <= 1e-8 * scale
-    print(f"partition of unity: max deviation {worst_pu:.3e}")
+    applies = kv.degree > 1 or set(fam.kinds) == {"linear"}
+    ok = (worst_pu <= 1e-9 or not applies) and worst_jump <= 1e-8 * scale
+    print("partition of unity: " + (f"max deviation {worst_pu:.3e}" if applies
+                                    else "not applicable (degree 1 with non-linear generators)"))
     print(f"breakpoint continuity: max jump {worst_jump:.3e}")
     print("OK" if ok else "FAIL")
     return 0 if ok else 1

@@ -178,36 +178,52 @@ def _each(fn, *args):
     shape = np.broadcast(*args).shape
     columns = []
     for a in args:
-        full = np.empty(shape, a.dtype)
+        full = np.empty(shape, np.result_type(a))
         full[...] = a
         columns.append(full.ravel().tolist())
     return np.fromiter(map(fn, *columns), float, math.prod(shape)).reshape(shape)
 
 
-def _pure_array(kind, which, k, s, h, omega, at):
-    """_pure_<kind>, operation for operation, over (rows, n) arrays `s` with
-    one integer order per row (`k`, shaped (rows, 1)).  `h` and `omega` hold
-    one entry per span and `at` maps each column to its span, so factors of
-    span and order alone (1/sin(omega*h) or 1/sinh(omega*h), omega**k) are
-    computed once per span."""
-    if kind == "linear":
-        e = np.maximum(k, 0)
-        rise = _each(pow, s, e + 1) / (_FACTORIAL[e + 1] * h)[:, at]
-        if which == "u":
-            return np.where(k >= 0, rise, np.where(k == -1, (1.0 / h)[at], 0.0))
-        fall = _each(pow, s, e) / _FACTORIAL[e] - rise
-        return np.where(k > 0, fall, np.where(k == 0, (h[at] - s) / h[at],
-                                              np.where(k == -1, (-1.0 / h)[at], 0.0)))
-    sign, x = (1.0, s) if which == "u" else (np.where(k % 2 == 0, 1.0, -1.0), h[at] - s)
-    if kind == "trigonometric":
-        c = (1.0 / _each(math.sin, omega * h))[at]
-        g = _each(math.sin, omega[at] * x - k * math.pi / 2)
-    else:
-        c = (1.0 / _each(math.sinh, omega * h))[at]
-        arg, odd = omega[at] * x, np.broadcast_to(k % 2 == 1, s.shape)
-        g = np.empty(arg.shape)
-        g[~odd], g[odd] = _each(math.sinh, arg[~odd]), _each(math.cosh, arg[odd])
-    return c * sign * g / _each(pow, omega, k)[:, at]
+def _closed_forms(kind, orders, s, pw, h, omega, c, wk):
+    """_pure_<kind> of u and v for each order at points s, operation for operation,
+    from pw[e] = s**e and, per point, the span's h, omega, c = 1/sin(omega*h) or
+    1/sinh(omega*h) and wk[k] = omega**k; shaped (len(orders), 2, n)."""
+    out, x = np.zeros((len(orders), 2, len(s))), (s, h - s)
+    g = {(w, r): _each((math.sinh, math.cosh)[r], omega * x[w]) for w in (0, 1)
+         for r in {k % 2 for k in orders}} if kind == "exponential" else {}
+    for i, k in enumerate(orders):
+        if kind == "linear":
+            rise = pw[k + 1] / (_FACTORIAL[k + 1] * h) if k >= 0 else 1.0 / h if k == -1 else 0.0
+            out[i, 0], out[i, 1] = rise, (pw[k] / _FACTORIAL[k] - rise if k > 0 else (h - s) / h
+                                          if k == 0 else -1.0 / h if k == -1 else 0.0)
+            continue
+        for w, sign in enumerate((1.0, (-1.0) ** k)):
+            val = g[w, k % 2] if g else _each(math.sin, omega * x[w] - k * math.pi / 2)
+            out[i, w] = c * sign * val / wk[k]
+    return out
+
+
+def _ladder_kernel(kind, orders, s, h, omega, at):
+    """value() of u and v for every order at points s of one kind, in spans (h,
+    omega) that `at` maps them to.  Powers of s, the span factors, exponential
+    sinh/cosh and the Taylor subtraction's closed forms at s = 0 are shared."""
+    top = max(max(orders, default=0), 0)
+    c, wk = np.zeros(len(h)), {}
+    if kind != "linear":
+        c = 1.0 / _each(math.sin if kind == "trigonometric" else math.sinh, omega * h)
+        wk = {0: np.ones_like(omega), 1: omega}   # pow gives x**0 = 1 and x**1 = x exactly
+        wk.update((k, _each(pow, omega, k)) for k in {*orders, *range(top + 1)} - {0, 1})
+    pw = {0: np.ones_like(s), 1: s}
+    pw.update((e, _each(pow, s, e)) for e in range(2, top + 2 if kind == "linear" else top))
+    val = _closed_forms(kind, orders, s, pw, h[at], omega[at], c[at],
+                        {k: w[at] for k, w in wk.items()})
+    # minus the order-j closed forms at s = 0 times s**(k-j)/(k-j)!
+    zpw = {e: np.full(len(h), float(e == 0)) for e in range(top + 2)}
+    zero = _closed_forms(kind, range(1, top + 1), np.zeros(len(h)), zpw, h, omega, c, wk)
+    for i, k in enumerate(orders):
+        for j in range(1, k + 1):
+            val[i] = val[i] - zero[j - 1][:, at] * pw[k - j] / _FACTORIAL[k - j]
+    return val
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,12 +255,12 @@ class KnotFunctionFamily:
         order 0 is the generator itself, positive orders are repeated
         integrals from the interval's left endpoint, negative orders are
         derivatives.  With an array `t` (and `slot` broadcasting against
-        it) every entry equals the scalar call bit for bit.
+        it) this is `ladders` for one order.
         """
         if which not in ("u", "v"):
             raise ValueError("which must be 'u' or 'v'")
         if isinstance(t, np.ndarray):
-            return self._values(slot, which, order, t, tol)
+            return self.ladders(slot, [order], t, tol)[0, "uv".index(which), ...]
         left, right = self.spans[slot]
         if t < left - tol or t > right + tol:
             raise OutOfInterval(f"t={t} outside [{left}, {right}]")
@@ -257,32 +273,27 @@ class KnotFunctionFamily:
             val -= pure(which, j, 0.0, h, omega) * s ** (order - j) / math.factorial(order - j)
         return val
 
-    def _values(self, slot, which, order, t, tol):
-        shape = t.shape
-        slot, t = np.broadcast_to(slot, shape).ravel(), t.astype(float).ravel()
+    def ladders(self, slot, orders, t, tol=DEFAULT_TOL):
+        """Ladder values of u and v for each of `orders` at array t, shaped
+        (len(orders), 2, *t.shape): entry [i, w] is value(slot, "uv"[w],
+        orders[i], t) bit for bit, whichever orders are asked for together."""
+        t = np.asarray(t, dtype=float)
+        shape, orders = t.shape, [int(k) for k in orders]
+        slot, t = np.broadcast_to(slot, shape).ravel(), t.ravel()
         left, right = self.spans[slot].T
         outside = np.flatnonzero((t < left - tol) | (t > right + tol))
         if len(outside):
             i = outside[0]
-            raise OutOfInterval(f"t={t[i]} outside [{left[i]}, {right[i]}]")
+            raise OutOfInterval(f"t={t[i]} outside [{left[i]}, {right[i]}] (entry {i})")
         s, ids = t - left, self._kind_ids[slot]
-        val = np.empty(len(t))
+        out = np.empty((len(orders), 2, len(t)))
         for code in np.flatnonzero(np.bincount(ids, minlength=len(KINDS))).tolist():
             sel = ids == code
-            used = np.zeros(self.n_spans, dtype=bool)
-            used[slot[sel]] = True
+            used = np.bincount(slot[sel], minlength=self.n_spans) > 0
             spans, at = np.flatnonzero(used), (np.cumsum(used) - 1)[slot[sel]]
             h, omega = self.spans[spans, 1] - self.spans[spans, 0], self.omegas[spans]
-            v = _pure_array(KINDS[code], which, np.array([[order]]), s[None, sel], h, omega, at)[0]
-            if order > 0:   # minus the order-j closed forms at s = 0 times s**(order-j)/(order-j)!
-                j = np.arange(1, order + 1)[:, None]
-                zero = _pure_array(KINDS[code], which, j, np.zeros((order, len(spans))), h, omega,
-                                   np.arange(len(spans)))
-                e = order - j
-                for term in zero[:, at] * _each(pow, s[None, sel], e) / _FACTORIAL[e]:
-                    v = v - term
-            val[sel] = v
-        return val.reshape(shape)
+            out[:, :, sel] = _ladder_kernel(KINDS[code], orders, s[sel], h, omega, at)
+        return out.reshape((len(orders), 2) + shape)
 
 
 def build_family(knots, kind="trigonometric", omega=math.pi / 2, *,
@@ -337,7 +348,7 @@ def build_integral_table(fam: KnotFunctionFamily, breakpoints, derivative_offset
     `derivative_offset`-th derivative of generator w ('u' first) of the
     source interval containing target interval j, evaluated at endpoint e
     (left, then right).  Zero-length target intervals are left as zeros.
-    One array `fam.value` call per order and generator covers every target.
+    One `fam.ladders` call covers every order, generator and target.
     """
     if derivative_offset < 0:
         raise ValueError("derivative_offset must be nonnegative")
@@ -345,9 +356,7 @@ def build_integral_table(fam: KnotFunctionFamily, breakpoints, derivative_offset
     slots = containing_spans(fam.spans, br, tol)
     live = np.flatnonzero(slots >= 0)
     ends = np.stack([br[live], br[live + 1]], axis=1)
+    orders = range(-derivative_offset, max_order + 1 - derivative_offset)
     out = np.zeros((max_order + 1, len(slots), 2, 2))
-    for k in range(max_order + 1):
-        for w, which in enumerate("uv"):
-            out[k, live, :, w] = fam.value(slots[live, None], which, k - derivative_offset,
-                                           ends, tol)
+    out[:, live] = np.moveaxis(fam.ladders(slots[live, None], orders, ends, tol), 1, -1)
     return out

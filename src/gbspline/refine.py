@@ -293,7 +293,8 @@ def refined_spline(curve: SplineCurve, basis: LocalBasis | None = None, *,
     basis1 = build_local_basis(kv1, fam1, tol)
     breaks1 = kv1.active_region()
     tables_src = build_integral_table(curve.fam, breaks1, q - p, q - 1, tol)
-    tables_dst = build_integral_table(fam1, breaks1, 0, q - 1, tol)
+    tables_dst = np.concatenate([build_integral_table(fam1, breaks1, 0, 0, tol),
+                                 basis1.ladder_table])
     cpts1 = refine_curve(piece, basis1, tables_src, tables_dst, tol, coef_tol)
     return SplineCurve(kv=kv1, fam=fam1, cpts=cpts1)
 
@@ -342,5 +343,6 @@ def greville_abscissae(basis: LocalBasis, tol=DEFAULT_TOL, coef_tol=None) -> np.
         gen[pos] = 1.0
     piece = PiecewiseCurve(breaks=breaks, poly_parts=poly, gen_coefs=gen,
                            degree=p, fam=basis.fam, slots=slots)
-    tables = build_integral_table(basis.fam, breaks, 0, p - 1, tol)
+    tables = np.concatenate([build_integral_table(basis.fam, breaks, 0, 0, tol),
+                             basis.ladder_table])
     return refine_curve(piece, basis, tables, tables, tol, coef_tol)

@@ -189,6 +189,27 @@ class TestCommands:
         write_demo_curve(src)
         assert main(["check", "--curve", str(src)]) == 0
 
+    @pytest.mark.parametrize("kind", ["trigonometric", "exponential"])
+    def test_check_degree_one_non_linear(self, tmp_path, capsys, kind):
+        # the degree-1 space {u, v} holds no constants: partition of unity
+        # does not apply, and continuity alone decides
+        src = tmp_path / "c.json"
+        write_demo_curve(src, knots=[0, 0, .5, 1, 1], degree=1, kind=kind)
+        assert main(["check", "--curve", str(src)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "partition of unity: not applicable (degree 1 with non-linear generators)"
+        assert lines[1].startswith("breakpoint continuity: max jump ")
+        assert lines[2] == "OK"
+
+    def test_check_degree_one_linear_reports_deviation(self, tmp_path, capsys):
+        src = tmp_path / "c.json"
+        write_demo_curve(src, knots=[0, 0, .5, 1, 1], degree=1, kind="linear")
+        assert main(["check", "--curve", str(src)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("partition of unity: max deviation ")
+        assert float(lines[0].rsplit(" ", 1)[1]) <= 1e-9
+        assert lines[2] == "OK"
+
     def test_domain_error_exit_code(self, tmp_path, capsys):
         src = tmp_path / "c.json"
         write_demo_curve(src)

@@ -305,3 +305,45 @@ class TestArrayLadder:
         fam = self.family("trigonometric")
         with pytest.raises(OutOfInterval, match="t=0.5 outside"):
             fam.value(0, "u", 0, np.array([0.1, 0.5]))
+
+
+class TestLadderKernel:
+    """`fam.ladders` computes every order and both generators in one call;
+    each entry equals the scalar `fam.value` call bit for bit."""
+
+    ORDERS = list(range(-3, 10))
+
+    @staticmethod
+    def points(fam):
+        # both ends and two interior points of every span
+        slot = np.repeat(np.arange(fam.n_spans), 4)
+        left, right = fam.spans[slot, 0], fam.spans[slot, 1]
+        return slot, left + np.tile([0.0, 0.3, 0.71, 1.0], fam.n_spans) * (right - left)
+
+    @pytest.mark.parametrize("kind", TestArrayLadder.KINDS)
+    def test_matches_stacked_scalar_calls(self, kind):
+        fam = TestArrayLadder.family(kind)
+        slot, t = self.points(fam)
+        got = fam.ladders(slot, self.ORDERS, t)
+        want = [[[fam.value(int(sl), which, k, float(x)) for sl, x in zip(slot, t)]
+                 for which in "uv"] for k in self.ORDERS]
+        assert got.shape == (len(self.ORDERS), 2, len(t))
+        assert np.array_equal(got, want)
+        assert got.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("kind", TestArrayLadder.KINDS)
+    def test_one_order_equals_its_slice_of_many(self, kind):
+        fam = TestArrayLadder.family(kind)
+        slot, t = self.points(fam)
+        for k in range(10):
+            alone = fam.ladders(slot, [k], t)
+            assert alone.tobytes() == fam.ladders(slot, range(k + 1), t)[k:].tobytes()
+
+    def test_empty_t(self):
+        fam = TestArrayLadder.family("exponential")
+        assert fam.ladders(np.array([], dtype=int), [0, 1, 2], np.array([])).shape == (3, 2, 0)
+
+    def test_out_of_interval_entry_is_named(self):
+        fam = TestArrayLadder.family("trigonometric")
+        with pytest.raises(OutOfInterval, match=r"t=0\.5 outside \[0\.0, 0\.3\] \(entry 2\)"):
+            fam.ladders(0, [0, 1], np.array([0.0, 0.1, 0.5]))

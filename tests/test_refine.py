@@ -466,3 +466,54 @@ class TestBatchedSolve:
         rhs = rng.uniform(-1, 1, (6, 5, 3))
         x = _solve(mats, rhs, SingularLocalSystem, str)
         np.testing.assert_allclose(x, np.linalg.solve(mats, rhs), rtol=0, atol=1e-12)
+
+
+class TestMixedFamily:
+    """Trigonometric and exponential spans side by side, each with its own
+    frequency, through every refinement and through the shared tables."""
+
+    @staticmethod
+    def curve(degree=3):
+        kv = open_kv(degree, [0.15, 0.3, 0.5, 0.62, 0.8])
+        count = len(kv.active_region()) - 1
+        fam = build_family(kv.knots, kinds=["trigonometric", "exponential"] * (count // 2),
+                           omegas=np.linspace(0.8, 2.6, count))
+        cpts = np.random.default_rng(21).uniform(-1, 1, (kv.n_basis, 2))
+        return SplineCurve(kv=kv, fam=fam, cpts=cpts), build_local_basis(kv, fam)
+
+    @pytest.mark.parametrize("insert, raise_by", [
+        ((0.4321,), 0), ((), 1), ((), 2), ((0.07, 0.55), 1)])
+    def test_refinement_preserves_the_curve(self, insert, raise_by):
+        curve, basis = self.curve()
+        out = refined_spline(curve, basis, insert=insert, elevate_by=raise_by)
+        assert out.kv.degree == 3 + raise_by
+        # every target span keeps the kind and frequency of its source span
+        assert (set(zip(out.fam.kinds, out.fam.omegas.tolist()))
+                == set(zip(curve.fam.kinds, curve.fam.omegas.tolist())))
+        ts = np.linspace(0, 1, 301)
+        gap = np.abs(eval_curve(out, refit(out), ts) - eval_curve(curve, basis, ts)).max()
+        assert gap <= 1e-8 * max(1.0, float(np.abs(curve.cpts).max()))
+
+    @pytest.mark.parametrize("insert, raise_by", [((0.4321,), 0), ((0.55,), 2)])
+    def test_shared_tables_match_tables_built_apart(self, insert, raise_by):
+        # refined_spline reuses the target basis's ladder values for the target
+        # tables; building those tables from scratch gives the same bytes
+        curve, basis = self.curve()
+        out = refined_spline(curve, basis, insert=insert, elevate_by=raise_by)
+        basis1 = build_local_basis(out.kv, out.fam)
+        breaks1, q = out.kv.active_region(), out.kv.degree
+        tables_dst = build_integral_table(out.fam, breaks1, 0, q - 1)
+        assert basis1.ladder_table.tobytes() == tables_dst[1:].tobytes()
+        tables_src = build_integral_table(curve.fam, breaks1, raise_by, q - 1)
+        cpts = refine_curve(form_piecewise(curve.cpts, basis), basis1, tables_src, tables_dst)
+        assert cpts.tobytes() == out.cpts.tobytes()
+
+    def test_greville_matches_tables_built_apart(self):
+        _, basis = self.curve(degree=4)
+        breaks = basis.kv.active_region()
+        tables = build_integral_table(basis.fam, breaks, 0, 3)
+        piece = PiecewiseCurve(breaks=breaks, poly_parts=np.stack([breaks[:-1], np.ones(6),
+                                                                   np.zeros(6)], axis=1),
+                               gen_coefs=np.zeros((6, 2)), degree=4, fam=basis.fam)
+        want = refine_curve(piece, basis, tables, tables)
+        assert greville_abscissae(basis).tobytes() == want.tobytes()
