@@ -131,7 +131,7 @@ class PiecewiseCurve:
             raise IntervalStraddle(f"interval {k} [{br[k]}, {br[k + 1]}] has no generators")
         parts, s = self.poly_parts[j], t - self.breaks[j]
         if isinstance(j, np.ndarray):   # degree first for Horner; samples, then components
-            u, v = self.fam.ladders(slot, [self.degree - 1], t, tol)[0]
+            u, v = self.fam.value(slot, "uv", self.degree - 1, t, tol)
             parts = parts.swapaxes(0, 1)
             s, u, v = (a.reshape(a.shape + (1,) * (self.gen_coefs.ndim - 2)) for a in (s, u, v))
         else:
@@ -206,7 +206,8 @@ def build_local_basis(kv: KnotVector, fam: KnotFunctionFamily, tol=DEFAULT_TOL) 
     slots = containing_spans(fam.spans, knots, tol)
     live = np.flatnonzero(slots >= 0)
     right = np.zeros((p, m - 1, 2))
-    right[:, live] = fam.ladders(slots[live], range(1, p + 1), knots[live + 1], tol).swapaxes(1, 2)
+    ends = fam.value(slots[live], "uv", range(1, p + 1), knots[live + 1], tol)
+    right[:, live] = ends.swapaxes(1, 2)
     deltas = []
     for level in range(1, p):
         ints = _interval_integrals(lens, alive, poly, gen, right[level - 1])

@@ -255,12 +255,33 @@ class KnotFunctionFamily:
         order 0 is the generator itself, positive orders are repeated
         integrals from the interval's left endpoint, negative orders are
         derivatives.  With an array `t` (and `slot` broadcasting against
-        it) this is `ladders` for one order.
+        it), `order` may be a sequence and `which` "uv": one kernel pass gives
+        an array shaped ([len(order),] [2,] *t.shape) whose entry [i, w] is
+        value(slot, "uv"[w], order[i], t) bit for bit.
         """
+        if isinstance(t, np.ndarray):
+            if which not in ("u", "v", "uv"):
+                raise ValueError("which must be 'u', 'v' or 'uv'")
+            orders, shape = [int(k) for k in np.atleast_1d(order).tolist()], t.shape
+            slot, t = np.broadcast_to(slot, shape).ravel(), t.astype(float, copy=False).ravel()
+            left, right = self.spans[slot].T
+            outside = np.flatnonzero((t < left - tol) | (t > right + tol))
+            if len(outside):
+                i = outside[0]
+                raise OutOfInterval(f"t={t[i]} outside [{left[i]}, {right[i]}] (entry {i})")
+            s, ids = t - left, self._kind_ids[slot]
+            out = np.empty((len(orders), 2, len(t)))
+            for code in np.flatnonzero(np.bincount(ids, minlength=len(KINDS))).tolist():
+                sel = ids == code
+                used = np.bincount(slot[sel], minlength=self.n_spans) > 0
+                spans, at = np.flatnonzero(used), (np.cumsum(used) - 1)[slot[sel]]
+                h, omega = self.spans[spans, 1] - self.spans[spans, 0], self.omegas[spans]
+                out[:, :, sel] = _ladder_kernel(KINDS[code], orders, s[sel], h, omega, at)
+            out = out.reshape((len(orders), 2) + shape)
+            out = out if which == "uv" else out[:, "uv".index(which)]
+            return out if np.ndim(order) else out[0]
         if which not in ("u", "v"):
             raise ValueError("which must be 'u' or 'v'")
-        if isinstance(t, np.ndarray):
-            return self.ladders(slot, [order], t, tol)[0, "uv".index(which), ...]
         left, right = self.spans[slot]
         if t < left - tol or t > right + tol:
             raise OutOfInterval(f"t={t} outside [{left}, {right}]")
@@ -272,28 +293,6 @@ class KnotFunctionFamily:
         for j in range(1, max(order, 0) + 1):
             val -= pure(which, j, 0.0, h, omega) * s ** (order - j) / math.factorial(order - j)
         return val
-
-    def ladders(self, slot, orders, t, tol=DEFAULT_TOL):
-        """Ladder values of u and v for each of `orders` at array t, shaped
-        (len(orders), 2, *t.shape): entry [i, w] is value(slot, "uv"[w],
-        orders[i], t) bit for bit, whichever orders are asked for together."""
-        t = np.asarray(t, dtype=float)
-        shape, orders = t.shape, [int(k) for k in orders]
-        slot, t = np.broadcast_to(slot, shape).ravel(), t.ravel()
-        left, right = self.spans[slot].T
-        outside = np.flatnonzero((t < left - tol) | (t > right + tol))
-        if len(outside):
-            i = outside[0]
-            raise OutOfInterval(f"t={t[i]} outside [{left[i]}, {right[i]}] (entry {i})")
-        s, ids = t - left, self._kind_ids[slot]
-        out = np.empty((len(orders), 2, len(t)))
-        for code in np.flatnonzero(np.bincount(ids, minlength=len(KINDS))).tolist():
-            sel = ids == code
-            used = np.bincount(slot[sel], minlength=self.n_spans) > 0
-            spans, at = np.flatnonzero(used), (np.cumsum(used) - 1)[slot[sel]]
-            h, omega = self.spans[spans, 1] - self.spans[spans, 0], self.omegas[spans]
-            out[:, :, sel] = _ladder_kernel(KINDS[code], orders, s[sel], h, omega, at)
-        return out.reshape((len(orders), 2) + shape)
 
 
 def build_family(knots, kind="trigonometric", omega=math.pi / 2, *,
@@ -348,7 +347,7 @@ def build_integral_table(fam: KnotFunctionFamily, breakpoints, derivative_offset
     `derivative_offset`-th derivative of generator w ('u' first) of the
     source interval containing target interval j, evaluated at endpoint e
     (left, then right).  Zero-length target intervals are left as zeros.
-    One `fam.ladders` call covers every order, generator and target.
+    One array `fam.value` call covers every order, generator and target.
     """
     if derivative_offset < 0:
         raise ValueError("derivative_offset must be nonnegative")
@@ -358,5 +357,5 @@ def build_integral_table(fam: KnotFunctionFamily, breakpoints, derivative_offset
     ends = np.stack([br[live], br[live + 1]], axis=1)
     orders = range(-derivative_offset, max_order + 1 - derivative_offset)
     out = np.zeros((max_order + 1, len(slots), 2, 2))
-    out[:, live] = np.moveaxis(fam.ladders(slots[live, None], orders, ends, tol), 1, -1)
+    out[:, live] = np.moveaxis(fam.value(slots[live, None], "uv", orders, ends, tol), 1, -1)
     return out

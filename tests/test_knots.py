@@ -308,8 +308,9 @@ class TestArrayLadder:
 
 
 class TestLadderKernel:
-    """`fam.ladders` computes every order and both generators in one call;
-    each entry equals the scalar `fam.value` call bit for bit."""
+    """An array `fam.value` call with a sequence of orders and which="uv"
+    computes every order and both generators in one kernel pass; each entry
+    equals the scalar `fam.value` call bit for bit."""
 
     ORDERS = list(range(-3, 10))
 
@@ -324,7 +325,7 @@ class TestLadderKernel:
     def test_matches_stacked_scalar_calls(self, kind):
         fam = TestArrayLadder.family(kind)
         slot, t = self.points(fam)
-        got = fam.ladders(slot, self.ORDERS, t)
+        got = fam.value(slot, "uv", self.ORDERS, t)
         want = [[[fam.value(int(sl), which, k, float(x)) for sl, x in zip(slot, t)]
                  for which in "uv"] for k in self.ORDERS]
         assert got.shape == (len(self.ORDERS), 2, len(t))
@@ -336,14 +337,23 @@ class TestLadderKernel:
         fam = TestArrayLadder.family(kind)
         slot, t = self.points(fam)
         for k in range(10):
-            alone = fam.ladders(slot, [k], t)
-            assert alone.tobytes() == fam.ladders(slot, range(k + 1), t)[k:].tobytes()
+            many = fam.value(slot, "uv", range(k + 1), t)
+            assert fam.value(slot, "uv", [k], t).tobytes() == many[k:].tobytes()
+            assert fam.value(slot, "uv", k, t).tobytes() == many[k].tobytes()
+            assert fam.value(slot, "v", [k], t).tobytes() == many[k:, 1].tobytes()
 
     def test_empty_t(self):
         fam = TestArrayLadder.family("exponential")
-        assert fam.ladders(np.array([], dtype=int), [0, 1, 2], np.array([])).shape == (3, 2, 0)
+        assert fam.value(np.array([], dtype=int), "uv", [0, 1, 2], np.array([])).shape == (3, 2, 0)
 
     def test_out_of_interval_entry_is_named(self):
         fam = TestArrayLadder.family("trigonometric")
         with pytest.raises(OutOfInterval, match=r"t=0\.5 outside \[0\.0, 0\.3\] \(entry 2\)"):
-            fam.ladders(0, [0, 1], np.array([0.0, 0.1, 0.5]))
+            fam.value(0, "uv", [0, 1], np.array([0.0, 0.1, 0.5]))
+
+    def test_both_generators_need_an_array_t(self):
+        fam = TestArrayLadder.family("trigonometric")
+        with pytest.raises(ValueError, match="which must be 'u' or 'v'"):
+            fam.value(0, "uv", 0, 0.1)
+        with pytest.raises(ValueError, match="which must be 'u', 'v' or 'uv'"):
+            fam.value(0, "w", 0, np.array([0.1]))

@@ -1,4 +1,5 @@
 """Projection-based refinement: reindexing, generator rewrites, drivers."""
+import dataclasses
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from gbspline import (
 )
 from gbspline.errors import (
     DegreeTooSmall,
+    GBSplineError,
     FamilyNotClosedUnderDerivative,
     InconsistentCoefficient,
     IntervalStraddle,
@@ -343,6 +345,28 @@ class TestGreville:
         kv, fam, basis = make_basis(2, interior=(0.5,))
         with pytest.raises(InconsistentCoefficient):
             greville_abscissae(basis)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("width", [1e-7, 1e-10])
+    @pytest.mark.parametrize("basis_tol, tol", [
+        (1e-12, 1e-6), (1e-6, 1e-12), (1e-6, 1e-9), (1e-9, 1e-6)])
+    def test_tolerance_other_than_the_basis_build(self, kind, width, basis_tol, tol):
+        # orders 1..p-1 come from the basis's ladder_table, built under the
+        # basis's tolerance; an interval of sub-tolerance width live under one
+        # tolerance and not the other gives what a full table under `tol` gives
+        knots = [0.0] * 4 + [0.3, 0.3 + width, 0.6] + [1.0] * 4
+        kv = KnotVector(np.array(knots), 3)
+        fam = build_family(knots, kind, 1.0, tol=1e-12)
+        basis = build_local_basis(kv, fam, basis_tol)
+        full = build_integral_table(fam, kv.active_region(), 0, 2, tol)
+
+        def outcome(b):
+            try:
+                return greville_abscissae(b, tol).tobytes()
+            except GBSplineError as e:
+                return type(e), str(e)
+
+        assert outcome(basis) == outcome(dataclasses.replace(basis, ladder_table=full[1:]))
 
 
 # (kind, inserted knots, degree raise): insertion for every kind, elevation
