@@ -8,11 +8,15 @@ Construction runs the recursive-integral definition function by function,
 but every integral is exact (symbolic for polynomial parts, closed-form
 ladders for generator parts), so no quadrature enters the production path.
 
-Built values are immutable and safe to evaluate concurrently.
+Built values are immutable and safe to evaluate concurrently.  A
+PiecewiseCurve lays its coefficients out for scalar evaluation on first
+use; that copy, like the family's per-span constants, never changes a
+result.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -124,20 +128,49 @@ class PiecewiseCurve:
         Arrays j and t of N samples give a leading axis of N; each row
         equals the scalar call bit for bit.
         """
+        if not isinstance(j, np.ndarray):
+            return self._scalar_value_on(j, t, tol)
         slot = self.slots[j]
-        missing = np.extract(slot < 0, j) if isinstance(j, np.ndarray) else [j] if slot < 0 else []
+        missing = np.extract(slot < 0, j)
         if len(missing):
-            k, br = missing[0], self.breaks
-            raise IntervalStraddle(f"interval {k} [{br[k]}, {br[k + 1]}] has no generators")
-        parts, s = self.poly_parts[j], t - self.breaks[j]
-        if isinstance(j, np.ndarray):   # degree first for Horner; samples, then components
-            u, v = self.fam.value(slot, "uv", self.degree - 1, t, tol)
-            parts = parts.swapaxes(0, 1)
-            s, u, v = (a.reshape(a.shape + (1,) * (self.gen_coefs.ndim - 2)) for a in (s, u, v))
-        else:
-            u = self.fam.value(slot, "u", self.degree - 1, t, tol)
-            v = self.fam.value(slot, "v", self.degree - 1, t, tol)
+            self._no_generators(missing[0])
+        # degree first for Horner; samples, then components
+        parts, s = self.poly_parts[j].swapaxes(0, 1), t - self.breaks[j]
+        u, v = self.fam.value(slot, "uv", self.degree - 1, t, tol)
+        s, u, v = (a.reshape(a.shape + (1,) * (self.gen_coefs.ndim - 2)) for a in (s, u, v))
         return poly_eval(parts, s) + self.gen_coefs[j, 0] * u + self.gen_coefs[j, 1] * v
+
+    def _scalar_value_on(self, j, t, tol):
+        """value_on for one sample in Python floats: per component the same
+        IEEE operations in the same order as the array expression, so the
+        same bits."""
+        slot = int(self.slots[j])
+        if slot < 0:
+            self._no_generators(j)
+        fam, order = self.fam, self.degree - 1
+        u = fam.value(slot, "u", order, t, tol)
+        v = fam.value(slot, "v", order, t, tol)
+        s, out = t - float(self.breaks[j]), []
+        for *poly, a, b in self._coef_rows[j].tolist():
+            acc = 0.0
+            for c in poly:
+                acc = acc * s + c
+            out.append(acc + a * u + b * v)
+        return np.array(out) if self.gen_coefs.ndim == 3 else np.float64(out[0])
+
+    def _no_generators(self, k):
+        br = self.breaks
+        raise IntervalStraddle(f"interval {k} [{br[k]}, {br[k + 1]}] has no generators")
+
+    @cached_property
+    def _coef_rows(self):
+        """Per interval and component (one without a component axis): the
+        polynomial coefficients, highest degree first, then the generator
+        pair.  Built on the first scalar value_on call."""
+        comps = self.gen_coefs.shape[2:] or (1,)
+        parts = self.poly_parts[:, ::-1].reshape(self.poly_parts.shape[:2] + comps)
+        gen = self.gen_coefs.reshape(self.gen_coefs.shape[:2] + comps)
+        return np.concatenate([parts, gen], axis=1).swapaxes(1, 2).copy()
 
 
 # construction ----------------------------------------------------------------
@@ -257,11 +290,12 @@ def eval_curve(curve: SplineCurve, basis: LocalBasis, t, tol=DEFAULT_TOL):
     (n, d).  An array of N parameters gives values shaped (N,) or (N, d),
     each equal to the scalar call bit for bit.
     """
-    if len(curve.cpts) != basis.n_basis:
+    kv = basis.kv   # n_basis and degree, without the property chain
+    if len(curve.cpts) != len(kv.knots) - kv.degree - 1:
         raise LengthMismatch("curve and basis sizes differ")
     first, vals = nonzero_basis_values(basis, t, tol)
     if not isinstance(first, np.ndarray):
-        return _point(vals @ curve.cpts[first : first + basis.degree + 1])
+        return _point(vals @ curve.cpts[first : first + kv.degree + 1])
     # row by row the same (1, p+1) @ (p+1, d) product as the scalar call
     cpts = curve.cpts.reshape(len(curve.cpts), -1)
     window = cpts[first[:, None] + np.arange(basis.degree + 1)]

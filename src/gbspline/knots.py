@@ -8,6 +8,9 @@ vanishes there; this canonical choice keeps all downstream bookkeeping
 free of integration constants.
 
 All types are immutable after construction and safe for concurrent reads.
+A family fills a cache of per-span constants on its first scalar `value`
+calls; what the cache holds depends only on the span, the generator order
+and the family, never on `tol`, so a filled cache never changes a result.
 """
 from __future__ import annotations
 
@@ -91,8 +94,11 @@ def find_interval(breaks, t, tol=DEFAULT_TOL):
     if not isinstance(t, np.ndarray) or t.ndim == 0:
         if not breaks[0] <= t <= breaks[-1]:
             raise OutOfActiveRegion(f"t={t} outside [{breaks[0]}, {breaks[-1]}]")
-        j = min(int(np.searchsorted(breaks, t, side="right")) - 1, len(breaks) - 2)
-        return int(_positive_at_or_left(breaks, tol)[j]) if breaks[j + 1] - breaks[j] <= tol else j
+        j = min(int(breaks.searchsorted(t, side="right")) - 1, len(breaks) - 2)
+        if breaks[j + 1] - breaks[j] <= tol:   # _positive_at_or_left, for one j
+            while j > 0 and not breaks[j + 1] - breaks[j] > tol:
+                j -= 1
+        return j
     outside = np.flatnonzero(~((t >= breaks[0]) & (t <= breaks[-1])))
     if len(outside):
         i = int(outside[0])
@@ -240,10 +246,12 @@ class KnotFunctionFamily:
     omegas: np.ndarray
     slots: np.ndarray   # (number of knot intervals,)
     _kind_ids: np.ndarray = field(init=False, repr=False)
+    _scalar: dict = field(init=False, repr=False)   # (slot, order) -> _span_constants
 
     def __post_init__(self):
         object.__setattr__(self, "_kind_ids",
                            readonly([KINDS.index(k) for k in self.kinds], dtype=int))
+        object.__setattr__(self, "_scalar", {})
 
     @property
     def n_spans(self) -> int:
@@ -257,7 +265,9 @@ class KnotFunctionFamily:
         derivatives.  With an array `t` (and `slot` broadcasting against
         it), `order` may be a sequence and `which` "uv": one kernel pass gives
         an array shaped ([len(order),] [2,] *t.shape) whose entry [i, w] is
-        value(slot, "uv"[w], order[i], t) bit for bit.
+        value(slot, "uv"[w], order[i], t) bit for bit.  A scalar t reads the
+        span's constants from a cache that the first call for (slot, order)
+        fills; `tol` is checked on every call.
         """
         if isinstance(t, np.ndarray):
             if which not in ("u", "v", "uv"):
@@ -282,17 +292,28 @@ class KnotFunctionFamily:
             return out if np.ndim(order) else out[0]
         if which not in ("u", "v"):
             raise ValueError("which must be 'u' or 'v'")
-        left, right = self.spans[slot]
+        key = (slot, order)
+        entry = self._scalar.get(key)
+        if entry is None:
+            entry = self._scalar[key] = self._span_constants(slot, order)
+        left, right, h, omega, pure, zeros_u, zeros_v = entry
         if t < left - tol or t > right + tol:
             raise OutOfInterval(f"t={t} outside [{left}, {right}]")
-        h = right - left
         s = t - left
-        pure = _PURE[self.kinds[slot]]
-        omega = float(self.omegas[slot])
         val = pure(which, order, s, h, omega)
-        for j in range(1, max(order, 0) + 1):
-            val -= pure(which, j, 0.0, h, omega) * s ** (order - j) / math.factorial(order - j)
+        for j, zero in enumerate(zeros_u if which == "u" else zeros_v, 1):
+            val -= zero * s ** (order - j) / math.factorial(order - j)
         return val
+
+    def _span_constants(self, slot, order):
+        """What a scalar value() call reads of its span, as Python floats: the
+        ends, h, omega, the closed form, and for u and for v the closed forms
+        of orders 1..order at s = 0 that the Taylor subtraction scales."""
+        left, right = self.spans[slot].tolist()
+        h, omega, pure = right - left, float(self.omegas[slot]), _PURE[self.kinds[slot]]
+        zeros = [tuple(pure(which, j, 0.0, h, omega) for j in range(1, max(order, 0) + 1))
+                 for which in "uv"]
+        return (left, right, h, omega, pure, *zeros)
 
 
 def build_family(knots, kind="trigonometric", omega=math.pi / 2, *,

@@ -438,11 +438,14 @@ class TestBatchEvaluation:
         scalar = [nonzero_basis_values(basis, float(t)) for t in ts]
         assert first.shape == (len(ts),) and vals.shape == (len(ts), kv.degree + 1)
         assert np.array_equal(first, [j for j, _ in scalar])
-        assert np.array_equal(vals, np.array([v for _, v in scalar]))
+        stacked = np.array([v for _, v in scalar])
+        # bytes as well, so that a -0.0 turning into +0.0 fails too
+        assert np.array_equal(vals, stacked) and vals.tobytes() == stacked.tobytes()
         for batch, one in ((eval_curve(curve, basis, ts), lambda t: eval_curve(curve, basis, t)),
                            (piece.value(ts), piece.value)):
             assert batch.shape == (len(ts),) + shape[1:]
-            assert np.array_equal(batch, np.array([one(float(t)) for t in ts]))
+            stacked = np.array([one(float(t)) for t in ts])
+            assert np.array_equal(batch, stacked) and batch.tobytes() == stacked.tobytes()
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("degree", range(1, 9))

@@ -1,14 +1,19 @@
 """Knot vectors, generator families, and their integral ladders."""
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gbspline import (
+    SplineCurve,
     adaptive_simpson,
     build_family,
     build_integral_table,
+    build_local_basis,
+    eval_curve,
     validate_open_knot_vector,
 )
 from gbspline.errors import (
@@ -20,7 +25,13 @@ from gbspline.errors import (
     OutOfInterval,
     TooShort,
 )
-from gbspline.knots import containing_spans, find_interval
+from gbspline.knots import (
+    _pure_exponential,
+    _pure_linear,
+    _pure_trigonometric,
+    containing_spans,
+    find_interval,
+)
 from conftest import ALL_KINDS
 
 
@@ -175,6 +186,28 @@ class TestFindInterval:
         # a zero-length interval hands its parameters to the interval on its left
         for t, j in [(0.0, 1), (0.5, 2), (0.5 + 5e-13, 2), (0.5 + 1e-12, 5), (1.0, 6)]:
             assert find_interval(self.BREAKS, t) == j
+
+    @pytest.mark.parametrize("breaks", [
+        # a run of sub-tolerance intervals at the start, one inside, one at the end
+        [0.0, 2e-11, 4e-11, 6e-11, 0.3, 0.3 + 3e-11, 0.3 + 6e-11, 0.3 + 9e-11, 0.6, 0.6,
+         0.6 + 5e-11, 1.0, 1.0 + 2e-11, 1.0 + 4e-11],
+        # every interval but one is short, and the long one is last
+        [0.0, 0.0, 1e-11, 1e-11, 3e-11, 1.0],
+        # nothing but short intervals
+        [0.0, 3e-11, 6e-11, 9e-11],
+    ], ids=["runs", "long-last", "all-short"])
+    def test_runs_of_short_intervals_match_the_array_path(self, breaks):
+        breaks = np.array(breaks)
+        ts = np.clip(np.concatenate([breaks, np.nextafter(breaks[1:], -np.inf),
+                                     np.nextafter(breaks[:-1], np.inf),
+                                     breaks[:-1] + 0.5 * np.diff(breaks)]), 0.0, breaks[-1])
+        want = find_interval(breaks, ts)
+        assert [find_interval(breaks, float(t)) for t in ts] == want.tolist()
+        # the last interval longer than tol whose left end is at most t, or 0
+        for t, j in zip(ts.tolist(), want.tolist()):
+            longer = [i for i in range(len(breaks) - 1)
+                      if breaks[i] <= t and breaks[i + 1] - breaks[i] > 1e-10]
+            assert j == (longer[-1] if longer else 0)
 
     def test_empty_batch(self):
         assert find_interval(self.BREAKS, np.array([])).shape == (0,)
@@ -357,3 +390,88 @@ class TestLadderKernel:
             fam.value(0, "uv", 0, 0.1)
         with pytest.raises(ValueError, match="which must be 'u', 'v' or 'uv'"):
             fam.value(0, "w", 0, np.array([0.1]))
+
+
+class TestScalarLadderCache:
+    """Scalar `fam.value` reads per-span constants that it computes on first
+    use; every result is bit for bit the formula that computes them afresh."""
+
+    ORDERS = list(range(-3, 10))
+
+    @staticmethod
+    def reference(fam, slot, which, order, t):
+        """The ladder value computed from scratch on every call."""
+        left, right = fam.spans[slot]
+        h, s = right - left, t - left
+        pure = {"linear": _pure_linear, "trigonometric": _pure_trigonometric,
+                "exponential": _pure_exponential}[fam.kinds[slot]]
+        omega = float(fam.omegas[slot])
+        val = pure(which, order, s, h, omega)
+        for j in range(1, max(order, 0) + 1):
+            val -= pure(which, j, 0.0, h, omega) * s ** (order - j) / math.factorial(order - j)
+        return val
+
+    @staticmethod
+    def calls(fam):
+        """(slot, which, order, t) at both ends and two interior points of every
+        span, shuffled so that consecutive calls differ in slot and order."""
+        calls = [(slot, which, order, a + x * (b - a))
+                 for slot, (a, b) in enumerate(fam.spans.tolist())
+                 for which in "uv" for order in TestScalarLadderCache.ORDERS
+                 for x in (0.0, 0.3, 0.71, 1.0)]
+        return [calls[i] for i in np.random.default_rng(7).permutation(len(calls))]
+
+    @pytest.mark.parametrize("kind", TestArrayLadder.KINDS)
+    def test_matches_the_uncached_formula(self, kind):
+        fam = TestArrayLadder.family(kind)
+        calls = self.calls(fam)
+        want = np.array([self.reference(fam, *call) for call in calls])
+        for _ in range(2):   # the first pass fills the constants, the second reads them
+            got = np.array([fam.value(*call) for call in calls])
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", TestArrayLadder.KINDS)
+    def test_tolerance_stays_per_call(self, kind):
+        fam, fresh = TestArrayLadder.family(kind), TestArrayLadder.family(kind)
+        for slot, (a, b) in enumerate(fam.spans.tolist()):
+            for t in (a - 1e-9, b + 1e-9):
+                for which, order in (("u", 2), ("v", 0), ("v", 5)):
+                    with pytest.raises(OutOfInterval) as before:
+                        fresh.value(slot, which, order, t)
+                    loose = fam.value(slot, which, order, t, tol=1e-8)
+                    assert np.float64(loose).tobytes() == np.float64(
+                        self.reference(fam, slot, which, order, t)).tobytes()
+                    with pytest.raises(OutOfInterval) as after:
+                        fam.value(slot, which, order, t)
+                    assert str(after.value) == str(before.value) == f"t={t} outside [{a}, {b}]"
+
+    def test_threads_share_one_fresh_basis(self):
+        def fresh_curve():
+            kv = validate_open_knot_vector([0.0] * 4 + np.linspace(0, 1, 33).tolist() + [1.0] * 4, 4)
+            fam = build_family(kv.knots, kinds=(ALL_KINDS * 11)[:32],
+                               omegas=np.linspace(0.5, 2.5, 32))
+            cpts = np.random.default_rng(4).uniform(-1, 1, (kv.n_basis, 2))
+            return SplineCurve(kv=kv, fam=fam, cpts=cpts), build_local_basis(kv, fam)
+
+        ts = np.random.default_rng(5).uniform(0, 1, 200).tolist()
+        want = np.array([eval_curve(*fresh_curve(), t) for t in ts]).tobytes()
+        curve, basis = fresh_curve()
+        results = [None] * 4
+
+        def work(k):
+            order = ts[k * 50:] + ts[: k * 50]   # each thread starts elsewhere
+            got = dict(zip(order, (eval_curve(curve, basis, t) for t in order)))
+            results[k] = np.array([got[t] for t in ts]).tobytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert results == [want] * 4
