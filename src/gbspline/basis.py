@@ -133,7 +133,7 @@ class PiecewiseCurve:
         slot = self.slots[j]
         missing = np.extract(slot < 0, j)
         if len(missing):
-            self._no_generators(missing[0])
+            self._raise_no_generators(missing[0])
         # degree first for Horner; samples, then components
         parts, s = self.poly_parts[j].swapaxes(0, 1), t - self.breaks[j]
         u, v = self.fam.value(slot, "uv", self.degree - 1, t, tol)
@@ -146,7 +146,7 @@ class PiecewiseCurve:
         same bits."""
         slot = int(self.slots[j])
         if slot < 0:
-            self._no_generators(j)
+            self._raise_no_generators(j)
         fam, order = self.fam, self.degree - 1
         u = fam.value(slot, "u", order, t, tol)
         v = fam.value(slot, "v", order, t, tol)
@@ -158,7 +158,7 @@ class PiecewiseCurve:
             out.append(acc + a * u + b * v)
         return np.array(out) if self.gen_coefs.ndim == 3 else np.float64(out[0])
 
-    def _no_generators(self, k):
+    def _raise_no_generators(self, k):
         br = self.breaks
         raise IntervalStraddle(f"interval {k} [{br[k]}, {br[k + 1]}] has no generators")
 

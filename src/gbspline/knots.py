@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import index as _index
 
 import numpy as np
 
@@ -292,6 +293,7 @@ class KnotFunctionFamily:
             return out if np.ndim(order) else out[0]
         if which not in ("u", "v"):
             raise ValueError("which must be 'u' or 'v'")
+        slot, order = _index(slot), _index(order)   # so that 1.0 cannot find 1's entry
         key = (slot, order)
         entry = self._scalar.get(key)
         if entry is None:

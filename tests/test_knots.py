@@ -445,6 +445,14 @@ class TestScalarLadderCache:
                         fam.value(slot, which, order, t)
                     assert str(after.value) == str(before.value) == f"t={t} outside [{a}, {b}]"
 
+    def test_slot_and_order_must_be_integers(self):
+        fam = TestArrayLadder.family("trigonometric")
+        want = fam.value(np.int64(1), "u", np.int64(2), 0.5)
+        assert np.float64(fam.value(1, "u", 2, 0.5)).tobytes() == np.float64(want).tobytes()
+        for slot, order in ((1.0, 2), (1, 2.0), (1, -1.0)):   # with 1's entry filled
+            with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
+                fam.value(slot, "u", order, 0.5)
+
     def test_threads_share_one_fresh_basis(self):
         def fresh_curve():
             kv = validate_open_knot_vector([0.0] * 4 + np.linspace(0, 1, 33).tolist() + [1.0] * 4, 4)
