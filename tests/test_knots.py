@@ -453,6 +453,13 @@ class TestScalarLadderCache:
             with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
                 fam.value(slot, "u", order, 0.5)
 
+    def test_overflow_raises_as_in_the_array_path(self):
+        # s**10 / 10! overflows on a span of length 1e40
+        fam = build_family([0.0, 1e40], kind="linear")
+        for t in (1e40, np.array([1e40])):
+            with pytest.raises(OverflowError):
+                fam.value(0, "u", 9, t)
+
     def test_threads_share_one_fresh_basis(self):
         def fresh_curve():
             kv = validate_open_knot_vector([0.0] * 4 + np.linspace(0, 1, 33).tolist() + [1.0] * 4, 4)
