@@ -8,10 +8,14 @@ Construction runs the recursive-integral definition function by function,
 but every integral is exact (symbolic for polynomial parts, closed-form
 ladders for generator parts), so no quadrature enters the production path.
 
-Built values are immutable and safe to evaluate concurrently.  A
-PiecewiseCurve lays its coefficients out for scalar evaluation on first
-use; that copy, like the family's per-span constants, never changes a
-result.
+Built values are immutable and safe to evaluate concurrently.  On its
+first scalar evaluation a PiecewiseCurve copies its coefficients into one
+contiguous array and its breakpoints and interval map into lists; these
+lazy copies, like the family's per-span constants, hold only what the curve
+already holds, so they never change a result.  A scalar sample is computed
+on Python floats, and both a scalar and a batch add the control points in
+index order with one product and one sum at a time, so batch rows equal
+scalar calls bit for bit.
 """
 from __future__ import annotations
 
@@ -30,11 +34,6 @@ from .errors import (
 )
 from .knots import KnotFunctionFamily, KnotVector, containing_spans, find_interval, readonly
 from .poly import DEFAULT_TOL, integrate_poly, poly_eval
-
-
-def _point(x):
-    """A float for control points shaped (n,), the component array for (n, d)."""
-    return float(x) if x.ndim == 0 else x
 
 
 def _check_cpts(cpts, n_basis):
@@ -120,7 +119,11 @@ class PiecewiseCurve:
     def value(self, t, tol=DEFAULT_TOL):
         """Curve value at t: a float, or an array of the d components.  An
         array of N parameters gives values shaped (N,) or (N, d)."""
-        return _point(self.value_on(find_interval(self.breaks, t, tol), t, tol))
+        j = self._find(t, tol)
+        if isinstance(j, np.ndarray):
+            return self.value_on(j, t, tol)
+        row = self._row(j, t, tol)
+        return np.array(row) if self.gen_coefs.ndim == 3 else row[0]
 
     def value_on(self, j, t, tol=DEFAULT_TOL):
         """Value at t on interval j, one Horner pass over every component.
@@ -129,7 +132,8 @@ class PiecewiseCurve:
         equals the scalar call bit for bit.
         """
         if not isinstance(j, np.ndarray):
-            return self._scalar_value_on(j, t, tol)
+            row = self._row(j, t, tol)
+            return np.array(row) if self.gen_coefs.ndim == 3 else np.float64(row[0])
         slot = self.slots[j]
         missing = np.extract(slot < 0, j)
         if len(missing):
@@ -140,37 +144,51 @@ class PiecewiseCurve:
         s, u, v = (a.reshape(a.shape + (1,) * (self.gen_coefs.ndim - 2)) for a in (s, u, v))
         return poly_eval(parts, s) + self.gen_coefs[j, 0] * u + self.gen_coefs[j, 1] * v
 
-    def _scalar_value_on(self, j, t, tol):
-        """value_on for one sample in Python floats: per component the same
-        IEEE operations in the same order as the array expression, so the
-        same bits."""
-        slot = int(self.slots[j])
+    def _find(self, t, tol):
+        """find_interval over these breaks, searching their list for a scalar t."""
+        return find_interval(self.breaks if isinstance(t, np.ndarray) else self._break_list,
+                             t, tol)
+
+    def _row(self, j, t, tol):
+        """value_on for one sample as a list of Python floats, one per
+        component: per component the same IEEE operations in the same order
+        as the array expression, so the same bits."""
+        slot, t = self._slot_list[j], float(t)
         if slot < 0:
             self._raise_no_generators(j)
         fam, order = self.fam, self.degree - 1
         u = fam.value(slot, "u", order, t, tol)
         v = fam.value(slot, "v", order, t, tol)
-        s, out = t - float(self.breaks[j]), []
-        for *poly, a, b in self._coef_rows[j].tolist():
+        s, w, out = t - self._break_list[j], self.poly_parts.shape[1], []
+        for row in self._coef_rows[j].tolist():
             acc = 0.0
-            for c in poly:
+            for c in row[:w]:
                 acc = acc * s + c
-            out.append(acc + a * u + b * v)
-        return np.array(out) if self.gen_coefs.ndim == 3 else np.float64(out[0])
+            out.append(acc + row[w] * u + row[w + 1] * v)
+        return out
 
     def _raise_no_generators(self, k):
         br = self.breaks
         raise IntervalStraddle(f"interval {k} [{br[k]}, {br[k + 1]}] has no generators")
 
+    # built on the first scalar evaluation, which reads one entry per sample
     @cached_property
     def _coef_rows(self):
         """Per interval and component (one without a component axis): the
         polynomial coefficients, highest degree first, then the generator
-        pair.  Built on the first scalar value_on call."""
+        pair."""
         comps = self.gen_coefs.shape[2:] or (1,)
         parts = self.poly_parts[:, ::-1].reshape(self.poly_parts.shape[:2] + comps)
         gen = self.gen_coefs.reshape(self.gen_coefs.shape[:2] + comps)
         return np.concatenate([parts, gen], axis=1).swapaxes(1, 2).copy()
+
+    @cached_property
+    def _break_list(self):
+        return self.breaks.tolist()
+
+    @cached_property
+    def _slot_list(self):
+        return self.slots.tolist()
 
 
 # construction ----------------------------------------------------------------
@@ -269,8 +287,8 @@ def eval_basis_function(basis: LocalBasis, i, t, tol=DEFAULT_TOL) -> float:
     # the final function owns the closed right end of the active region
     if i == n - 1 and t == knots[-1] and knots[p] != knots[-1]:
         return 1.0
-    j = find_interval(basis.local.breaks, t, tol)
-    return float(basis.local.value_on(j, t, tol)[i - j]) if j <= i <= j + p else 0.0
+    j = basis.local._find(t, tol)
+    return basis.local._row(j, t, tol)[i - j] if j <= i <= j + p else 0.0
 
 
 def nonzero_basis_values(basis: LocalBasis, t, tol=DEFAULT_TOL):
@@ -279,7 +297,7 @@ def nonzero_basis_values(basis: LocalBasis, t, tol=DEFAULT_TOL):
     An array of N parameters gives first indices shaped (N,) and values
     shaped (N, degree+1).
     """
-    j = find_interval(basis.local.breaks, t, tol)
+    j = basis.local._find(t, tol)
     return j, basis.local.value_on(j, t, tol)
 
 
@@ -288,18 +306,34 @@ def eval_curve(curve: SplineCurve, basis: LocalBasis, t, tol=DEFAULT_TOL):
 
     A float for control points shaped (n,), an array of d components for
     (n, d).  An array of N parameters gives values shaped (N,) or (N, d),
-    each equal to the scalar call bit for bit.
+    each equal to the scalar call bit for bit: both add the terms in index
+    order, element by element, so no BLAS kernel chooses the order.
     """
-    kv = basis.kv   # n_basis and degree, without the property chain
-    if len(curve.cpts) != len(kv.knots) - kv.degree - 1:
+    kv, cpts = basis.kv, curve.cpts   # n_basis and degree, without the property chain
+    if len(cpts) != len(kv.knots) - kv.degree - 1:
         raise LengthMismatch("curve and basis sizes differ")
-    first, vals = nonzero_basis_values(basis, t, tol)
-    if not isinstance(first, np.ndarray):
-        return _point(vals @ curve.cpts[first : first + kv.degree + 1])
-    # row by row the same (1, p+1) @ (p+1, d) product as the scalar call
-    cpts = curve.cpts.reshape(len(curve.cpts), -1)
-    window = cpts[first[:, None] + np.arange(basis.degree + 1)]
-    return (vals[:, None, :] @ window)[:, 0].reshape(first.shape + curve.cpts.shape[1:])
+    if isinstance(t, np.ndarray) and t.ndim:
+        first, vals = nonzero_basis_values(basis, t, tol)
+        window = cpts[first[:, None] + np.arange(kv.degree + 1)]
+        if cpts.ndim == 2:
+            vals = vals[..., None]
+        acc = vals[:, 0] * window[:, 0]
+        for k in range(1, kv.degree + 1):
+            acc = acc + vals[:, k] * window[:, k]
+        return acc
+    local = basis.local
+    first = find_interval(local._break_list, t, tol)
+    vals = local._row(first, t, tol)
+    window = cpts[first : first + len(vals)].tolist()
+    if cpts.ndim == 1:
+        acc = vals[0] * window[0]
+        for n_k, c in zip(vals[1:], window[1:]):
+            acc = acc + n_k * c
+        return acc
+    acc = [vals[0] * c for c in window[0]]
+    for n_k, point in zip(vals[1:], window[1:]):
+        acc = [a + n_k * c for a, c in zip(acc, point)]
+    return np.array(acc)
 
 
 # piecewise form and reindexing -----------------------------------------------

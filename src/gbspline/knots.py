@@ -10,12 +10,18 @@ free of integration constants.
 All types are immutable after construction and safe for concurrent reads.
 A family fills a cache of per-span constants on its first scalar `value`
 calls; what the cache holds depends only on the span, the generator order
-and the family, never on `tol`, so a filled cache never changes a result.
+and the family, never on `tol` or on the order of the calls, and it holds
+exactly the numbers the closed forms would compute afresh, so a filled
+cache never changes a result.  Scalar parameters are computed as Python
+floats whatever their type: numpy's float32 arithmetic would stay float32.
 """
 from __future__ import annotations
 
 import math
+import numbers
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cache
 from operator import index as _index
 
 import numpy as np
@@ -33,6 +39,7 @@ from .errors import (
 from .poly import DEFAULT_TOL
 
 KINDS = ("linear", "trigonometric", "exponential")
+_TRIGONOMETRIC, _EXPONENTIAL = KINDS.index("trigonometric"), KINDS.index("exponential")
 # trigonometric pairs stop being Chebyshev at pi; sinh overflows past log(max)
 _OMEGA_H_MAX = {"trigonometric": math.pi, "exponential": math.log(np.finfo(float).max)}
 
@@ -89,23 +96,42 @@ def find_interval(breaks, t, tol=DEFAULT_TOL):
 
     The final interval is closed on the right; zero-length intervals are
     skipped leftwards.  A 1-D array `t` gives an int array of one index per
-    entry, from one search.  A t outside the breaks, or not finite, raises
-    OutOfActiveRegion, naming the first such entry of an array.
+    entry, from one search.  A scalar t (a real number or a 0-d array) is
+    taken as a Python float and searched by bisection, fastest when
+    `breaks` is a list of floats.  A t outside the breaks, or not finite,
+    raises OutOfActiveRegion, naming the first such entry of an array; a t
+    that is neither a number nor an array raises TypeError, and an array of
+    two or more dimensions ValueError.
     """
-    if not isinstance(t, np.ndarray) or t.ndim == 0:
-        if not breaks[0] <= t <= breaks[-1]:
-            raise OutOfActiveRegion(f"t={t} outside [{breaks[0]}, {breaks[-1]}]")
-        j = min(int(breaks.searchsorted(t, side="right")) - 1, len(breaks) - 2)
-        if breaks[j + 1] - breaks[j] <= tol:   # _positive_at_or_left, for one j
-            while j > 0 and not breaks[j + 1] - breaks[j] > tol:
-                j -= 1
-        return j
+    if type(t) is not float:
+        if isinstance(t, np.ndarray) and t.ndim:
+            return _find_intervals(np.asarray(breaks), t, tol)
+        t = _as_float(t)
+    if not breaks[0] <= t <= breaks[-1]:
+        raise OutOfActiveRegion(f"t={t} outside [{breaks[0]}, {breaks[-1]}]")
+    j = bisect_right(breaks, t, 0, len(breaks) - 1) - 1   # the last interval holds its right end
+    if breaks[j + 1] - breaks[j] <= tol:   # _positive_at_or_left, for one j
+        while j > 0 and not breaks[j + 1] - breaks[j] > tol:
+            j -= 1
+    return j
+
+
+def _find_intervals(breaks, t, tol):
+    if t.ndim > 1:
+        raise ValueError(f"t must be a number or a 1-D array, got an array shaped {t.shape}")
     outside = np.flatnonzero(~((t >= breaks[0]) & (t <= breaks[-1])))
     if len(outside):
         i = int(outside[0])
-        raise OutOfActiveRegion(f"t[{i}]={t.flat[i]} outside [{breaks[0]}, {breaks[-1]}]")
+        raise OutOfActiveRegion(f"t[{i}]={t[i]} outside [{breaks[0]}, {breaks[-1]}]")
     j = np.minimum(np.searchsorted(breaks, t, side="right") - 1, len(breaks) - 2)
     return _positive_at_or_left(breaks, tol)[j]
+
+
+def _as_float(t):
+    """A scalar parameter as a Python float (exact for float64 input)."""
+    if isinstance(t, (numbers.Real, np.ndarray)):   # an array here is 0-d
+        return float(t)
+    raise TypeError(f"t must be a real number or an array, not {type(t).__name__}")
 
 
 def _positive_at_or_left(breaks, tol):
@@ -291,31 +317,63 @@ class KnotFunctionFamily:
             out = out.reshape((len(orders), 2) + shape)
             out = out if which == "uv" else out[:, "uv".index(which)]
             return out if np.ndim(order) else out[0]
-        if which not in ("u", "v"):
+        u = which == "u"
+        if not u and which != "v":
             raise ValueError("which must be 'u' or 'v'")
         slot, order = _index(slot), _index(order)   # so that 1.0 cannot find 1's entry
-        key = (slot, order)
-        entry = self._scalar.get(key)
+        entry = self._scalar.get((slot, order))
         if entry is None:
-            entry = self._scalar[key] = self._span_constants(slot, order)
-        left, right, h, omega, pure, zeros_u, zeros_v = entry
+            entry = self._scalar[slot, order] = self._span_constants(slot, order)
+        code, left, right, h, omega, c, cv, wk, shift, zeros_u, zeros_v, exps, facts = entry
+        if type(t) is not float:
+            t = _as_float(t)
         if t < left - tol or t > right + tol:
             raise OutOfInterval(f"t={t} outside [{left}, {right}]")
+        # the closed form _pure_<kind>(which, order, s, h, omega), operation for operation
         s = t - left
-        val = pure(which, order, s, h, omega)
-        for j, zero in enumerate(zeros_u if which == "u" else zeros_v, 1):
-            val -= zero * s ** (order - j) / math.factorial(order - j)
+        if code == _TRIGONOMETRIC:
+            val = (c * math.sin(omega * s - shift) if u
+                   else cv * math.sin(omega * (h - s) - shift)) / wk
+        elif code == _EXPONENTIAL:
+            g = math.cosh if order & 1 else math.sinh
+            val = (c * g(omega * s) if u else cv * g(omega * (h - s))) / wk
+        elif order >= 0:   # linear: c = (order+1)! h, wk = order!
+            val = s ** (order + 1) / c
+            if not u:
+                val = s**order / wk - val if order else (h - s) / h
+        else:
+            val = 0.0 if order < -1 else 1.0 / h if u else -1.0 / h
+        for zero, e, f in zip(zeros_u if u else zeros_v, exps, facts):
+            val -= zero * s**e / f
         return val
 
     def _span_constants(self, slot, order):
         """What a scalar value() call reads of its span, as Python floats: the
-        ends, h, omega, the closed form, and for u and for v the closed forms
-        of orders 1..order at s = 0 that the Taylor subtraction scales."""
+        kind's index in KINDS, the ends, h, omega, the closed form's factors
+        (c = 1/sin(omega*h) or 1/sinh(omega*h), cv = c * (-1)**order for v,
+        wk = omega**order and shift = order*pi/2; for the linear kind
+        c = (order+1)! h and wk = order!), the closed forms of orders 1..order
+        at s = 0 for u and for v, and the Taylor subtraction's exponents and
+        factorials, shared by every span."""
         left, right = self.spans[slot].tolist()
-        h, omega, pure = right - left, float(self.omegas[slot]), _PURE[self.kinds[slot]]
-        zeros = [tuple(pure(which, j, 0.0, h, omega) for j in range(1, max(order, 0) + 1))
+        kind, h, omega, k = self.kinds[slot], right - left, float(self.omegas[slot]), order
+        if kind != "linear":
+            c, wk = 1.0 / (math.sin if kind == "trigonometric" else math.sinh)(omega * h), omega**k
+        else:
+            c, wk = (math.factorial(k + 1) * h, float(math.factorial(k))) if k >= 0 else (0.0, 0.0)
+        pure = _PURE[kind]
+        zeros = [tuple(pure(which, j, 0.0, h, omega) for j in range(1, max(k, 0) + 1))
                  for which in "uv"]
-        return (left, right, h, omega, pure, *zeros)
+        return (KINDS.index(kind), left, right, h, omega, c, c * (-1.0) ** k, wk,
+                k * math.pi / 2, *zeros, *_taylor_terms(k))
+
+
+@cache
+def _taylor_terms(order):
+    """Exponents order-1..0 and their factorials, as floats, for the Taylor
+    subtraction of a scalar value() of this order."""
+    exps = tuple(float(order - j) for j in range(1, max(order, 0) + 1))
+    return exps, tuple(float(math.factorial(int(e))) for e in exps)
 
 
 def build_family(knots, kind="trigonometric", omega=math.pi / 2, *,

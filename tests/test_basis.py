@@ -493,3 +493,86 @@ class TestBatchEvaluation:
                      lambda: form_piecewise(curve.cpts, basis).value(ts)):
             with pytest.raises(OutOfActiveRegion, match=rf"t\[2\]={bad} outside"):
                 call()
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("degree", [1, 3, 8])
+    @pytest.mark.parametrize("dim", [None, 3])
+    @pytest.mark.parametrize("fill", ["arange", "ones"])
+    def test_control_points_add_in_index_order(self, kind, degree, dim, fill):
+        """Batch and scalar calls both add N_k * c_k for k = first.. in index
+        order, one element-wise product and sum at a time, whatever the
+        batch size, so they agree with each other and with that sum."""
+        kv = open_kv(degree, (0.2, 0.45, 0.45, 0.7))
+        fam = build_family(kv.knots, kind=kind, omega=np.pi / 2)
+        basis = build_local_basis(kv, fam)
+        shape = (kv.n_basis,) if dim is None else (kv.n_basis, dim)
+        cpts = (np.arange(np.prod(shape), dtype=float).reshape(shape) if fill == "arange"
+                else np.ones(shape))
+        curve = SplineCurve(kv=kv, fam=fam, cpts=cpts)
+        ts = kv.active_region()   # every breakpoint, both ends included
+        scalar = np.array([eval_curve(curve, basis, float(t)) for t in ts])
+        want = []
+        for t in ts.tolist():
+            first, vals = nonzero_basis_values(basis, t)
+            acc = vals[0] * cpts[first]
+            for k in range(1, degree + 1):
+                acc = acc + vals[k] * cpts[first + k]
+            want.append(acc)
+        want = np.array(want)
+        assert scalar.tobytes() == want.tobytes()
+        for size in (1, 2, len(ts)):
+            batch = np.concatenate([eval_curve(curve, basis, ts[i : i + size])
+                                    for i in range(0, len(ts), size)])
+            assert batch.shape == scalar.shape and batch.tobytes() == scalar.tobytes()
+
+
+class TestScalarParameterTypes:
+    """A scalar t of any real type is evaluated as the Python float float(t):
+    numpy's float32 and float16 arithmetic would otherwise stay in single or
+    half precision."""
+
+    KNOTS = (0.5, 1.7, 2.5, 3.2)
+
+    @staticmethod
+    def same(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("t", [np.float32(1.3), np.float16(2.9), 2, np.int64(3), np.array(1.3),
+                                   np.array(2.9, dtype=np.float32)],
+                             ids=["float32", "float16", "int", "int64", "0-d", "0-d-float32"])
+    def test_matches_the_python_float(self, kind, t):
+        kv = validate_open_knot_vector([0.0] * 4 + list(self.KNOTS) + [4.0] * 4, 3)
+        fam = build_family(kv.knots, kind=kind, omega=0.5)
+        basis = build_local_basis(kv, fam)
+        cpts = np.random.default_rng(3).uniform(-1, 1, (kv.n_basis, 2))
+        x = float(t)
+        for c in (cpts[:, 0], cpts):
+            curve = SplineCurve(kv=kv, fam=fam, cpts=c)
+            assert self.same(eval_curve(curve, basis, t), eval_curve(curve, basis, x))
+            piece = form_piecewise(c, basis)
+            assert self.same(piece.value(t), piece.value(x))
+        for got, want in zip(nonzero_basis_values(basis, t), nonzero_basis_values(basis, x)):
+            assert self.same(got, want)
+        for i in range(kv.n_basis):
+            assert self.same(eval_basis_function(basis, i, t), eval_basis_function(basis, i, x))
+        slot = int(fam.slots[nonzero_basis_values(basis, x)[0] + 3])
+        for which in "uv":
+            for order in (0, 2, 5):
+                assert np.asarray(fam.value(slot, which, order, t)).tobytes() == \
+                    np.float64(fam.value(slot, which, order, x)).tobytes()
+
+    def test_unsupported_parameters_are_named(self):
+        kv, fam, basis = make_basis(3, interior=(0.5,))
+        curve = SplineCurve(kv=kv, fam=fam, cpts=np.ones(basis.n_basis))
+        piece = form_piecewise(curve.cpts, basis)
+        calls = (lambda t: eval_curve(curve, basis, t), lambda t: nonzero_basis_values(basis, t),
+                 piece.value)
+        for bad in ([0.3], (0.3,), "0.3", None, 0.3j):
+            for call in calls:
+                with pytest.raises(TypeError, match=f"not {type(bad).__name__}$"):
+                    call(bad)
+        for call in calls:
+            with pytest.raises(ValueError, match=r"shaped \(2, 1\)"):
+                call(np.array([[0.3], [0.6]]))

@@ -1,5 +1,6 @@
 """Knot vectors, generator families, and their integral ladders."""
 import math
+import re
 import sys
 import threading
 
@@ -183,6 +184,8 @@ class TestFindInterval:
         got = find_interval(self.BREAKS, ts)
         assert got.dtype.kind == "i"
         assert got.tolist() == [find_interval(self.BREAKS, float(t)) for t in ts]
+        # the list form of the breaks, which evaluation searches, finds the same
+        assert got.tolist() == [find_interval(self.BREAKS.tolist(), float(t)) for t in ts]
         # a zero-length interval hands its parameters to the interval on its left
         for t, j in [(0.0, 1), (0.5, 2), (0.5 + 5e-13, 2), (0.5 + 1e-12, 5), (1.0, 6)]:
             assert find_interval(self.BREAKS, t) == j
@@ -211,6 +214,17 @@ class TestFindInterval:
 
     def test_empty_batch(self):
         assert find_interval(self.BREAKS, np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [[0.5], (0.5,), "0.5", None, 0.5j, {0.5}])
+    def test_rejects_a_parameter_that_is_neither_a_number_nor_an_array(self, bad):
+        for breaks in (self.BREAKS, self.BREAKS.tolist()):
+            with pytest.raises(TypeError, match=f"real number or an array, not {type(bad).__name__}$"):
+                find_interval(breaks, bad)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 1), (2, 0, 1)])
+    def test_rejects_arrays_of_two_or_more_dimensions(self, shape):
+        with pytest.raises(ValueError, match=rf"1-D array, got an array shaped {re.escape(str(shape))}"):
+            find_interval(self.BREAKS, np.full(shape, 0.5))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.5])
     def test_rejects_non_finite_or_outside(self, bad):
