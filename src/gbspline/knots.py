@@ -129,7 +129,8 @@ def _find_intervals(breaks, t, tol):
 
 def _as_float(t):
     """A scalar parameter as a Python float (exact for float64 input)."""
-    if isinstance(t, (numbers.Real, np.ndarray)):   # an array here is 0-d
+    # float first, as np.float64 is one; an array here is 0-d
+    if isinstance(t, (float, numbers.Real, np.ndarray)):
         return float(t)
     raise TypeError(f"t must be a real number or an array, not {type(t).__name__}")
 

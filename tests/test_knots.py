@@ -218,12 +218,12 @@ class TestFindInterval:
     @pytest.mark.parametrize("bad", [[0.5], (0.5,), "0.5", None, 0.5j, {0.5}])
     def test_rejects_a_parameter_that_is_neither_a_number_nor_an_array(self, bad):
         for breaks in (self.BREAKS, self.BREAKS.tolist()):
-            with pytest.raises(TypeError, match=f"real number or an array, not {type(bad).__name__}$"):
+            with pytest.raises(TypeError, match=f"or an array, not {type(bad).__name__}$"):
                 find_interval(breaks, bad)
 
     @pytest.mark.parametrize("shape", [(2, 3), (1, 1), (2, 0, 1)])
     def test_rejects_arrays_of_two_or_more_dimensions(self, shape):
-        with pytest.raises(ValueError, match=rf"1-D array, got an array shaped {re.escape(str(shape))}"):
+        with pytest.raises(ValueError, match=rf"array shaped {re.escape(str(shape))}$"):
             find_interval(self.BREAKS, np.full(shape, 0.5))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.5])
