@@ -117,6 +117,7 @@ def find_interval(breaks, t, tol=DEFAULT_TOL):
 
 
 def _find_intervals(breaks, t, tol):
+    """find_interval for an array t: one searchsorted over the break array."""
     if t.ndim > 1:
         raise ValueError(f"t must be a number or a 1-D array, got an array shaped {t.shape}")
     outside = np.flatnonzero(~((t >= breaks[0]) & (t <= breaks[-1])))
