@@ -16,7 +16,6 @@ from .basis import (
     eval_basis_function,
     eval_curve,
     form_piecewise,
-    full_reverse_diagonals,
     nonzero_basis_values,
     reverse_diagonal_averages,
 )

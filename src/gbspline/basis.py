@@ -4,18 +4,17 @@ On each knot interval a degree-p basis function is a polynomial term of
 degree at most p-2 plus a coefficient pair (a, b) multiplying the (p-1)-th
 integrals of that interval's generator pair.  The basis is stored interval
 by interval and evaluated through `PiecewiseCurve.value_on` alone.
-Construction runs the recursive-integral definition function by function,
-but every integral is exact (symbolic for polynomial parts, closed-form
-ladders for generator parts), so no quadrature enters the production path.
+Construction runs the recursive-integral definition function by function;
+polynomial parts integrate symbolically and generator parts read the
+family's ladder values, so no quadrature enters the production path.
 
 Built values are immutable and safe to evaluate concurrently.  On its
 first scalar evaluation a PiecewiseCurve copies its coefficients into one
 contiguous array and its breakpoints and interval map into lists; these
-lazy copies, like the family's per-span constants, hold only what the curve
-already holds, so they never change a result.  A scalar sample is computed
-on Python floats, and both a scalar and a batch add the control points in
-index order with one product and one sum at a time, so batch rows equal
-scalar calls bit for bit.
+lazy copies hold only what the curve already holds, so they never change a
+result.  A scalar sample is computed on Python floats, and both a scalar
+and a batch add the control points in index order with one product and one
+sum at a time, so batch rows equal scalar calls bit for bit.
 """
 from __future__ import annotations
 
@@ -30,7 +29,6 @@ from .errors import (
     InconsistentCoefficient,
     IntervalStraddle,
     LengthMismatch,
-    TooFewRows,
 )
 from .knots import KnotFunctionFamily, KnotVector, containing_spans, find_interval, readonly
 from .poly import DEFAULT_TOL, integrate_poly, poly_eval
@@ -129,9 +127,13 @@ class PiecewiseCurve:
         """Value at t on interval j, one Horner pass over every component.
 
         Arrays j and t of N samples give a leading axis of N; each row
-        equals the scalar call bit for bit.
+        equals the scalar call bit for bit.  A scalar mixed with an array, or
+        arrays of two shapes, raise ValueError naming both shapes.
         """
-        if not isinstance(j, np.ndarray):
+        if np.shape(j) != np.shape(t):
+            raise ValueError(f"j and t must both be scalars or arrays of one shape, "
+                             f"got j {np.shape(j) or 'scalar'} and t {np.shape(t) or 'scalar'}")
+        if not np.shape(j):
             row = self._row(j, t, tol)
             return np.array(row) if self.gen_coefs.ndim == 3 else np.float64(row[0])
         slot = self.slots[j]
@@ -267,8 +269,10 @@ def build_local_basis(kv: KnotVector, fam: KnotFunctionFamily, tol=DEFAULT_TOL) 
         poly, gen = _elevate_level(knots, alive, poly, gen, ints, delta, level)
     deltas.append(_interval_integrals(lens, alive, poly, gen, right[p - 1]).sum(axis=1))
 
-    # function-major slots become interval-major rows, components last
-    poly, gen = (np.moveaxis(full_reverse_diagonals(a), 1, -1) for a in (poly, gen))
+    # function-major slots become interval-major rows, components last: row j,
+    # component c is function j + c's slot p - c
+    rows = np.arange(len(poly) - p)[:, None] + np.arange(p + 1)
+    poly, gen = (np.moveaxis(a[rows, p - np.arange(p + 1)], 1, -1) for a in (poly, gen))
     local = PiecewiseCurve(breaks=kv.active_region(), poly_parts=poly, gen_coefs=gen,
                            degree=p, fam=fam, slots=fam.slots[p : m - p - 1])
     right = right[: p - 1, p : m - p - 1]
@@ -282,6 +286,8 @@ def eval_basis_function(basis: LocalBasis, i, t, tol=DEFAULT_TOL) -> float:
     """Value of basis function i at t inside the active region."""
     kv = basis.kv
     p, n, knots = kv.degree, kv.n_basis, kv.knots
+    if np.shape(t):
+        raise ValueError(f"t must be a number, got an array shaped {np.shape(t)}")
     if not 0 <= i < n:
         raise IndexError(f"basis index {i} outside 0..{n - 1}")
     # the final function owns the closed right end of the active region
@@ -337,23 +343,6 @@ def eval_curve(curve: SplineCurve, basis: LocalBasis, t, tol=DEFAULT_TOL):
 
 
 # piecewise form and reindexing -----------------------------------------------
-
-def full_reverse_diagonals(a):
-    """Anti-diagonal slices of full width along the first two axes.
-
-    Output row k lists a[k, C-1], a[k+1, C-2], ..., a[k+C-1, 0]; trailing
-    axes carry through.  This translates between function-major storage of
-    local representations and interval-major storage.
-    """
-    a = np.asarray(a)
-    rows, cols = a.shape[:2]
-    if rows < cols:
-        raise TooFewRows(f"need at least as many rows as columns, got {a.shape[:2]}")
-    out = np.empty((rows - cols + 1, cols) + a.shape[2:], dtype=a.dtype)
-    for c in range(cols):
-        out[:, c] = a[c : c + rows - cols + 1, cols - 1 - c]
-    return out
-
 
 def reverse_diagonal_averages(coefs, tol=1e-6):
     """Average anti-diagonal entries of a table, ignoring NaN markers.

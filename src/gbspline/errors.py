@@ -57,10 +57,6 @@ class LengthMismatch(GBSplineError):
     """Control point count does not match the basis."""
 
 
-class TooFewRows(GBSplineError):
-    """Anti-diagonal reindexing needs at least as many rows as columns."""
-
-
 # projection
 
 class AllMissingDiagonal(GBSplineError):

@@ -1,19 +1,19 @@
 """Knot vectors and per-interval generator pairs with exact integral ladders.
 
 A generator pair (u, v) lives on every knot interval of positive length:
-u rises from 0 to 1 across the interval and v falls from 1 to 0.  Closed
-forms exist for every integral and derivative order.  Repeated integrals
-are taken from the interval's left endpoint, so every positive order
-vanishes there; this canonical choice keeps all downstream bookkeeping
-free of integration constants.
+u rises from 0 to 1 across the interval and v falls from 1 to 0.  Repeated
+integrals are taken from the interval's left endpoint, so every positive
+order vanishes there; this canonical choice keeps all downstream
+bookkeeping free of integration constants.  Every order, derivatives too,
+is a polynomial in the interval's local coordinate with per-span
+coefficients, evaluated by Horner's rule.
 
 All types are immutable after construction and safe for concurrent reads.
-A family fills a cache of per-span constants on its first scalar `value`
-calls; what the cache holds depends only on the span, the generator order
-and the family, never on `tol` or on the order of the calls, and it holds
-exactly the numbers the closed forms would compute afresh, so a filled
-cache never changes a result.  Scalar parameters are computed as Python
-floats whatever their type: numpy's float32 arithmetic would stay float32.
+A family keeps the coefficients of an order from its first scalar `value`
+call for that order; they depend only on the spans, never on `tol` or on
+the order of the calls, and are the numbers an array call builds afresh,
+so a filled cache never changes a result.  Scalar parameters are computed
+as Python floats whatever their type: numpy's float32 would stay float32.
 """
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ import math
 import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cache
 from operator import index as _index
 
 import numpy as np
@@ -160,105 +159,71 @@ def containing_spans(spans, breaks, tol=DEFAULT_TOL) -> np.ndarray:
     return np.where(pos, idx, -1)
 
 
-# closed-form ladders ---------------------------------------------------------
+# ladder values ------------------------------------------------------------------
 #
-# _pure_* return the k-th member of a ladder d/ds L_k = L_{k-1} with L_0
-# the generator itself; negative k are derivatives.  The canonical value()
-# subtracts the polynomial that makes positive orders vanish at s = 0.
+# On a span of length h, with theta = omega*h and x = (t - left)/h, ladder
+# member k (d/ds L_k = L_{k-1}, L_0 the generator) is the series
+#   u_k = h^k (theta/S) sum_j (sigma theta^2)^j x^(2j+1+k) / (2j+1+k)!
+#   v_k = h^k sum_j (sigma theta^2)^j [x^(2j+k) / (2j+k)!
+#                                      - (theta C/S) x^(2j+1+k) / (2j+1+k)!]
+# less its terms of negative power, with sigma, S, C = -1, sin, cos for the
+# trigonometric kind, +1, sinh, cosh for the exponential one and theta = 0
+# for the linear one.  A span keeps the terms j with theta^2j/(2j)! > 2^-53,
+# those where theta exceeds _SERIES_THETAS[j-1].  The terms grow like
+# e^theta before they fall, so exponential spans wider than
+# _SERIES_THETA_MAX keep the closed forms u_k = (h/theta)^k G_k(theta x)/S
+# + P_u(x) and v_k = (-h/theta)^k G_k(theta (1 - x))/S + P_v(x), G_k = sinh
+# for even k and cosh for odd k, where the polynomials P make positive
+# orders vanish at x = 0.
 
-def _pure_linear(which, k, s, h, omega):
-    if which == "u":
-        if k >= 0:
-            return s ** (k + 1) / (math.factorial(k + 1) * h)
-        if k == -1:
-            return 1.0 / h
-        return 0.0
-    if k > 0:
-        return s**k / math.factorial(k) - s ** (k + 1) / (math.factorial(k + 1) * h)
-    if k == 0:
-        return (h - s) / h
-    if k == -1:
-        return -1.0 / h
-    return 0.0
-
-
-def _pure_trigonometric(which, k, s, h, omega):
-    c = 1.0 / math.sin(omega * h)
-    if which == "u":
-        return c * math.sin(omega * s - k * math.pi / 2) / omega**k
-    return c * (-1.0) ** k * math.sin(omega * (h - s) - k * math.pi / 2) / omega**k
+_SERIES_THETAS = np.array([(2.0**-53 * math.factorial(2 * j)) ** (0.5 / j) for j in range(1, 60)])
+_SERIES_THETA_MAX = 4.0   # where the series' error overtakes the closed forms'
+_FACTORIAL = np.array([math.factorial(n) for n in range(171)], dtype=float)
 
 
-def _pure_exponential(which, k, s, h, omega):
-    c = 1.0 / math.sinh(omega * h)
-    g = math.sinh if k % 2 == 0 else math.cosh
-    if which == "u":
-        return c * g(omega * s) / omega**k
-    return c * (-1.0) ** k * g(omega * (h - s)) / omega**k
-
-
-_PURE = {
-    "linear": _pure_linear,
-    "trigonometric": _pure_trigonometric,
-    "exponential": _pure_exponential,
-}
-_FACTORIAL = np.array([math.factorial(k) for k in range(171)], dtype=float)
-
-
-def _each(fn, *args):
-    """fn (a math function, or pow) over broadcast arrays, element by element
-    through Python floats and ints.  numpy's sin, sinh and power differ from
-    math's and pow's in the last ulp on some inputs, and array ladder values
-    must equal scalar ones bit for bit."""
-    shape = np.broadcast(*args).shape
-    columns = []
-    for a in args:
-        full = np.empty(shape, np.result_type(a))
-        full[...] = a
-        columns.append(full.ravel().tolist())
-    return np.fromiter(map(fn, *columns), float, math.prod(shape)).reshape(shape)
-
-
-def _closed_forms(kind, orders, s, pw, h, omega, c, wk):
-    """_pure_<kind> of u and v for each order at points s, operation for operation,
-    from pw[e] = s**e and, per point, the span's h, omega, c = 1/sin(omega*h) or
-    1/sinh(omega*h) and wk[k] = omega**k; shaped (len(orders), 2, n)."""
-    out, x = np.zeros((len(orders), 2, len(s))), (s, h - s)
-    g = {(w, r): _each((math.sinh, math.cosh)[r], omega * x[w]) for w in (0, 1)
-         for r in {k % 2 for k in orders}} if kind == "exponential" else {}
-    for i, k in enumerate(orders):
-        if kind == "linear":
-            rise = pw[k + 1] / (_FACTORIAL[k + 1] * h) if k >= 0 else 1.0 / h if k == -1 else 0.0
-            out[i, 0], out[i, 1] = rise, (pw[k] / _FACTORIAL[k] - rise if k > 0 else (h - s) / h
-                                          if k == 0 else -1.0 / h if k == -1 else 0.0)
-            continue
-        for w, sign in enumerate((1.0, (-1.0) ** k)):
-            val = g[w, k % 2] if g else _each(math.sin, omega * x[w] - k * math.pi / 2)
-            out[i, w] = c * sign * val / wk[k]
-    return out
-
-
-def _ladder_kernel(kind, orders, s, h, omega, at):
-    """value() of u and v for every order at points s of one kind, in spans (h,
-    omega) that `at` maps them to.  Powers of s, the span factors, exponential
-    sinh/cosh and the Taylor subtraction's closed forms at s = 0 are shared."""
-    top = max(max(orders, default=0), 0)
-    c, wk = np.zeros(len(h)), {}
-    if kind != "linear":
-        c = 1.0 / _each(math.sin if kind == "trigonometric" else math.sinh, omega * h)
-        wk = {0: np.ones_like(omega), 1: omega}   # pow gives x**0 = 1 and x**1 = x exactly
-        wk.update((k, _each(pow, omega, k)) for k in {*orders, *range(top + 1)} - {0, 1})
-    pw = {0: np.ones_like(s), 1: s}
-    pw.update((e, _each(pow, s, e)) for e in range(2, top + 2 if kind == "linear" else top))
-    val = _closed_forms(kind, orders, s, pw, h[at], omega[at], c[at],
-                        {k: w[at] for k, w in wk.items()})
-    # minus the order-j closed forms at s = 0 times s**(k-j)/(k-j)!
-    zpw = {e: np.full(len(h), float(e == 0)) for e in range(top + 2)}
-    zero = _closed_forms(kind, range(1, top + 1), np.zeros(len(h)), zpw, h, omega, c, wk)
-    for i, k in enumerate(orders):
-        for j in range(1, k + 1):
-            val[i] = val[i] - zero[j - 1][:, at] * pw[k - j] / _FACTORIAL[k - j]
-    return val
+def _ladder_polys(codes, h, omega, orders):
+    """u_k and v_k of each order k on spans of kind indices `codes`, lengths
+    `h` and frequencies `omega`: (their coefficients in x, highest power
+    first, shaped (size, len(orders), 2, spans) with u first and each span's
+    own list preceded by zeros; the lengths of those lists; None, or (closed,
+    theta, 1/S, [(h/theta)^k per order]) if some span keeps the closed forms).
+    Only math's functions, pow and IEEE arithmetic enter, element by element,
+    so a span's numbers do not depend on what is asked for with it; h**k
+    raises OverflowError where it overflows."""
+    n = len(h)
+    theta = np.where(codes == KINDS.index("linear"), 0.0, omega * h)
+    closed, trig = (codes == _EXPONENTIAL) & (theta > _SERIES_THETA_MAX), codes == _TRIGONOMETRIC
+    sine, cosine = np.ones(n), np.ones(n)   # the linear kind's limits
+    for on, sin, cos in ((trig, math.sin, math.cos), (codes == _EXPONENTIAL, math.sinh, math.cosh)):
+        z = theta[on].tolist()
+        sine[on], cosine[on] = list(map(sin, z)), list(map(cos, z))
+    a = np.divide(theta, sine, out=np.ones(n), where=theta > 0)   # theta/S, 1 in the limit
+    sq = np.where(closed, 0.0, np.where(trig, -theta, theta) * theta)
+    terms = np.where(closed, 0, 1 + np.searchsorted(_SERIES_THETAS, theta))
+    width, ks = 2 * terms.max(initial=0), np.array(orders, dtype=int)[:, None]
+    q = np.maximum(-ks, 0) + np.arange(width)   # the series' indices 2j and 2j+1, per order
+    powers = np.cumprod([np.ones(n)] + [sq] * (q.max(initial=0) // 2), axis=0)
+    hk = np.array([x**k for k in orders for x in h.tolist()]).reshape(len(orders), 1, n)
+    base = hk * powers[q // 2] / _FACTORIAL[q + ks][..., None]
+    base[:, np.arange(width)[:, None] >= 2 * terms] = 0.0
+    odd = (q % 2 == 1)[..., None]
+    out = np.zeros((np.maximum(ks, 0).max(initial=0) + width, len(orders), 2, n))
+    at = len(out) - 1 - np.maximum(ks, 0) - np.arange(width), np.arange(len(orders))[:, None]
+    out[at + (0,)] = np.where(odd, a * base, 0.0)
+    out[at + (1,)] = np.where(odd, -(a * cosine * base), base)
+    lengths = np.maximum(ks, 0) + 2 * terms
+    if not closed.any():
+        return out, lengths, None
+    tc, inv, scales = np.where(closed, theta, 1.0), 1.0 / np.where(closed, sine, 1.0), []
+    for o, k in enumerate(orders):
+        scales.append(hk[o, 0] / np.array([x**k for x in tc.tolist()]))
+        power = np.ones(n)
+        for i in range(k):   # minus the closed forms of orders k - i at x = 0
+            c = scales[-1] * power / _FACTORIAL[i]
+            pair = (-(c * inv), c * (cosine * inv)) if (k - i) % 2 else (np.zeros(n), -c)
+            out[len(out) - 1 - i, o] = np.where(closed, pair, 0.0)
+            power = power * tc
+    return out, lengths, (closed, theta, inv, scales)
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,12 +240,14 @@ class KnotFunctionFamily:
     omegas: np.ndarray
     slots: np.ndarray   # (number of knot intervals,)
     _kind_ids: np.ndarray = field(init=False, repr=False)
-    _scalar: dict = field(init=False, repr=False)   # (slot, order) -> _span_constants
+    _scalar: dict = field(init=False, repr=False)   # (slot, order) -> _span_series
+    _polys: dict = field(init=False, repr=False)    # order -> _ladder_polys of every span
 
     def __post_init__(self):
         object.__setattr__(self, "_kind_ids",
                            readonly([KINDS.index(k) for k in self.kinds], dtype=int))
         object.__setattr__(self, "_scalar", {})
+        object.__setattr__(self, "_polys", {})
 
     @property
     def n_spans(self) -> int:
@@ -292,11 +259,11 @@ class KnotFunctionFamily:
         order 0 is the generator itself, positive orders are repeated
         integrals from the interval's left endpoint, negative orders are
         derivatives.  With an array `t` (and `slot` broadcasting against
-        it), `order` may be a sequence and `which` "uv": one kernel pass gives
+        it), `order` may be a sequence and `which` "uv": one Horner pass gives
         an array shaped ([len(order),] [2,] *t.shape) whose entry [i, w] is
         value(slot, "uv"[w], order[i], t) bit for bit.  A scalar t reads the
-        span's constants from a cache that the first call for (slot, order)
-        fills; `tol` is checked on every call.
+        span's coefficients from a cache that the first call for (slot,
+        order) fills; `tol` is checked on every call.
         """
         if isinstance(t, np.ndarray):
             if which not in ("u", "v", "uv"):
@@ -308,14 +275,22 @@ class KnotFunctionFamily:
             if len(outside):
                 i = outside[0]
                 raise OutOfInterval(f"t={t[i]} outside [{left[i]}, {right[i]}] (entry {i})")
-            s, ids = t - left, self._kind_ids[slot]
-            out = np.empty((len(orders), 2, len(t)))
-            for code in np.flatnonzero(np.bincount(ids, minlength=len(KINDS))).tolist():
-                sel = ids == code
-                used = np.bincount(slot[sel], minlength=self.n_spans) > 0
-                spans, at = np.flatnonzero(used), (np.cumsum(used) - 1)[slot[sel]]
-                h, omega = self.spans[spans, 1] - self.spans[spans, 0], self.omegas[spans]
-                out[:, :, sel] = _ladder_kernel(KINDS[code], orders, s[sel], h, omega, at)
+            x = (t - left) / (right - left)
+            spans, at = np.unique(slot, return_inverse=True)
+            coefs, _, closed = _ladder_polys(self._kind_ids[spans], self.spans[spans, 1]
+                                          - self.spans[spans, 0], self.omegas[spans], orders)
+            out = np.zeros((len(orders), 2, len(t)))
+            for c in coefs:
+                out = out * x + np.take(c, at, axis=-1)
+            if closed is not None:   # G through math, point by point, as in the scalar path
+                on, theta, inv, scales = closed
+                pts = np.flatnonzero(on[at])
+                sp = at[pts]
+                for i, k in enumerate(orders):
+                    g = math.cosh if k & 1 else math.sinh
+                    for w, z in enumerate((x[pts], 1.0 - x[pts])):
+                        gz = np.fromiter(map(g, (theta[sp] * z).tolist()), float, len(pts))
+                        out[i, w, pts] += (-1.0) ** (k * w) * scales[i][sp] * (inv[sp] * gz)
             out = out.reshape((len(orders), 2) + shape)
             out = out if which == "uv" else out[:, "uv".index(which)]
             return out if np.ndim(order) else out[0]
@@ -325,57 +300,35 @@ class KnotFunctionFamily:
         slot, order = _index(slot), _index(order)   # so that 1.0 cannot find 1's entry
         entry = self._scalar.get((slot, order))
         if entry is None:
-            entry = self._scalar[slot, order] = self._span_constants(slot, order)
-        code, left, right, h, omega, c, cv, wk, shift, zeros_u, zeros_v, exps, facts = entry
+            entry = self._scalar[slot, order] = self._span_series(slot, order)
+        left, right, h, coefs_u, coefs_v, closed = entry
         if type(t) is not float:
             t = _as_float(t)
         if t < left - tol or t > right + tol:
             raise OutOfInterval(f"t={t} outside [{left}, {right}]")
-        # the closed form _pure_<kind>(which, order, s, h, omega), operation for operation
-        s = t - left
-        if code == _TRIGONOMETRIC:
-            val = (c * math.sin(omega * s - shift) if u
-                   else cv * math.sin(omega * (h - s) - shift)) / wk
-        elif code == _EXPONENTIAL:
-            g = math.cosh if order & 1 else math.sinh
-            val = (c * g(omega * s) if u else cv * g(omega * (h - s))) / wk
-        elif order >= 0:   # linear: c = (order+1)! h, wk = order!
-            val = s ** (order + 1) / c
-            if not u:
-                val = s**order / wk - val if order else (h - s) / h
-        else:
-            val = 0.0 if order < -1 else 1.0 / h if u else -1.0 / h
-        for zero, e, f in zip(zeros_u if u else zeros_v, exps, facts):
-            val -= zero * s**e / f
+        x, val = (t - left) / h, 0.0
+        for c in coefs_u if u else coefs_v:
+            val = val * x + c
+        if closed:
+            theta, inv, scales, g = closed
+            val += scales[not u] * (inv * g(theta * (x if u else 1.0 - x)))
         return val
 
-    def _span_constants(self, slot, order):
+    def _span_series(self, slot, order):
         """What a scalar value() call reads of its span, as Python floats: the
-        kind's index in KINDS, the ends, h, omega, the closed form's factors
-        (c = 1/sin(omega*h) or 1/sinh(omega*h), cv = c * (-1)**order for v,
-        wk = omega**order and shift = order*pi/2; for the linear kind
-        c = (order+1)! h and wk = order!), the closed forms of orders 1..order
-        at s = 0 for u and for v, and the Taylor subtraction's exponents and
-        factorials, shared by every span."""
+        ends, h, the span's own coefficients of u and of v, and None or the
+        closed forms' theta, 1/S, scales for u and v and G_order.  The first
+        call for an order builds its coefficients on every span."""
+        if order not in self._polys:
+            self._polys[order] = _ladder_polys(self._kind_ids, self.spans[:, 1] - self.spans[:, 0],
+                                               self.omegas, [order])
+        coefs, lengths, closed = self._polys[order]
         left, right = self.spans[slot].tolist()
-        kind, h, omega, k = self.kinds[slot], right - left, float(self.omegas[slot]), order
-        if kind != "linear":
-            c, wk = 1.0 / (math.sin if kind == "trigonometric" else math.sinh)(omega * h), omega**k
-        else:
-            c, wk = (math.factorial(k + 1) * h, float(math.factorial(k))) if k >= 0 else (0.0, 0.0)
-        pure = _PURE[kind]
-        zeros = [tuple(pure(which, j, 0.0, h, omega) for j in range(1, max(k, 0) + 1))
-                 for which in "uv"]
-        return (KINDS.index(kind), left, right, h, omega, c, c * (-1.0) ** k, wk,
-                k * math.pi / 2, *zeros, *_taylor_terms(k))
-
-
-@cache
-def _taylor_terms(order):
-    """Exponents order-1..0 and their factorials, as floats, for the Taylor
-    subtraction of a scalar value() of this order."""
-    exps = tuple(float(order - j) for j in range(1, max(order, 0) + 1))
-    return exps, tuple(float(math.factorial(int(e))) for e in exps)
+        own = [tuple(c) for c in coefs[len(coefs) - lengths[0, slot]:, 0, :, slot].T.tolist()]
+        if on := closed is not None and closed[0][slot]:
+            theta, inv, scale = (float(a[slot]) for a in closed[1:3] + (closed[3][0],))
+            closed = theta, inv, (scale, (-1.0) ** order * scale), (math.sinh, math.cosh)[order & 1]
+        return left, right, right - left, *own, closed if on else None
 
 
 def build_family(knots, kind="trigonometric", omega=math.pi / 2, *,

@@ -1,11 +1,13 @@
 """Reference evaluation straight from the recursive-integral definition.
 
 Test-only ground truth: every integral runs through adaptive Simpson
-quadrature instead of the closed forms used by the production path.  Cost
+quadrature instead of the ladder values used by the production path.  Cost
 grows steeply with degree; keep degree <= 4.
 """
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +65,7 @@ class ReferenceEvaluator:
 
     def __init__(self, knots, fam: KnotFunctionFamily, cfg=None, tol=DEFAULT_TOL):
         self.knots = np.asarray(knots, dtype=float)
+        self._knots, self._slots = self.knots.tolist(), fam.slots.tolist()   # Python types
         self.fam = fam
         self.cfg = cfg if cfg is not None else QuadratureConfig()
         self.tol = tol
@@ -71,7 +74,7 @@ class ReferenceEvaluator:
         self._areas: dict = {}
 
     def basis_value(self, i, p, t) -> float:
-        knots = self.knots
+        knots = self._knots
         m = len(knots)
         # the final nonzero function takes the value 1 at the last knot
         if (i == m - p - 2 and t == knots[m - 1]
@@ -86,16 +89,16 @@ class ReferenceEvaluator:
         return memo[t]
 
     def _seed(self, i, t):
-        knots = self.knots
+        knots = self._knots
         if knots[i] <= t < knots[i + 1]:
-            return self.fam.value(self.fam.slots[i], "u", 0, t)
+            return self.fam.value(self._slots[i], "u", 0, t)
         if knots[i + 2] - knots[i + 1] > self.tol and knots[i + 1] <= t <= knots[i + 2]:
-            return self.fam.value(self.fam.slots[i + 1], "v", 0, t)
+            return self.fam.value(self._slots[i + 1], "v", 0, t)
         return 0.0
 
     def _phi(self, i, p, t):
         d = self.delta(i, p)
-        knots = self.knots
+        knots = self._knots
         if d == 0.0:
             return 0.0 if t < knots[i + p + 1] else 1.0
         if t <= knots[i]:
@@ -103,7 +106,7 @@ class ReferenceEvaluator:
         if t >= knots[i + p + 1]:
             return 1.0
         ints = self._interval_integrals(i, p)
-        j = min(int(np.searchsorted(knots, t, side="right")) - 1, i + p)
+        j = min(bisect_right(knots, t) - 1, i + p)
         acc = float(np.sum(ints[: j - i]))
         if t > knots[j]:
             acc += self._integrate(i, p, knots[j], t)
@@ -112,14 +115,14 @@ class ReferenceEvaluator:
     def _integrate(self, i, p, a, b):
         # step branches can make the integrand jump exactly at a knot; the
         # integral ignores that point, so take the left limit at b
-        b_in = np.nextafter(b, a)
+        b_in = math.nextafter(b, a)
         return adaptive_simpson(
             lambda s: self.basis_value(i, p, s if s < b else b_in), a, b, self.cfg)
 
     def _interval_integrals(self, i, p):
         key = (i, p)
         if key not in self._ints:
-            knots = self.knots
+            knots = self._knots
             vals = np.zeros(p + 1)
             for c in range(p + 1):
                 a, b = knots[i + c], knots[i + c + 1]
@@ -132,7 +135,7 @@ class ReferenceEvaluator:
         """Integral of basis function (i, p) over its support."""
         key = (i, p)
         if key not in self._areas:
-            if self.knots[i + p + 1] - self.knots[i] <= self.tol:
+            if self._knots[i + p + 1] - self._knots[i] <= self.tol:
                 self._areas[key] = 0.0
             else:
                 self._areas[key] = float(np.sum(self._interval_integrals(i, p)))

@@ -11,7 +11,6 @@ from gbspline import (
     eval_basis_function,
     eval_curve,
     form_piecewise,
-    full_reverse_diagonals,
     nonzero_basis_values,
     reverse_diagonal_averages,
     validate_open_knot_vector,
@@ -23,7 +22,6 @@ from gbspline.errors import (
     IntervalStraddle,
     LengthMismatch,
     OutOfActiveRegion,
-    TooFewRows,
 )
 from gbspline.poly import derive_poly, poly_eval
 from conftest import ALL_KINDS, cox_de_boor, make_basis, open_kv, random_interiors
@@ -222,31 +220,6 @@ class TestSmoothness:
 
 
 class TestDiagonals:
-    def test_six_by_three(self):
-        a = np.arange(18).reshape(6, 3)
-        out = full_reverse_diagonals(a)
-        expected = [[a[0, 2], a[1, 1], a[2, 0]],
-                    [a[1, 2], a[2, 1], a[3, 0]],
-                    [a[2, 2], a[3, 1], a[4, 0]],
-                    [a[3, 2], a[4, 1], a[5, 0]]]
-        np.testing.assert_array_equal(out, expected)
-
-    def test_square_single_row(self):
-        a = np.arange(9).reshape(3, 3)
-        out = full_reverse_diagonals(a)
-        np.testing.assert_array_equal(out, [[a[0, 2], a[1, 1], a[2, 0]]])
-
-    def test_higher_axes_carried(self):
-        a = np.arange(24).reshape(4, 2, 3)
-        out = full_reverse_diagonals(a)
-        assert out.shape == (3, 2, 3)
-        np.testing.assert_array_equal(out[0, 0], a[0, 1])
-        np.testing.assert_array_equal(out[0, 1], a[1, 0])
-
-    def test_too_few_rows(self):
-        with pytest.raises(TooFewRows):
-            full_reverse_diagonals(np.zeros((2, 3)))
-
     def test_averages_exact(self):
         np.testing.assert_allclose(
             reverse_diagonal_averages(np.array([[1.0, 2.0], [2.0, 3.0]])), [1, 2, 3])
@@ -482,6 +455,23 @@ class TestBatchEvaluation:
                               eval_curve(curve, basis, 0.3))
         first, vals = nonzero_basis_values(basis, np.array(0.3))
         assert first == nonzero_basis_values(basis, 0.3)[0] and vals.shape == (4,)
+
+    def test_basis_function_rejects_an_array_of_parameters(self):
+        _, _, basis = make_basis(3, interior=(0.5,))
+        with pytest.raises(ValueError, match=r"^t must be a number, got an array shaped \(2,\)"):
+            eval_basis_function(basis, 1, np.array([0.2, 0.3]))
+
+    def test_value_on_rejects_a_scalar_interval_with_array_parameters(self):
+        _, _, basis = make_basis(3, interior=(0.5,))
+        with pytest.raises(ValueError, match=r"got j scalar and t \(2,\)"):
+            basis.local.value_on(1, np.array([0.6, 0.7]))
+
+    def test_value_on_rejects_array_intervals_with_a_scalar_parameter(self):
+        _, _, basis = make_basis(3, interior=(0.5,))
+        with pytest.raises(ValueError, match=r"got j \(2,\) and t scalar"):
+            basis.local.value_on(np.array([0, 1]), 0.3)
+        with pytest.raises(ValueError, match=r"got j \(2,\) and t \(3,\)"):
+            basis.local.value_on(np.array([0, 1]), np.array([0.2, 0.3, 0.6]))
 
     @pytest.mark.parametrize("bad", [1.5, -0.25, np.nan, np.inf])
     def test_outside_the_region_names_the_sample(self, bad):

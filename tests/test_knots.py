@@ -4,6 +4,7 @@ import re
 import sys
 import threading
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,13 +27,7 @@ from gbspline.errors import (
     OutOfInterval,
     TooShort,
 )
-from gbspline.knots import (
-    _pure_exponential,
-    _pure_linear,
-    _pure_trigonometric,
-    containing_spans,
-    find_interval,
-)
+from gbspline.knots import _SERIES_THETA_MAX, containing_spans, find_interval
 from conftest import ALL_KINDS
 
 
@@ -303,11 +298,11 @@ class TestIntegralTable:
 
 
 class TestArrayLadder:
-    """Array calls equal scalar `fam.value` calls bit for bit: at high order
-    the closed forms cancel, and end interpolation holds only because
-    construction and evaluation round alike."""
+    """Array calls equal scalar `fam.value` calls bit for bit: end
+    interpolation at high degree holds because construction and evaluation
+    round alike."""
 
-    KINDS = ALL_KINDS + ("mixed",)
+    KINDS = ALL_KINDS + ("mixed", "wide")
 
     @staticmethod
     def family(kind):
@@ -316,6 +311,8 @@ class TestArrayLadder:
         if kind == "mixed":
             return build_family(knots, kinds=ALL_KINDS + ("trigonometric",),
                                 omegas=[0.0, 1.3, 2.0, 0.7])
+        if kind == "wide":   # exponential spans on both sides of the closed-form cutoff
+            return build_family(knots, kind="exponential", omega=_SERIES_THETA_MAX / 0.5)
         return build_family(knots, kind=kind, omega=1.3)
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -406,24 +403,92 @@ class TestLadderKernel:
             fam.value(0, "w", 0, np.array([0.1]))
 
 
+def ladder_reference(kind, which, k, s, h, omega):
+    """Ladder value from the closed forms minus their Taylor polynomial at
+    s = 0, carried with enough guard digits that 50 survive the
+    subtraction."""
+    theta = omega * h if kind != "linear" else 1.0
+    lost = (max(k, 0) + 1) * max(0, math.ceil(-math.log10(theta)))
+    with mpmath.workdps(70 + lost):
+        s, h, w = mpmath.mpf(s), mpmath.mpf(h), mpmath.mpf(omega)
+
+        def pure(j, s):
+            if kind == "linear":
+                rise = s ** (j + 1) / (mpmath.factorial(j + 1) * h) if j >= 0 else (
+                    1 / h if j == -1 else mpmath.mpf(0))
+                if which == "u":
+                    return rise
+                return s**j / mpmath.factorial(j) - rise if j >= 0 else -rise
+            x = s if which == "u" else h - s
+            sign = 1 if which == "u" else (-1) ** j
+            if kind == "trigonometric":
+                return sign * mpmath.sin(w * x - j * mpmath.pi / 2) / (mpmath.sin(w * h) * w**j)
+            g = mpmath.sinh if j % 2 == 0 else mpmath.cosh
+            return sign * g(w * x) / (mpmath.sinh(w * h) * w**j)
+
+        val = pure(k, s)
+        if kind != "linear":
+            for j in range(1, max(k, 0) + 1):
+                val -= pure(j, mpmath.mpf(0)) * s ** (k - j) / mpmath.factorial(k - j)
+        return float(val)
+
+
+# fixed before measuring: ladder values within this fraction of their order's
+# scale, h^k/k! for integrals and h^k max(1, theta)^-k for derivatives
+LADDER_TOL = 1e-13
+
+
+def ladder_scale(k, h, theta):
+    return h**k / math.factorial(k) if k >= 0 else h**k * max(1.0, theta) ** -k
+
+
+class TestLadderAccuracy:
+    """Scalar and array ladder values against the 50-digit reference, on
+    short spans, where closed forms minus their Taylor polynomials cancel,
+    on wide ones, and on each side of the exponential closed-form cutoff."""
+
+    CASES = ([(kind, theta) for kind in ("trigonometric", "exponential")
+              for theta in (1e-4, 1e-2, 0.1, 1.0, 3.0)]
+             + [("exponential", _SERIES_THETA_MAX - 0.1), ("exponential", _SERIES_THETA_MAX + 0.1),
+                ("exponential", 20.0)])
+
+    @pytest.mark.parametrize("kind, theta", CASES)
+    def test_matches_the_reference(self, kind, theta):
+        left, h = 0.5, 0.37
+        fam = build_family([left, left + h], kind=kind, omega=theta / h)
+        h, omega = float(fam.spans[0, 1] - fam.spans[0, 0]), float(fam.omegas[0])
+        t = left + np.array([0.0, 0.25, 0.5, 0.9, 1.0]) * h
+        t[-1] = left + h
+        for k in range(-3, 9):
+            both = fam.value(0, "uv", [k], t)[0]
+            for w, which in enumerate("uv"):
+                got = np.array([fam.value(0, which, k, x) for x in t.tolist()])
+                assert got.tobytes() == both[w].tobytes()
+                want = [ladder_reference(kind, which, k, x - left, h, omega) for x in t.tolist()]
+                err = np.abs(got - want).max() / ladder_scale(k, h, omega * h)
+                assert err <= LADDER_TOL, (which, k, err)
+
+
 class TestScalarLadderCache:
-    """Scalar `fam.value` reads per-span constants that it computes on first
-    use; every result is bit for bit the formula that computes them afresh."""
+    """Scalar `fam.value` reads per-span coefficients that it computes on
+    first use; every result is bit for bit the value a fresh family computes,
+    and within LADDER_TOL of the reference."""
 
     ORDERS = list(range(-3, 10))
 
     @staticmethod
     def reference(fam, slot, which, order, t):
-        """The ladder value computed from scratch on every call."""
-        left, right = fam.spans[slot]
-        h, s = right - left, t - left
-        pure = {"linear": _pure_linear, "trigonometric": _pure_trigonometric,
-                "exponential": _pure_exponential}[fam.kinds[slot]]
-        omega = float(fam.omegas[slot])
-        val = pure(which, order, s, h, omega)
-        for j in range(1, max(order, 0) + 1):
-            val -= pure(which, j, 0.0, h, omega) * s ** (order - j) / math.factorial(order - j)
-        return val
+        left, right = fam.spans[slot].tolist()
+        return ladder_reference(fam.kinds[slot], which, order, t - left, right - left,
+                                float(fam.omegas[slot]))
+
+    @staticmethod
+    def within_tolerance(fam, calls, got):
+        for (slot, which, order, t), value in zip(calls, got):
+            left, right = fam.spans[slot].tolist()
+            theta = float(fam.omegas[slot]) * (right - left)
+            err = abs(value - TestScalarLadderCache.reference(fam, slot, which, order, t))
+            assert err <= LADDER_TOL * ladder_scale(order, right - left, theta)
 
     @staticmethod
     def calls(fam):
@@ -439,10 +504,11 @@ class TestScalarLadderCache:
     def test_matches_the_uncached_formula(self, kind):
         fam = TestArrayLadder.family(kind)
         calls = self.calls(fam)
-        want = np.array([self.reference(fam, *call) for call in calls])
-        for _ in range(2):   # the first pass fills the constants, the second reads them
+        want = np.array([TestArrayLadder.family(kind).value(*call) for call in calls])
+        for _ in range(2):   # the first pass fills the coefficients, the second reads them
             got = np.array([fam.value(*call) for call in calls])
             assert got.tobytes() == want.tobytes()
+        self.within_tolerance(fam, calls, want)
 
     @pytest.mark.parametrize("kind", TestArrayLadder.KINDS)
     def test_tolerance_stays_per_call(self, kind):
@@ -453,8 +519,7 @@ class TestScalarLadderCache:
                     with pytest.raises(OutOfInterval) as before:
                         fresh.value(slot, which, order, t)
                     loose = fam.value(slot, which, order, t, tol=1e-8)
-                    assert np.float64(loose).tobytes() == np.float64(
-                        self.reference(fam, slot, which, order, t)).tobytes()
+                    self.within_tolerance(fam, [(slot, which, order, t)], [loose])
                     with pytest.raises(OutOfInterval) as after:
                         fam.value(slot, which, order, t)
                     assert str(after.value) == str(before.value) == f"t={t} outside [{a}, {b}]"
