@@ -194,9 +194,9 @@ def _ladder_polys(codes, h, omega, orders):
     theta = np.where(codes == KINDS.index("linear"), 0.0, omega * h)
     closed, trig = (codes == _EXPONENTIAL) & (theta > _SERIES_THETA_MAX), codes == _TRIGONOMETRIC
     sine, cosine = np.ones(n), np.ones(n)   # the linear kind's limits
-    for on, sin, cos in ((trig, math.sin, math.cos), (codes == _EXPONENTIAL, math.sinh, math.cosh)):
+    for on, s, c in ((trig, math.sin, math.cos), (codes == _EXPONENTIAL, math.sinh, math.cosh)):
         z = theta[on].tolist()
-        sine[on], cosine[on] = list(map(sin, z)), list(map(cos, z))
+        sine[on], cosine[on] = list(map(s, z)), list(map(c, z))
     a = np.divide(theta, sine, out=np.ones(n), where=theta > 0)   # theta/S, 1 in the limit
     sq = np.where(closed, 0.0, np.where(trig, -theta, theta) * theta)
     terms = np.where(closed, 0, 1 + np.searchsorted(_SERIES_THETAS, theta))
@@ -314,20 +314,20 @@ class KnotFunctionFamily:
             val += scales[not u] * (inv * g(theta * (x if u else 1.0 - x)))
         return val
 
-    def _span_series(self, slot, order):
+    def _span_series(self, slot, k):
         """What a scalar value() call reads of its span, as Python floats: the
         ends, h, the span's own coefficients of u and of v, and None or the
-        closed forms' theta, 1/S, scales for u and v and G_order.  The first
+        closed forms' theta, 1/S, scales for u and v and G_k.  The first
         call for an order builds its coefficients on every span."""
-        if order not in self._polys:
-            self._polys[order] = _ladder_polys(self._kind_ids, self.spans[:, 1] - self.spans[:, 0],
-                                               self.omegas, [order])
-        coefs, lengths, closed = self._polys[order]
+        if k not in self._polys:
+            self._polys[k] = _ladder_polys(self._kind_ids, self.spans[:, 1] - self.spans[:, 0],
+                                           self.omegas, [k])
+        coefs, lengths, closed = self._polys[k]
         left, right = self.spans[slot].tolist()
         own = [tuple(c) for c in coefs[len(coefs) - lengths[0, slot]:, 0, :, slot].T.tolist()]
         if on := closed is not None and closed[0][slot]:
             theta, inv, scale = (float(a[slot]) for a in closed[1:3] + (closed[3][0],))
-            closed = theta, inv, (scale, (-1.0) ** order * scale), (math.sinh, math.cosh)[order & 1]
+            closed = theta, inv, (scale, (-1.0) ** k * scale), (math.sinh, math.cosh)[k & 1]
         return left, right, right - left, *own, closed if on else None
 
 
