@@ -17,36 +17,16 @@ from .basis import (
     eval_curve,
     form_piecewise,
     nonzero_basis_values,
-    reverse_diagonal_averages,
 )
 from .curvefile import load_curve, save_curve
 from .knots import (
     KnotFunctionFamily,
     KnotVector,
     build_family,
-    build_integral_table,
     validate_open_knot_vector,
 )
-from .poly import (
-    DEFAULT_TOL,
-    elevate_polys,
-    integrate_poly,
-    left_taylor_series,
-    poly_eval,
-    restrict_poly,
-    right_taylor_series,
-    taylor_shift,
-)
-from .reference import QuadratureConfig, ReferenceEvaluator, adaptive_simpson
-from .refine import (
-    derive_family,
-    elevate_degree,
-    greville_abscissae,
-    insert_knots,
-    refine_curve,
-    refine_local,
-    refined_spline,
-    represent_knot_funcs,
-)
+from .poly import DEFAULT_TOL
+from .reference import QuadratureConfig, ReferenceEvaluator
+from .refine import elevate_degree, greville_abscissae, insert_knots, refined_spline
 
 __version__ = "0.1.0"

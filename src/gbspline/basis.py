@@ -66,8 +66,11 @@ class LocalBasis:
     component c is basis function j+c, so `local.poly_parts` has shape
     (intervals, max(p-1, 0), p+1) and `local.gen_coefs` (intervals, 2, p+1).
     Rows over zero-length intervals hold zeros and are never evaluated.
-    deltas[k-1] lists the level-k normalization integrals; ladder_table, kept from
-    construction, equals build_integral_table(fam, active region, 0, p-1)[1:].
+    deltas[k-1] lists the level-k normalization integrals.  ladder_table, kept
+    from construction, holds the right-end values of the generators' ladder
+    orders 1..p-1 on every active interval, shaped (p-1, intervals, 2) with u
+    first: build_integral_table(fam, active region, 0, p-1)[1:, :, 1].  Their
+    left-end values are zero.
     """
 
     kv: KnotVector
@@ -275,9 +278,8 @@ def build_local_basis(kv: KnotVector, fam: KnotFunctionFamily, tol=DEFAULT_TOL) 
     poly, gen = (np.moveaxis(a[rows, p - np.arange(p + 1)], 1, -1) for a in (poly, gen))
     local = PiecewiseCurve(breaks=kv.active_region(), poly_parts=poly, gen_coefs=gen,
                            degree=p, fam=fam, slots=fam.slots[p : m - p - 1])
-    right = right[: p - 1, p : m - p - 1]
     return LocalBasis(kv=kv, fam=fam, local=local, deltas=tuple(readonly(d) for d in deltas),
-                      ladder_table=readonly(np.stack([np.zeros_like(right), right], axis=2)))
+                      ladder_table=readonly(right[: p - 1, p : m - p - 1]))
 
 
 # evaluation ------------------------------------------------------------------

@@ -68,10 +68,6 @@ class InconsistentCoefficient(GBSplineError):
     the target spline space (e.g. violates its continuity)."""
 
 
-class SingularGeneratorSystem(GBSplineError):
-    """Target generators are linearly dependent at interval endpoints."""
-
-
 class TaylorMismatch(GBSplineError):
     """Left/right polynomial reconstructions disagree; the source generator
     terms are outside the span of the target generators."""

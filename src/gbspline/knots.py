@@ -9,11 +9,12 @@ is a polynomial in the interval's local coordinate with per-span
 coefficients, evaluated by Horner's rule.
 
 All types are immutable after construction and safe for concurrent reads.
-A family keeps the coefficients of an order from its first scalar `value`
-call for that order; they depend only on the spans, never on `tol` or on
-the order of the calls, and are the numbers an array call builds afresh,
-so a filled cache never changes a result.  Scalar parameters are computed
-as Python floats whatever their type: numpy's float32 would stay float32.
+A family keeps a span's coefficients of an order from its first scalar
+`value` call for that span and order; they depend only on the span, never
+on `tol` or on the order of the calls, and are the numbers an array call
+builds afresh, so a filled cache never changes a result.  Scalar parameters
+are computed as Python floats whatever their type: numpy's float32 would
+stay float32.
 """
 from __future__ import annotations
 
@@ -241,13 +242,11 @@ class KnotFunctionFamily:
     slots: np.ndarray   # (number of knot intervals,)
     _kind_ids: np.ndarray = field(init=False, repr=False)
     _scalar: dict = field(init=False, repr=False)   # (slot, order) -> _span_series
-    _polys: dict = field(init=False, repr=False)    # order -> _ladder_polys of every span
 
     def __post_init__(self):
         object.__setattr__(self, "_kind_ids",
                            readonly([KINDS.index(k) for k in self.kinds], dtype=int))
         object.__setattr__(self, "_scalar", {})
-        object.__setattr__(self, "_polys", {})
 
     @property
     def n_spans(self) -> int:
@@ -317,16 +316,14 @@ class KnotFunctionFamily:
     def _span_series(self, slot, k):
         """What a scalar value() call reads of its span, as Python floats: the
         ends, h, the span's own coefficients of u and of v, and None or the
-        closed forms' theta, 1/S, scales for u and v and G_k.  The first
-        call for an order builds its coefficients on every span."""
-        if k not in self._polys:
-            self._polys[k] = _ladder_polys(self._kind_ids, self.spans[:, 1] - self.spans[:, 0],
-                                           self.omegas, [k])
-        coefs, lengths, closed = self._polys[k]
+        closed forms' theta, 1/S, scales for u and v and G_k.  Only this
+        span's coefficients are built."""
         left, right = self.spans[slot].tolist()
-        own = [tuple(c) for c in coefs[len(coefs) - lengths[0, slot]:, 0, :, slot].T.tolist()]
-        if on := closed is not None and closed[0][slot]:
-            theta, inv, scale = (float(a[slot]) for a in closed[1:3] + (closed[3][0],))
+        coefs, lengths, closed = _ladder_polys(self._kind_ids[[slot]], np.array([right - left]),
+                                               self.omegas[[slot]], [k])
+        own = [tuple(c) for c in coefs[len(coefs) - lengths[0, 0]:, 0, :, 0].T.tolist()]
+        if on := closed is not None and closed[0][0]:
+            theta, inv, scale = (float(a[0]) for a in closed[1:3] + (closed[3][0],))
             closed = theta, inv, (scale, (-1.0) ** k * scale), (math.sinh, math.cosh)[k & 1]
         return left, right, right - left, *own, closed if on else None
 

@@ -9,8 +9,8 @@ any simultaneous combination all ride on the same pipeline.
 
 Per-interval work is independent, so every stage runs on arrays over all
 target intervals at once: one Taylor shift re-expands the polynomial parts,
-one batched elimination solves all local systems of a kind, and one scatter
-averages the anti-diagonals.
+one batched elimination solves all local systems, and one scatter averages
+the anti-diagonals.
 """
 from __future__ import annotations
 
@@ -34,7 +34,6 @@ from .errors import (
     InconsistentCoefficient,
     KnotOutsideActiveRegion,
     MultiplicityOverflow,
-    SingularGeneratorSystem,
     SingularLocalSystem,
     TaylorMismatch,
 )
@@ -72,14 +71,14 @@ def _tolerances(tol, coef_tol):
     return tol, coef_tol
 
 
-def _solve(matrices, rhs, error, name):
+def _solve(matrices, rhs, name):
     """Gaussian elimination with partial pivoting over a stack of tiny systems.
 
     `matrices` is (systems, n, n) and `rhs` (systems, n) or (systems, n, d):
     d right-hand sides share one elimination.  `name(i)` describes system i.
     A pivot at or below 1e-13 times the system's largest entry (at least 1)
-    raises `error`; pivot ratios above PIVOT_RATIO_WARN give one warning for
-    the whole stack, at its worst system.
+    raises SingularLocalSystem; pivot ratios above PIVOT_RATIO_WARN give one
+    warning for the whole stack, at its worst system.
     """
     rhs = np.asarray(rhs, dtype=float)
     count, n = rhs.shape[:2]
@@ -91,8 +90,9 @@ def _solve(matrices, rhs, error, name):
         low = np.flatnonzero(np.abs(a[every, r, col]) <= floor)
         if len(low):
             i = low[0]
-            raise error(f"system is singular at column {col} on {name(i)}: "
-                        f"|pivot| {abs(a[i, r[i], col]):.3e} <= floor {floor[i]:.3e}")
+            raise SingularLocalSystem(
+                f"system is singular at column {col} on {name(i)}: "
+                f"|pivot| {abs(a[i, r[i], col]):.3e} <= floor {floor[i]:.3e}")
         a[every, col], a[every, r] = a[every, r], a[every, col]
         pivot = a[:, col : col + 1, col : col + 1]
         a[:, col + 1 :] -= a[:, col + 1 :, col : col + 1] / pivot * a[:, col : col + 1]
@@ -138,50 +138,49 @@ def refine_local(curve: PiecewiseCurve, dst_breaks, tol=DEFAULT_TOL) -> Piecewis
                           degree=curve.degree, fam=curve.fam, slots=slots)
 
 
-def represent_knot_funcs(gen_coefs, tables_src, tables_dst, lens, pos,
-                         coef_tol=1e-6):
+def represent_knot_funcs(gen_coefs, tables_src, ladder_table, lens, coef_tol=1e-6):
     """Rewrite generator terms of a piecewise curve in the target ladders.
 
     `tables_src` holds ladder values of the (derivative-shifted) source
-    generators on every target interval and `tables_dst` those of the target
-    generators.  The top derivative of each generator term is matched against
-    the target pair by a 2x2 solve at the interval endpoints; the remaining
-    derivative differences are absorbed into polynomial corrections,
-    reconstructed as the average of the Taylor expansions at both endpoints.
-    A disagreement between the two expansions means the source generators lie
-    outside the target span; it is measured component by component when
-    `gen_coefs` carries a trailing component axis.
+    generators on every target interval and `ladder_table` the right-end
+    values of the target generators' positive orders, shaped (orders - 1,
+    intervals, 2) as `LocalBasis.ladder_table`.  The target pair rises from
+    0 to 1 (u) and falls from 1 to 0 (v) on each interval, so the top
+    derivative of a generator term takes its right-end value as u's
+    coefficient and its left-end value as v's.  The remaining derivative
+    differences are absorbed into polynomial corrections, reconstructed as
+    the average of the Taylor expansions at both endpoints; at the left end
+    the target's positive orders vanish.  A disagreement between the two
+    expansions means the source generators lie outside the target span; it
+    is measured component by component when `gen_coefs` carries a trailing
+    component axis.  Zero-length intervals, whose table rows are zeros, get
+    zeros.
 
     Returns (new coefficient rows, polynomial corrections to add).
     """
     orders, num = tables_src.shape[:2]
     gen_coefs = np.asarray(gen_coefs, dtype=float)
     tail = gen_coefs.shape[2:]
-    live = np.flatnonzero(pos)
     ivals = np.einsum("kjew,jw...->kje...", tables_src, gen_coefs)
-    ngen = np.zeros((num, 2) + tail)
-    ngen[live] = _solve(tables_dst[0, live], ivals[0, live], SingularGeneratorSystem,
-                        lambda i: f"interval {live[i]} (length {lens[live[i]]})")
-    offsets = np.zeros((num, max(orders - 1, 0)) + tail)
+    ngen = ivals[0, :, ::-1]
     if orders < 2:
-        return ngen, offsets
-    diffs = ivals[1:] - np.einsum("kjew,jw...->kje...", tables_dst[1:], ngen)
-    left = left_taylor_series(diffs[::-1, live, 0])
-    right = right_taylor_series(diffs[::-1, live, 1],
-                                lens[live].reshape((-1,) + (1,) * len(tail)))
+        return ngen, np.zeros((num, 0) + tail)
+    left = left_taylor_series(ivals[:0:-1, :, 0])
+    right = right_taylor_series(
+        ivals[:0:-1, :, 1] - np.einsum("kjw,jw...->kj...", ladder_table[::-1], ngen),
+        lens.reshape((-1,) + (1,) * len(tail)))
     scale = np.maximum(1.0, np.maximum(np.abs(left).max(axis=0), np.abs(right).max(axis=0)))
     bad = np.abs(left - right) > coef_tol * scale
     stray = np.flatnonzero(bad.any(axis=(0,) + tuple(range(2, bad.ndim))))
     if len(stray):
         i = stray[0]
         raise TaylorMismatch(
-            f"endpoint reconstructions disagree on interval {live[i]}: "
+            f"endpoint reconstructions disagree on interval {i}: "
             f"{left[:, i].tolist()} vs {right[:, i].tolist()}")
-    offsets[live] = np.moveaxis(0.5 * (left + right), 0, 1)
-    return ngen, offsets
+    return ngen, np.moveaxis(0.5 * (left + right), 0, 1)
 
 
-def refine_curve(curve: PiecewiseCurve, basis: LocalBasis, tables_src, tables_dst,
+def refine_curve(curve: PiecewiseCurve, basis: LocalBasis, tables_src,
                  tol=DEFAULT_TOL, coef_tol=None) -> np.ndarray:
     """Control points of a piecewise curve relative to the target basis.
 
@@ -190,30 +189,31 @@ def refine_curve(curve: PiecewiseCurve, basis: LocalBasis, tables_src, tables_ds
     positive-length interval solve for the coefficients of the nonzero basis
     functions and aggregate by anti-diagonal averaging.  A curve with a
     trailing axis of d components gives control points shaped (n, d), each
-    interval solved once with d right-hand sides.
+    interval solved once with d right-hand sides.  `tables_src` holds the
+    source generators' ladder values on the target intervals; the target's
+    come from `basis.ladder_table`.
     """
     tol, coef_tol = _tolerances(tol, coef_tol)
     kv = basis.kv
     q = kv.degree
     breaks = kv.active_region()
     lens = np.diff(breaks)
-    pos = lens > tol
     expected = (q, len(lens), 2, 2)
-    if tables_src.shape != expected or tables_dst.shape != expected:
+    if tables_src.shape != expected:
         raise ValueError(f"integral tables must be shaped {expected}")
 
     local = refine_local(curve, breaks, tol)
     poly = elevate_polys(local.poly_parts, max(q - 2, 0))
-    ngen, offsets = represent_knot_funcs(local.gen_coefs, tables_src, tables_dst,
-                                         lens, pos, coef_tol)
+    ngen, offsets = represent_knot_funcs(local.gen_coefs, tables_src, basis.ladder_table,
+                                         lens, coef_tol)
     poly = poly + offsets
 
     lbases = np.concatenate([basis.local.poly_parts, basis.local.gen_coefs], axis=1)
     lfunc = np.concatenate([poly, ngen], axis=1)
-    live = np.flatnonzero(pos)
+    live = np.flatnonzero(lens > tol)
     coefs = np.full((len(lens), q + 1) + ngen.shape[2:], np.nan)
     coefs[live] = _solve(
-        lbases[live], lfunc[live], SingularLocalSystem,
+        lbases[live], lfunc[live],
         lambda i: f"interval {live[i]} [{breaks[live[i]]}, {breaks[live[i] + 1]}]")
     return reverse_diagonal_averages(coefs, coef_tol)
 
@@ -272,7 +272,7 @@ def refined_spline(curve: SplineCurve, basis: LocalBasis | None = None, *,
     original continuity is preserved, and requires generator derivatives that
     still span the target local spaces (true for the trigonometric and
     exponential kinds, never for linear).  Control points shaped (n, d) are
-    refined together: one target basis, one pair of integral tables.
+    refined together: one target basis, one integral table.
     """
     tol, coef_tol = _tolerances(tol, coef_tol)
     p = curve.kv.degree
@@ -291,11 +291,8 @@ def refined_spline(curve: SplineCurve, basis: LocalBasis | None = None, *,
         basis = build_local_basis(curve.kv, curve.fam, tol)
     piece = form_piecewise(curve.cpts, basis)
     basis1 = build_local_basis(kv1, fam1, tol)
-    breaks1 = kv1.active_region()
-    tables_src = build_integral_table(curve.fam, breaks1, q - p, q - 1, tol)
-    tables_dst = np.concatenate([build_integral_table(fam1, breaks1, 0, 0, tol),
-                                 basis1.ladder_table])
-    cpts1 = refine_curve(piece, basis1, tables_src, tables_dst, tol, coef_tol)
+    tables = build_integral_table(curve.fam, kv1.active_region(), q - p, q - 1, tol)
+    cpts1 = refine_curve(piece, basis1, tables, tol, coef_tol)
     return SplineCurve(kv=kv1, fam=fam1, cpts=cpts1)
 
 
@@ -343,6 +340,5 @@ def greville_abscissae(basis: LocalBasis, tol=DEFAULT_TOL, coef_tol=None) -> np.
         gen[pos] = 1.0
     piece = PiecewiseCurve(breaks=breaks, poly_parts=poly, gen_coefs=gen,
                            degree=p, fam=basis.fam, slots=slots)
-    tables = np.concatenate([build_integral_table(basis.fam, breaks, 0, 0, tol),
-                             basis.ladder_table])
-    return refine_curve(piece, basis, tables, tables, tol, coef_tol)
+    tables = build_integral_table(basis.fam, breaks, 0, p - 1, tol)
+    return refine_curve(piece, basis, tables, tol, coef_tol)

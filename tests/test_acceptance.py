@@ -14,7 +14,6 @@ from gbspline import (
     ReferenceEvaluator,
     SplineCurve,
     build_family,
-    build_integral_table,
     build_local_basis,
     elevate_degree,
     eval_basis_function,
@@ -22,11 +21,12 @@ from gbspline import (
     greville_abscissae,
     insert_knots,
     nonzero_basis_values,
-    refine_curve,
     refined_spline,
     validate_open_knot_vector,
 )
 from gbspline.errors import InconsistentCoefficient
+from gbspline.knots import build_integral_table
+from gbspline.refine import refine_curve
 from conftest import ALL_KINDS, cox_de_boor, make_basis
 
 FIG_KNOTS = [0, 0, 0, 0, 0, .5, 1, 1, 1, 1, 1]
@@ -179,7 +179,7 @@ def test_criterion_7_continuity_violation_flagged():
         gen_coefs=np.zeros((2, 2)), degree=3, fam=fam)
     tables = build_integral_table(fam, breaks, 0, 2)
     with pytest.raises(InconsistentCoefficient):
-        refine_curve(piece, basis, tables, tables)
+        refine_curve(piece, basis, tables)
     report(7, "continuity-violation detection", True, "InconsistentCoefficient raised")
 
 

@@ -5,16 +5,15 @@ import pytest
 from gbspline import (
     PiecewiseCurve,
     SplineCurve,
-    adaptive_simpson,
     build_family,
     build_local_basis,
     eval_basis_function,
     eval_curve,
     form_piecewise,
     nonzero_basis_values,
-    reverse_diagonal_averages,
     validate_open_knot_vector,
 )
+from gbspline.basis import reverse_diagonal_averages
 from gbspline.errors import (
     AllMissingDiagonal,
     DegreeTooSmall,
@@ -24,6 +23,7 @@ from gbspline.errors import (
     OutOfActiveRegion,
 )
 from gbspline.poly import derive_poly, poly_eval
+from gbspline.reference import adaptive_simpson
 from conftest import ALL_KINDS, cox_de_boor, make_basis, open_kv, random_interiors
 
 

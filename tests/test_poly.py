@@ -3,16 +3,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gbspline import (
+from gbspline.errors import TargetsOutsideSource, TargetTooSmall
+from gbspline.poly import (
+    derive_poly,
     elevate_polys,
     integrate_poly,
     left_taylor_series,
     poly_eval,
     restrict_poly,
     right_taylor_series,
+    taylor_shift,
 )
-from gbspline.errors import TargetsOutsideSource, TargetTooSmall
-from gbspline.poly import derive_poly, taylor_shift
 
 coeff = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 polynomial = st.lists(coeff, min_size=0, max_size=7)

@@ -7,11 +7,11 @@ import pytest
 from gbspline import (
     QuadratureConfig,
     ReferenceEvaluator,
-    adaptive_simpson,
     build_family,
     eval_basis_function,
 )
 from gbspline.errors import DepthExceeded
+from gbspline.reference import adaptive_simpson
 from conftest import cox_de_boor, make_basis
 
 

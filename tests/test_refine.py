@@ -10,19 +10,14 @@ from gbspline import (
     PiecewiseCurve,
     SplineCurve,
     build_family,
-    build_integral_table,
     build_local_basis,
-    derive_family,
     elevate_degree,
     eval_basis_function,
     eval_curve,
     form_piecewise,
     greville_abscissae,
     insert_knots,
-    refine_curve,
-    refine_local,
     refined_spline,
-    represent_knot_funcs,
 )
 from gbspline.errors import (
     DegreeTooSmall,
@@ -32,11 +27,17 @@ from gbspline.errors import (
     IntervalStraddle,
     KnotOutsideActiveRegion,
     MultiplicityOverflow,
-    SingularGeneratorSystem,
     SingularLocalSystem,
     TaylorMismatch,
 )
-from gbspline.refine import _solve
+from gbspline.knots import build_integral_table
+from gbspline.refine import (
+    _solve,
+    derive_family,
+    refine_curve,
+    refine_local,
+    represent_knot_funcs,
+)
 from conftest import ALL_KINDS, make_basis, open_kv
 
 
@@ -105,7 +106,7 @@ class TestRepresentKnotFuncs:
         tables = build_integral_table(fam, breaks, 0, 3)
         lens = np.diff(breaks)
         gen = np.array([[0.7, -0.2], [0.1, 1.4]])
-        ngen, offsets = represent_knot_funcs(gen, tables, tables, lens, lens > 0)
+        ngen, offsets = represent_knot_funcs(gen, tables, tables[1:, :, 1], lens)
         np.testing.assert_allclose(ngen, gen, atol=1e-12)
         np.testing.assert_allclose(offsets, 0.0, atol=1e-12)
 
@@ -114,8 +115,8 @@ class TestRepresentKnotFuncs:
         breaks = kv.active_region()
         tables = build_integral_table(fam, breaks, 0, 2)
         lens = np.diff(breaks)
-        ngen, offsets = represent_knot_funcs(np.zeros((2, 2)), tables, tables,
-                                             lens, lens > 0)
+        ngen, offsets = represent_knot_funcs(np.zeros((2, 2)), tables, tables[1:, :, 1],
+                                             lens)
         np.testing.assert_array_equal(ngen, 0.0)
         np.testing.assert_array_equal(offsets, 0.0)
 
@@ -135,7 +136,7 @@ class TestRepresentKnotFuncs:
                              degree=p, fam=src_fam)
         split = refine_local(src, dst_breaks)
         ngen, offsets = represent_knot_funcs(split.gen_coefs, tables_src,
-                                             tables_dst, lens, lens > 0)
+                                             tables_dst[1:, :, 1], lens)
         rewritten = PiecewiseCurve(breaks=dst_breaks,
                                    poly_parts=split.poly_parts + offsets,
                                    gen_coefs=ngen, degree=p, fam=dst_fam)
@@ -144,6 +145,27 @@ class TestRepresentKnotFuncs:
                 assert rewritten.value(float(t)) == pytest.approx(
                     src.value(float(t)), abs=1e-9)
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_generator_coefficients_are_the_end_values(self, kind, offset):
+        # the target u rises from 0 to 1 and v falls from 1 to 0, so u takes
+        # the top derivative's right-end value and v its left-end value
+        src_fam = build_family([0, .5, 1], kind=kind, omega=1.3)
+        breaks = np.array([0, .2, .5, .5, .9, 1.0])
+        dst_fam = build_family(breaks, kind=kind, omega=1.3)
+        tables_src = build_integral_table(src_fam, breaks, offset, 3)
+        ladder = build_integral_table(dst_fam, breaks, 0, 3)[1:, :, 1]
+        gen = np.random.default_rng(8).uniform(-1, 1, (5, 2))
+        gen[2] = 0.0   # the zero-length interval carries no generators
+        ngen, _ = represent_knot_funcs(gen, tables_src, ladder, np.diff(breaks))
+        want = np.zeros((5, 2))
+        for j in (0, 1, 3, 4):
+            slot = 0 if j < 2 else 1
+            for w, t in enumerate((breaks[j + 1], breaks[j])):
+                want[j, w] = (gen[j, 0] * src_fam.value(slot, "u", -offset, t)
+                              + gen[j, 1] * src_fam.value(slot, "v", -offset, t))
+        assert ngen.tobytes() == want.tobytes()
+
     def test_wrong_span_raises_taylor_mismatch(self):
         src_fam = build_family([0, 1], kind="trigonometric", omega=np.pi / 2)
         dst_fam = build_family([0, 1], kind="trigonometric", omega=1.0)
@@ -151,18 +173,8 @@ class TestRepresentKnotFuncs:
         tables_src = build_integral_table(src_fam, breaks, 0, 3)
         tables_dst = build_integral_table(dst_fam, breaks, 0, 3)
         with pytest.raises(TaylorMismatch):
-            represent_knot_funcs(np.array([[1.0, 0.5]]), tables_src, tables_dst,
-                                 np.array([1.0]), np.array([True]))
-
-    def test_singular_generator_system(self):
-        kv, fam, basis = make_basis(2, kind="linear")
-        breaks = kv.active_region()
-        tables = build_integral_table(fam, breaks, 0, 1)
-        broken = tables.copy()
-        broken[0, 0, 1] = broken[0, 0, 0]  # duplicate endpoint rows
-        with pytest.raises(SingularGeneratorSystem):
-            represent_knot_funcs(np.array([[1.0, 0.0]]), tables, broken,
-                                 np.array([1.0]), np.array([True]))
+            represent_knot_funcs(np.array([[1.0, 0.5]]), tables_src, tables_dst[1:, :, 1],
+                                 np.array([1.0]))
 
 
 class TestRefineCurve:
@@ -173,7 +185,7 @@ class TestRefineCurve:
         piece = form_piecewise(cpts, basis)
         breaks = kv.active_region()
         tables = build_integral_table(fam, breaks, 0, 3)
-        out = refine_curve(piece, basis, tables, tables)
+        out = refine_curve(piece, basis, tables)
         np.testing.assert_allclose(out, cpts, atol=1e-10)
 
     def test_continuity_violation_detected(self):
@@ -186,14 +198,14 @@ class TestRefineCurve:
                                gen_coefs=np.zeros((2, 2)), degree=3, fam=fam)
         tables = build_integral_table(fam, breaks, 0, 2)
         with pytest.raises(InconsistentCoefficient):
-            refine_curve(piece, basis, tables, tables)
+            refine_curve(piece, basis, tables)
         # tolerances hold per component: a smooth first component (y = t)
         # does not hide the kink in the second
         smooth = np.array([[0.0, 1.0], [0.5, 1.0]])
         piece = PiecewiseCurve(breaks=breaks, poly_parts=np.stack([smooth, poly], axis=2),
                                gen_coefs=np.zeros((2, 2, 2)), degree=3, fam=fam)
         with pytest.raises(InconsistentCoefficient):
-            refine_curve(piece, basis, tables, tables)
+            refine_curve(piece, basis, tables)
 
 
 class TestInsertKnots:
@@ -366,7 +378,7 @@ class TestGreville:
             except GBSplineError as e:
                 return type(e), str(e)
 
-        assert outcome(basis) == outcome(dataclasses.replace(basis, ladder_table=full[1:]))
+        assert outcome(basis) == outcome(dataclasses.replace(basis, ladder_table=full[1:, :, 1]))
 
 
 # (kind, inserted knots, degree raise): insertion for every kind, elevation
@@ -449,9 +461,9 @@ class TestTolerances:
         tables = build_integral_table(curve.fam, curve.kv.active_region(), 0, 2)
         piece = form_piecewise(curve.cpts, basis)
         with pytest.raises(ValueError, match="^tol must"):
-            refine_curve(piece, basis, tables, tables, tol=bad)
+            refine_curve(piece, basis, tables, tol=bad)
         with pytest.raises(ValueError, match="^coef_tol must"):
-            refine_curve(piece, basis, tables, tables, coef_tol=bad)
+            refine_curve(piece, basis, tables, coef_tol=bad)
 
     def test_nan_coef_tol_no_longer_hides_a_moved_curve(self):
         # with a nan coef_tol this insertion returned a curve 7.25e-6 away
@@ -502,13 +514,13 @@ class TestBatchedSolve:
     def test_first_singular_system_is_named(self):
         mats = np.stack([np.eye(2), np.eye(2), [[1.0, 2.0], [2.0, 4.0]]])
         message = r"column 1 on system 2: \|pivot\| 0\.000e\+00 <= floor 4\.000e-13"
-        with pytest.raises(SingularGeneratorSystem, match=message):
-            _solve(mats, np.ones((3, 2)), SingularGeneratorSystem, lambda i: f"system {i}")
+        with pytest.raises(SingularLocalSystem, match=message):
+            _solve(mats, np.ones((3, 2)), lambda i: f"system {i}")
 
     def test_one_pivot_warning_at_the_worst_system(self):
         mats = np.stack([np.eye(2), np.diag([1e8, 5e-5]), np.diag([1e8, 1e-3])])
         with pytest.warns(RuntimeWarning) as record:
-            x = _solve(mats, np.ones((3, 2, 2)), SingularLocalSystem, lambda i: f"system {i}")
+            x = _solve(mats, np.ones((3, 2, 2)), lambda i: f"system {i}")
         assert [str(w.message) for w in record] == [
             "poorly conditioned local system on system 1 (pivot ratio 2.00e+12, the worst of 3)"]
         np.testing.assert_allclose(x[1], [[1e-8, 1e-8], [2e4, 2e4]])
@@ -517,7 +529,7 @@ class TestBatchedSolve:
         rng = np.random.default_rng(4)
         mats = rng.uniform(-1, 1, (6, 5, 5))
         rhs = rng.uniform(-1, 1, (6, 5, 3))
-        x = _solve(mats, rhs, SingularLocalSystem, str)
+        x = _solve(mats, rhs, str)
         np.testing.assert_allclose(x, np.linalg.solve(mats, rhs), rtol=0, atol=1e-12)
 
 
@@ -556,9 +568,9 @@ class TestMixedFamily:
         basis1 = build_local_basis(out.kv, out.fam)
         breaks1, q = out.kv.active_region(), out.kv.degree
         tables_dst = build_integral_table(out.fam, breaks1, 0, q - 1)
-        assert basis1.ladder_table.tobytes() == tables_dst[1:].tobytes()
+        assert basis1.ladder_table.tobytes() == tables_dst[1:, :, 1].tobytes()
         tables_src = build_integral_table(curve.fam, breaks1, raise_by, q - 1)
-        cpts = refine_curve(form_piecewise(curve.cpts, basis), basis1, tables_src, tables_dst)
+        cpts = refine_curve(form_piecewise(curve.cpts, basis), basis1, tables_src)
         assert cpts.tobytes() == out.cpts.tobytes()
 
     def test_greville_matches_tables_built_apart(self):
@@ -568,5 +580,5 @@ class TestMixedFamily:
         piece = PiecewiseCurve(breaks=breaks, poly_parts=np.stack([breaks[:-1], np.ones(6),
                                                                    np.zeros(6)], axis=1),
                                gen_coefs=np.zeros((6, 2)), degree=4, fam=basis.fam)
-        want = refine_curve(piece, basis, tables, tables)
+        want = refine_curve(piece, basis, tables)
         assert greville_abscissae(basis).tobytes() == want.tobytes()
