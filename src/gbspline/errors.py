@@ -39,10 +39,6 @@ class TargetsOutsideSource(GBSplineError):
     pass
 
 
-class TargetTooSmall(GBSplineError):
-    """Requested degree is below the current representation degree."""
-
-
 # basis construction and evaluation
 
 class DegreeTooSmall(GBSplineError):

@@ -186,8 +186,8 @@ def _ladder_polys(codes, h, omega, orders):
     """u_k and v_k of each order k on spans of kind indices `codes`, lengths
     `h` and frequencies `omega`: (their coefficients in x, highest power
     first, shaped (size, len(orders), 2, spans) with u first and each span's
-    own list preceded by zeros; the lengths of those lists; None, or (closed,
-    theta, 1/S, [(h/theta)^k per order]) if some span keeps the closed forms).
+    own list preceded by zeros; None, or (closed, theta, 1/S, [(h/theta)^k
+    per order]) if some span keeps the closed forms).
     Only math's functions, pow and IEEE arithmetic enter, element by element,
     so a span's numbers do not depend on what is asked for with it; h**k
     raises OverflowError where it overflows."""
@@ -212,9 +212,8 @@ def _ladder_polys(codes, h, omega, orders):
     at = len(out) - 1 - np.maximum(ks, 0) - np.arange(width), np.arange(len(orders))[:, None]
     out[at + (0,)] = np.where(odd, a * base, 0.0)
     out[at + (1,)] = np.where(odd, -(a * cosine * base), base)
-    lengths = np.maximum(ks, 0) + 2 * terms
     if not closed.any():
-        return out, lengths, None
+        return out, None
     tc, inv, scales = np.where(closed, theta, 1.0), 1.0 / np.where(closed, sine, 1.0), []
     for o, k in enumerate(orders):
         scales.append(hk[o, 0] / np.array([x**k for x in tc.tolist()]))
@@ -224,7 +223,7 @@ def _ladder_polys(codes, h, omega, orders):
             pair = (-(c * inv), c * (cosine * inv)) if (k - i) % 2 else (np.zeros(n), -c)
             out[len(out) - 1 - i, o] = np.where(closed, pair, 0.0)
             power = power * tc
-    return out, lengths, (closed, theta, inv, scales)
+    return out, (closed, theta, inv, scales)
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,8 +275,8 @@ class KnotFunctionFamily:
                 raise OutOfInterval(f"t={t[i]} outside [{left[i]}, {right[i]}] (entry {i})")
             x = (t - left) / (right - left)
             spans, at = np.unique(slot, return_inverse=True)
-            coefs, _, closed = _ladder_polys(self._kind_ids[spans], self.spans[spans, 1]
-                                          - self.spans[spans, 0], self.omegas[spans], orders)
+            coefs, closed = _ladder_polys(self._kind_ids[spans], self.spans[spans, 1]
+                                       - self.spans[spans, 0], self.omegas[spans], orders)
             out = np.zeros((len(orders), 2, len(t)))
             for c in coefs:
                 out = out * x + np.take(c, at, axis=-1)
@@ -319,9 +318,9 @@ class KnotFunctionFamily:
         closed forms' theta, 1/S, scales for u and v and G_k.  Only this
         span's coefficients are built."""
         left, right = self.spans[slot].tolist()
-        coefs, lengths, closed = _ladder_polys(self._kind_ids[[slot]], np.array([right - left]),
-                                               self.omegas[[slot]], [k])
-        own = [tuple(c) for c in coefs[len(coefs) - lengths[0, 0]:, 0, :, 0].T.tolist()]
+        coefs, closed = _ladder_polys(self._kind_ids[[slot]], np.array([right - left]),
+                                      self.omegas[[slot]], [k])
+        own = [tuple(c) for c in coefs[:, 0, :, 0].T.tolist()]
         if on := closed is not None and closed[0][0]:
             theta, inv, scale = (float(a[0]) for a in closed[1:3] + (closed[3][0],))
             closed = theta, inv, (scale, (-1.0) ** k * scale), (math.sinh, math.cosh)[k & 1]

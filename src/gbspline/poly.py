@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .errors import TargetsOutsideSource, TargetTooSmall
+from .errors import TargetsOutsideSource
 
 DEFAULT_TOL = 1e-10
 
@@ -80,18 +80,6 @@ def restrict_poly(coeffs, source, targets, tol=DEFAULT_TOL):
     coeffs = np.asarray(coeffs, dtype=float)
     tau = (targets[:-1] - a).reshape((-1,) + (1,) * (coeffs.ndim - 1))
     return np.moveaxis(taylor_shift(coeffs[:, None], tau), 0, 1)
-
-
-def elevate_polys(polys, target_degree):
-    """Zero-pad coefficient rows shaped (rows, width[, d]) up to
-    target_degree + 1 coefficients along axis 1."""
-    polys = np.asarray(polys, dtype=float)
-    width = polys.shape[1]
-    if target_degree + 1 < width:
-        raise TargetTooSmall(f"cannot drop degree {width - 1} to {target_degree}")
-    pad = [(0, 0)] * polys.ndim
-    pad[1] = (0, target_degree + 1 - width)
-    return np.pad(polys, pad)
 
 
 def left_taylor_series(derivs):

@@ -5,7 +5,9 @@ a target knot vector (same active region, enlarged spline space), then one
 small linear system per positive-length target interval recovers the
 coefficients of the nonzero target basis functions; anti-diagonal averaging
 aggregates the per-interval results.  Knot insertion, degree elevation, and
-any simultaneous combination all ride on the same pipeline.
+any simultaneous combination all ride on the same pipeline.  The identity
+y = t is already written in target coordinates, so `greville_abscissae`
+skips the rewrite and shares only the projection.
 
 Per-interval work is independent, so every stage runs on arrays over all
 target intervals at once: one Taylor shift re-expands the polynomial parts,
@@ -46,7 +48,6 @@ from .knots import (
 )
 from .poly import (
     DEFAULT_TOL,
-    elevate_polys,
     left_taylor_series,
     right_taylor_series,
     taylor_shift,
@@ -180,42 +181,44 @@ def represent_knot_funcs(gen_coefs, tables_src, ladder_table, lens, coef_tol=1e-
     return ngen, np.moveaxis(0.5 * (left + right), 0, 1)
 
 
-def refine_curve(curve: PiecewiseCurve, basis: LocalBasis, tables_src,
-                 tol=DEFAULT_TOL, coef_tol=None) -> np.ndarray:
-    """Control points of a piecewise curve relative to the target basis.
-
-    Runs the projection pipeline: reindex onto the target breakpoints, pad
-    polynomial terms to the target width, rewrite generator terms, then per
-    positive-length interval solve for the coefficients of the nonzero basis
-    functions and aggregate by anti-diagonal averaging.  A curve with a
-    trailing axis of d components gives control points shaped (n, d), each
-    interval solved once with d right-hand sides.  `tables_src` holds the
-    source generators' ladder values on the target intervals; the target's
-    come from `basis.ladder_table`.
-    """
-    tol, coef_tol = _tolerances(tol, coef_tol)
-    kv = basis.kv
-    q = kv.degree
-    breaks = kv.active_region()
-    lens = np.diff(breaks)
-    expected = (q, len(lens), 2, 2)
-    if tables_src.shape != expected:
-        raise ValueError(f"integral tables must be shaped {expected}")
-
-    local = refine_local(curve, breaks, tol)
-    poly = elevate_polys(local.poly_parts, max(q - 2, 0))
-    ngen, offsets = represent_knot_funcs(local.gen_coefs, tables_src, basis.ladder_table,
-                                         lens, coef_tol)
-    poly = poly + offsets
-
+def _project(basis: LocalBasis, lfunc, tol, coef_tol) -> np.ndarray:
+    """Control points of the function whose target-local rows (polynomial
+    part, then generator pair, as `basis.local` stores them) are `lfunc`:
+    per positive-length interval solve for the coefficients of the nonzero
+    basis functions, each interval once with all d components as right-hand
+    sides, and aggregate by anti-diagonal averaging."""
+    breaks = basis.kv.active_region()
     lbases = np.concatenate([basis.local.poly_parts, basis.local.gen_coefs], axis=1)
-    lfunc = np.concatenate([poly, ngen], axis=1)
-    live = np.flatnonzero(lens > tol)
-    coefs = np.full((len(lens), q + 1) + ngen.shape[2:], np.nan)
+    live = np.flatnonzero(np.diff(breaks) > tol)
+    coefs = np.full(lfunc.shape, np.nan)
     coefs[live] = _solve(
         lbases[live], lfunc[live],
         lambda i: f"interval {live[i]} [{breaks[live[i]]}, {breaks[live[i] + 1]}]")
     return reverse_diagonal_averages(coefs, coef_tol)
+
+
+def refine_curve(curve: PiecewiseCurve, basis: LocalBasis,
+                 tol=DEFAULT_TOL, coef_tol=None) -> np.ndarray:
+    """Control points of a piecewise curve relative to the target basis.
+
+    Runs the projection pipeline: reindex onto the target breakpoints,
+    rewrite generator terms and add the source polynomial terms to the
+    corrections, then project.  The source generators' ladder values on the
+    target intervals are built here, shifted by the degree raise; the
+    target's come from `basis.ladder_table`.  A curve with a trailing axis of
+    d components gives control points shaped (n, d).
+    """
+    tol, coef_tol = _tolerances(tol, coef_tol)
+    q, p = basis.degree, curve.degree
+    if q < p:
+        raise ValueError(f"target degree {q} is below the curve's degree {p}")
+    breaks = basis.kv.active_region()
+    local = refine_local(curve, breaks, tol)
+    tables = build_integral_table(curve.fam, breaks, q - p, q - 1, tol)
+    ngen, poly = represent_knot_funcs(local.gen_coefs, tables, basis.ladder_table,
+                                      np.diff(breaks), coef_tol)
+    poly[:, : local.poly_parts.shape[1]] += local.poly_parts
+    return _project(basis, np.concatenate([poly, ngen], axis=1), tol, coef_tol)
 
 
 # drivers ----------------------------------------------------------------------
@@ -291,8 +294,7 @@ def refined_spline(curve: SplineCurve, basis: LocalBasis | None = None, *,
         basis = build_local_basis(curve.kv, curve.fam, tol)
     piece = form_piecewise(curve.cpts, basis)
     basis1 = build_local_basis(kv1, fam1, tol)
-    tables = build_integral_table(curve.fam, kv1.active_region(), q - p, q - 1, tol)
-    cpts1 = refine_curve(piece, basis1, tables, tol, coef_tol)
+    cpts1 = refine_curve(piece, basis1, tol, coef_tol)
     return SplineCurve(kv=kv1, fam=fam1, cpts=cpts1)
 
 
@@ -315,30 +317,24 @@ def elevate_degree(curve: SplineCurve, basis: LocalBasis | None, by,
 def greville_abscissae(basis: LocalBasis, tol=DEFAULT_TOL, coef_tol=None) -> np.ndarray:
     """Coefficients expressing the identity f(t) = t in the given basis.
 
-    Used as the x-axis positions when plotting control points.  For degree 2
-    the local polynomial part is a bare constant, so the identity exists only
-    when the generator integrals supply the slope (the linear kind).
+    Used as the x-axis positions when plotting control points.  The identity
+    is already written in the target's local coordinates, polynomial part
+    left + s and no generator term, so it is projected directly.  For degree
+    2 the local polynomial part is a bare constant, so the identity exists
+    only when the generator integrals supply the slope (the linear kind).
     """
     tol, coef_tol = _tolerances(tol, coef_tol)
     p = basis.kv.degree
     if p < 2:
         raise DegreeTooSmall("identity representation needs degree >= 2")
     breaks = basis.kv.active_region()
-    num = len(breaks) - 1
-    slots = containing_spans(basis.fam.spans, breaks, tol)
-    pos = slots >= 0
-    poly = np.zeros((num, p - 1))
-    gen = np.zeros((num, 2))
-    poly[pos, 0] = breaks[:-1][pos]
+    lfunc = np.zeros((len(breaks) - 1, p + 1))
+    lfunc[:, 0] = breaks[:-1]
     if p >= 3:
-        poly[pos, 1] = 1.0
+        lfunc[:, 1] = 1.0
+    elif any(kind != "linear" for kind in basis.fam.kinds):
+        raise InconsistentCoefficient(
+            "y = x lies outside the degree-2 local spaces of this family")
     else:
-        if any(basis.fam.kinds[s] != "linear" for s in slots[pos]):
-            raise InconsistentCoefficient(
-                "y = x lies outside the degree-2 local spaces of this family")
-        # first integrals of the linear pair sum to the local coordinate
-        gen[pos] = 1.0
-    piece = PiecewiseCurve(breaks=breaks, poly_parts=poly, gen_coefs=gen,
-                           degree=p, fam=basis.fam, slots=slots)
-    tables = build_integral_table(basis.fam, breaks, 0, p - 1, tol)
-    return refine_curve(piece, basis, tables, tol, coef_tol)
+        lfunc[:, 1:] = 1.0   # first integrals of the linear pair sum to the local coordinate
+    return _project(basis, lfunc, tol, coef_tol)

@@ -25,7 +25,6 @@ from gbspline import (
     validate_open_knot_vector,
 )
 from gbspline.errors import InconsistentCoefficient
-from gbspline.knots import build_integral_table
 from gbspline.refine import refine_curve
 from conftest import ALL_KINDS, cox_de_boor, make_basis
 
@@ -177,9 +176,8 @@ def test_criterion_7_continuity_violation_flagged():
         breaks=breaks,
         poly_parts=np.array([[0.0, 1.0], [0.5, -1.0]]),  # slope kink at .5
         gen_coefs=np.zeros((2, 2)), degree=3, fam=fam)
-    tables = build_integral_table(fam, breaks, 0, 2)
     with pytest.raises(InconsistentCoefficient):
-        refine_curve(piece, basis, tables)
+        refine_curve(piece, basis)
     report(7, "continuity-violation detection", True, "InconsistentCoefficient raised")
 
 

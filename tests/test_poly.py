@@ -3,10 +3,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gbspline.errors import TargetsOutsideSource, TargetTooSmall
+from gbspline.errors import TargetsOutsideSource
 from gbspline.poly import (
     derive_poly,
-    elevate_polys,
     integrate_poly,
     left_taylor_series,
     poly_eval,
@@ -93,28 +92,6 @@ def test_restriction_preserves_values(coeffs, pieces, data):
         expected = poly_eval(coeffs, s)
         got = poly_eval(rows[j], s - targets[j])
         assert got == pytest.approx(expected, abs=1e-12 * scale)
-
-
-def test_elevate_pads_with_zeros():
-    np.testing.assert_array_equal(elevate_polys([[1, 2]], 3), [[1, 2, 0, 0]])
-
-
-def test_elevate_noop():
-    np.testing.assert_array_equal(elevate_polys([[5]], 0), [[5]])
-
-
-def test_elevate_rejects_smaller_degree():
-    with pytest.raises(TargetTooSmall):
-        elevate_polys([[1, 2, 3]], 1)
-
-
-@settings(deadline=None, max_examples=40)
-@given(polynomial, st.integers(min_value=0, max_value=4))
-def test_elevate_preserves_values(coeffs, extra):
-    target = max(len(coeffs) - 1, 0) + extra
-    padded = elevate_polys(np.asarray(coeffs, float).reshape(1, -1), target)[0]
-    for s in np.linspace(-1.0, 1.0, 10):
-        assert poly_eval(padded, s) == poly_eval(coeffs, s)
 
 
 def test_left_taylor_plain():

@@ -183,9 +183,7 @@ class TestRefineCurve:
         rng = np.random.default_rng(12)
         cpts = rng.uniform(-1, 1, basis.n_basis)
         piece = form_piecewise(cpts, basis)
-        breaks = kv.active_region()
-        tables = build_integral_table(fam, breaks, 0, 3)
-        out = refine_curve(piece, basis, tables)
+        out = refine_curve(piece, basis)
         np.testing.assert_allclose(out, cpts, atol=1e-10)
 
     def test_continuity_violation_detected(self):
@@ -196,16 +194,22 @@ class TestRefineCurve:
                          [0.5, -1.0]])  # falls with slope -1
         piece = PiecewiseCurve(breaks=breaks, poly_parts=poly,
                                gen_coefs=np.zeros((2, 2)), degree=3, fam=fam)
-        tables = build_integral_table(fam, breaks, 0, 2)
         with pytest.raises(InconsistentCoefficient):
-            refine_curve(piece, basis, tables)
+            refine_curve(piece, basis)
         # tolerances hold per component: a smooth first component (y = t)
         # does not hide the kink in the second
         smooth = np.array([[0.0, 1.0], [0.5, 1.0]])
         piece = PiecewiseCurve(breaks=breaks, poly_parts=np.stack([smooth, poly], axis=2),
                                gen_coefs=np.zeros((2, 2, 2)), degree=3, fam=fam)
         with pytest.raises(InconsistentCoefficient):
-            refine_curve(piece, basis, tables)
+            refine_curve(piece, basis)
+
+    def test_target_degree_below_the_curve_rejected(self):
+        _, _, basis = make_basis(4, interior=(0.5,))
+        _, _, basis1 = make_basis(3, interior=(0.5,))
+        piece = form_piecewise(np.ones(basis.n_basis), basis)
+        with pytest.raises(ValueError, match="^target degree 3 is below the curve's degree 4$"):
+            refine_curve(piece, basis1)
 
 
 class TestInsertKnots:
@@ -363,18 +367,21 @@ class TestGreville:
     @pytest.mark.parametrize("basis_tol, tol", [
         (1e-12, 1e-6), (1e-6, 1e-12), (1e-6, 1e-9), (1e-9, 1e-6)])
     def test_tolerance_other_than_the_basis_build(self, kind, width, basis_tol, tol):
-        # orders 1..p-1 come from the basis's ladder_table, built under the
-        # basis's tolerance; an interval of sub-tolerance width live under one
-        # tolerance and not the other gives what a full table under `tol` gives
+        # refine_curve reads target orders 1..p-1 from the basis's
+        # ladder_table, built under the basis's tolerance; an interval of
+        # sub-tolerance width live under one tolerance and not the other gives
+        # what a full table under `tol` gives
         knots = [0.0] * 4 + [0.3, 0.3 + width, 0.6] + [1.0] * 4
         kv = KnotVector(np.array(knots), 3)
         fam = build_family(knots, kind, 1.0, tol=1e-12)
         basis = build_local_basis(kv, fam, basis_tol)
         full = build_integral_table(fam, kv.active_region(), 0, 2, tol)
+        cpts = np.random.default_rng(2).uniform(-1, 1, basis.n_basis)
+        piece = form_piecewise(cpts, basis)
 
         def outcome(b):
             try:
-                return greville_abscissae(b, tol).tobytes()
+                return refine_curve(piece, b, tol).tobytes()
             except GBSplineError as e:
                 return type(e), str(e)
 
@@ -458,12 +465,11 @@ class TestTolerances:
     @pytest.mark.parametrize("bad", BAD)
     def test_refine_curve_rejects(self, bad):
         curve, basis = uniform_curve("trigonometric", 3, 4)
-        tables = build_integral_table(curve.fam, curve.kv.active_region(), 0, 2)
         piece = form_piecewise(curve.cpts, basis)
         with pytest.raises(ValueError, match="^tol must"):
-            refine_curve(piece, basis, tables, tol=bad)
+            refine_curve(piece, basis, tol=bad)
         with pytest.raises(ValueError, match="^coef_tol must"):
-            refine_curve(piece, basis, tables, coef_tol=bad)
+            refine_curve(piece, basis, coef_tol=bad)
 
     def test_nan_coef_tol_no_longer_hides_a_moved_curve(self):
         # with a nan coef_tol this insertion returned a curve 7.25e-6 away
@@ -569,16 +575,25 @@ class TestMixedFamily:
         breaks1, q = out.kv.active_region(), out.kv.degree
         tables_dst = build_integral_table(out.fam, breaks1, 0, q - 1)
         assert basis1.ladder_table.tobytes() == tables_dst[1:, :, 1].tobytes()
-        tables_src = build_integral_table(curve.fam, breaks1, raise_by, q - 1)
-        cpts = refine_curve(form_piecewise(curve.cpts, basis), basis1, tables_src)
+        cpts = refine_curve(form_piecewise(curve.cpts, basis), basis1)
         assert cpts.tobytes() == out.cpts.tobytes()
 
-    def test_greville_matches_tables_built_apart(self):
-        _, basis = self.curve(degree=4)
+    @pytest.mark.parametrize("kind, degree", [("linear", 2)] + [
+        (kind, degree) for kind in ALL_KINDS + ("mixed",) for degree in range(3, 9)])
+    def test_greville_matches_tables_built_apart(self, kind, degree):
+        # greville_abscissae projects the identity's target rows directly;
+        # refine_curve on the identity piece runs the full rewrite
+        if kind == "mixed":
+            _, basis = self.curve(degree)
+        else:
+            _, _, basis = make_basis(degree, interior=(0.15, 0.3, 0.5, 0.62, 0.8), kind=kind)
         breaks = basis.kv.active_region()
-        tables = build_integral_table(basis.fam, breaks, 0, 3)
-        piece = PiecewiseCurve(breaks=breaks, poly_parts=np.stack([breaks[:-1], np.ones(6),
-                                                                   np.zeros(6)], axis=1),
-                               gen_coefs=np.zeros((6, 2)), degree=4, fam=basis.fam)
-        want = refine_curve(piece, basis, tables)
+        poly = np.zeros((6, degree - 1))
+        poly[:, 0] = breaks[:-1]
+        if degree > 2:
+            poly[:, 1] = 1.0
+        piece = PiecewiseCurve(breaks=breaks, poly_parts=poly,
+                               gen_coefs=np.full((6, 2), float(degree == 2)),
+                               degree=degree, fam=basis.fam)
+        want = refine_curve(piece, basis)
         assert greville_abscissae(basis).tobytes() == want.tobytes()
