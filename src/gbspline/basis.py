@@ -63,8 +63,8 @@ class LocalBasis:
     """The basis functions stored interval by interval over the active region.
 
     `local` is a PiecewiseCurve with p+1 components: on active interval j,
-    component c is basis function j+c, so `local.poly_parts` has shape
-    (intervals, max(p-1, 0), p+1) and `local.gen_coefs` (intervals, 2, p+1).
+    component c is basis function j+c, so `local.coefs` has shape
+    (intervals, max(p-1, 0) + 2, p+1).
     Rows over zero-length intervals hold zeros and are never evaluated.
     deltas[k-1] lists the level-k normalization integrals.  ladder_table, kept
     from construction, holds the right-end values of the generators' ladder
@@ -92,27 +92,29 @@ class LocalBasis:
 class PiecewiseCurve:
     """One curve stored interval by interval over `breaks`.
 
-    Polynomial coefficients are local to each interval.  Generator
-    coefficients pair with the generators of the family span containing each
-    interval; before refinement that is the interval itself, after splitting
-    it is the coarser source span.  A trailing axis of d components is
-    optional.  `slots` maps each interval to its family span, -1 for
-    intervals without generators; the builders pass the map they made under
-    their own tolerance, and it defaults to `containing_spans` under the
-    default one.
+    Row j of `coefs` holds interval j's local polynomial part, ascending,
+    then the coefficients of the (degree-1)-th ladders (u, v) of the family
+    span containing the interval: before refinement the interval itself,
+    after splitting the coarser source span.  A trailing axis of d
+    components is optional.  `slots` maps each interval to its family span,
+    -1 for intervals without generators; the builders pass the map they
+    made under their own tolerance, and it defaults to `containing_spans`
+    under the default one.
     """
 
     breaks: np.ndarray
-    poly_parts: np.ndarray   # (intervals, width[, d])
-    gen_coefs: np.ndarray    # (intervals, 2[, d])
+    coefs: np.ndarray   # (intervals, max(degree-1, 0) + 2[, d])
     degree: int
     fam: KnotFunctionFamily
     slots: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "breaks", readonly(self.breaks))
-        object.__setattr__(self, "poly_parts", readonly(self.poly_parts))
-        object.__setattr__(self, "gen_coefs", readonly(self.gen_coefs))
+        object.__setattr__(self, "coefs", readonly(self.coefs))
+        want = (len(self.breaks) - 1, max(self.degree - 1, 0) + 2)
+        if self.coefs.ndim not in (2, 3) or self.coefs.shape[:2] != want:
+            raise ValueError(f"coefs must be shaped (intervals, max(degree-1, 0) + 2) = "
+                             f"{want}, then optional components; got {self.coefs.shape}")
         slots = (containing_spans(self.fam.spans, self.breaks) if self.slots is None
                  else self.slots)
         object.__setattr__(self, "slots", readonly(slots, dtype=int))
@@ -124,7 +126,7 @@ class PiecewiseCurve:
         if isinstance(j, np.ndarray):
             return self.value_on(j, t, tol)
         row = self._row(j, t, tol)
-        return np.array(row) if self.gen_coefs.ndim == 3 else row[0]
+        return np.array(row) if self.coefs.ndim == 3 else row[0]
 
     def value_on(self, j, t, tol=DEFAULT_TOL):
         """Value at t on interval j, one Horner pass over every component.
@@ -138,16 +140,16 @@ class PiecewiseCurve:
                              f"got j {np.shape(j) or 'scalar'} and t {np.shape(t) or 'scalar'}")
         if not np.shape(j):
             row = self._row(j, t, tol)
-            return np.array(row) if self.gen_coefs.ndim == 3 else np.float64(row[0])
+            return np.array(row) if self.coefs.ndim == 3 else np.float64(row[0])
         slot = self.slots[j]
         missing = np.extract(slot < 0, j)
         if len(missing):
             self._raise_no_generators(missing[0])
         # degree first for Horner; samples, then components
-        parts, s = self.poly_parts[j].swapaxes(0, 1), t - self.breaks[j]
-        u, v = self.fam.value(slot, "uv", self.degree - 1, t, tol)
-        s, u, v = (a.reshape(a.shape + (1,) * (self.gen_coefs.ndim - 2)) for a in (s, u, v))
-        return poly_eval(parts, s) + self.gen_coefs[j, 0] * u + self.gen_coefs[j, 1] * v
+        rows, s = self.coefs[j].swapaxes(0, 1), t - self.breaks[j]
+        u, v = self.fam.value(slot, self.degree - 1, t, tol)
+        s, u, v = (a.reshape(a.shape + (1,) * (self.coefs.ndim - 2)) for a in (s, u, v))
+        return poly_eval(rows[:-2], s) + rows[-2] * u + rows[-1] * v
 
     def _find(self, t, tol):
         """find_interval over these breaks, searching their list for a scalar t."""
@@ -161,10 +163,8 @@ class PiecewiseCurve:
         slot, t = self._slot_list[j], float(t)
         if slot < 0:
             self._raise_no_generators(j)
-        fam, order = self.fam, self.degree - 1
-        u = fam.value(slot, "u", order, t, tol)
-        v = fam.value(slot, "v", order, t, tol)
-        s, w, out = t - self._break_list[j], self.poly_parts.shape[1], []
+        u, v = self.fam.value(slot, self.degree - 1, t, tol)
+        s, w, out = t - self._break_list[j], self.coefs.shape[1] - 2, []
         for row in self._coef_rows[j].tolist():
             acc = 0.0
             for c in row[:w]:
@@ -182,10 +182,9 @@ class PiecewiseCurve:
         """Per interval and component (one without a component axis): the
         polynomial coefficients, highest degree first, then the generator
         pair."""
-        comps = self.gen_coefs.shape[2:] or (1,)
-        parts = self.poly_parts[:, ::-1].reshape(self.poly_parts.shape[:2] + comps)
-        gen = self.gen_coefs.reshape(self.gen_coefs.shape[:2] + comps)
-        return np.concatenate([parts, gen], axis=1).swapaxes(1, 2).copy()
+        w = self.coefs.shape[1] - 2
+        rows = self.coefs.reshape(self.coefs.shape[:2] + (self.coefs.shape[2:] or (1,)))
+        return rows[:, [*range(w - 1, -1, -1), w, w + 1]].swapaxes(1, 2).copy()
 
     @cached_property
     def _break_list(self):
@@ -198,21 +197,21 @@ class PiecewiseCurve:
 
 # construction ----------------------------------------------------------------
 
-def _interval_integrals(lens, alive, poly, gen, right):
-    """Integral of each stored representation over each support interval.
+def _interval_integrals(lens, alive, reps, right):
+    """Integral of each function's [poly | u v] rows over its support intervals.
 
     `right` holds the level's ladder values at the right end of every knot
     interval; they equal the integrals of the level below over the interval
     because positive orders vanish on the left.
     """
-    n_f, n_slots = gen.shape[:2]
+    n_f, n_slots = reps.shape[:2]
     j = np.arange(n_f)[:, None] + np.arange(n_slots)
-    val = (poly_eval(np.moveaxis(integrate_poly(poly), -1, 0), lens[j])
-           + gen[..., 0] * right[j, 0] + gen[..., 1] * right[j, 1])
+    val = (poly_eval(np.moveaxis(integrate_poly(reps[..., :-2]), -1, 0), lens[j])
+           + reps[..., -2] * right[j, 0] + reps[..., -1] * right[j, 1])
     return np.where(alive[j], val, 0.0)
 
 
-def _elevate_level(knots, alive, poly, gen, ints, delta, level):
+def _elevate_level(knots, alive, reps, ints, delta, level):
     """One level of the construction recurrence (level -> level + 1), for
     every function at once.
 
@@ -223,18 +222,16 @@ def _elevate_level(knots, alive, poly, gen, ints, delta, level):
     """
     k = level
     n_new = len(knots) - k - 2
-    cum = integrate_poly(poly)
+    cum = integrate_poly(reps[..., :-2])
     cum[:, 1:, 0] = np.cumsum(ints[:, :-1], axis=1)
     live = delta != 0.0
-    acc_poly = np.zeros((len(delta), k + 2, k))
-    acc_gen = np.zeros((len(delta), k + 2, 2))
-    acc_poly[:, k + 1, 0] = 1.0
-    acc_poly[live, : k + 1] += cum[live] / delta[live, None, None]
-    acc_gen[live, : k + 1] += gen[live] / delta[live, None, None]
-    acc_poly[:-1, 1:] -= acc_poly[1:, : k + 1]
-    acc_gen[:-1, 1:] -= acc_gen[1:, : k + 1]
+    acc = np.zeros((len(delta), k + 2, k + 2))
+    acc[:, k + 1, 0] = 1.0
+    acc[live, : k + 1, :k] += cum[live] / delta[live, None, None]
+    acc[live, : k + 1, k:] += reps[live, :, -2:] / delta[live, None, None]
+    acc[:-1, 1:] -= acc[1:, : k + 1]
     on = alive[np.arange(n_new)[:, None] + np.arange(k + 2)][..., None]
-    return np.where(on, acc_poly[:-1], 0.0), np.where(on, acc_gen[:-1], 0.0)
+    return np.where(on, acc[:-1], 0.0)
 
 
 def build_local_basis(kv: KnotVector, fam: KnotFunctionFamily, tol=DEFAULT_TOL) -> LocalBasis:
@@ -252,31 +249,29 @@ def build_local_basis(kv: KnotVector, fam: KnotFunctionFamily, tol=DEFAULT_TOL) 
     lens = np.diff(knots)
     alive = lens > tol
 
-    n = m - 2
-    poly = np.zeros((n, 2, 0))
-    gen = np.zeros((n, 2, 2))
-    gen[:, 0, 0] = 1.0
-    gen[:, 1, 1] = 1.0
+    reps = np.zeros((m - 2, 2, 2))   # no polynomial part yet: u, then v
+    reps[:, 0, 0] = 1.0
+    reps[:, 1, 1] = 1.0
 
     # ladder values of orders 1..p at the right end of every knot interval
     slots = containing_spans(fam.spans, knots, tol)
     live = np.flatnonzero(slots >= 0)
     right = np.zeros((p, m - 1, 2))
-    ends = fam.value(slots[live], "uv", range(1, p + 1), knots[live + 1], tol)
+    ends = fam.value(slots[live], range(1, p + 1), knots[live + 1], tol)
     right[:, live] = ends.swapaxes(1, 2)
     deltas = []
     for level in range(1, p):
-        ints = _interval_integrals(lens, alive, poly, gen, right[level - 1])
+        ints = _interval_integrals(lens, alive, reps, right[level - 1])
         delta = ints.sum(axis=1)
         deltas.append(delta)
-        poly, gen = _elevate_level(knots, alive, poly, gen, ints, delta, level)
-    deltas.append(_interval_integrals(lens, alive, poly, gen, right[p - 1]).sum(axis=1))
+        reps = _elevate_level(knots, alive, reps, ints, delta, level)
+    deltas.append(_interval_integrals(lens, alive, reps, right[p - 1]).sum(axis=1))
 
     # function-major slots become interval-major rows, components last: row j,
     # component c is function j + c's slot p - c
-    rows = np.arange(len(poly) - p)[:, None] + np.arange(p + 1)
-    poly, gen = (np.moveaxis(a[rows, p - np.arange(p + 1)], 1, -1) for a in (poly, gen))
-    local = PiecewiseCurve(breaks=kv.active_region(), poly_parts=poly, gen_coefs=gen,
+    rows = np.arange(len(reps) - p)[:, None] + np.arange(p + 1)
+    local = PiecewiseCurve(breaks=kv.active_region(),
+                           coefs=np.moveaxis(reps[rows, p - np.arange(p + 1)], 1, -1),
                            degree=p, fam=fam, slots=fam.slots[p : m - p - 1])
     return LocalBasis(kv=kv, fam=fam, local=local, deltas=tuple(readonly(d) for d in deltas),
                       ladder_table=readonly(right[: p - 1, p : m - p - 1]))
@@ -387,7 +382,6 @@ def form_piecewise(cpts, basis: LocalBasis) -> PiecewiseCurve:
     _check_cpts(cpts, basis.n_basis)
     local = basis.local
     windows = cpts[np.arange(len(local.breaks) - 1)[:, None] + np.arange(basis.degree + 1)]
-    poly, gen = (np.einsum("jwc,jc...->jw...", parts, windows)
-                 for parts in (local.poly_parts, local.gen_coefs))
-    return PiecewiseCurve(breaks=local.breaks, poly_parts=poly, gen_coefs=gen,
+    return PiecewiseCurve(breaks=local.breaks,
+                          coefs=np.einsum("jwc,jc...->jw...", local.coefs, windows),
                           degree=basis.degree, fam=basis.fam, slots=local.slots)

@@ -251,21 +251,19 @@ class KnotFunctionFamily:
     def n_spans(self) -> int:
         return len(self.spans)
 
-    def value(self, slot, which, order, t, tol=DEFAULT_TOL):
-        """Canonical ladder value of generator `which` at global parameter t.
+    def value(self, slot, order, t, tol=DEFAULT_TOL):
+        """Canonical ladder values of the generator pair (u, v) at global t.
 
         order 0 is the generator itself, positive orders are repeated
         integrals from the interval's left endpoint, negative orders are
         derivatives.  With an array `t` (and `slot` broadcasting against
-        it), `order` may be a sequence and `which` "uv": one Horner pass gives
-        an array shaped ([len(order),] [2,] *t.shape) whose entry [i, w] is
-        value(slot, "uv"[w], order[i], t) bit for bit.  A scalar t reads the
-        span's coefficients from a cache that the first call for (slot,
-        order) fills; `tol` is checked on every call.
+        it), `order` may be a sequence: one Horner pass gives an array
+        shaped ([len(order),] 2, *t.shape), u first.  A scalar t gives the
+        tuple (u, v), each equal bit for bit to the array entry; it reads
+        the span's coefficients from a cache that the first call for (slot,
+        order) fills, and `tol` is checked on every call.
         """
         if isinstance(t, np.ndarray):
-            if which not in ("u", "v", "uv"):
-                raise ValueError("which must be 'u', 'v' or 'uv'")
             orders, shape = [int(k) for k in np.atleast_1d(order).tolist()], t.shape
             slot, t = np.broadcast_to(slot, shape).ravel(), t.astype(float, copy=False).ravel()
             left, right = self.spans[slot].T
@@ -290,11 +288,7 @@ class KnotFunctionFamily:
                         gz = np.fromiter(map(g, (theta[sp] * z).tolist()), float, len(pts))
                         out[i, w, pts] += (-1.0) ** (k * w) * scales[i][sp] * (inv[sp] * gz)
             out = out.reshape((len(orders), 2) + shape)
-            out = out if which == "uv" else out[:, "uv".index(which)]
             return out if np.ndim(order) else out[0]
-        u = which == "u"
-        if not u and which != "v":
-            raise ValueError("which must be 'u' or 'v'")
         slot, order = _index(slot), _index(order)   # so that 1.0 cannot find 1's entry
         entry = self._scalar.get((slot, order))
         if entry is None:
@@ -304,13 +298,15 @@ class KnotFunctionFamily:
             t = _as_float(t)
         if t < left - tol or t > right + tol:
             raise OutOfInterval(f"t={t} outside [{left}, {right}]")
-        x, val = (t - left) / h, 0.0
-        for c in coefs_u if u else coefs_v:
-            val = val * x + c
+        x, u, v = (t - left) / h, 0.0, 0.0
+        for cu, cv in zip(coefs_u, coefs_v):
+            u = u * x + cu
+            v = v * x + cv
         if closed:
-            theta, inv, scales, g = closed
-            val += scales[not u] * (inv * g(theta * (x if u else 1.0 - x)))
-        return val
+            theta, inv, (scale_u, scale_v), g = closed
+            u += scale_u * (inv * g(theta * x))
+            v += scale_v * (inv * g(theta * (1.0 - x)))
+        return u, v
 
     def _span_series(self, slot, k):
         """What a scalar value() call reads of its span, as Python floats: the
@@ -389,5 +385,5 @@ def build_integral_table(fam: KnotFunctionFamily, breakpoints, derivative_offset
     ends = np.stack([br[live], br[live + 1]], axis=1)
     orders = range(-derivative_offset, max_order + 1 - derivative_offset)
     out = np.zeros((max_order + 1, len(slots), 2, 2))
-    out[:, live] = np.moveaxis(fam.value(slots[live, None], "uv", orders, ends, tol), 1, -1)
+    out[:, live] = np.moveaxis(fam.value(slots[live, None], orders, ends, tol), 1, -1)
     return out

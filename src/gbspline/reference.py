@@ -91,9 +91,9 @@ class ReferenceEvaluator:
     def _seed(self, i, t):
         knots = self._knots
         if knots[i] <= t < knots[i + 1]:
-            return self.fam.value(self._slots[i], "u", 0, t)
+            return self.fam.value(self._slots[i], 0, t)[0]
         if knots[i + 2] - knots[i + 1] > self.tol and knots[i + 1] <= t <= knots[i + 2]:
-            return self.fam.value(self._slots[i + 1], "v", 0, t)
+            return self.fam.value(self._slots[i + 1], 0, t)[1]
         return 0.0
 
     def _phi(self, i, p, t):

@@ -114,11 +114,11 @@ def _solve(matrices, rhs, name):
 def refine_local(curve: PiecewiseCurve, dst_breaks, tol=DEFAULT_TOL) -> PiecewiseCurve:
     """Reindex a piecewise curve onto finer breakpoints.
 
-    Polynomial terms are re-expanded over each contained positive-length
-    target interval (one Taylor shift, by each target's offset in its
-    source); generator coefficient rows are copied unchanged from the source
-    interval containing each target.  Zero-length targets get zero rows.  A
-    trailing component axis carries through.
+    Each positive-length target interval copies the row of the source
+    interval containing it, then re-expands the polynomial columns (one
+    Taylor shift, by each target's offset in its source); the generator
+    pair stays unchanged.  Zero-length targets get zero rows.  A trailing
+    component axis carries through.
     """
     src = np.asarray(curve.breaks, dtype=float)
     dst = np.asarray(dst_breaks, dtype=float)
@@ -127,20 +127,18 @@ def refine_local(curve: PiecewiseCurve, dst_breaks, tol=DEFAULT_TOL) -> Piecewis
     idx = containing_spans(spans, dst, tol)
     live = np.flatnonzero(idx >= 0)
     row = rows[idx[live]]
-    parts = curve.poly_parts[row]
-    tau = (dst[live] - spans[idx[live], 0]).reshape((-1,) + (1,) * (parts.ndim - 2))
-    poly = np.zeros((len(idx),) + curve.poly_parts.shape[1:])
-    poly[live] = np.moveaxis(taylor_shift(np.moveaxis(parts, 1, 0), tau), 0, 1)
-    gen = np.zeros((len(idx),) + curve.gen_coefs.shape[1:])
-    gen[live] = curve.gen_coefs[row]
+    coefs = np.zeros((len(idx),) + curve.coefs.shape[1:])
+    coefs[live] = curve.coefs[row]
+    tau = (dst[live] - spans[idx[live], 0]).reshape((-1,) + (1,) * (coefs.ndim - 2))
+    coefs[live, :-2] = np.moveaxis(taylor_shift(np.moveaxis(coefs[live, :-2], 1, 0), tau), 0, 1)
     slots = np.full(len(idx), -1)
     slots[live] = curve.slots[row]
-    return PiecewiseCurve(breaks=dst, poly_parts=poly, gen_coefs=gen,
-                          degree=curve.degree, fam=curve.fam, slots=slots)
+    return PiecewiseCurve(breaks=dst, coefs=coefs, degree=curve.degree, fam=curve.fam,
+                          slots=slots)
 
 
-def represent_knot_funcs(gen_coefs, tables_src, ladder_table, lens, coef_tol=1e-6):
-    """Rewrite generator terms of a piecewise curve in the target ladders.
+def represent_knot_funcs(gen, tables_src, ladder_table, lens, coef_tol=1e-6):
+    """Rewrite generator terms, per interval a source (u, v) pair, in the target ladders.
 
     `tables_src` holds ladder values of the (derivative-shifted) source
     generators on every target interval and `ladder_table` the right-end
@@ -153,22 +151,23 @@ def represent_knot_funcs(gen_coefs, tables_src, ladder_table, lens, coef_tol=1e-
     the average of the Taylor expansions at both endpoints; at the left end
     the target's positive orders vanish.  A disagreement between the two
     expansions means the source generators lie outside the target span; it
-    is measured component by component when `gen_coefs` carries a trailing
+    is measured component by component when `gen` carries a trailing
     component axis.  Zero-length intervals, whose table rows are zeros, get
     zeros.
 
-    Returns (new coefficient rows, polynomial corrections to add).
+    Returns rows as `PiecewiseCurve.coefs`: corrections, then the new pair.
     """
     orders, num = tables_src.shape[:2]
-    gen_coefs = np.asarray(gen_coefs, dtype=float)
-    tail = gen_coefs.shape[2:]
-    ivals = np.einsum("kjew,jw...->kje...", tables_src, gen_coefs)
-    ngen = ivals[0, :, ::-1]
+    gen = np.asarray(gen, dtype=float)
+    tail = gen.shape[2:]
+    ivals = np.einsum("kjew,jw...->kje...", tables_src, gen)
+    out = np.zeros((num, orders + 1) + tail)
+    out[:, -2:] = ivals[0, :, ::-1]
     if orders < 2:
-        return ngen, np.zeros((num, 0) + tail)
+        return out
     left = left_taylor_series(ivals[:0:-1, :, 0])
     right = right_taylor_series(
-        ivals[:0:-1, :, 1] - np.einsum("kjw,jw...->kj...", ladder_table[::-1], ngen),
+        ivals[:0:-1, :, 1] - np.einsum("kjw,jw...->kj...", ladder_table[::-1], out[:, -2:]),
         lens.reshape((-1,) + (1,) * len(tail)))
     scale = np.maximum(1.0, np.maximum(np.abs(left).max(axis=0), np.abs(right).max(axis=0)))
     bad = np.abs(left - right) > coef_tol * scale
@@ -178,7 +177,8 @@ def represent_knot_funcs(gen_coefs, tables_src, ladder_table, lens, coef_tol=1e-
         raise TaylorMismatch(
             f"endpoint reconstructions disagree on interval {i}: "
             f"{left[:, i].tolist()} vs {right[:, i].tolist()}")
-    return ngen, np.moveaxis(0.5 * (left + right), 0, 1)
+    out[:, :-2] = np.moveaxis(0.5 * (left + right), 0, 1)
+    return out
 
 
 def _project(basis: LocalBasis, lfunc, tol, coef_tol) -> np.ndarray:
@@ -188,11 +188,10 @@ def _project(basis: LocalBasis, lfunc, tol, coef_tol) -> np.ndarray:
     basis functions, each interval once with all d components as right-hand
     sides, and aggregate by anti-diagonal averaging."""
     breaks = basis.kv.active_region()
-    lbases = np.concatenate([basis.local.poly_parts, basis.local.gen_coefs], axis=1)
     live = np.flatnonzero(np.diff(breaks) > tol)
     coefs = np.full(lfunc.shape, np.nan)
     coefs[live] = _solve(
-        lbases[live], lfunc[live],
+        basis.local.coefs[live], lfunc[live],
         lambda i: f"interval {live[i]} [{breaks[live[i]]}, {breaks[live[i] + 1]}]")
     return reverse_diagonal_averages(coefs, coef_tol)
 
@@ -215,10 +214,10 @@ def refine_curve(curve: PiecewiseCurve, basis: LocalBasis,
     breaks = basis.kv.active_region()
     local = refine_local(curve, breaks, tol)
     tables = build_integral_table(curve.fam, breaks, q - p, q - 1, tol)
-    ngen, poly = represent_knot_funcs(local.gen_coefs, tables, basis.ladder_table,
-                                      np.diff(breaks), coef_tol)
-    poly[:, : local.poly_parts.shape[1]] += local.poly_parts
-    return _project(basis, np.concatenate([poly, ngen], axis=1), tol, coef_tol)
+    lfunc = represent_knot_funcs(local.coefs[:, -2:], tables, basis.ladder_table,
+                                 np.diff(breaks), coef_tol)
+    lfunc[:, : local.coefs.shape[1] - 2] += local.coefs[:, :-2]
+    return _project(basis, lfunc, tol, coef_tol)
 
 
 # drivers ----------------------------------------------------------------------

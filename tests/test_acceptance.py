@@ -174,8 +174,8 @@ def test_criterion_7_continuity_violation_flagged():
     breaks = kv.active_region()
     piece = PiecewiseCurve(
         breaks=breaks,
-        poly_parts=np.array([[0.0, 1.0], [0.5, -1.0]]),  # slope kink at .5
-        gen_coefs=np.zeros((2, 2)), degree=3, fam=fam)
+        coefs=np.array([[0.0, 1.0, 0.0, 0.0], [0.5, -1.0, 0.0, 0.0]]),  # slope kink at .5
+        degree=3, fam=fam)
     with pytest.raises(InconsistentCoefficient):
         refine_curve(piece, basis)
     report(7, "continuity-violation detection", True, "InconsistentCoefficient raised")
@@ -188,16 +188,15 @@ def test_criterion_8_smoothness():
         slot = basis.fam.slots[j]
         p = basis.degree
         if i <= j <= i + p:
-            coeffs = np.array(basis.local.poly_parts[j - p, :, i - j + p])
-            a, b = basis.local.gen_coefs[j - p, :, i - j + p]
+            coeffs = np.array(basis.local.coefs[j - p, :-2, i - j + p])
+            a, b = basis.local.coefs[j - p, -2:, i - j + p]
         else:
             coeffs, a, b = np.zeros(1), 0.0, 0.0
         for _ in range(order):
             coeffs = derive_poly(coeffs)
         left, right = basis.fam.spans[slot]
         t = right if at_right else left
-        u = basis.fam.value(slot, "u", basis.degree - 1 - order, t)
-        v = basis.fam.value(slot, "v", basis.degree - 1 - order, t)
+        u, v = basis.fam.value(slot, basis.degree - 1 - order, t)
         return float(poly_eval(coeffs, t - basis.kv.knots[j]) + a * u + b * v)
 
     worst = 0.0

@@ -1,4 +1,6 @@
 """Basis construction, evaluation, piecewise form, and diagonal reindexing."""
+import re
+
 import numpy as np
 import pytest
 
@@ -177,16 +179,15 @@ def _rep_derivative(basis, i, j, order, at_right):
         return None
     p = basis.degree
     if i <= j <= i + p:
-        coeffs = np.array(basis.local.poly_parts[j - p, :, i - j + p])
-        a, b = basis.local.gen_coefs[j - p, :, i - j + p]
+        coeffs = np.array(basis.local.coefs[j - p, :-2, i - j + p])
+        a, b = basis.local.coefs[j - p, -2:, i - j + p]
     else:
         coeffs, a, b = np.zeros(1), 0.0, 0.0
     for _ in range(order):
         coeffs = derive_poly(coeffs)
     left, right = basis.fam.spans[slot]
     t = right if at_right else left
-    u = basis.fam.value(slot, "u", basis.degree - 1 - order, t)
-    v = basis.fam.value(slot, "v", basis.degree - 1 - order, t)
+    u, v = basis.fam.value(slot, basis.degree - 1 - order, t)
     return float(poly_eval(coeffs, t - basis.kv.knots[j]) + a * u + b * v)
 
 
@@ -344,14 +345,24 @@ def test_piecewise_value_follows_the_interval_map():
     with a finer one."""
     breaks = np.array([0.0, 0.5, 0.5 + 1e-12, 1.0])
     fam = build_family(breaks, kind="linear", tol=1e-14)
-    parts = dict(breaks=breaks, poly_parts=np.zeros((3, 1)), gen_coefs=np.ones((3, 2)),
-                 degree=2, fam=fam)
+    parts = dict(breaks=breaks, coefs=np.tile([0.0, 1.0, 1.0], (3, 1)), degree=2, fam=fam)
     piece = PiecewiseCurve(**parts, slots=fam.slots)
     # first integrals of the linear pair sum to the local coordinate
     t = 0.5 + 5e-13
     assert piece.value(t, tol=1e-14) == pytest.approx(t - 0.5, rel=1e-9, abs=0)
     with pytest.raises(IntervalStraddle, match=r"interval 1 \["):
         PiecewiseCurve(**parts).value(t, tol=1e-14)
+
+
+def test_piecewise_coefficients_must_fit_degree_and_breaks():
+    """Rows wider than degree 3's polynomial part plus generator pair, or
+    more rows than intervals, are refused when the curve is made, with or
+    without a component axis."""
+    _, fam, basis = make_basis(3, interior=(0.5,))
+    for shape in ((2, 6), (3, 4), (2, 6, 2), (3, 4, 2)):
+        with pytest.raises(ValueError, match=rf"= \(2, 4\), then optional components; "
+                                             rf"got {re.escape(str(shape))}$"):
+            PiecewiseCurve(breaks=basis.local.breaks, coefs=np.zeros(shape), degree=3, fam=fam)
 
 
 class TestSubToleranceInterval:
@@ -548,10 +559,9 @@ class TestScalarParameterTypes:
         for i in range(kv.n_basis):
             assert self.same(eval_basis_function(basis, i, t), eval_basis_function(basis, i, x))
         slot = int(fam.slots[nonzero_basis_values(basis, x)[0] + 3])
-        for which in "uv":
-            for order in (0, 2, 5):
-                assert np.asarray(fam.value(slot, which, order, t)).tobytes() == \
-                    np.float64(fam.value(slot, which, order, x)).tobytes()
+        for order in (0, 2, 5):
+            assert np.asarray(fam.value(slot, order, t)).tobytes() == \
+                np.array(fam.value(slot, order, x), dtype=np.float64).tobytes()
 
     def test_unsupported_parameters_are_named(self):
         kv, fam, basis = make_basis(3, interior=(0.5,))

@@ -95,10 +95,10 @@ class TestFamilies:
         fam = build_family([0.0, 0.3, 1.1, 2.0], kind=kind, omega=1.2)
         for slot in range(fam.n_spans):
             left, right = fam.spans[slot]
-            assert fam.value(slot, "u", 0, left) == pytest.approx(0.0, abs=1e-12)
-            assert fam.value(slot, "u", 0, right) == pytest.approx(1.0, abs=1e-12)
-            assert fam.value(slot, "v", 0, left) == pytest.approx(1.0, abs=1e-12)
-            assert fam.value(slot, "v", 0, right) == pytest.approx(0.0, abs=1e-12)
+            assert fam.value(slot, 0, left)[0] == pytest.approx(0.0, abs=1e-12)
+            assert fam.value(slot, 0, right)[0] == pytest.approx(1.0, abs=1e-12)
+            assert fam.value(slot, 0, left)[1] == pytest.approx(1.0, abs=1e-12)
+            assert fam.value(slot, 0, right)[1] == pytest.approx(0.0, abs=1e-12)
 
     @settings(deadline=None, max_examples=40)
     @given(st.sampled_from(ALL_KINDS),
@@ -106,10 +106,10 @@ class TestFamilies:
            st.floats(min_value=0.2, max_value=1.5))
     def test_normalization_random_intervals(self, kind, h, omega):
         fam = build_family([0.0, h], kind=kind, omega=omega)
-        assert fam.value(0, "u", 0, 0.0) == pytest.approx(0.0, abs=1e-12)
-        assert fam.value(0, "u", 0, h) == pytest.approx(1.0, abs=1e-12)
-        assert fam.value(0, "v", 0, 0.0) == pytest.approx(1.0, abs=1e-12)
-        assert fam.value(0, "v", 0, h) == pytest.approx(0.0, abs=1e-12)
+        assert fam.value(0, 0, 0.0)[0] == pytest.approx(0.0, abs=1e-12)
+        assert fam.value(0, 0, h)[0] == pytest.approx(1.0, abs=1e-12)
+        assert fam.value(0, 0, 0.0)[1] == pytest.approx(1.0, abs=1e-12)
+        assert fam.value(0, 0, h)[1] == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("which", ["u", "v"])
@@ -118,19 +118,19 @@ class TestFamilies:
         """Central difference of order k matches the order k-1 closed form."""
         h = 0.8
         fam = build_family([0.25, 0.25 + h], kind=kind, omega=1.3)
-        step = 1e-6 * h
+        step, w = 1e-6 * h, "uv".index(which)
         for t in np.linspace(0.25 + 0.05 * h, 0.25 + 0.95 * h, 10):
-            numeric = (fam.value(0, which, order, t + step)
-                       - fam.value(0, which, order, t - step)) / (2 * step)
-            exact = fam.value(0, which, order - 1, t)
+            numeric = (fam.value(0, order, t + step)[w]
+                       - fam.value(0, order, t - step)[w]) / (2 * step)
+            exact = fam.value(0, order - 1, t)[w]
             assert numeric == pytest.approx(exact, rel=1e-6, abs=1e-9)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_positive_orders_vanish_at_left(self, kind):
         fam = build_family([0.5, 1.75], kind=kind, omega=1.1)
-        for which in "uv":
-            for order in (1, 2, 3):
-                assert fam.value(0, which, order, 0.5) == pytest.approx(0.0, abs=1e-14)
+        for order in (1, 2, 3):
+            for value in fam.value(0, order, 0.5):
+                assert value == pytest.approx(0.0, abs=1e-14)
 
     def test_rejects_trig_interval_too_wide(self):
         with pytest.raises(InvalidFamily):
@@ -158,7 +158,7 @@ class TestFamilies:
     def test_out_of_interval(self):
         fam = build_family([0, 1], kind="linear")
         with pytest.raises(OutOfInterval):
-            fam.value(0, "u", 0, 1.5)
+            fam.value(0, 0, 1.5)
 
     @pytest.mark.parametrize("knots", [[0.0] * 8, [0.0] * 4 + [1e-12] * 4])
     def test_rejects_knots_without_a_positive_interval(self, knots):
@@ -236,17 +236,17 @@ class TestFindInterval:
 class TestKnotFunctionValue:
     def test_linear_generator(self):
         fam = build_family([0, 1], kind="linear")
-        assert fam.value(0, "u", 0, 0.5) == pytest.approx(0.5)
+        assert fam.value(0, 0, 0.5)[0] == pytest.approx(0.5)
 
     def test_trig_endpoint(self):
         fam = build_family([0, 1], kind="trigonometric", omega=math.pi / 2)
-        assert fam.value(0, "u", 0, 1.0) == pytest.approx(1.0)
+        assert fam.value(0, 0, 1.0)[0] == pytest.approx(1.0)
 
     def test_trig_first_integral_against_quadrature(self):
         fam = build_family([0, 1], kind="trigonometric", omega=math.pi / 2)
         # independent check: integrate u(t) = sin(pi t / 2) from 0 to 1
         oracle = adaptive_simpson(lambda t: math.sin(math.pi * t / 2), 0.0, 1.0)
-        got = fam.value(0, "u", 1, 1.0)
+        got = fam.value(0, 1, 1.0)[0]
         assert got == pytest.approx(oracle, abs=1e-9)
         assert got == pytest.approx(2 / math.pi, abs=1e-12)
 
@@ -275,8 +275,8 @@ class TestIntegralTable:
     def test_order_zero_matches_generator(self):
         fam = build_family([0, 1], kind="exponential", omega=2.0)
         table = build_integral_table(fam, [0, .25, 1], 0, 3)
-        assert table[0, 0, 0, 0] == pytest.approx(fam.value(0, "u", 0, 0.0))
-        assert table[0, 1, 1, 1] == pytest.approx(fam.value(0, "v", 0, 1.0))
+        assert table[0, 0, 0, 0] == pytest.approx(fam.value(0, 0, 0.0)[0])
+        assert table[0, 1, 1, 1] == pytest.approx(fam.value(0, 0, 1.0)[1])
 
     def test_ladder_orders_differentiate(self):
         fam = build_family([0, 1], kind="trigonometric", omega=1.0)
@@ -328,8 +328,8 @@ class TestArrayLadder:
         table = build_integral_table(fam, targets, offset, 8)
         slots = containing_spans(fam.spans, np.array(targets))
         live = np.flatnonzero(slots >= 0)
-        want = [[[[fam.value(int(slots[j]), which, k - offset, targets[j + e])
-                   for which in "uv"] for e in (0, 1)] for j in live] for k in range(9)]
+        want = [[[fam.value(int(slots[j]), k - offset, targets[j + e]) for e in (0, 1)]
+                 for j in live] for k in range(9)]
         assert table[:, live].tobytes() == np.array(want).tobytes()
         np.testing.assert_array_equal(table[:, slots < 0], 0.0)
 
@@ -341,24 +341,23 @@ class TestArrayLadder:
         left, right = fam.spans[slot, 0], fam.spans[slot, 1]
         t = left + rng.uniform(0, 1, slot.shape) * (right - left)
         t[:, 0], t[:, 1] = left[:, 0], right[:, 1]
-        for which in "uv":
-            for order in range(-2, 9):
-                got = fam.value(slot, which, order, t)
-                want = [[fam.value(int(sl), which, order, float(x)) for sl, x in zip(*row)]
-                        for row in zip(slot, t)]
-                assert got.shape == t.shape
-                assert got.tobytes() == np.array(want).tobytes()
+        for order in range(-2, 9):
+            got = fam.value(slot, order, t)
+            want = [[fam.value(int(sl), order, float(x)) for sl, x in zip(*row)]
+                    for row in zip(slot, t)]
+            assert got.shape == (2,) + t.shape
+            assert got.tobytes() == np.moveaxis(want, -1, 0).tobytes()
 
     def test_array_t_outside_its_interval(self):
         fam = self.family("trigonometric")
         with pytest.raises(OutOfInterval, match="t=0.5 outside"):
-            fam.value(0, "u", 0, np.array([0.1, 0.5]))
+            fam.value(0, 0, np.array([0.1, 0.5]))
 
 
 class TestLadderKernel:
-    """An array `fam.value` call with a sequence of orders and which="uv"
-    computes every order and both generators in one kernel pass; each entry
-    equals the scalar `fam.value` call bit for bit."""
+    """An array `fam.value` call with a sequence of orders computes every
+    order and both generators in one kernel pass; each entry equals the
+    scalar `fam.value` call bit for bit."""
 
     ORDERS = list(range(-3, 10))
 
@@ -373,9 +372,9 @@ class TestLadderKernel:
     def test_matches_stacked_scalar_calls(self, kind):
         fam = TestArrayLadder.family(kind)
         slot, t = self.points(fam)
-        got = fam.value(slot, "uv", self.ORDERS, t)
-        want = [[[fam.value(int(sl), which, k, float(x)) for sl, x in zip(slot, t)]
-                 for which in "uv"] for k in self.ORDERS]
+        got = fam.value(slot, self.ORDERS, t)
+        want = [np.transpose([fam.value(int(sl), k, float(x)) for sl, x in zip(slot, t)])
+                for k in self.ORDERS]
         assert got.shape == (len(self.ORDERS), 2, len(t))
         assert np.array_equal(got, want)
         assert got.tobytes() == np.array(want).tobytes()
@@ -385,26 +384,18 @@ class TestLadderKernel:
         fam = TestArrayLadder.family(kind)
         slot, t = self.points(fam)
         for k in range(10):
-            many = fam.value(slot, "uv", range(k + 1), t)
-            assert fam.value(slot, "uv", [k], t).tobytes() == many[k:].tobytes()
-            assert fam.value(slot, "uv", k, t).tobytes() == many[k].tobytes()
-            assert fam.value(slot, "v", [k], t).tobytes() == many[k:, 1].tobytes()
+            many = fam.value(slot, range(k + 1), t)
+            assert fam.value(slot, [k], t).tobytes() == many[k:].tobytes()
+            assert fam.value(slot, k, t).tobytes() == many[k].tobytes()
 
     def test_empty_t(self):
         fam = TestArrayLadder.family("exponential")
-        assert fam.value(np.array([], dtype=int), "uv", [0, 1, 2], np.array([])).shape == (3, 2, 0)
+        assert fam.value(np.array([], dtype=int), [0, 1, 2], np.array([])).shape == (3, 2, 0)
 
     def test_out_of_interval_entry_is_named(self):
         fam = TestArrayLadder.family("trigonometric")
         with pytest.raises(OutOfInterval, match=r"t=0\.5 outside \[0\.0, 0\.3\] \(entry 2\)"):
-            fam.value(0, "uv", [0, 1], np.array([0.0, 0.1, 0.5]))
-
-    def test_both_generators_need_an_array_t(self):
-        fam = TestArrayLadder.family("trigonometric")
-        with pytest.raises(ValueError, match="which must be 'u' or 'v'"):
-            fam.value(0, "uv", 0, 0.1)
-        with pytest.raises(ValueError, match="which must be 'u', 'v' or 'uv'"):
-            fam.value(0, "w", 0, np.array([0.1]))
+            fam.value(0, [0, 1], np.array([0.0, 0.1, 0.5]))
 
 
 def ladder_reference(kind, which, k, s, h, omega):
@@ -464,10 +455,10 @@ class TestLadderAccuracy:
         t = left + np.array([0.0, 0.25, 0.5, 0.9, 1.0]) * h
         t[-1] = left + h
         for k in range(-3, 9):
-            both = fam.value(0, "uv", [k], t)[0]
-            for w, which in enumerate("uv"):
-                got = np.array([fam.value(0, which, k, x) for x in t.tolist()])
-                assert got.tobytes() == both[w].tobytes()
+            both = fam.value(0, [k], t)[0]
+            pairs = np.transpose([fam.value(0, k, x) for x in t.tolist()])
+            assert pairs.tobytes() == both.tobytes()
+            for got, which in zip(pairs, "uv"):
                 want = [ladder_reference(kind, which, k, x - left, h, omega) for x in t.tolist()]
                 err = np.abs(got - want).max() / ladder_scale(k, h, omega * h)
                 assert err <= LADDER_TOL, (which, k, err)
@@ -488,19 +479,20 @@ class TestScalarLadderCache:
 
     @staticmethod
     def within_tolerance(fam, calls, got):
-        for (slot, which, order, t), value in zip(calls, got):
+        for (slot, order, t), pair in zip(calls, got):
             left, right = fam.spans[slot].tolist()
             theta = float(fam.omegas[slot]) * (right - left)
-            err = abs(value - TestScalarLadderCache.reference(fam, slot, which, order, t))
-            assert err <= LADDER_TOL * ladder_scale(order, right - left, theta)
+            for which, value in zip("uv", pair):
+                err = abs(value - TestScalarLadderCache.reference(fam, slot, which, order, t))
+                assert err <= LADDER_TOL * ladder_scale(order, right - left, theta)
 
     @staticmethod
     def calls(fam):
-        """(slot, which, order, t) at both ends and two interior points of every
+        """(slot, order, t) at both ends and two interior points of every
         span, shuffled so that consecutive calls differ in slot and order."""
-        calls = [(slot, which, order, a + x * (b - a))
+        calls = [(slot, order, a + x * (b - a))
                  for slot, (a, b) in enumerate(fam.spans.tolist())
-                 for which in "uv" for order in TestScalarLadderCache.ORDERS
+                 for order in TestScalarLadderCache.ORDERS
                  for x in (0.0, 0.3, 0.71, 1.0)]
         return [calls[i] for i in np.random.default_rng(7).permutation(len(calls))]
 
@@ -519,37 +511,37 @@ class TestScalarLadderCache:
         fam, fresh = TestArrayLadder.family(kind), TestArrayLadder.family(kind)
         for slot, (a, b) in enumerate(fam.spans.tolist()):
             for t in (a - 1e-9, b + 1e-9):
-                for which, order in (("u", 2), ("v", 0), ("v", 5)):
+                for order in (2, 0, 5):
                     with pytest.raises(OutOfInterval) as before:
-                        fresh.value(slot, which, order, t)
-                    loose = fam.value(slot, which, order, t, tol=1e-8)
-                    self.within_tolerance(fam, [(slot, which, order, t)], [loose])
+                        fresh.value(slot, order, t)
+                    loose = fam.value(slot, order, t, tol=1e-8)
+                    self.within_tolerance(fam, [(slot, order, t)], [loose])
                     with pytest.raises(OutOfInterval) as after:
-                        fam.value(slot, which, order, t)
+                        fam.value(slot, order, t)
                     assert str(after.value) == str(before.value) == f"t={t} outside [{a}, {b}]"
 
     def test_slot_and_order_must_be_integers(self):
         fam = TestArrayLadder.family("trigonometric")
-        want = fam.value(np.int64(1), "u", np.int64(2), 0.5)
-        assert np.float64(fam.value(1, "u", 2, 0.5)).tobytes() == np.float64(want).tobytes()
+        want = fam.value(np.int64(1), np.int64(2), 0.5)
+        assert np.array(fam.value(1, 2, 0.5)).tobytes() == np.array(want).tobytes()
         for slot, order in ((1.0, 2), (1, 2.0), (1, -1.0)):   # with 1's entry filled
             with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
-                fam.value(slot, "u", order, 0.5)
+                fam.value(slot, order, 0.5)
 
     def test_overflow_raises_as_in_the_array_path(self):
         # s**10 / 10! overflows on a span of length 1e40
         fam = build_family([0.0, 1e40], kind="linear")
         for t in (1e40, np.array([1e40])):
             with pytest.raises(OverflowError):
-                fam.value(0, "u", 9, t)
+                fam.value(0, 9, t)
 
     def test_another_spans_overflow_leaves_a_scalar_call_alone(self):
         # h**9 overflows on the second span only; the first span's scalar
         # value is the array path's, bit for bit
         fam = build_family([0.0, 1.0, 1e40], kind="linear")
-        want = fam.value(np.array([0]), "u", 9, np.array([0.5]))[0]
+        want = fam.value(np.array([0]), 9, np.array([0.5]))[0, 0]
         assert want == 2.691144455467372e-10
-        assert fam.value(0, "u", 9, 0.5).hex() == float(want).hex()
+        assert fam.value(0, 9, 0.5)[0].hex() == float(want).hex()
 
     def test_threads_share_one_fresh_basis(self):
         def fresh_curve():

@@ -58,27 +58,25 @@ class TestRefineLocal:
         rng = np.random.default_rng(3)
         piece = form_piecewise(rng.uniform(-1, 1, basis.n_basis), basis)
         out = refine_local(piece, np.array([0, .25, .5, .75, 1.0]))
-        np.testing.assert_allclose(out.gen_coefs[0], piece.gen_coefs[0])
-        np.testing.assert_allclose(out.gen_coefs[1], piece.gen_coefs[0])
-        np.testing.assert_allclose(out.gen_coefs[2], piece.gen_coefs[1])
-        np.testing.assert_allclose(out.gen_coefs[3], piece.gen_coefs[1])
+        np.testing.assert_allclose(out.coefs[0, -2:], piece.coefs[0, -2:])
+        np.testing.assert_allclose(out.coefs[1, -2:], piece.coefs[0, -2:])
+        np.testing.assert_allclose(out.coefs[2, -2:], piece.coefs[1, -2:])
+        np.testing.assert_allclose(out.coefs[3, -2:], piece.coefs[1, -2:])
 
     def test_identity_refinement(self):
         kv, fam, basis = make_basis(3, interior=(0.5,))
         rng = np.random.default_rng(4)
         piece = form_piecewise(rng.uniform(-1, 1, basis.n_basis), basis)
         out = refine_local(piece, piece.breaks)
-        np.testing.assert_allclose(out.poly_parts, piece.poly_parts)
-        np.testing.assert_allclose(out.gen_coefs, piece.gen_coefs)
+        np.testing.assert_allclose(out.coefs, piece.coefs)
 
     def test_polynomial_subdivision(self):
         fam = build_family([0, 1], kind="linear")
         piece = PiecewiseCurve(breaks=np.array([0.0, 1.0]),
-                               poly_parts=np.array([[0.0, 0.0, 1.0]]),
-                               gen_coefs=np.zeros((1, 2)), degree=4, fam=fam)
+                               coefs=np.array([[0.0, 0.0, 1.0, 0.0, 0.0]]), degree=4, fam=fam)
         out = refine_local(piece, np.array([0, .5, 1.0]))
-        np.testing.assert_allclose(out.poly_parts[0], [0, 0, 1])
-        np.testing.assert_allclose(out.poly_parts[1], [0.25, 1, 1])
+        np.testing.assert_allclose(out.coefs[0, :-2], [0, 0, 1])
+        np.testing.assert_allclose(out.coefs[1, :-2], [0.25, 1, 1])
 
     def test_values_preserved_everywhere(self):
         kv, fam, basis = make_basis(4, interior=(0.5,), kind="exponential", omega=1.5)
@@ -106,7 +104,8 @@ class TestRepresentKnotFuncs:
         tables = build_integral_table(fam, breaks, 0, 3)
         lens = np.diff(breaks)
         gen = np.array([[0.7, -0.2], [0.1, 1.4]])
-        ngen, offsets = represent_knot_funcs(gen, tables, tables[1:, :, 1], lens)
+        rows = represent_knot_funcs(gen, tables, tables[1:, :, 1], lens)
+        ngen, offsets = rows[:, -2:], rows[:, :-2]
         np.testing.assert_allclose(ngen, gen, atol=1e-12)
         np.testing.assert_allclose(offsets, 0.0, atol=1e-12)
 
@@ -115,10 +114,8 @@ class TestRepresentKnotFuncs:
         breaks = kv.active_region()
         tables = build_integral_table(fam, breaks, 0, 2)
         lens = np.diff(breaks)
-        ngen, offsets = represent_knot_funcs(np.zeros((2, 2)), tables, tables[1:, :, 1],
-                                             lens)
-        np.testing.assert_array_equal(ngen, 0.0)
-        np.testing.assert_array_equal(offsets, 0.0)
+        rows = represent_knot_funcs(np.zeros((2, 2)), tables, tables[1:, :, 1], lens)
+        np.testing.assert_array_equal(rows, 0.0)
 
     @pytest.mark.parametrize("kind", ["trigonometric", "exponential"])
     def test_split_interval_reconstruction(self, kind):
@@ -131,15 +128,12 @@ class TestRepresentKnotFuncs:
         tables_dst = build_integral_table(dst_fam, dst_breaks, 0, p - 1)
         lens = np.diff(dst_breaks)
         gen = np.array([[0.8, -0.3]])
-        src = PiecewiseCurve(breaks=np.array([0.0, 1.0]),
-                             poly_parts=np.zeros((1, p - 1)), gen_coefs=gen,
+        src = PiecewiseCurve(breaks=np.array([0.0, 1.0]), coefs=np.pad(gen, ((0, 0), (p - 1, 0))),
                              degree=p, fam=src_fam)
         split = refine_local(src, dst_breaks)
-        ngen, offsets = represent_knot_funcs(split.gen_coefs, tables_src,
-                                             tables_dst[1:, :, 1], lens)
-        rewritten = PiecewiseCurve(breaks=dst_breaks,
-                                   poly_parts=split.poly_parts + offsets,
-                                   gen_coefs=ngen, degree=p, fam=dst_fam)
+        rows = represent_knot_funcs(split.coefs[:, -2:], tables_src, tables_dst[1:, :, 1], lens)
+        rows[:, :-2] += split.coefs[:, :-2]
+        rewritten = PiecewiseCurve(breaks=dst_breaks, coefs=rows, degree=p, fam=dst_fam)
         for piece_lo, piece_hi in ((0.0, 0.5), (0.5, 1.0)):
             for t in np.linspace(piece_lo, piece_hi, 50):
                 assert rewritten.value(float(t)) == pytest.approx(
@@ -157,13 +151,13 @@ class TestRepresentKnotFuncs:
         ladder = build_integral_table(dst_fam, breaks, 0, 3)[1:, :, 1]
         gen = np.random.default_rng(8).uniform(-1, 1, (5, 2))
         gen[2] = 0.0   # the zero-length interval carries no generators
-        ngen, _ = represent_knot_funcs(gen, tables_src, ladder, np.diff(breaks))
+        ngen = represent_knot_funcs(gen, tables_src, ladder, np.diff(breaks))[:, -2:]
         want = np.zeros((5, 2))
         for j in (0, 1, 3, 4):
             slot = 0 if j < 2 else 1
             for w, t in enumerate((breaks[j + 1], breaks[j])):
-                want[j, w] = (gen[j, 0] * src_fam.value(slot, "u", -offset, t)
-                              + gen[j, 1] * src_fam.value(slot, "v", -offset, t))
+                u, v = src_fam.value(slot, -offset, t)
+                want[j, w] = gen[j, 0] * u + gen[j, 1] * v
         assert ngen.tobytes() == want.tobytes()
 
     def test_wrong_span_raises_taylor_mismatch(self):
@@ -190,17 +184,16 @@ class TestRefineCurve:
         """A kink at a simple knot cannot be a degree-3 spline: flagged."""
         kv, fam, basis = make_basis(3, interior=(0.5,))
         breaks = kv.active_region()
-        poly = np.array([[0.0, 1.0],    # rises with slope 1
-                         [0.5, -1.0]])  # falls with slope -1
-        piece = PiecewiseCurve(breaks=breaks, poly_parts=poly,
-                               gen_coefs=np.zeros((2, 2)), degree=3, fam=fam)
+        poly = np.array([[0.0, 1.0, 0.0, 0.0],    # rises with slope 1
+                         [0.5, -1.0, 0.0, 0.0]])  # falls with slope -1
+        piece = PiecewiseCurve(breaks=breaks, coefs=poly, degree=3, fam=fam)
         with pytest.raises(InconsistentCoefficient):
             refine_curve(piece, basis)
         # tolerances hold per component: a smooth first component (y = t)
         # does not hide the kink in the second
-        smooth = np.array([[0.0, 1.0], [0.5, 1.0]])
-        piece = PiecewiseCurve(breaks=breaks, poly_parts=np.stack([smooth, poly], axis=2),
-                               gen_coefs=np.zeros((2, 2, 2)), degree=3, fam=fam)
+        smooth = np.array([[0.0, 1.0, 0.0, 0.0], [0.5, 1.0, 0.0, 0.0]])
+        piece = PiecewiseCurve(breaks=breaks, coefs=np.stack([smooth, poly], axis=2),
+                               degree=3, fam=fam)
         with pytest.raises(InconsistentCoefficient):
             refine_curve(piece, basis)
 
@@ -588,12 +581,11 @@ class TestMixedFamily:
         else:
             _, _, basis = make_basis(degree, interior=(0.15, 0.3, 0.5, 0.62, 0.8), kind=kind)
         breaks = basis.kv.active_region()
-        poly = np.zeros((6, degree - 1))
-        poly[:, 0] = breaks[:-1]
+        coefs = np.zeros((6, degree + 1))
+        coefs[:, 0] = breaks[:-1]
         if degree > 2:
-            poly[:, 1] = 1.0
-        piece = PiecewiseCurve(breaks=breaks, poly_parts=poly,
-                               gen_coefs=np.full((6, 2), float(degree == 2)),
-                               degree=degree, fam=basis.fam)
+            coefs[:, 1] = 1.0
+        coefs[:, -2:] = float(degree == 2)
+        piece = PiecewiseCurve(breaks=breaks, coefs=coefs, degree=degree, fam=basis.fam)
         want = refine_curve(piece, basis)
         assert greville_abscissae(basis).tobytes() == want.tobytes()
