@@ -39,6 +39,8 @@ def _check_cpts(cpts, n_basis):
         raise LengthMismatch(
             f"{n_basis} basis functions but control points shaped {cpts.shape}; "
             "expected (n,) or (n, d)")
+    if not np.isfinite(cpts).all():
+        raise ValueError(f"control point {np.argwhere(~np.isfinite(cpts))[0, 0]} is not finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,10 +68,10 @@ class LocalBasis:
     component c is basis function j+c, so `local.coefs` has shape
     (intervals, max(p-1, 0) + 2, p+1).
     Rows over zero-length intervals hold zeros and are never evaluated.
-    deltas[k-1] lists the level-k normalization integrals.  ladder_table, kept
-    from construction, holds the right-end values of the generators' ladder
-    orders 1..p-1 on every active interval, shaped (p-1, intervals, 2) with u
-    first: build_integral_table(fam, active region, 0, p-1)[1:, :, 1].  Their
+    deltas[k-1] lists the level-k normalization integrals, k = 1..p-1, and
+    ladder_table the right-end values of the generators' ladder orders
+    1..p-1 on every active interval, shaped (p-1, intervals, 2) with u first:
+    build_integral_table(fam, active region, 0, p-1)[1:, :, 1].  Their
     left-end values are zero.
     """
 
@@ -115,18 +117,17 @@ class PiecewiseCurve:
         if self.coefs.ndim not in (2, 3) or self.coefs.shape[:2] != want:
             raise ValueError(f"coefs must be shaped (intervals, max(degree-1, 0) + 2) = "
                              f"{want}, then optional components; got {self.coefs.shape}")
-        slots = (containing_spans(self.fam.spans, self.breaks) if self.slots is None
-                 else self.slots)
-        object.__setattr__(self, "slots", readonly(slots, dtype=int))
+        slots = readonly(containing_spans(self.fam.spans, self.breaks) if self.slots is None
+                         else self.slots, dtype=int)
+        object.__setattr__(self, "slots", slots)
+        if slots.shape != want[:1] or ((slots < -1) | (slots >= self.fam.n_spans)).any():
+            raise ValueError(f"slots must be shaped {want[:1]} with entries in -1.."
+                             f"{self.fam.n_spans - 1}; got {slots.shape}: {slots}")
 
     def value(self, t, tol=DEFAULT_TOL):
         """Curve value at t: a float, or an array of the d components.  An
         array of N parameters gives values shaped (N,) or (N, d)."""
-        j = self._find(t, tol)
-        if isinstance(j, np.ndarray):
-            return self.value_on(j, t, tol)
-        row = self._row(j, t, tol)
-        return np.array(row) if self.coefs.ndim == 3 else row[0]
+        return self.value_on(self._find(t, tol), t, tol)
 
     def value_on(self, j, t, tol=DEFAULT_TOL):
         """Value at t on interval j, one Horner pass over every component.
@@ -140,7 +141,7 @@ class PiecewiseCurve:
                              f"got j {np.shape(j) or 'scalar'} and t {np.shape(t) or 'scalar'}")
         if not np.shape(j):
             row = self._row(j, t, tol)
-            return np.array(row) if self.coefs.ndim == 3 else np.float64(row[0])
+            return np.array(row) if self.coefs.ndim == 3 else row[0]
         slot = self.slots[j]
         missing = np.extract(slot < 0, j)
         if len(missing):
@@ -247,17 +248,17 @@ def build_local_basis(kv: KnotVector, fam: KnotFunctionFamily, tol=DEFAULT_TOL) 
     knots = kv.knots
     m = len(knots)
     lens = np.diff(knots)
-    alive = lens > tol
+    slots = containing_spans(fam.spans, knots, tol)   # -1 exactly where lens <= tol
+    alive = slots >= 0
 
     reps = np.zeros((m - 2, 2, 2))   # no polynomial part yet: u, then v
     reps[:, 0, 0] = 1.0
     reps[:, 1, 1] = 1.0
 
-    # ladder values of orders 1..p at the right end of every knot interval
-    slots = containing_spans(fam.spans, knots, tol)
-    live = np.flatnonzero(slots >= 0)
-    right = np.zeros((p, m - 1, 2))
-    ends = fam.value(slots[live], range(1, p + 1), knots[live + 1], tol)
+    # ladder values of orders 1..p-1 at the right end of every knot interval
+    live = np.flatnonzero(alive)
+    right = np.zeros((p - 1, m - 1, 2))
+    ends = fam.value(slots[live], range(1, p), knots[live + 1], tol)
     right[:, live] = ends.swapaxes(1, 2)
     deltas = []
     for level in range(1, p):
@@ -265,16 +266,15 @@ def build_local_basis(kv: KnotVector, fam: KnotFunctionFamily, tol=DEFAULT_TOL) 
         delta = ints.sum(axis=1)
         deltas.append(delta)
         reps = _elevate_level(knots, alive, reps, ints, delta, level)
-    deltas.append(_interval_integrals(lens, alive, reps, right[p - 1]).sum(axis=1))
 
     # function-major slots become interval-major rows, components last: row j,
     # component c is function j + c's slot p - c
     rows = np.arange(len(reps) - p)[:, None] + np.arange(p + 1)
     local = PiecewiseCurve(breaks=kv.active_region(),
                            coefs=np.moveaxis(reps[rows, p - np.arange(p + 1)], 1, -1),
-                           degree=p, fam=fam, slots=fam.slots[p : m - p - 1])
+                           degree=p, fam=fam, slots=slots[p : m - p - 1])
     return LocalBasis(kv=kv, fam=fam, local=local, deltas=tuple(readonly(d) for d in deltas),
-                      ladder_table=readonly(right[: p - 1, p : m - p - 1]))
+                      ladder_table=readonly(right[:, p : m - p - 1]))
 
 
 # evaluation ------------------------------------------------------------------

@@ -38,11 +38,9 @@ def integrate_poly(coeffs):
 
 
 def derive_poly(coeffs):
-    """First derivative in the same local coordinate."""
+    """First derivative in the same local coordinate; the last axis is the degree."""
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape[-1] <= 1:
-        return np.zeros(0)
-    return coeffs[1:] * np.arange(1, coeffs.shape[-1])
+    return coeffs[..., 1:] * np.arange(1, coeffs.shape[-1])
 
 
 def taylor_shift(coeffs, tau):

@@ -52,7 +52,7 @@ class TestConstruction:
         degree-k basis over the same knots, so each can be integrated
         numerically and compared.
         """
-        kv, fam, basis = make_basis(3, interior=(0.4,), kind=kind, omega=1.2)
+        kv, fam, basis = make_basis(4, interior=(0.4,), kind=kind, omega=1.2)
         knots = kv.knots
         for level, deltas in enumerate(basis.deltas, start=1):
             lower = build_local_basis(validate_open_knot_vector(knots, level), fam)
@@ -64,6 +64,13 @@ class TestConstruction:
                     for j in range(i, i + level + 1)
                     if knots[j + 1] - knots[j] > 0)
                 assert delta == pytest.approx(oracle, abs=1e-9)
+
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_deltas_hold_the_levels_below_the_degree(self, p):
+        """A degree-p build keeps the normalization integrals of levels
+        1..p-1, the areas its recurrence divides by."""
+        _, _, basis = make_basis(p, interior=(0.25, 0.5, 0.75))
+        assert len(basis.deltas) == p - 1
 
     def test_rejects_degree_zero(self):
         kv = validate_open_knot_vector([0, 1], 0)
@@ -338,6 +345,19 @@ class TestCurveEvaluation:
         with pytest.raises(LengthMismatch):
             SplineCurve(kv=kv, fam=fam, cpts=np.ones((basis.n_basis, 2, 1)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_control_points_rejected(self, bad):
+        """SplineCurve and form_piecewise name the first control point with a
+        component that is not finite, with or without a component axis."""
+        kv, fam, basis = make_basis(3, interior=(0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875))
+        cpts = np.random.default_rng(0).uniform(-1, 1, (basis.n_basis, 2))
+        cpts[4, 1] = cpts[6, 0] = bad
+        for c in (cpts, cpts[:, 1]):
+            with pytest.raises(ValueError, match=r"^control point 4 is not finite$"):
+                SplineCurve(kv=kv, fam=fam, cpts=c)
+            with pytest.raises(ValueError, match=r"^control point 4 is not finite$"):
+                form_piecewise(c, basis)
+
 
 def test_piecewise_value_follows_the_interval_map():
     """A curve evaluates with the interval map it was built with: an interval
@@ -363,6 +383,18 @@ def test_piecewise_coefficients_must_fit_degree_and_breaks():
         with pytest.raises(ValueError, match=rf"= \(2, 4\), then optional components; "
                                              rf"got {re.escape(str(shape))}$"):
             PiecewiseCurve(breaks=basis.local.breaks, coefs=np.zeros(shape), degree=3, fam=fam)
+
+
+def test_piecewise_slots_must_map_each_interval_to_a_span():
+    """An interval map of the wrong length, or with an entry naming no span
+    of the family, is refused when the curve is made."""
+    _, fam, basis = make_basis(3, interior=(0.5,))
+    for slots, got in (([0], r"\(1,\): \[0\]"), ([0, 5], r"\(2,\): \[0 5\]"),
+                       ([-2, 1], r"\(2,\): \[-2  1\]")):
+        with pytest.raises(ValueError, match=rf"^slots must be shaped \(2,\) with entries in "
+                                             rf"-1..1; got {got}$"):
+            PiecewiseCurve(breaks=basis.local.breaks, coefs=np.zeros((2, 4)), degree=3,
+                           fam=fam, slots=np.array(slots))
 
 
 class TestSubToleranceInterval:

@@ -50,6 +50,8 @@ def test_integrate_then_eval():
 def test_derive_inverts_integrate():
     c = np.array([2.0, -1.0, 3.0])
     np.testing.assert_allclose(derive_poly(integrate_poly(c)), c)
+    rows = np.arange(12.0).reshape(3, 4)   # one polynomial per row, degree last
+    np.testing.assert_allclose(derive_poly(integrate_poly(rows)), rows)
 
 
 def test_restrict_square_halves():

@@ -67,7 +67,7 @@ class TestDefinitionEvaluator:
 
     @pytest.mark.parametrize("level", [1, 2, 3])
     def test_delta_agreement(self, level):
-        kv, fam, basis = make_basis(3, interior=(0.4,), kind="trigonometric", omega=1.2)
+        kv, fam, basis = make_basis(4, interior=(0.4,), kind="trigonometric", omega=1.2)
         ev = ReferenceEvaluator(kv.knots, fam)
         deltas = basis.deltas[level - 1]
         for i, delta in enumerate(deltas):
