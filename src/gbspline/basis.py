@@ -68,18 +68,13 @@ class LocalBasis:
     component c is basis function j+c, so `local.coefs` has shape
     (intervals, max(p-1, 0) + 2, p+1).
     Rows over zero-length intervals hold zeros and are never evaluated.
-    deltas[k-1] lists the level-k normalization integrals, k = 1..p-1, and
-    ladder_table the right-end values of the generators' ladder orders
-    1..p-1 on every active interval, shaped (p-1, intervals, 2) with u first:
-    build_integral_table(fam, active region, 0, p-1)[1:, :, 1].  Their
-    left-end values are zero.
+    deltas[k-1] lists the level-k normalization integrals, k = 1..p-1.
     """
 
     kv: KnotVector
     fam: KnotFunctionFamily
     local: PiecewiseCurve
     deltas: tuple
-    ladder_table: np.ndarray
 
     @property
     def degree(self) -> int:
@@ -117,12 +112,13 @@ class PiecewiseCurve:
         if self.coefs.ndim not in (2, 3) or self.coefs.shape[:2] != want:
             raise ValueError(f"coefs must be shaped (intervals, max(degree-1, 0) + 2) = "
                              f"{want}, then optional components; got {self.coefs.shape}")
-        slots = readonly(containing_spans(self.fam.spans, self.breaks) if self.slots is None
-                         else self.slots, dtype=int)
-        object.__setattr__(self, "slots", slots)
-        if slots.shape != want[:1] or ((slots < -1) | (slots >= self.fam.n_spans)).any():
-            raise ValueError(f"slots must be shaped {want[:1]} with entries in -1.."
+        slots = (containing_spans(self.fam.spans, self.breaks) if self.slots is None
+                 else np.asarray(self.slots))
+        if (slots.shape != want[:1] or (slots != np.round(slots)).any()
+                or ((slots < -1) | (slots >= self.fam.n_spans)).any()):
+            raise ValueError(f"slots must be shaped {want[:1]} with whole-number entries in -1.."
                              f"{self.fam.n_spans - 1}; got {slots.shape}: {slots}")
+        object.__setattr__(self, "slots", readonly(slots, dtype=int))
 
     def value(self, t, tol=DEFAULT_TOL):
         """Curve value at t: a float, or an array of the d components.  An
@@ -273,8 +269,7 @@ def build_local_basis(kv: KnotVector, fam: KnotFunctionFamily, tol=DEFAULT_TOL) 
     local = PiecewiseCurve(breaks=kv.active_region(),
                            coefs=np.moveaxis(reps[rows, p - np.arange(p + 1)], 1, -1),
                            degree=p, fam=fam, slots=slots[p : m - p - 1])
-    return LocalBasis(kv=kv, fam=fam, local=local, deltas=tuple(readonly(d) for d in deltas),
-                      ladder_table=readonly(right[:, p : m - p - 1]))
+    return LocalBasis(kv=kv, fam=fam, local=local, deltas=tuple(readonly(d) for d in deltas))
 
 
 # evaluation ------------------------------------------------------------------

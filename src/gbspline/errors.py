@@ -64,11 +64,6 @@ class InconsistentCoefficient(GBSplineError):
     the target spline space (e.g. violates its continuity)."""
 
 
-class TaylorMismatch(GBSplineError):
-    """Left/right polynomial reconstructions disagree; the source generator
-    terms are outside the span of the target generators."""
-
-
 class SingularLocalSystem(GBSplineError):
     """Local basis representations are linearly dependent."""
 

@@ -88,9 +88,3 @@ def left_taylor_series(derivs):
     derivs = np.asarray(derivs, dtype=float)
     fact = np.array([math.factorial(k) for k in range(len(derivs))], dtype=float)
     return derivs / fact.reshape((-1,) + (1,) * (derivs.ndim - 1))
-
-
-def right_taylor_series(derivs, h):
-    """Polynomial matching the given derivative values at s = h, expressed in
-    the left-shifted power basis."""
-    return taylor_shift(left_taylor_series(derivs), -h)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from bisect import bisect_right
+from operator import index
 
 import numpy as np
 
@@ -34,24 +35,20 @@ from .errors import (
     DegreeTooSmall,
     FamilyNotClosedUnderDerivative,
     InconsistentCoefficient,
+    InvalidFamily,
     KnotOutsideActiveRegion,
     MultiplicityOverflow,
     SingularLocalSystem,
-    TaylorMismatch,
 )
 from .knots import (
+    KINDS,
     KnotFunctionFamily,
     KnotVector,
     build_family,
     build_integral_table,
     containing_spans,
 )
-from .poly import (
-    DEFAULT_TOL,
-    left_taylor_series,
-    right_taylor_series,
-    taylor_shift,
-)
+from .poly import DEFAULT_TOL, left_taylor_series, taylor_shift
 
 COEF_TOL_FACTOR = 1e4   # coefficient-agreement tolerance = tol * this
 PIVOT_RATIO_WARN = 1e12
@@ -137,47 +134,27 @@ def refine_local(curve: PiecewiseCurve, dst_breaks, tol=DEFAULT_TOL) -> Piecewis
                           slots=slots)
 
 
-def represent_knot_funcs(gen, tables_src, ladder_table, lens, coef_tol=1e-6):
+def represent_knot_funcs(gen, tables_src):
     """Rewrite generator terms, per interval a source (u, v) pair, in the target ladders.
 
     `tables_src` holds ladder values of the (derivative-shifted) source
-    generators on every target interval and `ladder_table` the right-end
-    values of the target generators' positive orders, shaped (orders - 1,
-    intervals, 2) as `LocalBasis.ladder_table`.  The target pair rises from
-    0 to 1 (u) and falls from 1 to 0 (v) on each interval, so the top
-    derivative of a generator term takes its right-end value as u's
-    coefficient and its left-end value as v's.  The remaining derivative
-    differences are absorbed into polynomial corrections, reconstructed as
-    the average of the Taylor expansions at both endpoints; at the left end
-    the target's positive orders vanish.  A disagreement between the two
-    expansions means the source generators lie outside the target span; it
-    is measured component by component when `gen` carries a trailing
-    component axis.  Zero-length intervals, whose table rows are zeros, get
-    zeros.
+    generators on every target interval.  Each target piece keeps its source
+    span's kind and frequency, and the target pair rises from 0 to 1 (u) and
+    falls from 1 to 0 (v), so the top derivative of a generator term takes
+    its right-end value as u's coefficient and its left-end value as v's.
+    By Taylor's formula with integral remainder, the rest of the term is the
+    polynomial whose derivatives at the left end are the lower orders' left
+    values: there the target's positive orders vanish.  Zero-length
+    intervals, whose table rows are zeros, get zeros.
 
     Returns rows as `PiecewiseCurve.coefs`: corrections, then the new pair.
     """
     orders, num = tables_src.shape[:2]
     gen = np.asarray(gen, dtype=float)
-    tail = gen.shape[2:]
     ivals = np.einsum("kjew,jw...->kje...", tables_src, gen)
-    out = np.zeros((num, orders + 1) + tail)
+    out = np.zeros((num, orders + 1) + gen.shape[2:])
     out[:, -2:] = ivals[0, :, ::-1]
-    if orders < 2:
-        return out
-    left = left_taylor_series(ivals[:0:-1, :, 0])
-    right = right_taylor_series(
-        ivals[:0:-1, :, 1] - np.einsum("kjw,jw...->kj...", ladder_table[::-1], out[:, -2:]),
-        lens.reshape((-1,) + (1,) * len(tail)))
-    scale = np.maximum(1.0, np.maximum(np.abs(left).max(axis=0), np.abs(right).max(axis=0)))
-    bad = np.abs(left - right) > coef_tol * scale
-    stray = np.flatnonzero(bad.any(axis=(0,) + tuple(range(2, bad.ndim))))
-    if len(stray):
-        i = stray[0]
-        raise TaylorMismatch(
-            f"endpoint reconstructions disagree on interval {i}: "
-            f"{left[:, i].tolist()} vs {right[:, i].tolist()}")
-    out[:, :-2] = np.moveaxis(0.5 * (left + right), 0, 1)
+    out[:, :-2] = np.moveaxis(left_taylor_series(ivals[:0:-1, :, 0]), 0, 1)
     return out
 
 
@@ -203,9 +180,11 @@ def refine_curve(curve: PiecewiseCurve, basis: LocalBasis,
     Runs the projection pipeline: reindex onto the target breakpoints,
     rewrite generator terms and add the source polynomial terms to the
     corrections, then project.  The source generators' ladder values on the
-    target intervals are built here, shifted by the degree raise; the
-    target's come from `basis.ladder_table`.  A curve with a trailing axis of
-    d components gives control points shaped (n, d).
+    target intervals are built here, shifted by the degree raise.  On every
+    interval live in both slot maps, the curve's family and the basis's must
+    agree in kind and, unless linear, in frequency, or InvalidFamily names
+    the first interval where they differ.  A curve with a trailing axis of d
+    components gives control points shaped (n, d).
     """
     tol, coef_tol = _tolerances(tol, coef_tol)
     q, p = basis.degree, curve.degree
@@ -213,9 +192,19 @@ def refine_curve(curve: PiecewiseCurve, basis: LocalBasis,
         raise ValueError(f"target degree {q} is below the curve's degree {p}")
     breaks = basis.kv.active_region()
     local = refine_local(curve, breaks, tol)
+    both = np.flatnonzero((local.slots >= 0) & (basis.local.slots >= 0))
+    a, b = local.slots[both], basis.local.slots[both]
+    kind = curve.fam._kind_ids[a]
+    bad = np.flatnonzero((kind != basis.fam._kind_ids[b]) | ((kind != KINDS.index("linear"))
+                         & (curve.fam.omegas[a] != basis.fam.omegas[b])))
+    if len(bad):
+        j, i = bad[0], both[bad[0]]
+        raise InvalidFamily(
+            f"interval {i} [{breaks[i]}, {breaks[i + 1]}]: the curve has {curve.fam.kinds[a[j]]} "
+            f"generators with omega {curve.fam.omegas[a[j]]}, the basis "
+            f"{basis.fam.kinds[b[j]]} ones with omega {basis.fam.omegas[b[j]]}")
     tables = build_integral_table(curve.fam, breaks, q - p, q - 1, tol)
-    lfunc = represent_knot_funcs(local.coefs[:, -2:], tables, basis.ladder_table,
-                                 np.diff(breaks), coef_tol)
+    lfunc = represent_knot_funcs(local.coefs[:, -2:], tables)
     lfunc[:, : local.coefs.shape[1] - 2] += local.coefs[:, :-2]
     return _project(basis, lfunc, tol, coef_tol)
 
@@ -277,7 +266,7 @@ def refined_spline(curve: SplineCurve, basis: LocalBasis | None = None, *,
     refined together: one target basis, one integral table.
     """
     tol, coef_tol = _tolerances(tol, coef_tol)
-    p = curve.kv.degree
+    elevate_by, p = index(elevate_by), curve.kv.degree
     if p < 2:
         raise DegreeTooSmall("refinement needs degree >= 2")
     if elevate_by < 0:
@@ -309,7 +298,7 @@ def elevate_degree(curve: SplineCurve, basis: LocalBasis | None, by,
     """Raise the curve degree by `by` >= 1, preserving the curve."""
     if by < 1:
         raise ValueError("degree raise must be at least 1")
-    return refined_spline(curve, basis, elevate_by=int(by), tol=tol,
+    return refined_spline(curve, basis, elevate_by=by, tol=tol,
                           coef_tol=coef_tol)
 
 

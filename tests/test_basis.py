@@ -386,13 +386,15 @@ def test_piecewise_coefficients_must_fit_degree_and_breaks():
 
 
 def test_piecewise_slots_must_map_each_interval_to_a_span():
-    """An interval map of the wrong length, or with an entry naming no span
-    of the family, is refused when the curve is made."""
+    """An interval map of the wrong length, with an entry naming no span of
+    the family, or with a fractional entry (never truncated) is refused when
+    the curve is made."""
     _, fam, basis = make_basis(3, interior=(0.5,))
     for slots, got in (([0], r"\(1,\): \[0\]"), ([0, 5], r"\(2,\): \[0 5\]"),
-                       ([-2, 1], r"\(2,\): \[-2  1\]")):
-        with pytest.raises(ValueError, match=rf"^slots must be shaped \(2,\) with entries in "
-                                             rf"-1..1; got {got}$"):
+                       ([-2, 1], r"\(2,\): \[-2  1\]"), ([0.7, 1.9], r"\(2,\): \[0\.7 1\.9\]"),
+                       ([0.0, np.nan], r"\(2,\): \[ 0\. nan\]")):
+        with pytest.raises(ValueError, match=rf"^slots must be shaped \(2,\) with whole-number "
+                                             rf"entries in -1..1; got {got}$"):
             PiecewiseCurve(breaks=basis.local.breaks, coefs=np.zeros((2, 4)), degree=3,
                            fam=fam, slots=np.array(slots))
 

@@ -10,7 +10,6 @@ from gbspline.poly import (
     left_taylor_series,
     poly_eval,
     restrict_poly,
-    right_taylor_series,
     taylor_shift,
 )
 
@@ -104,30 +103,18 @@ def test_left_taylor_second_derivative():
     np.testing.assert_allclose(left_taylor_series([0, 0, 2]), [0, 0, 1])
 
 
-def test_right_taylor_constant():
-    np.testing.assert_allclose(right_taylor_series([1, 0], 1.0), [1, 0])
-
-
-def test_right_taylor_identity_function():
-    np.testing.assert_allclose(right_taylor_series([1, 1], 1.0), [0, 1], atol=1e-15)
-
-
 @settings(deadline=None, max_examples=60)
-@given(polynomial, st.floats(min_value=0.05, max_value=3.0, allow_nan=False))
-def test_left_right_taylor_agree(coeffs, h):
-    """Both reconstructions of the same polynomial return the polynomial."""
+@given(polynomial)
+def test_left_right_taylor_agree(coeffs):
+    """The left-end reconstruction of a polynomial returns the polynomial."""
     coeffs = np.asarray(coeffs, float)
-    derivs_left, derivs_right = [], []
+    derivs_left = []
     current = coeffs
     for _ in range(len(coeffs) if len(coeffs) else 1):
         derivs_left.append(poly_eval(current, 0.0))
-        derivs_right.append(poly_eval(current, h))
         current = derive_poly(current)
     left = left_taylor_series(derivs_left)
-    right = right_taylor_series(derivs_right, h)
-    scale = max(1.0, float(np.max(np.abs(derivs_left))),
-                float(np.max(np.abs(derivs_right))))
-    np.testing.assert_allclose(left, right, atol=1e-10 * scale)
+    scale = max(1.0, float(np.max(np.abs(derivs_left))))
     np.testing.assert_allclose(left, coeffs if len(coeffs) else [0.0],
                                atol=1e-10 * scale)
 

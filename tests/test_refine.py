@@ -1,5 +1,4 @@
 """Projection-based refinement: reindexing, generator rewrites, drivers."""
-import dataclasses
 import math
 
 import numpy as np
@@ -21,14 +20,13 @@ from gbspline import (
 )
 from gbspline.errors import (
     DegreeTooSmall,
-    GBSplineError,
     FamilyNotClosedUnderDerivative,
     InconsistentCoefficient,
+    InvalidFamily,
     IntervalStraddle,
     KnotOutsideActiveRegion,
     MultiplicityOverflow,
     SingularLocalSystem,
-    TaylorMismatch,
 )
 from gbspline.knots import build_integral_table
 from gbspline.refine import (
@@ -102,9 +100,8 @@ class TestRepresentKnotFuncs:
         kv, fam, basis = make_basis(4, interior=(0.5,))
         breaks = kv.active_region()
         tables = build_integral_table(fam, breaks, 0, 3)
-        lens = np.diff(breaks)
         gen = np.array([[0.7, -0.2], [0.1, 1.4]])
-        rows = represent_knot_funcs(gen, tables, tables[1:, :, 1], lens)
+        rows = represent_knot_funcs(gen, tables)
         ngen, offsets = rows[:, -2:], rows[:, :-2]
         np.testing.assert_allclose(ngen, gen, atol=1e-12)
         np.testing.assert_allclose(offsets, 0.0, atol=1e-12)
@@ -113,8 +110,7 @@ class TestRepresentKnotFuncs:
         kv, fam, basis = make_basis(3, interior=(0.25,))
         breaks = kv.active_region()
         tables = build_integral_table(fam, breaks, 0, 2)
-        lens = np.diff(breaks)
-        rows = represent_knot_funcs(np.zeros((2, 2)), tables, tables[1:, :, 1], lens)
+        rows = represent_knot_funcs(np.zeros((2, 2)), tables)
         np.testing.assert_array_equal(rows, 0.0)
 
     @pytest.mark.parametrize("kind", ["trigonometric", "exponential"])
@@ -125,13 +121,11 @@ class TestRepresentKnotFuncs:
         dst_breaks = np.array([0, .5, 1.0])
         dst_fam = build_family(dst_breaks, kind=kind, omega=np.pi / 2)
         tables_src = build_integral_table(src_fam, dst_breaks, 0, p - 1)
-        tables_dst = build_integral_table(dst_fam, dst_breaks, 0, p - 1)
-        lens = np.diff(dst_breaks)
         gen = np.array([[0.8, -0.3]])
         src = PiecewiseCurve(breaks=np.array([0.0, 1.0]), coefs=np.pad(gen, ((0, 0), (p - 1, 0))),
                              degree=p, fam=src_fam)
         split = refine_local(src, dst_breaks)
-        rows = represent_knot_funcs(split.coefs[:, -2:], tables_src, tables_dst[1:, :, 1], lens)
+        rows = represent_knot_funcs(split.coefs[:, -2:], tables_src)
         rows[:, :-2] += split.coefs[:, :-2]
         rewritten = PiecewiseCurve(breaks=dst_breaks, coefs=rows, degree=p, fam=dst_fam)
         for piece_lo, piece_hi in ((0.0, 0.5), (0.5, 1.0)):
@@ -148,10 +142,9 @@ class TestRepresentKnotFuncs:
         breaks = np.array([0, .2, .5, .5, .9, 1.0])
         dst_fam = build_family(breaks, kind=kind, omega=1.3)
         tables_src = build_integral_table(src_fam, breaks, offset, 3)
-        ladder = build_integral_table(dst_fam, breaks, 0, 3)[1:, :, 1]
         gen = np.random.default_rng(8).uniform(-1, 1, (5, 2))
         gen[2] = 0.0   # the zero-length interval carries no generators
-        ngen = represent_knot_funcs(gen, tables_src, ladder, np.diff(breaks))[:, -2:]
+        ngen = represent_knot_funcs(gen, tables_src)[:, -2:]
         want = np.zeros((5, 2))
         for j in (0, 1, 3, 4):
             slot = 0 if j < 2 else 1
@@ -160,15 +153,23 @@ class TestRepresentKnotFuncs:
                 want[j, w] = gen[j, 0] * u + gen[j, 1] * v
         assert ngen.tobytes() == want.tobytes()
 
-    def test_wrong_span_raises_taylor_mismatch(self):
-        src_fam = build_family([0, 1], kind="trigonometric", omega=np.pi / 2)
-        dst_fam = build_family([0, 1], kind="trigonometric", omega=1.0)
-        breaks = np.array([0.0, 1.0])
-        tables_src = build_integral_table(src_fam, breaks, 0, 3)
-        tables_dst = build_integral_table(dst_fam, breaks, 0, 3)
-        with pytest.raises(TaylorMismatch):
-            represent_knot_funcs(np.array([[1.0, 0.5]]), tables_src, tables_dst[1:, :, 1],
-                                 np.array([1.0]))
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_long_series_reproduces_the_source(self, kind):
+        # p=8, n=400, one knot: the series reaches s^6 with terms near 1e23
+        # in raw s; a rebuild from the right end cancelled them and failed
+        curve, basis = uniform_curve(kind, 8, 400)
+        piece = form_piecewise(curve.cpts, basis)
+        knots1 = np.sort(np.append(curve.kv.knots, 0.4321))
+        breaks1 = KnotVector(knots1, 8).active_region()
+        split = refine_local(piece, breaks1)
+        rows = represent_knot_funcs(split.coefs[:, -2:],
+                                    build_integral_table(curve.fam, breaks1, 0, 7))
+        rows[:, :-2] += split.coefs[:, :-2]
+        rewritten = PiecewiseCurve(breaks=breaks1, coefs=rows, degree=8,
+                                   fam=derive_family(curve.fam, knots1))
+        ts = np.linspace(0, 1, 1001)
+        gap = np.abs(rewritten.value(ts) - piece.value(ts)).max()
+        assert gap <= 1e-12 * max(1.0, np.abs(curve.cpts).max())
 
 
 class TestRefineCurve:
@@ -203,6 +204,16 @@ class TestRefineCurve:
         piece = form_piecewise(np.ones(basis.n_basis), basis)
         with pytest.raises(ValueError, match="^target degree 3 is below the curve's degree 4$"):
             refine_curve(piece, basis1)
+
+    def test_wrong_span_raises_invalid_family(self):
+        # the rewrite reads the target pair as the source's, so a basis whose
+        # family has another omega is refused, naming the first interval
+        _, _, basis = make_basis(3, interior=(0.5,))
+        _, _, other = make_basis(3, interior=(0.25, 0.5), omega=1.0)
+        piece = form_piecewise(np.array([1.0, 0.5, 0.0, 1.0, 2.0]), basis)
+        with pytest.raises(InvalidFamily, match=r"^interval 0 \[0\.0, 0\.25\]: the curve has "
+                                                r"trigonometric generators with omega 1\.57"):
+            refine_curve(piece, other)
 
 
 class TestInsertKnots:
@@ -290,6 +301,19 @@ class TestElevateDegree:
                                       [0, 0, 0, 0, .5, .5, 1, 1, 1, 1])
         assert max_curve_diff(curve, basis, out, refit(out)) <= 1e-8
 
+    def test_fractional_raise_is_refused(self):
+        # 1.5 and 2.9 were truncated to 1 and 2 by elevate_degree, and failed
+        # inside the knot build in refined_spline
+        kv, fam, basis = make_basis(3)
+        curve = SplineCurve(kv=kv, fam=fam, cpts=np.arange(4.0))
+        for by in (1.5, 2.9):
+            with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an"):
+                elevate_degree(curve, basis, by)
+            with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an"):
+                refined_spline(curve, basis, elevate_by=by)
+        assert elevate_degree(curve, basis, np.int64(1)).kv.degree == 4
+        assert refined_spline(curve, basis, elevate_by=np.int64(1)).kv.degree == 4
+
     def test_double_elevation_matches_two_single_steps(self):
         kv, fam, basis = make_basis(3, interior=(0.5,))
         rng = np.random.default_rng(14)
@@ -360,25 +384,21 @@ class TestGreville:
     @pytest.mark.parametrize("basis_tol, tol", [
         (1e-12, 1e-6), (1e-6, 1e-12), (1e-6, 1e-9), (1e-9, 1e-6)])
     def test_tolerance_other_than_the_basis_build(self, kind, width, basis_tol, tol):
-        # refine_curve reads target orders 1..p-1 from the basis's
-        # ladder_table, built under the basis's tolerance; an interval of
-        # sub-tolerance width live under one tolerance and not the other gives
-        # what a full table under `tol` gives
+        # an interval of sub-tolerance width is live under one tolerance and
+        # not the other; the family check reads only intervals live in both
+        # slot maps, so it never fires.  Live under `tol` alone, the interval
+        # has no local basis, and its system is singular
         knots = [0.0] * 4 + [0.3, 0.3 + width, 0.6] + [1.0] * 4
         kv = KnotVector(np.array(knots), 3)
         fam = build_family(knots, kind, 1.0, tol=1e-12)
         basis = build_local_basis(kv, fam, basis_tol)
-        full = build_integral_table(fam, kv.active_region(), 0, 2, tol)
         cpts = np.random.default_rng(2).uniform(-1, 1, basis.n_basis)
         piece = form_piecewise(cpts, basis)
-
-        def outcome(b):
-            try:
-                return refine_curve(piece, b, tol).tobytes()
-            except GBSplineError as e:
-                return type(e), str(e)
-
-        assert outcome(basis) == outcome(dataclasses.replace(basis, ladder_table=full[1:, :, 1]))
+        if tol < width < basis_tol:
+            with pytest.raises(SingularLocalSystem, match=r"on interval 1 \[0\.3, 0\.3000"):
+                refine_curve(piece, basis, tol)
+        else:
+            np.testing.assert_allclose(refine_curve(piece, basis, tol), cpts, atol=1e-12)
 
 
 # (kind, inserted knots, degree raise): insertion for every kind, elevation
@@ -560,14 +580,11 @@ class TestMixedFamily:
 
     @pytest.mark.parametrize("insert, raise_by", [((0.4321,), 0), ((0.55,), 2)])
     def test_shared_tables_match_tables_built_apart(self, insert, raise_by):
-        # refined_spline reuses the target basis's ladder values for the target
-        # tables; building those tables from scratch gives the same bytes
+        # refined_spline's control points are those of refine_curve against a
+        # target basis built apart from it, byte for byte
         curve, basis = self.curve()
         out = refined_spline(curve, basis, insert=insert, elevate_by=raise_by)
         basis1 = build_local_basis(out.kv, out.fam)
-        breaks1, q = out.kv.active_region(), out.kv.degree
-        tables_dst = build_integral_table(out.fam, breaks1, 0, q - 1)
-        assert basis1.ladder_table.tobytes() == tables_dst[1:, :, 1].tobytes()
         cpts = refine_curve(form_piecewise(curve.cpts, basis), basis1)
         assert cpts.tobytes() == out.cpts.tobytes()
 
