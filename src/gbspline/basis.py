@@ -8,16 +8,15 @@ Construction runs the recursive-integral definition function by function;
 polynomial parts integrate symbolically and generator parts read the
 family's ladder values, so no quadrature enters the production path.
 
-Built values are immutable and safe to evaluate concurrently.  On its
-first scalar evaluation a PiecewiseCurve copies its coefficients into one
-contiguous array and its breakpoints and interval map into lists; these
-lazy copies hold only what the curve already holds, so they never change a
-result.  A scalar sample is computed on Python floats, and both a scalar
-and a batch add the control points in index order with one product and one
-sum at a time, so batch rows equal scalar calls bit for bit.
+Built values are immutable and safe to evaluate concurrently.  On its first
+evaluation a PiecewiseCurve merges each interval's row into one polynomial
+in its span's x (plus the closed forms' term on wide exponential spans), and
+on its first scalar one copies those rows to Python floats; a batch runs the
+same operations on arrays, so batch rows equal scalar calls bit for bit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -29,9 +28,11 @@ from .errors import (
     InconsistentCoefficient,
     IntervalStraddle,
     LengthMismatch,
+    OutOfInterval,
 )
-from .knots import KnotFunctionFamily, KnotVector, containing_spans, find_interval, readonly
-from .poly import DEFAULT_TOL, integrate_poly, poly_eval
+from .knots import (KnotFunctionFamily, KnotVector, _ladder_polys, containing_spans,
+                    find_interval, readonly)
+from .poly import DEFAULT_TOL, integrate_poly, poly_eval, taylor_shift
 
 
 def _check_cpts(cpts, n_basis):
@@ -54,6 +55,7 @@ class SplineCurve:
     kv: KnotVector
     fam: KnotFunctionFamily
     cpts: np.ndarray
+    _piece: tuple = field(default=(None, None), init=False, repr=False)   # (basis, its form)
 
     def __post_init__(self):
         object.__setattr__(self, "cpts", readonly(self.cpts))
@@ -123,10 +125,12 @@ class PiecewiseCurve:
     def value(self, t, tol=DEFAULT_TOL):
         """Curve value at t: a float, or an array of the d components.  An
         array of N parameters gives values shaped (N,) or (N, d)."""
-        return self.value_on(self._find(t, tol), t, tol)
+        j = self._find(t, tol)
+        return self.value_on(j, t, tol) if isinstance(j, np.ndarray) else self._row(j, t, tol)
 
     def value_on(self, j, t, tol=DEFAULT_TOL):
-        """Value at t on interval j, one Horner pass over every component.
+        """Value at t on interval j: one Horner pass over the interval's
+        merged row in x, plus the closed forms' term if its span keeps them.
 
         Arrays j and t of N samples give a leading axis of N; each row
         equals the scalar call bit for bit.  A scalar mixed with an array, or
@@ -136,17 +140,27 @@ class PiecewiseCurve:
             raise ValueError(f"j and t must both be scalars or arrays of one shape, "
                              f"got j {np.shape(j) or 'scalar'} and t {np.shape(t) or 'scalar'}")
         if not np.shape(j):
-            row = self._row(j, t, tol)
-            return np.array(row) if self.coefs.ndim == 3 else row[0]
-        slot = self.slots[j]
-        missing = np.extract(slot < 0, j)
+            return self._row(j, t, tol)
+        missing = np.extract(self.slots[j] < 0, j)
         if len(missing):
             self._raise_no_generators(missing[0])
-        # degree first for Horner; samples, then components
-        rows, s = self.coefs[j].swapaxes(0, 1), t - self.breaks[j]
-        u, v = self.fam.value(slot, self.degree - 1, t, tol)
-        s, u, v = (a.reshape(a.shape + (1,) * (self.coefs.ndim - 2)) for a in (s, u, v))
-        return poly_eval(rows[:-2], s) + rows[-2] * u + rows[-1] * v
+        ends, rows, weights, g = self._merged
+        shape, j, t = j.shape, j.ravel(), np.asarray(t, dtype=float).ravel()
+        left, right, h, theta = ends[:, j]
+        outside = np.flatnonzero((t < left - tol) | (t > right + tol))
+        if len(outside):
+            i = outside[0]
+            raise OutOfInterval(f"t={t[i]} outside [{left[i]}, {right[i]}] (entry {i})")
+        x, comp = (t - left) / h, (1,) * (self.coefs.ndim - 2)
+        acc, xc = np.zeros(x.shape + self.coefs.shape[2:]), x.reshape(x.shape + comp)
+        for c in rows:
+            acc = acc * xc + c[j]
+        pts = np.flatnonzero(theta)
+        if len(pts):   # G through math, point by point, as in the scalar path
+            ga, gb = (np.fromiter(map(g, (theta[pts] * y).tolist()), float, len(pts))
+                      .reshape((-1,) + comp) for y in (x[pts], 1.0 - x[pts]))
+            acc[pts] = acc[pts] + weights[0, j[pts]] * ga + weights[1, j[pts]] * gb
+        return acc.reshape(shape + acc.shape[1:])
 
     def _find(self, t, tol):
         """find_interval over these breaks, searching their list for a scalar t."""
@@ -154,42 +168,76 @@ class PiecewiseCurve:
                              t, tol)
 
     def _row(self, j, t, tol):
-        """value_on for one sample as a list of Python floats, one per
-        component: per component the same IEEE operations in the same order
-        as the array expression, so the same bits."""
-        slot, t = self._slot_list[j], float(t)
-        if slot < 0:
+        """value_on for one sample, on Python floats: per component the same
+        IEEE operations in the same order as the array expression, so the
+        same bits."""
+        t, entry = float(t), self._rows[j]
+        if entry is None:
             self._raise_no_generators(j)
-        u, v = self.fam.value(slot, self.degree - 1, t, tol)
-        s, w, out = t - self._break_list[j], self.coefs.shape[1] - 2, []
-        for row in self._coef_rows[j].tolist():
+        (left, right, h), rows, closed = entry
+        if t < left - tol or t > right + tol:
+            raise OutOfInterval(f"t={t} outside [{left}, {right}]")
+        x, out = (t - left) / h, []
+        for row in rows:
             acc = 0.0
-            for c in row[:w]:
-                acc = acc * s + c
-            out.append(acc + row[w] * u + row[w + 1] * v)
-        return out
+            for c in row:
+                acc = acc * x + c
+            out.append(acc)
+        if closed:
+            theta, wa, wb, g = closed
+            ga, gb = g(theta * x), g(theta * (1.0 - x))
+            out = [o + a * ga + b * gb for o, a, b in zip(out, wa, wb)]
+        return np.array(out) if self.coefs.ndim == 3 else out[0]
 
     def _raise_no_generators(self, k):
         br = self.breaks
         raise IntervalStraddle(f"interval {k} [{br[k]}, {br[k + 1]}] has no generators")
 
-    # built on the first scalar evaluation, which reads one entry per sample
+    # built on the first evaluation
     @cached_property
-    def _coef_rows(self):
-        """Per interval and component (one without a component axis): the
-        polynomial coefficients, highest degree first, then the generator
-        pair."""
-        w = self.coefs.shape[1] - 2
-        rows = self.coefs.reshape(self.coefs.shape[:2] + (self.coefs.shape[2:] or (1,)))
-        return rows[:, [*range(w - 1, -1, -1), w, w + 1]].swapaxes(1, 2).copy()
+    def _merged(self):
+        """Per interval, zeros where it has no generators: its span's left and
+        right ends, length h and theta (zero unless the span keeps the closed
+        forms); one row per component, its polynomial in x = (t - left)/h,
+        highest power first along axis 0; the weights of G(theta x) and
+        G(theta (1 - x)); and G."""
+        fam, k, n = self.fam, self.degree - 1, len(self.slots)
+        live = np.flatnonzero(self.slots >= 0)
+        used, at = np.unique(self.slots[live], return_inverse=True)
+        lo, hi = fam.spans[used].T
+        ladders, closed = _ladder_polys(fam._kind_ids[used], hi - lo, fam.omegas[used], [k])
+        on, theta, inv, (scale,) = closed or (np.zeros(len(used), bool), 0.0, 0.0, (0.0,))
+        coefs, comp = self.coefs[live], (1,) * (self.coefs.ndim - 2)
+        col = lambda a: a.reshape(a.shape + comp)   # broadcast against the components
+        ends = np.zeros((4, n))
+        ends[:, live] = lo[at], hi[at], (hi - lo)[at], np.where(on, theta, 0.0)[at]
+        # the polynomial part: s = h x - (break - left), one Taylor shift
+        # (exact where the interval starts its span), then c_i h^i
+        poly = taylor_shift(np.moveaxis(coefs[:, :-2], 1, 0), col(lo[at] - self.breaks[live]))
+        poly *= col(ends[2, live]) ** np.arange(len(poly)).reshape((-1, 1) + comp)
+        rows = np.zeros((len(ladders), n) + coefs.shape[2:])
+        weights = np.zeros((2,) + rows.shape[1:])
+        rows[len(rows) - len(poly):, live] = poly[::-1]
+        for w, sign in (0, 1.0), (1, (-1.0) ** k):   # a * U, then b * V
+            rows[:, live] += coefs[:, w - 2] * col(ladders[:, 0, w][:, at])
+            weights[w, live] = coefs[:, w - 2] * col(np.where(on, sign * scale * inv, 0.0)[at])
+        return ends, rows, weights, (math.sinh, math.cosh)[k & 1]
+
+    @cached_property
+    def _rows(self):
+        """_merged on Python floats, per interval: None without generators,
+        else ((left, right, h), rows per component, None or (theta, weights
+        of G(theta x), of G(theta (1 - x)), G))."""
+        ends, rows, weights, g = self._merged
+        n, d = len(self.slots), int(np.prod(self.coefs.shape[2:]))
+        per = np.moveaxis(rows, 0, -1).reshape(n, d, len(rows)).tolist()
+        return [None if s < 0 else (e[:3], r, (e[3], a, b, g) if e[3] else None)
+                for s, e, r, a, b in zip(self.slots.tolist(), ends.T.tolist(), per,
+                                         *weights.reshape(2, n, d).tolist())]
 
     @cached_property
     def _break_list(self):
         return self.breaks.tolist()
-
-    @cached_property
-    def _slot_list(self):
-        return self.slots.tolist()
 
 
 # construction ----------------------------------------------------------------
@@ -304,34 +352,19 @@ def eval_curve(curve: SplineCurve, basis: LocalBasis, t, tol=DEFAULT_TOL):
 
     A float for control points shaped (n,), an array of d components for
     (n, d).  An array of N parameters gives values shaped (N,) or (N, d),
-    each equal to the scalar call bit for bit: both add the terms in index
-    order, element by element, so no BLAS kernel chooses the order.
+    each equal to the scalar call bit for bit.  The value is
+    `form_piecewise(curve.cpts, basis).value(t, tol)`; the curve keeps that
+    piecewise form for the last basis it was evaluated against (compared by
+    identity), so repeated calls build it, and its merged rows, once.
     """
-    kv, cpts = basis.kv, curve.cpts   # n_basis and degree, without the property chain
-    if len(cpts) != len(kv.knots) - kv.degree - 1:
+    kv = basis.kv   # n_basis, without the property chain
+    if len(curve.cpts) != len(kv.knots) - kv.degree - 1:
         raise LengthMismatch("curve and basis sizes differ")
-    if isinstance(t, np.ndarray) and t.ndim:
-        first, vals = nonzero_basis_values(basis, t, tol)
-        window = cpts[first[:, None] + np.arange(kv.degree + 1)]
-        if cpts.ndim == 2:
-            vals = vals[..., None]
-        acc = vals[:, 0] * window[:, 0]
-        for k in range(1, kv.degree + 1):
-            acc = acc + vals[:, k] * window[:, k]
-        return acc
-    local = basis.local
-    first = find_interval(local._break_list, t, tol)
-    vals = local._row(first, t, tol)
-    window = cpts[first : first + len(vals)].tolist()
-    if cpts.ndim == 1:
-        acc = vals[0] * window[0]
-        for n_k, c in zip(vals[1:], window[1:]):
-            acc = acc + n_k * c
-        return acc
-    acc = [vals[0] * c for c in window[0]]
-    for n_k, point in zip(vals[1:], window[1:]):
-        acc = [a + n_k * c for a, c in zip(acc, point)]
-    return np.array(acc)
+    held, piece = curve._piece
+    if held is not basis:
+        piece = form_piecewise(curve.cpts, basis)
+        object.__setattr__(curve, "_piece", (basis, piece))
+    return piece.value(t, tol)
 
 
 # piecewise form and reindexing -----------------------------------------------

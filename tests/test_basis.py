@@ -13,6 +13,7 @@ from gbspline import (
     eval_curve,
     form_piecewise,
     nonzero_basis_values,
+    refined_spline,
     validate_open_knot_vector,
 )
 from gbspline.basis import reverse_diagonal_averages
@@ -533,10 +534,10 @@ class TestBatchEvaluation:
     @pytest.mark.parametrize("degree", [1, 3, 8])
     @pytest.mark.parametrize("dim", [None, 3])
     @pytest.mark.parametrize("fill", ["arange", "ones"])
-    def test_control_points_add_in_index_order(self, kind, degree, dim, fill):
-        """Batch and scalar calls both add N_k * c_k for k = first.. in index
-        order, one element-wise product and sum at a time, whatever the
-        batch size, so they agree with each other and with that sum."""
+    def test_batches_of_any_size_match_scalar_calls(self, kind, degree, dim, fill):
+        """eval_curve evaluates the curve's piecewise form: scalar calls equal
+        that form's scalar values and batches of any size bit for bit, and
+        all agree with the sum of N_k * c_k over the nonzero functions."""
         kv = open_kv(degree, (0.2, 0.45, 0.45, 0.7))
         fam = build_family(kv.knots, kind=kind, omega=np.pi / 2)
         basis = build_local_basis(kv, fam)
@@ -546,19 +547,98 @@ class TestBatchEvaluation:
         curve = SplineCurve(kv=kv, fam=fam, cpts=cpts)
         ts = kv.active_region()   # every breakpoint, both ends included
         scalar = np.array([eval_curve(curve, basis, float(t)) for t in ts])
+        piece = form_piecewise(cpts, basis)
+        assert scalar.tobytes() == np.array([piece.value(float(t)) for t in ts]).tobytes()
         want = []
         for t in ts.tolist():
             first, vals = nonzero_basis_values(basis, t)
-            acc = vals[0] * cpts[first]
-            for k in range(1, degree + 1):
-                acc = acc + vals[k] * cpts[first + k]
-            want.append(acc)
-        want = np.array(want)
-        assert scalar.tobytes() == want.tobytes()
+            want.append(sum(vals[k] * cpts[first + k] for k in range(degree + 1)))
+        np.testing.assert_allclose(scalar, want, rtol=0, atol=1e-13 * max(1.0, cpts.max()))
         for size in (1, 2, len(ts)):
             batch = np.concatenate([eval_curve(curve, basis, ts[i : i + size])
                                     for i in range(0, len(ts), size)])
             assert batch.shape == scalar.shape and batch.tobytes() == scalar.tobytes()
+
+
+class TestMergedRows:
+    """Each interval evaluates one merged polynomial in its span's x, plus the
+    closed forms' term on wide exponential spans."""
+
+    @staticmethod
+    def family(kind, knots):
+        if kind == "mixed":   # the exponential spans keep the closed forms
+            count = int((np.diff(knots) > 0).sum())
+            return build_family(knots, kinds=["trigonometric", "exponential"] * (count // 2),
+                                omegas=[1.5, 40.0] * (count // 2))
+        return build_family(knots, kind="exponential", omega=40.0)   # theta = 10
+
+    @pytest.mark.parametrize("kind", ["exponential", "mixed"])
+    @pytest.mark.parametrize("degree", range(1, 9))
+    @pytest.mark.parametrize("dim", [None, 3])
+    def test_closed_forms_and_mixed_kinds(self, kind, degree, dim):
+        """Scalar calls equal the batch bit for bit and agree with the
+        polynomial part in s plus a * u + b * v from the array ladder call,
+        relative to the size of those terms: on theta = 10 spans they cancel
+        from about 1e4 at p = 8, and both routes round at that scale."""
+        kv = open_kv(degree, (0.25, 0.5, 0.5, 0.75))
+        fam = self.family(kind, kv.knots)
+        basis = build_local_basis(kv, fam)
+        shape = (kv.n_basis,) if dim is None else (kv.n_basis, dim)
+        cpts = np.random.default_rng(degree).uniform(-2, 2, shape)
+        curve = SplineCurve(kv=kv, fam=fam, cpts=cpts)
+        ts = np.concatenate([np.linspace(0, 1, 201), TestBatchEvaluation.parameters(kv)])
+        batch = eval_curve(curve, basis, ts)
+        scalar = np.array([eval_curve(curve, basis, float(t)) for t in ts])
+        assert batch.tobytes() == scalar.tobytes()
+        piece = form_piecewise(cpts, basis)
+        j = np.minimum(np.searchsorted(piece.breaks, ts, side="right") - 1, len(piece.breaks) - 2)
+        j[piece.slots[j] < 0] -= 1   # the doubled knot's empty interval
+        rows = piece.coefs[j]
+        u, v = (w.reshape((-1,) + (1,) * (rows.ndim - 2))
+                for w in fam.value(piece.slots[j], degree - 1, ts))
+        s = (ts - piece.breaks[j]).reshape(u.shape)
+        terms = (poly_eval(np.moveaxis(rows[:, :-2], 1, 0), s), rows[:, -2] * u, rows[:, -1] * v)
+        scale = max(1.0, float(np.max(sum(np.abs(term) for term in terms))))
+        np.testing.assert_allclose(batch, sum(terms), rtol=0, atol=1e-13 * scale)
+        _, vals = nonzero_basis_values(basis, ts)
+        assert vals.tobytes() == np.array([nonzero_basis_values(basis, float(t))[1]
+                                           for t in ts]).tobytes()
+        if degree > 1:   # degree-1 non-linear hats do not sum to one
+            np.testing.assert_allclose(vals.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    def test_one_curve_against_two_bases(self):
+        """A curve keeps the piecewise form of the last basis it met, compared
+        by identity: evaluating against A, then B, then A again gives each
+        basis's own answer, as a fresh curve does."""
+        kv = validate_open_knot_vector([0.0] * 4 + [0.25, 0.5, 0.5 + 1e-9, 0.75] + [1.0] * 4, 3)
+        fam_a, fam_b = build_family(kv.knots), build_family(kv.knots, tol=1e-8)
+        basis_a, basis_b = build_local_basis(kv, fam_a), build_local_basis(kv, fam_b, tol=1e-8)
+        cpts = np.random.default_rng(1).uniform(-1, 1, (kv.n_basis, 2))
+        curve = SplineCurve(kv=kv, fam=fam_a, cpts=cpts)
+        ts = np.linspace(0, 1, 101)
+        ts = ts[(ts < 0.5) | (ts > 0.5 + 1e-9)]
+        fresh = {id(b): eval_curve(SplineCurve(kv=kv, fam=fam_a, cpts=cpts), b, ts)
+                 for b in (basis_a, basis_b)}
+        assert fresh[id(basis_a)].tobytes() != fresh[id(basis_b)].tobytes()
+        for basis in (basis_a, basis_b, basis_a):
+            assert eval_curve(curve, basis, ts).tobytes() == fresh[id(basis)].tobytes()
+            assert np.array([eval_curve(curve, basis, t) for t in ts.tolist()]).tobytes() == \
+                fresh[id(basis)].tobytes()
+            assert curve._piece[0] is basis
+
+    def test_refinement_builds_no_merged_rows(self, monkeypatch):
+        """Refinement never evaluates, so no curve of its pipeline builds the
+        merged rows; form_piecewise builds none either."""
+        def refuse(piece):
+            raise AssertionError("merged rows built")
+        monkeypatch.setattr(PiecewiseCurve, "_merged", property(refuse))
+        kv, fam, basis = make_basis(4, interior=(0.25, 0.5, 0.5, 0.75))
+        curve = SplineCurve(kv=kv, fam=fam, cpts=np.random.default_rng(2).uniform(-1, 1, (9, 2)))
+        form_piecewise(curve.cpts, basis)
+        refined_spline(curve, basis, insert=(0.3,), elevate_by=1)
+        refined_spline(curve, None, insert=(0.6,))
+        with pytest.raises(AssertionError, match="merged rows built"):
+            eval_curve(curve, basis, 0.3)
 
 
 class TestScalarParameterTypes:
