@@ -98,7 +98,8 @@ class PiecewiseCurve:
     components is optional.  `slots` maps each interval to its family span,
     -1 for intervals without generators; the builders pass the map they
     made under their own tolerance, and it defaults to `containing_spans`
-    under the default one.
+    under the default one.  Evaluation reads one merged polynomial per
+    interval and component in its span's x, built on first use.
     """
 
     breaks: np.ndarray

@@ -374,18 +374,16 @@ def build_integral_table(fam: KnotFunctionFamily, breakpoints, derivative_offset
     Entry [k, j, e, w] is the k-th canonical integral of the
     `derivative_offset`-th derivative of generator w ('u' first) of the
     source interval containing target interval j, evaluated at endpoint e
-    (left, then right).  Right ends are built for k = 0 only, the ones the
-    generator rewrite reads; above it they, and zero-length target
-    intervals, are left as zeros.  Every left end comes from one array
-    `fam.value` call.
+    (left, then right).  Zero-length target intervals are left as zeros.
+    One array `fam.value` call covers every order, generator and target.
     """
     if derivative_offset < 0:
         raise ValueError("derivative_offset must be nonnegative")
     br = np.asarray(breakpoints, dtype=float)
     slots = containing_spans(fam.spans, br, tol)
     live = np.flatnonzero(slots >= 0)
+    ends = np.stack([br[live], br[live + 1]], axis=1)
     orders = range(-derivative_offset, max_order + 1 - derivative_offset)
     out = np.zeros((max_order + 1, len(slots), 2, 2))
-    out[:, live, 0] = np.moveaxis(fam.value(slots[live], orders, br[live], tol), 1, -1)
-    out[0, live, 1] = fam.value(slots[live], orders[0], br[live + 1], tol).T
+    out[:, live] = np.moveaxis(fam.value(slots[live, None], orders, ends, tol), 1, -1)
     return out

@@ -286,9 +286,9 @@ class TestIntegralTable:
         lo = build_integral_table(fam, [0, .5 - step, 1], 0, 3)
         mid = build_integral_table(fam, breaks, 0, 3)
         for k in (1, 2, 3):
-            for w in (0, 1):   # left ends of the second interval
-                numeric = (hi[k, 1, 0, w] - lo[k, 1, 0, w]) / (2 * step)
-                assert numeric == pytest.approx(mid[k - 1, 1, 0, w], rel=1e-6, abs=1e-9)
+            for w in (0, 1):
+                numeric = (hi[k, 0, 1, w] - lo[k, 0, 1, w]) / (2 * step)
+                assert numeric == pytest.approx(mid[k - 1, 0, 1, w], rel=1e-6, abs=1e-9)
 
     def test_straddling_interval_rejected(self):
         fam = build_family([0, .5, 1], kind="linear")
@@ -328,12 +328,9 @@ class TestArrayLadder:
         table = build_integral_table(fam, targets, offset, 8)
         slots = containing_spans(fam.spans, np.array(targets))
         live = np.flatnonzero(slots >= 0)
-        # every order's left ends; right ends of the lowest order only
-        want = [[fam.value(int(slots[j]), k - offset, targets[j]) for j in live] for k in range(9)]
-        assert table[:, live, 0].tobytes() == np.array(want).tobytes()
-        want = [fam.value(int(slots[j]), -offset, targets[j + 1]) for j in live]
-        assert table[0, live, 1].tobytes() == np.array(want).tobytes()
-        np.testing.assert_array_equal(table[1:, :, 1], 0.0)
+        want = [[[fam.value(int(slots[j]), k - offset, targets[j + e]) for e in (0, 1)]
+                 for j in live] for k in range(9)]
+        assert table[:, live].tobytes() == np.array(want).tobytes()
         np.testing.assert_array_equal(table[:, slots < 0], 0.0)
 
     @pytest.mark.parametrize("kind", KINDS)
