@@ -152,16 +152,17 @@ class PiecewiseCurve:
         if len(outside):
             i = outside[0]
             raise OutOfInterval(f"t={t[i]} outside [{left[i]}, {right[i]}] (entry {i})")
-        x, comp = (t - left) / h, (1,) * (self.coefs.ndim - 2)
-        acc, xc = np.zeros(x.shape + self.coefs.shape[2:]), x.reshape(x.shape + comp)
-        for c in rows:
-            acc = acc * xc + c[j]
+        x, acc = (t - left) / h, np.zeros(rows.shape[1:-1] + t.shape)   # components, samples
+        for c in rows[..., j]:
+            acc *= x
+            acc += c
         pts = np.flatnonzero(theta)
         if len(pts):   # G through math, point by point, as in the scalar path
             ga, gb = (np.fromiter(map(g, (theta[pts] * y).tolist()), float, len(pts))
-                      .reshape((-1,) + comp) for y in (x[pts], 1.0 - x[pts]))
-            acc[pts] = acc[pts] + weights[0, j[pts]] * ga + weights[1, j[pts]] * gb
-        return acc.reshape(shape + acc.shape[1:])
+                      for y in (x[pts], 1.0 - x[pts]))
+            on = j[pts]
+            acc[..., pts] = acc[..., pts] + weights[0][..., on] * ga + weights[1][..., on] * gb
+        return np.ascontiguousarray(acc.T).reshape(shape + acc.shape[:-1])
 
     def _find(self, t, tol):
         """find_interval over these breaks, searching their list for a scalar t."""
@@ -207,21 +208,27 @@ class PiecewiseCurve:
         used, at = np.unique(self.slots[live], return_inverse=True)
         lo, hi = fam.spans[used].T
         ladders, closed = _ladder_polys(fam._kind_ids[used], hi - lo, fam.omegas[used], [k])
-        on, theta, inv, (scale,) = closed or (np.zeros(len(used), bool), 0.0, 0.0, (0.0,))
-        coefs, comp = self.coefs[live], (1,) * (self.coefs.ndim - 2)
-        col = lambda a: a.reshape(a.shape + comp)   # broadcast against the components
-        ends = np.zeros((4, n))
-        ends[:, live] = lo[at], hi[at], (hi - lo)[at], np.where(on, theta, 0.0)[at]
-        # the polynomial part: s = h x - (break - left), one Taylor shift
-        # (exact where the interval starts its span), then c_i h^i
-        poly = taylor_shift(np.moveaxis(coefs[:, :-2], 1, 0), col(lo[at] - self.breaks[live]))
-        poly *= col(ends[2, live]) ** np.arange(len(poly)).reshape((-1, 1) + comp)
-        rows = np.zeros((len(ladders), n) + coefs.shape[2:])
-        weights = np.zeros((2,) + rows.shape[1:])
-        rows[len(rows) - len(poly):, live] = poly[::-1]
-        for w, sign in (0, 1.0), (1, (-1.0) ** k):   # a * U, then b * V
-            rows[:, live] += coefs[:, w - 2] * col(ladders[:, 0, w][:, at])
-            weights[w, live] = coefs[:, w - 2] * col(np.where(on, sign * scale * inv, 0.0)[at])
+        coefs = np.moveaxis(self.coefs[live], 0, -1)   # columns, [components,] intervals
+        col = lambda a: a.reshape(a.shape[:-1] + (1,) * (coefs.ndim - 2) + a.shape[-1:])
+        ends, weights = np.zeros((4, n)), np.zeros((2,) + coefs.shape[1:-1] + (n,))
+        ends[:3, live] = lo[at], hi[at], (hi - lo)[at]
+        # the polynomial part in x: s = h x - (break - left), so one Taylor
+        # shift where the interval starts inside its span, then c_i h^i
+        poly, tau = coefs[:-2], lo[at] - self.breaks[live]
+        inside = np.flatnonzero(tau)
+        if len(inside):
+            poly = poly.copy()
+            poly[..., inside] = taylor_shift(poly[..., inside], tau[inside])
+        poly = poly * col(ends[2, live] ** np.arange(len(poly))[:, None])
+        merged = coefs[-2] * col(ladders[:, 0, 0, at]) + coefs[-1] * col(ladders[:, 0, 1, at])
+        merged[len(merged) - len(poly):] += poly[::-1]
+        rows = np.zeros(merged.shape[:-1] + (n,))
+        rows[..., live] = merged
+        if closed is not None:   # exponential spans wider than the series' cutoff
+            on, theta, inv, (scale,) = closed
+            weight = np.where(on, scale * inv, 0.0)[at]
+            ends[3, live] = np.where(on, theta, 0.0)[at]
+            weights[..., live] = coefs[-2] * weight, coefs[-1] * ((-1.0) ** k * weight)
         return ends, rows, weights, (math.sinh, math.cosh)[k & 1]
 
     @cached_property
@@ -231,10 +238,10 @@ class PiecewiseCurve:
         of G(theta x), of G(theta (1 - x)), G))."""
         ends, rows, weights, g = self._merged
         n, d = len(self.slots), int(np.prod(self.coefs.shape[2:]))
-        per = np.moveaxis(rows, 0, -1).reshape(n, d, len(rows)).tolist()
+        per = rows.reshape(len(rows), d, n).T.tolist()   # interval, component, power
         return [None if s < 0 else (e[:3], r, (e[3], a, b, g) if e[3] else None)
                 for s, e, r, a, b in zip(self.slots.tolist(), ends.T.tolist(), per,
-                                         *weights.reshape(2, n, d).tolist())]
+                                         *np.moveaxis(weights.reshape(2, d, n), -1, 1).tolist())]
 
     @cached_property
     def _break_list(self):
