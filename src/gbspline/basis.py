@@ -198,37 +198,35 @@ class PiecewiseCurve:
     # built on the first evaluation
     @cached_property
     def _merged(self):
-        """Per interval, zeros where it has no generators: its span's left and
-        right ends, length h and theta (zero unless the span keeps the closed
-        forms); one row per component, its polynomial in x = (t - left)/h,
-        highest power first along axis 0; the weights of G(theta x) and
-        G(theta (1 - x)); and G."""
-        fam, k, n = self.fam, self.degree - 1, len(self.slots)
-        live = np.flatnonzero(self.slots >= 0)
-        used, at = np.unique(self.slots[live], return_inverse=True)
+        """Per interval: its span's left and right ends, length h and theta
+        (zero unless the span keeps the closed forms); one row per
+        component, its polynomial in x = (t - left)/h, highest power first
+        along axis 0; the weights of G(theta x) and G(theta (1 - x)); and G."""
+        fam, k = self.fam, self.degree - 1
+        # an interval without generators (slot -1) reads the last span, but
+        # evaluation refuses it before reading its row
+        used, at = np.unique(self.slots, return_inverse=True)
         lo, hi = fam.spans[used].T
         ladders, closed = _ladder_polys(fam._kind_ids[used], hi - lo, fam.omegas[used], [k])
-        coefs = np.moveaxis(self.coefs[live], 0, -1)   # columns, [components,] intervals
+        coefs = np.moveaxis(self.coefs, 0, -1)   # columns, [components,] intervals
         col = lambda a: a.reshape(a.shape[:-1] + (1,) * (coefs.ndim - 2) + a.shape[-1:])
-        ends, weights = np.zeros((4, n)), np.zeros((2,) + coefs.shape[1:-1] + (n,))
-        ends[:3, live] = lo[at], hi[at], (hi - lo)[at]
+        ends = np.stack([lo[at], hi[at], (hi - lo)[at], np.zeros(len(at))])
         # the polynomial part in x: s = h x - (break - left), so one Taylor
         # shift where the interval starts inside its span, then c_i h^i
-        poly, tau = coefs[:-2], lo[at] - self.breaks[live]
+        poly, tau = coefs[:-2], np.where(self.slots < 0, 0.0, ends[0] - self.breaks[:-1])
         inside = np.flatnonzero(tau)
         if len(inside):
             poly = poly.copy()
             poly[..., inside] = taylor_shift(poly[..., inside], tau[inside])
-        poly = poly * col(ends[2, live] ** np.arange(len(poly))[:, None])
-        merged = coefs[-2] * col(ladders[:, 0, 0, at]) + coefs[-1] * col(ladders[:, 0, 1, at])
-        merged[len(merged) - len(poly):] += poly[::-1]
-        rows = np.zeros(merged.shape[:-1] + (n,))
-        rows[..., live] = merged
+        poly = poly * col(ends[2] ** np.arange(len(poly))[:, None])
+        rows = coefs[-2] * col(ladders[:, 0, 0, at]) + coefs[-1] * col(ladders[:, 0, 1, at])
+        rows[len(rows) - len(poly):] += poly[::-1]
+        weights = np.zeros((2,) + coefs.shape[1:])
         if closed is not None:   # exponential spans wider than the series' cutoff
             on, theta, inv, (scale,) = closed
             weight = np.where(on, scale * inv, 0.0)[at]
-            ends[3, live] = np.where(on, theta, 0.0)[at]
-            weights[..., live] = coefs[-2] * weight, coefs[-1] * ((-1.0) ** k * weight)
+            ends[3] = np.where(on, theta, 0.0)[at]
+            weights[:] = coefs[-2] * weight, coefs[-1] * ((-1.0) ** k * weight)
         return ends, rows, weights, (math.sinh, math.cosh)[k & 1]
 
     @cached_property
