@@ -202,30 +202,29 @@ class PiecewiseCurve:
         (zero unless the span keeps the closed forms); one row per
         component, its polynomial in x = (t - left)/h, highest power first
         along axis 0; the weights of G(theta x) and G(theta (1 - x)); and G."""
-        fam, k = self.fam, self.degree - 1
+        fam, k, slots = self.fam, self.degree - 1, self.slots
         # an interval without generators (slot -1) reads the last span, but
         # evaluation refuses it before reading its row
-        used, at = np.unique(self.slots, return_inverse=True)
-        lo, hi = fam.spans[used].T
-        ladders, closed = _ladder_polys(fam._kind_ids[used], hi - lo, fam.omegas[used], [k])
+        lo, hi = fam.spans[slots].T
+        ladders, closed = _ladder_polys(fam._kind_ids[slots], hi - lo, fam.omegas[slots], [k])
         coefs = np.moveaxis(self.coefs, 0, -1)   # columns, [components,] intervals
         col = lambda a: a.reshape(a.shape[:-1] + (1,) * (coefs.ndim - 2) + a.shape[-1:])
-        ends = np.stack([lo[at], hi[at], (hi - lo)[at], np.zeros(len(at))])
+        ends = np.stack([lo, hi, hi - lo, np.zeros(len(slots))])
         # the polynomial part in x: s = h x - (break - left), so one Taylor
         # shift where the interval starts inside its span, then c_i h^i
-        poly, tau = coefs[:-2], np.where(self.slots < 0, 0.0, ends[0] - self.breaks[:-1])
+        poly, tau = coefs[:-2], np.where(slots < 0, 0.0, lo - self.breaks[:-1])
         inside = np.flatnonzero(tau)
         if len(inside):
             poly = poly.copy()
             poly[..., inside] = taylor_shift(poly[..., inside], tau[inside])
         poly = poly * col(ends[2] ** np.arange(len(poly))[:, None])
-        rows = coefs[-2] * col(ladders[:, 0, 0, at]) + coefs[-1] * col(ladders[:, 0, 1, at])
+        rows = coefs[-2] * col(ladders[:, 0, 0]) + coefs[-1] * col(ladders[:, 0, 1])
         rows[len(rows) - len(poly):] += poly[::-1]
         weights = np.zeros((2,) + coefs.shape[1:])
         if closed is not None:   # exponential spans wider than the series' cutoff
             on, theta, inv, (scale,) = closed
-            weight = np.where(on, scale * inv, 0.0)[at]
-            ends[3] = np.where(on, theta, 0.0)[at]
+            weight = np.where(on, scale * inv, 0.0)
+            ends[3] = np.where(on, theta, 0.0)
             weights[:] = coefs[-2] * weight, coefs[-1] * ((-1.0) ** k * weight)
         return ends, rows, weights, (math.sinh, math.cosh)[k & 1]
 
