@@ -126,7 +126,7 @@ class PiecewiseCurve:
     def value(self, t, tol=DEFAULT_TOL):
         """Curve value at t: a float, or an array of the d components.  An
         array of N parameters gives values shaped (N,) or (N, d)."""
-        j = self._find(t, tol)
+        j = self._find(t, tol)   # scalars skip value_on's slow np.shape checks
         return self.value_on(j, t, tol) if isinstance(j, np.ndarray) else self._row(j, t, tol)
 
     def value_on(self, j, t, tol=DEFAULT_TOL):
