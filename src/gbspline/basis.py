@@ -30,8 +30,8 @@ from .errors import (
     LengthMismatch,
     OutOfInterval,
 )
-from .knots import (KnotFunctionFamily, KnotVector, _ladder_polys, containing_spans,
-                    find_interval, readonly)
+from .knots import (KnotFunctionFamily, KnotVector, _ladder_polys, _ladder_values,
+                    containing_spans, find_interval, readonly)
 from .poly import DEFAULT_TOL, integrate_poly, poly_eval, taylor_shift
 
 
@@ -137,10 +137,12 @@ class PiecewiseCurve:
         equals the scalar call bit for bit.  A scalar mixed with an array, or
         arrays of two shapes, raise ValueError naming both shapes.
         """
-        if np.shape(j) != np.shape(t):
+        seq = (np.ndarray, list, tuple)   # np.shape of a number costs more than _row
+        array = isinstance(j, seq) or isinstance(t, seq)
+        if array and np.shape(j) != np.shape(t):
             raise ValueError(f"j and t must both be scalars or arrays of one shape, "
                              f"got j {np.shape(j) or 'scalar'} and t {np.shape(t) or 'scalar'}")
-        if not np.shape(j):
+        if not (array and np.shape(j)):
             return self._row(j, t, tol)
         missing = np.extract(self.slots[j] < 0, j)
         if len(missing):
@@ -247,41 +249,32 @@ class PiecewiseCurve:
 
 # construction ----------------------------------------------------------------
 
-def _interval_integrals(lens, alive, reps, right):
-    """Integral of each function's [poly | u v] rows over its support intervals.
+def _next_level(lens, alive, reps, right, k):
+    """One level of the construction recurrence (level k -> k + 1), for every
+    function at once: the level's normalization integrals and the new rows.
 
+    Each function's [poly | u v] rows integrate over its support intervals;
     `right` holds the level's ladder values at the right end of every knot
-    interval; they equal the integrals of the level below over the interval
-    because positive orders vanish on the left.
+    interval, which equal the integrals of the level below because positive
+    orders vanish on the left.  Function f's accumulated, normalized integral
+    fills its support slots 0..k; right of its support (or when f vanishes
+    identically) it is the unit step in slot k+1.  New function i is that
+    accumulation for f = i minus the one for f = i+1, which starts one
+    interval later.
     """
-    n_f, n_slots = reps.shape[:2]
-    j = np.arange(n_f)[:, None] + np.arange(n_slots)
-    val = (poly_eval(np.moveaxis(integrate_poly(reps[..., :-2]), -1, 0), lens[j])
-           + reps[..., -2] * right[j, 0] + reps[..., -1] * right[j, 1])
-    return np.where(alive[j], val, 0.0)
-
-
-def _elevate_level(knots, alive, reps, ints, delta, level):
-    """One level of the construction recurrence (level -> level + 1), for
-    every function at once.
-
-    Function f's accumulated, normalized integral fills its support slots
-    0..level; right of its support (or when f vanishes identically) it is the
-    unit step in slot level+1.  New function i is that accumulation for f = i
-    minus the one for f = i+1, which starts one interval later.
-    """
-    k = level
-    n_new = len(knots) - k - 2
-    cum = integrate_poly(reps[..., :-2])
+    win = np.arange(len(reps))[:, None] + np.arange(k + 2)   # support windows and one slot more
+    j, cum = win[:, :-1], integrate_poly(reps[..., :-2])
+    ints = np.where(alive[j], poly_eval(np.moveaxis(cum, -1, 0), lens[j])
+                    + reps[..., -2] * right[j, 0] + reps[..., -1] * right[j, 1], 0.0)
+    delta = ints.sum(axis=1)
     cum[:, 1:, 0] = np.cumsum(ints[:, :-1], axis=1)
-    live = delta != 0.0
+    top = np.concatenate([cum, reps[..., -2:]], axis=-1)
     acc = np.zeros((len(delta), k + 2, k + 2))
     acc[:, k + 1, 0] = 1.0
-    acc[live, : k + 1, :k] += cum[live] / delta[live, None, None]
-    acc[live, : k + 1, k:] += reps[live, :, -2:] / delta[live, None, None]
+    acc[:, : k + 1] += np.divide(top, delta[:, None, None], out=np.zeros_like(top),
+                                 where=(delta != 0.0)[:, None, None])
     acc[:-1, 1:] -= acc[1:, : k + 1]
-    on = alive[np.arange(n_new)[:, None] + np.arange(k + 2)][..., None]
-    return np.where(on, acc[:-1], 0.0)
+    return delta, np.where(alive[win[:-1]][..., None], acc[:-1], 0.0)
 
 
 def build_local_basis(kv: KnotVector, fam: KnotFunctionFamily, tol=DEFAULT_TOL) -> LocalBasis:
@@ -304,17 +297,17 @@ def build_local_basis(kv: KnotVector, fam: KnotFunctionFamily, tol=DEFAULT_TOL) 
     reps[:, 0, 0] = 1.0
     reps[:, 1, 1] = 1.0
 
-    # ladder values of orders 1..p-1 at the right end of every knot interval
+    # ladder values of orders 1..p-1 at the right end of every knot interval,
+    # at its own x in its span (exactly 1 where the span is the interval)
     live = np.flatnonzero(alive)
+    lo, hi = fam.spans[slots[live]].T
     right = np.zeros((p - 1, m - 1, 2))
-    ends = fam.value(slots[live], range(1, p), knots[live + 1], tol)
-    right[:, live] = ends.swapaxes(1, 2)
+    right[:, live] = _ladder_values(fam._kind_ids[slots[live]], hi - lo, fam.omegas[slots[live]],
+                                    range(1, p), (knots[live + 1] - lo) / (hi - lo)).swapaxes(1, 2)
     deltas = []
     for level in range(1, p):
-        ints = _interval_integrals(lens, alive, reps, right[level - 1])
-        delta = ints.sum(axis=1)
+        delta, reps = _next_level(lens, alive, reps, right[level - 1], level)
         deltas.append(delta)
-        reps = _elevate_level(knots, alive, reps, ints, delta, level)
 
     # function-major slots become interval-major rows, components last: row j,
     # component c is function j + c's slot p - c

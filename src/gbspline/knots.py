@@ -226,6 +226,27 @@ def _ladder_polys(codes, h, omega, orders):
     return out, (closed, theta, inv, scales)
 
 
+def _ladder_values(codes, h, omega, orders, x, at=None):
+    """Ladder values (len(orders), 2, len(x)) of `_ladder_polys(codes, h,
+    omega, orders)` at local coordinates x: one Horner pass, then the closed
+    forms' term point by point.  Sample i reads span at[i], or span i when
+    `at` is None."""
+    coefs, closed = _ladder_polys(codes, h, omega, orders)
+    out = np.zeros((len(orders), 2, len(x)))
+    for c in coefs:
+        out = out * x + (c if at is None else np.take(c, at, axis=-1))
+    if closed is not None:   # G through math, point by point, as in the scalar path
+        on, theta, inv, scales = closed
+        pts = np.flatnonzero(on if at is None else on[at])
+        sp = pts if at is None else at[pts]
+        for i, k in enumerate(orders):
+            g = math.cosh if k & 1 else math.sinh
+            for w, z in enumerate((x[pts], 1.0 - x[pts])):
+                gz = np.fromiter(map(g, (theta[sp] * z).tolist()), float, len(pts))
+                out[i, w, pts] += (-1.0) ** (k * w) * scales[i][sp] * (inv[sp] * gz)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class KnotFunctionFamily:
     """Generator pairs for the positive-length intervals of a knot sequence.
@@ -271,22 +292,9 @@ class KnotFunctionFamily:
             if len(outside):
                 i = outside[0]
                 raise OutOfInterval(f"t={t[i]} outside [{left[i]}, {right[i]}] (entry {i})")
-            x = (t - left) / (right - left)
             spans, at = np.unique(slot, return_inverse=True)
-            coefs, closed = _ladder_polys(self._kind_ids[spans], self.spans[spans, 1]
-                                       - self.spans[spans, 0], self.omegas[spans], orders)
-            out = np.zeros((len(orders), 2, len(t)))
-            for c in coefs:
-                out = out * x + np.take(c, at, axis=-1)
-            if closed is not None:   # G through math, point by point, as in the scalar path
-                on, theta, inv, scales = closed
-                pts = np.flatnonzero(on[at])
-                sp = at[pts]
-                for i, k in enumerate(orders):
-                    g = math.cosh if k & 1 else math.sinh
-                    for w, z in enumerate((x[pts], 1.0 - x[pts])):
-                        gz = np.fromiter(map(g, (theta[sp] * z).tolist()), float, len(pts))
-                        out[i, w, pts] += (-1.0) ** (k * w) * scales[i][sp] * (inv[sp] * gz)
+            out = _ladder_values(self._kind_ids[spans], self.spans[spans, 1] - self.spans[spans, 0],
+                                 self.omegas[spans], orders, (t - left) / (right - left), at)
             out = out.reshape((len(orders), 2) + shape)
             return out if np.ndim(order) else out[0]
         slot, order = _index(slot), _index(order)   # so that 1.0 cannot find 1's entry

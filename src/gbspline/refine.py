@@ -44,9 +44,9 @@ from .knots import (
     KINDS,
     KnotFunctionFamily,
     KnotVector,
-    build_family,
     build_integral_table,
     containing_spans,
+    readonly,
 )
 from .poly import DEFAULT_TOL, left_taylor_series, taylor_shift
 
@@ -85,13 +85,15 @@ def _solve(matrices, rhs, name):
     every = np.arange(count)
     for col in range(n):
         r = col + np.argmax(np.abs(a[:, col:, col]), axis=1)
-        low = np.flatnonzero(np.abs(a[every, r, col]) <= floor)
+        rows = a[every, r]
+        low = np.flatnonzero(np.abs(rows[:, col]) <= floor)
         if len(low):
             i = low[0]
             raise SingularLocalSystem(
                 f"system is singular at column {col} on {name(i)}: "
-                f"|pivot| {abs(a[i, r[i], col]):.3e} <= floor {floor[i]:.3e}")
-        a[every, col], a[every, r] = a[every, r], a[every, col]
+                f"|pivot| {abs(rows[i, col]):.3e} <= floor {floor[i]:.3e}")
+        a[every, r] = a[:, col]
+        a[:, col] = rows
         pivot = a[:, col : col + 1, col : col + 1]
         a[:, col + 1 :] -= a[:, col + 1 :, col : col + 1] / pivot * a[:, col : col + 1]
     pivots = np.abs(np.diagonal(a, axis1=1, axis2=2))
@@ -216,11 +218,11 @@ def _refined_knots(kv: KnotVector, inserts, raise_by, tol):
     reg = kv.active_region()
     a, b = float(reg[0]), float(reg[-1])
     groups: list[list[float]] = []   # [value, multiplicity]
-    for x in reg[1:-1]:
+    for x in reg[1:-1].tolist():
         if groups and abs(x - groups[-1][0]) <= tol:
             groups[-1][1] += 1
         else:
-            groups.append([float(x), 1])
+            groups.append([x, 1])
     for x in inserts:
         x = float(x)
         if not (a + tol < x < b - tol):
@@ -246,11 +248,17 @@ def _refined_knots(kv: KnotVector, inserts, raise_by, tol):
 
 def derive_family(fam: KnotFunctionFamily, knots, tol=DEFAULT_TOL) -> KnotFunctionFamily:
     """Family for refined knots: every positive interval inherits the kind and
-    frequency of the source span containing it."""
+    frequency of the source span containing it.  A piece of a valid span is
+    valid, so nothing is re-validated."""
+    knots = np.asarray(knots, dtype=float)
     slots = containing_spans(fam.spans, knots, tol)
-    slots = slots[slots >= 0]
-    return build_family(knots, kinds=tuple(fam.kinds[s] for s in slots),
-                        omegas=fam.omegas[slots], tol=tol)
+    pos = slots >= 0
+    if not pos.any():
+        raise InvalidFamily(f"no knot interval is longer than tol={tol:g}")
+    return KnotFunctionFamily(spans=readonly(np.stack([knots[:-1][pos], knots[1:][pos]], axis=1)),
+                              kinds=tuple([fam.kinds[s] for s in slots[pos].tolist()]),
+                              omegas=readonly(fam.omegas[slots[pos]]),
+                              slots=readonly(np.where(pos, np.cumsum(pos) - 1, -1), dtype=int))
 
 
 def refined_spline(curve: SplineCurve, basis: LocalBasis | None = None, *,

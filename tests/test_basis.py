@@ -18,6 +18,7 @@ from gbspline import (
     refined_spline,
     validate_open_knot_vector,
 )
+import gbspline.basis
 from gbspline.basis import reverse_diagonal_averages
 from gbspline.errors import (
     AllMissingDiagonal,
@@ -27,6 +28,7 @@ from gbspline.errors import (
     LengthMismatch,
     OutOfActiveRegion,
 )
+from gbspline.knots import containing_spans
 from gbspline.poly import derive_poly, poly_eval
 from gbspline.reference import adaptive_simpson
 from conftest import ALL_KINDS, cox_de_boor, make_basis, open_kv, random_interiors
@@ -74,6 +76,45 @@ class TestConstruction:
         1..p-1, the areas its recurrence divides by."""
         _, _, basis = make_basis(p, interior=(0.25, 0.5, 0.75))
         assert len(basis.deltas) == p - 1
+
+    @staticmethod
+    def right_ends_read(monkeypatch, kv, fam):
+        """The right-end ladder values that building the basis reads (one
+        `_ladder_values` call), and `fam.value` at the same ends."""
+        calls = []
+        def record(*args):
+            calls.append(ladder_values(*args))
+            return calls[-1]
+        ladder_values = gbspline.basis._ladder_values
+        monkeypatch.setattr(gbspline.basis, "_ladder_values", record)
+        build_local_basis(kv, fam)
+        assert len(calls) == 1
+        slots = containing_spans(fam.spans, kv.knots)
+        live = np.flatnonzero(slots >= 0)
+        return calls[0], fam.value(slots[live], range(1, kv.degree), kv.knots[live + 1])
+
+    @pytest.mark.parametrize("kind, omega", [("linear", 1.0), ("trigonometric", np.pi / 2),
+                                             ("exponential", 1.5), ("exponential", 40.0)])
+    @pytest.mark.parametrize("p", range(2, 9))
+    def test_right_end_ladder_values_equal_the_family_value(self, monkeypatch, kind, omega, p):
+        """With a doubled knot; exponential omega = 40 gives theta = 10, where
+        the spans keep the closed forms."""
+        kv = open_kv(p, (0.25, 0.5, 0.5, 0.75))
+        fam = build_family(kv.knots, kind=kind, omega=omega)
+        got, want = self.right_ends_read(monkeypatch, kv, fam)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind, omega", [("linear", 1.0), ("trigonometric", np.pi / 2),
+                                             ("exponential", 40.0)])
+    def test_right_ends_inside_a_coarser_span(self, monkeypatch, kind, omega):
+        """One span over two knot intervals: the first interval's right end
+        lies at x = 1/2 of its span, and the ladders are read there, not at
+        the span's end."""
+        kv = validate_open_knot_vector([0] * 4 + [.5] + [1] * 4, 3)
+        fam = build_family([0] * 4 + [1] * 4, kind=kind, omega=omega)
+        got, want = self.right_ends_read(monkeypatch, kv, fam)
+        assert got.tobytes() == want.tobytes()
+        assert got[:, :, 0].tobytes() != fam.value(0, range(1, 3), np.array(1.0)).tobytes()
 
     def test_rejects_degree_zero(self):
         kv = validate_open_knot_vector([0, 1], 0)

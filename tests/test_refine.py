@@ -29,7 +29,9 @@ from gbspline.errors import (
     SingularLocalSystem,
 )
 from gbspline.knots import build_integral_table
+from gbspline.poly import DEFAULT_TOL
 from gbspline.refine import (
+    _refined_knots,
     _solve,
     derive_family,
     refine_curve,
@@ -544,12 +546,59 @@ class TestBatchedSolve:
             "poorly conditioned local system on system 1 (pivot ratio 2.00e+12, the worst of 3)"]
         np.testing.assert_allclose(x[1], [[1e-8, 1e-8], [2e4, 2e4]])
 
+    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("rotate", [False, True])
+    def test_matches_numpy_solve(self, n, d, rotate):
+        """Diagonally dominant stacks, as they are and with their rows rotated
+        down by one, which puts every column's pivot but the last (it has
+        one candidate) below the diagonal; d = 1 as a bare (systems, n)."""
+        rng = np.random.default_rng(10 * n + d)
+        mats = rng.uniform(-1, 1, (20, n, n)) + 10.0 * np.eye(n)
+        if rotate:
+            mats = mats[:, np.roll(np.arange(n), 1)]
+        rhs = rng.uniform(-1, 1, (20, n) if d == 1 else (20, n, d))
+        x = _solve(mats, rhs, str)
+        want = np.linalg.solve(mats, rhs.reshape(20, n, d)).reshape(rhs.shape)
+        assert x.shape == rhs.shape
+        scale = np.abs(want).reshape(20, -1).max(axis=1)
+        assert (np.abs(x - want).reshape(20, -1).max(axis=1) <= 1e-12 * scale).all()
+
     def test_matches_dense_solves(self):
         rng = np.random.default_rng(4)
         mats = rng.uniform(-1, 1, (6, 5, 5))
         rhs = rng.uniform(-1, 1, (6, 5, 3))
         x = _solve(mats, rhs, str)
         np.testing.assert_allclose(x, np.linalg.solve(mats, rhs), rtol=0, atol=1e-12)
+
+
+class TestDeriveFamily:
+    """derive_family skips build_family's checks, so it must build the very
+    family that build_family builds from the inherited kinds and frequencies."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS + ("mixed",))
+    @pytest.mark.parametrize("insert, raise_by", [
+        ((0.3,), 0), ((0.1, 0.6, 0.9), 0),
+        ((0.25 - 5e-11, 0.5 + 5e-11), 0),   # within tol of existing knots
+        ((), 1), ((), 2), ((0.3, 0.5 + 5e-11), 1)])
+    def test_equals_build_family(self, kind, insert, raise_by):
+        kv = open_kv(3, (0.25, 0.5, 0.5, 0.75))   # a doubled knot
+        if kind == "mixed":
+            kinds = ["trigonometric", "exponential", "linear", "exponential"]
+            fam = build_family(kv.knots, kinds=kinds, omegas=[1.5, 40.0, 0.0, 2.0])
+        else:
+            fam = build_family(kv.knots, kind=kind, omega=1.5)
+        knots1 = _refined_knots(kv, insert, raise_by, DEFAULT_TOL)
+        got = derive_family(fam, knots1)
+        mids = [(a + b) / 2 for a, b in zip(knots1[:-1], knots1[1:]) if b - a > DEFAULT_TOL]
+        lo, hi = fam.spans.T
+        src = [int(np.flatnonzero((lo <= m) & (m <= hi))[0]) for m in mids]
+        want = build_family(knots1, kinds=[fam.kinds[s] for s in src], omegas=fam.omegas[src])
+        assert got.kinds == want.kinds and type(got.kinds) is tuple
+        for name in ("spans", "omegas", "slots", "_kind_ids"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape, a.flags.writeable) == (b.dtype, b.shape, b.flags.writeable)
+            assert a.tobytes() == b.tobytes(), name
 
 
 class TestMixedFamily:
