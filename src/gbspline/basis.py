@@ -27,6 +27,7 @@ from .errors import (
     DegreeTooSmall,
     InconsistentCoefficient,
     IntervalStraddle,
+    InvalidFamily,
     LengthMismatch,
     OutOfInterval,
 )
@@ -283,6 +284,7 @@ def build_local_basis(kv: KnotVector, fam: KnotFunctionFamily, tol=DEFAULT_TOL) 
     The degree-1 seed is the rising generator on the first support interval
     and the falling generator on the second; each further level accumulates
     exact integrals and divides by the lower function's normalization area.
+    A span of `fam` that reaches beyond its knot interval raises InvalidFamily.
     """
     p = kv.degree
     if p < 1:
@@ -297,10 +299,13 @@ def build_local_basis(kv: KnotVector, fam: KnotFunctionFamily, tol=DEFAULT_TOL) 
     reps[:, 0, 0] = 1.0
     reps[:, 1, 1] = 1.0
 
-    # ladder values of orders 1..p-1 at the right end of every knot interval,
-    # at its own x in its span (exactly 1 where the span is the interval)
+    # ladder values of orders 1..p-1 at the right end of every knot interval
     live = np.flatnonzero(alive)
     lo, hi = fam.spans[slots[live]].T
+    if len(wide := np.flatnonzero((lo < knots[live] - tol) | (hi > knots[live + 1] + tol))):
+        j, k = int(live[wide[0]]), wide[0]
+        raise InvalidFamily(f"knot interval {j} [{knots[j]}, {knots[j + 1]}] lies inside the "
+                            f"longer span [{lo[k]}, {hi[k]}]; build the family over the knots")
     right = np.zeros((p - 1, m - 1, 2))
     right[:, live] = _ladder_values(fam._kind_ids[slots[live]], hi - lo, fam.omegas[slots[live]],
                                     range(1, p), (knots[live + 1] - lo) / (hi - lo)).swapaxes(1, 2)

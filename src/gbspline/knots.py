@@ -9,12 +9,8 @@ is a polynomial in the interval's local coordinate with per-span
 coefficients, evaluated by Horner's rule.
 
 All types are immutable after construction and safe for concurrent reads.
-A family keeps a span's coefficients of an order from its first scalar
-`value` call for that span and order; they depend only on the span, never
-on `tol` or on the order of the calls, and are the numbers an array call
-builds afresh, so a filled cache never changes a result.  Scalar parameters
-are computed as Python floats whatever their type: numpy's float32 would
-stay float32.
+Scalar parameters are computed as Python floats whatever their type:
+numpy's float32 would stay float32.
 """
 from __future__ import annotations
 
@@ -261,12 +257,10 @@ class KnotFunctionFamily:
     omegas: np.ndarray
     slots: np.ndarray   # (number of knot intervals,)
     _kind_ids: np.ndarray = field(init=False, repr=False)
-    _scalar: dict = field(init=False, repr=False)   # (slot, order) -> _span_series
 
     def __post_init__(self):
         object.__setattr__(self, "_kind_ids",
                            readonly([KINDS.index(k) for k in self.kinds], dtype=int))
-        object.__setattr__(self, "_scalar", {})
 
     @property
     def n_spans(self) -> int:
@@ -279,10 +273,9 @@ class KnotFunctionFamily:
         integrals from the interval's left endpoint, negative orders are
         derivatives.  With an array `t` (and `slot` broadcasting against
         it), `order` may be a sequence: one Horner pass gives an array
-        shaped ([len(order),] 2, *t.shape), u first.  A scalar t gives the
-        tuple (u, v), each equal bit for bit to the array entry; it reads
-        the span's coefficients from a cache that the first call for (slot,
-        order) fills, and `tol` is checked on every call.
+        shaped ([len(order),] 2, *t.shape), u first.  A scalar t, with an
+        integer slot and order, runs the same pass on one sample and gives
+        the tuple (u, v) of Python floats.
         """
         if isinstance(t, np.ndarray):
             orders, shape = [int(k) for k in np.atleast_1d(order).tolist()], t.shape
@@ -297,38 +290,8 @@ class KnotFunctionFamily:
                                  self.omegas[spans], orders, (t - left) / (right - left), at)
             out = out.reshape((len(orders), 2) + shape)
             return out if np.ndim(order) else out[0]
-        slot, order = _index(slot), _index(order)   # so that 1.0 cannot find 1's entry
-        entry = self._scalar.get((slot, order))
-        if entry is None:
-            entry = self._scalar[slot, order] = self._span_series(slot, order)
-        left, right, h, coefs_u, coefs_v, closed = entry
-        if type(t) is not float:
-            t = _as_float(t)
-        if t < left - tol or t > right + tol:
-            raise OutOfInterval(f"t={t} outside [{left}, {right}]")
-        x, u, v = (t - left) / h, 0.0, 0.0
-        for cu, cv in zip(coefs_u, coefs_v):
-            u = u * x + cu
-            v = v * x + cv
-        if closed:
-            theta, inv, (scale_u, scale_v), g = closed
-            u += scale_u * (inv * g(theta * x))
-            v += scale_v * (inv * g(theta * (1.0 - x)))
-        return u, v
-
-    def _span_series(self, slot, k):
-        """What a scalar value() call reads of its span, as Python floats: the
-        ends, h, the span's own coefficients of u and of v, and None or the
-        closed forms' theta, 1/S, scales for u and v and G_k.  Only this
-        span's coefficients are built."""
-        left, right = self.spans[slot].tolist()
-        coefs, closed = _ladder_polys(self._kind_ids[[slot]], np.array([right - left]),
-                                      self.omegas[[slot]], [k])
-        own = [tuple(c) for c in coefs[:, 0, :, 0].T.tolist()]
-        if on := closed is not None and closed[0][0]:
-            theta, inv, scale = (float(a[0]) for a in closed[1:3] + (closed[3][0],))
-            closed = theta, inv, (scale, (-1.0) ** k * scale), (math.sinh, math.cosh)[k & 1]
-        return left, right, right - left, *own, closed if on else None
+        slot, order = _index(slot), _index(order)   # a float is a TypeError, not truncated
+        return tuple(self.value(slot, order, np.array([_as_float(t)]), tol)[:, 0].tolist())
 
 
 def build_family(knots, kind="trigonometric", omega=math.pi / 2, *,

@@ -1,8 +1,8 @@
 """Reference evaluation straight from the recursive-integral definition.
 
-Test-only ground truth: every integral runs through adaptive Simpson
-quadrature instead of the ladder values used by the production path.  Cost
-grows steeply with degree; keep degree <= 4.
+Test-only ground truth: generators from their definition and every integral
+through adaptive Simpson quadrature, never the production path's ladder
+values.  Cost grows steeply with degree; keep degree <= 4.
 """
 from __future__ import annotations
 
@@ -66,6 +66,7 @@ class ReferenceEvaluator:
     def __init__(self, knots, fam: KnotFunctionFamily, cfg=None, tol=DEFAULT_TOL):
         self.knots = np.asarray(knots, dtype=float)
         self._knots, self._slots = self.knots.tolist(), fam.slots.tolist()   # Python types
+        self._spans, self._omegas = fam.spans.tolist(), fam.omegas.tolist()
         self.fam = fam
         self.cfg = cfg if cfg is not None else QuadratureConfig()
         self.tol = tol
@@ -89,12 +90,22 @@ class ReferenceEvaluator:
         return memo[t]
 
     def _seed(self, i, t):
+        """Degree-1 function i at t from the generators' definition: span i's
+        u = G(omega s)/G(omega h), then span i+1's v = G(omega (h - s))/G(omega h),
+        s = t - left, G = sin or sinh; s/h and 1 - s/h on the linear kind."""
         knots = self._knots
-        if knots[i] <= t < knots[i + 1]:
-            return self.fam.value(self._slots[i], 0, t)[0]
-        if knots[i + 2] - knots[i + 1] > self.tol and knots[i + 1] <= t <= knots[i + 2]:
-            return self.fam.value(self._slots[i + 1], 0, t)[1]
-        return 0.0
+        if knots[i + 1] - knots[i] > self.tol and knots[i] <= t < knots[i + 1]:
+            slot, rising = self._slots[i], True
+        elif knots[i + 2] - knots[i + 1] > self.tol and knots[i + 1] <= t <= knots[i + 2]:
+            slot, rising = self._slots[i + 1], False
+        else:
+            return 0.0
+        (left, right), omega, kind = self._spans[slot], self._omegas[slot], self.fam.kinds[slot]
+        s, h = t - left, right - left
+        if kind == "linear":
+            return s / h if rising else 1.0 - s / h
+        g = math.sin if kind == "trigonometric" else math.sinh
+        return g(omega * (s if rising else h - s)) / g(omega * h)
 
     def _phi(self, i, p, t):
         d = self.delta(i, p)

@@ -1,6 +1,8 @@
 """Basis construction, evaluation, piecewise form, and diagonal reindexing."""
 import itertools
 import re
+import sys
+import threading
 
 import mpmath
 import numpy as np
@@ -25,6 +27,7 @@ from gbspline.errors import (
     DegreeTooSmall,
     InconsistentCoefficient,
     IntervalStraddle,
+    InvalidFamily,
     LengthMismatch,
     OutOfActiveRegion,
 )
@@ -106,15 +109,15 @@ class TestConstruction:
 
     @pytest.mark.parametrize("kind, omega", [("linear", 1.0), ("trigonometric", np.pi / 2),
                                              ("exponential", 40.0)])
-    def test_right_ends_inside_a_coarser_span(self, monkeypatch, kind, omega):
-        """One span over two knot intervals: the first interval's right end
-        lies at x = 1/2 of its span, and the ladders are read there, not at
-        the span's end."""
+    def test_rejects_a_family_coarser_than_its_knots(self, kind, omega):
+        """One span over two knot intervals: the recurrence reads right-end
+        ladder values as integrals over each interval, which they are only
+        where the interval starts its span."""
         kv = validate_open_knot_vector([0] * 4 + [.5] + [1] * 4, 3)
         fam = build_family([0] * 4 + [1] * 4, kind=kind, omega=omega)
-        got, want = self.right_ends_read(monkeypatch, kv, fam)
-        assert got.tobytes() == want.tobytes()
-        assert got[:, :, 0].tobytes() != fam.value(0, range(1, 3), np.array(1.0)).tobytes()
+        with pytest.raises(InvalidFamily, match=re.escape(
+                "knot interval 3 [0.0, 0.5] lies inside the longer span [0.0, 1.0]")):
+            build_local_basis(kv, fam)
 
     def test_rejects_degree_zero(self):
         kv = validate_open_knot_vector([0, 1], 0)
@@ -706,6 +709,39 @@ class TestMergedRows:
         refined_spline(curve, None, insert=(0.6,))
         with pytest.raises(AssertionError, match="merged rows built"):
             eval_curve(curve, basis, 0.3)
+
+    def test_threads_share_one_fresh_basis(self):
+        """Four threads, each in its own order, fill one fresh curve's merged
+        rows and read the bits a fresh curve gives."""
+        def fresh_curve():
+            kv = validate_open_knot_vector([0.0] * 4 + np.linspace(0, 1, 33).tolist() + [1.0] * 4, 4)
+            fam = build_family(kv.knots, kinds=(ALL_KINDS * 11)[:32],
+                               omegas=np.linspace(0.5, 2.5, 32))
+            cpts = np.random.default_rng(4).uniform(-1, 1, (kv.n_basis, 2))
+            return SplineCurve(kv=kv, fam=fam, cpts=cpts), build_local_basis(kv, fam)
+
+        ts = np.random.default_rng(5).uniform(0, 1, 200).tolist()
+        want = np.array([eval_curve(*fresh_curve(), t) for t in ts]).tobytes()
+        curve, basis = fresh_curve()
+        results = [None] * 4
+
+        def work(k):
+            order = ts[k * 50:] + ts[: k * 50]   # each thread starts elsewhere
+            got = dict(zip(order, (eval_curve(curve, basis, t) for t in order)))
+            results[k] = np.array([got[t] for t in ts]).tobytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert results == [want] * 4
 
 
 class TestScalarParameterTypes:

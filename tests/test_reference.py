@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gbspline import (
+    KnotFunctionFamily,
     QuadratureConfig,
     ReferenceEvaluator,
     build_family,
@@ -78,3 +79,46 @@ class TestDefinitionEvaluator:
         fam = build_family(knots, kind="linear")
         ev = ReferenceEvaluator(knots, fam)
         assert ev.basis_value(2, 2, 1.0) == 1.0
+
+
+class TestGeneratorSeed:
+    """The degree-1 seed evaluates the generators from their definition and
+    agrees with the family's ladder values of order 0."""
+
+    CASES = ([("linear", 1.0)] + [("trigonometric", theta) for theta in (1e-4, 1.0, 3.1)]
+             + [("exponential", theta) for theta in (1e-4, 3.0, 4.1, 20.0, 700.0)])
+
+    @pytest.mark.parametrize("kind, theta", CASES)
+    def test_matches_the_order_zero_ladder(self, kind, theta, monkeypatch):
+        h = 0.37
+        knots = (0.5 + h * np.arange(4)).tolist()   # three spans of length h
+        fam = build_family(knots, kind=kind, omega=theta / h)
+        ev = ReferenceEvaluator(knots, fam)
+        for j, (left, right) in enumerate(fam.spans.tolist()):
+            for x in (0.0, 0.25, 0.5, 0.9, 1.0):
+                t = right if x == 1.0 else left + x * (right - left)
+                u, v = fam.value(j, 0, t)
+                if j < 2 and x < 1.0:   # function j rises on span j
+                    assert abs(ev.basis_value(j, 1, t) - u) <= 1e-13
+                if j > 0:   # function j - 1 falls on span j
+                    assert abs(ev.basis_value(j - 1, 1, t) - v) <= 1e-13
+
+        kv, fam, _ = make_basis(3, interior=(0.5,), kind=kind)
+        want = ReferenceEvaluator(kv.knots, fam)
+        def refuse(*args, **kwargs):
+            raise AssertionError("ladder value asked for")
+        monkeypatch.setattr(KnotFunctionFamily, "value", refuse)
+        got = ReferenceEvaluator(kv.knots, fam)
+        for p in (1, 2, 3):
+            for i in range(kv.m - p - 1):
+                for t in (0.2, 0.5, 0.8):
+                    assert got.basis_value(i, p, t) == want.basis_value(i, p, t)
+
+    def test_an_interval_shorter_than_tol_reads_no_span(self):
+        """The short interval has no span (slot -1); no generator is read
+        there, in particular not the last span's."""
+        knots = [0.0, 1.0, 1.0 + 1e-12, 2.0, 3.0]
+        fam = build_family(knots, kind="trigonometric", omega=1.0)
+        ev = ReferenceEvaluator(knots, fam)
+        assert fam.slots.tolist() == [0, -1, 1, 2]
+        assert ev.basis_value(1, 1, 1.0 + 5e-13) == 0.0
