@@ -11,13 +11,22 @@ metrics, and each side's distinct run environments (Python, numpy, CPU
 count, commit) are listed once.  Per workload, trace mode and metric the output gives each side's
 median, quartiles and IQR over the paired runs, and in how many pairs the
 change read better, using the direction ``BENCHMARK.json`` gives the metric
-(no direction where it names none).  Standard library only.
+(no direction where it names none).  It also gives the median of the per-pair
+change/parent ratios with a distribution-free 95% interval (order statistics;
+the 2nd and 9th of ten pairs), and calls the metric a gain or a loss only
+when that interval excludes 1.  Standard library only.
+
+``resummarize`` recomputes the summary of a written file from its ``runs``:
+
+    python3 -c 'import sys; sys.path[:0] = ["scripts"]; import collect_bench as c; [c.resummarize(
+        p, c.directions("BENCHMARK.json")) for p in sys.argv[1:]]' BENCH_*.json
 """
 from __future__ import annotations
 
 import argparse
 import glob
 import json
+import math
 import os
 import statistics
 import sys
@@ -66,6 +75,27 @@ def spread(values):
     return {"median": q2, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def paired_ratio(old, new, better):
+    """Median change/parent ratio over the pairs, its interval and verdict.
+
+    The interval runs from the k-th smallest to the k-th largest ratio, k
+    the largest order whose sign-test coverage 1 - 2 P(Bin(n, 1/2) < k) is
+    at least 95% (no interval below six pairs).  None when a parent value is
+    0, where a ratio means nothing.
+    """
+    if 0 in old:
+        return None
+    ratios, n, k = sorted(b / a for a, b in zip(old, new)), len(old), 0
+    while 1 - 2 * sum(math.comb(n, i) for i in range(k + 1)) / 2 ** n >= 0.95:
+        k += 1
+    out = {"median": statistics.median(ratios), "ci95": None, "verdict": None}
+    if k:
+        lo, hi = out["ci95"] = [ratios[k - 1], ratios[n - k]]
+        if better is not None and (lo > 1 or hi < 1):
+            out["verdict"] = "gain" if (lo > 1) == (better == "higher") else "loss"
+    return out
+
+
 def summarize(pairs, better):
     """{workload: {"trace<t>": {metric: summary}}} over paired runs."""
     out = {}
@@ -78,11 +108,28 @@ def summarize(pairs, better):
     for group in (g for w in out.values() for g in w.values()):
         for name, entry in sorted(group.items()):
             old, new = entry.pop("values")
-            entry.update(pairs=len(old), parent=spread(old), change=spread(new))
+            entry.update(pairs=len(old), parent=spread(old), change=spread(new),
+                         ratio=paired_ratio(old, new, entry["better"]))
             if entry["better"] is not None:
                 sign = 1 if entry["better"] == "higher" else -1
                 entry["change_wins"] = sum(sign * (b - a) > 0 for a, b in zip(old, new))
     return out
+
+
+def write(path, bench):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(bench, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def resummarize(path, better):
+    """Rewrite the summary of the BENCH file at `path` from its runs."""
+    with open(path, encoding="utf-8") as fh:
+        bench = json.load(fh)
+    runs = {(r["workload"], r["trace"], r["seed"], r["side"]): r for r in bench["runs"]}
+    bench["summary"] = summarize({key[:3]: (run, runs[key[:3] + ("change",)])
+                                  for key, run in runs.items() if key[3] == "parent"}, better)
+    write(path, bench)
 
 
 def main(argv=None):
@@ -106,9 +153,7 @@ def main(argv=None):
         "unpaired": [list(key) for key in unpaired],
         "summary": summarize(pairs, directions(args.benchmark)),
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(bench, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write(args.out, bench)
     print(f"{len(paired)} pairs written to {args.out}")
     return 0
 

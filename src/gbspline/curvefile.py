@@ -12,13 +12,16 @@ Schema (all four fields required, nothing extra):
 `families` lists one entry per positive-length knot interval, in order;
 `omega` may be omitted for the linear kind.  Control points are vectors of
 a common dimension d >= 1, one per basis function.  Numbers round-trip
-exactly (shortest form preserving all 17 significant digits).
+exactly (shortest form preserving all 17 significant digits).  Lists are read
+whole, entry by entry only to name the first bad one; files are written in the
+layout above, one line per field, and never with a non-finite number.
 """
 from __future__ import annotations
 
 import json
 import math
 import numbers
+from itertools import chain
 
 import numpy as np
 
@@ -40,6 +43,19 @@ def _real(x, what):
     if not math.isfinite(value):
         raise CurveFileError(f"{what} must be finite, got {x!r}")
     return value
+
+
+def _reals(xs, what):
+    """A list of parsed JSON values as a float array, or `_real`'s error."""
+    try:
+        if set(map(type, xs)) <= {int, float}:   # json gives bool its own type
+            values = np.array(xs, dtype=float)
+            if np.isfinite(values).all():
+                return values
+    except OverflowError:   # an integer beyond the float range
+        pass
+    for x in xs:
+        _real(x, what)
 
 
 def load_curve(path, tol=DEFAULT_TOL):
@@ -67,39 +83,39 @@ def load_curve(path, tol=DEFAULT_TOL):
         raise CurveFileError(f"degree must be an integer, got {degree!r}")
     if not isinstance(doc["knots"], list):
         raise CurveFileError("knots must be a list")
-    knots = [_real(x, "knot") for x in doc["knots"]]
+    knots = _reals(doc["knots"], "knot")
 
     if not isinstance(doc["families"], list):
         raise CurveFileError("families must be a list")
     kinds, omegas = [], []
-    for entry in doc["families"]:
-        if not isinstance(entry, dict):
-            raise CurveFileError("each family entry must be an object")
-        unknown = set(entry) - _FAMILY_FIELDS
-        if unknown:
-            raise CurveFileError(f"unknown family fields: {sorted(unknown)}")
-        kind = entry.get("kind")
-        if not isinstance(kind, str):
-            raise CurveFileError("family kind must be a string")
-        if "omega" not in entry and kind != "linear":
-            raise CurveFileError(f"kind {kind!r} requires omega")
-        kinds.append(kind)
-        omegas.append(_real(entry.get("omega", 1.0), "omega"))
+    try:
+        for entry in doc["families"]:
+            if not isinstance(entry, dict):
+                raise CurveFileError("each family entry must be an object")
+            unknown = set(entry) - _FAMILY_FIELDS
+            if unknown:
+                raise CurveFileError(f"unknown family fields: {sorted(unknown)}")
+            kind = entry.get("kind")
+            if not isinstance(kind, str):
+                raise CurveFileError("family kind must be a string")
+            if "omega" not in entry and kind != "linear":
+                raise CurveFileError(f"kind {kind!r} requires omega")
+            kinds.append(kind)
+            omegas.append(entry.get("omega", 1.0))
+    finally:   # an omega error met before the bad entry is reported first
+        omegas = _reals(omegas, "omega")
 
     raw = doc["control_points"]
     if not isinstance(raw, list) or not raw:
         raise CurveFileError("control_points must be a nonempty list")
-    rows = []
-    dim = None
-    for point in raw:
-        if not isinstance(point, list) or not point:
-            raise CurveFileError("each control point must be a nonempty list")
-        if dim is None:
-            dim = len(point)
-        elif len(point) != dim:
-            raise CurveFileError("control points must share one dimension")
-        rows.append([_real(x, "control point component") for x in point])
-    cpts = np.array(rows, dtype=float)
+    if not (set(map(type, raw)) == {list} and len(set(map(len, raw))) == 1 and raw[0]):
+        for point in raw:   # raises at the first bad point, or at a bad number before it
+            if not isinstance(point, list) or not point:
+                raise CurveFileError("each control point must be a nonempty list")
+            if len(point) != len(raw[0]):
+                raise CurveFileError("control points must share one dimension")
+            _reals(point, "control point component")
+    cpts = _reals(list(chain.from_iterable(raw)), "control point component").reshape(len(raw), -1)
 
     try:
         kv = validate_open_knot_vector(knots, degree)
@@ -114,18 +130,15 @@ def load_curve(path, tol=DEFAULT_TOL):
 
 
 def save_curve(path, kv: KnotVector, fam: KnotFunctionFamily, cpts):
-    """Write a curve file; `cpts` may be (n,) or (n, d)."""
+    """Write a curve file; `cpts` may be (n,) or (n, d).  Non-finite numbers write nothing."""
     cpts = np.asarray(cpts, dtype=float)
-    if cpts.ndim == 1:
-        cpts = cpts[:, None]
-    families = [{"kind": fam.kinds[s], "omega": float(fam.omegas[s])}
-                for s in range(fam.n_spans)]
-    doc = {
-        "degree": int(kv.degree),
-        "knots": [float(x) for x in kv.knots],
-        "families": families,
-        "control_points": [[float(x) for x in row] for row in cpts],
-    }
+    cpts = cpts[:, None] if cpts.ndim == 1 else cpts
+    for what, rows in (("omega", fam.omegas[:, None]), ("control point", cpts)):
+        for i in np.flatnonzero(~np.isfinite(rows).all(axis=1))[:1]:
+            raise CurveFileError(f"{what} {i} must be finite, got {rows[i].tolist()}")
+    doc = {"degree": int(kv.degree), "knots": kv.knots.tolist(),
+           "families": [{"kind": k, "omega": w} for k, w in zip(fam.kinds, fam.omegas.tolist())],
+           "control_points": cpts.tolist()}
+    text = ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in doc.items())
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write("{\n" + text + "\n}\n")

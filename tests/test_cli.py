@@ -1,4 +1,5 @@
 """Command-line interface and curve-file round trips."""
+import dataclasses
 import json
 import math
 
@@ -107,6 +108,85 @@ class TestCurveFile:
         path.write_text(json.dumps(doc))
         kv, fam, cpts = load_curve(path)
         assert fam.kinds == ("linear", "linear")
+
+    EXTREMES = [-0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2, -1.7976931348623157e308]
+
+    @pytest.mark.parametrize("dim", [None, 3])
+    def test_round_trip_keeps_every_bit(self, tmp_path, dim):
+        knots = [0, 0, 0, 1, 2, 3, 3, 3]   # integers, as a file may hold them
+        kv, fam = validate_open_knot_vector(knots, 2), build_family(knots, omega=0.1 + 0.2)
+        cpts = np.array(self.EXTREMES * 3)[:5 * (dim or 1)]
+        cpts = cpts if dim is None else cpts.reshape(5, dim)
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_curve(first, kv, fam, cpts)
+        kv2, fam2, cpts2 = load_curve(first)
+        assert kv2.knots.tobytes() == np.array(knots, dtype=float).tobytes()
+        assert fam2.omegas.tobytes() == fam.omegas.tobytes() and fam2.kinds == fam.kinds
+        assert cpts2.shape == (5, dim or 1)
+        assert cpts2.tobytes() == cpts.reshape(5, -1).tobytes()
+        save_curve(second, kv2, fam2, cpts2)
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_written_layout(self, tmp_path):
+        """The same document `json.dump(doc, indent=2)` wrote, one top-level
+        field per line."""
+        src, out = tmp_path / "c.json", tmp_path / "copy.json"
+        write_demo_curve(src, seed=5, dim=3)
+        kv, fam, cpts = load_curve(src)
+        save_curve(out, kv, fam, cpts)
+        doc = {"degree": kv.degree, "knots": [float(x) for x in kv.knots],
+               "families": [{"kind": k, "omega": float(w)} for k, w in zip(fam.kinds, fam.omegas)],
+               "control_points": [[float(x) for x in row] for row in cpts]}
+        text = out.read_text()
+        assert json.loads(text) == json.loads(json.dumps(doc, indent=2))
+        lines = text.splitlines()
+        assert len(lines) == 6 and lines[0] == "{" and lines[-1] == "}" and text.endswith("}\n")
+        assert [line.split(":")[0].strip() for line in lines[1:-1]] == [
+            '"degree"', '"knots"', '"families"', '"control_points"']
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_save_refuses_non_finite_numbers(self, tmp_path, bad):
+        knots = [0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0]
+        kv, fam = validate_open_knot_vector(knots, 2), build_family(knots)
+        cpts = np.zeros((4, 2))
+        cpts[2, 1] = bad
+        path = tmp_path / "c.json"
+        message = rf"^control point 2 must be finite, got \[0.0, {bad}\]$"
+        with pytest.raises(CurveFileError, match=message):
+            save_curve(path, kv, fam, cpts)
+        assert not path.exists()
+        bad_fam = dataclasses.replace(fam, omegas=np.array([1.0, bad]))
+        with pytest.raises(CurveFileError, match=rf"^omega 1 must be finite, got \[{bad}\]$"):
+            save_curve(path, kv, bad_fam, np.zeros((4, 2)))
+        assert not path.exists()
+
+    # messages as the per-number checks gave them before lists were checked whole
+    @pytest.mark.parametrize("edits, message", [
+        ({("knots", 2): True}, "knot must be a number, got True"),
+        ({("families", 1): {"kind": "trigonometric", "omega": "1.5"}},
+         "omega must be a number, got '1.5'"),
+        ({("families", 0): {"kind": "linear", "omega": "1.5"}, ("families", 1): 7},
+         "omega must be a number, got '1.5'"),
+        ({("control_points", 1, 1): None}, "control point component must be a number, got None"),
+        ({("control_points", 1): 7}, "each control point must be a nonempty list"),
+        ({("control_points", 1): []}, "each control point must be a nonempty list"),
+        ({("control_points", 2): [1, 2, 3]}, "control points must share one dimension"),
+        ({("control_points", 1, 0): math.nan, ("control_points", 2): [1]},
+         "control point component must be finite, got nan"),
+    ])
+    def test_rejections_name_the_first_bad_entry(self, tmp_path, edits, message):
+        doc = {"degree": 1, "knots": [0, 0, 0.5, 1, 1], "families": [{"kind": "linear"}] * 2,
+               "control_points": [[0, 0], [1, 2], [2, -1]]}
+        for keys, value in edits.items():
+            target = doc
+            for key in keys[:-1]:
+                target = target[key]
+            target[keys[-1]] = value
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CurveFileError) as info:
+            load_curve(path)
+        assert type(info.value) is CurveFileError and str(info.value) == message
 
 
 class TestCommands:

@@ -6,6 +6,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -62,14 +64,23 @@ def test_collect_bench_pairs_runs(tmp_path):
     write_run(parent, "refine", 1, True, {"knots.value.calls": 4390.0}, "aaa")
     write_run(change, "refine", 1, True, {"knots.value.calls": 23.0}, "bbb")
     write_run(change, "cli", 1, False, {"ops_per_s": 1.0}, "bbb")
+    # ten pairs: the interval runs from the 2nd to the 9th smallest ratio
+    ratios = [1.3, 0.9, 1.2, 1.25, 1.1, 1.15, 1.4, 1.05, 1.35, 1.22]
+    for seed, r in enumerate(ratios, start=11):
+        write_run(parent, "evaluate", seed, False,
+                  {"ops_per_s": 100.0, "op_ms_p50": 2.0, "op_ms_p90": 4.0, "setup_s": 0.5}, "aaa")
+        write_run(change, "evaluate", seed, False,
+                  {"ops_per_s": 100.0 * r, "op_ms_p50": 2.0 / r, "op_ms_p90": 4.0 * r,
+                   "setup_s": 0.5 * (2.1 - r)}, "bbb")
     out = tmp_path / "BENCH_test.json"
     proc = run_script("collect_bench.py", "--parent", str(parent), "--change", str(change),
                       "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     bench = json.loads(out.read_text())
     assert bench["environments"] == {"parent": [{"commit": "aaa"}], "change": [{"commit": "bbb"}]}
-    assert len(bench["runs"]) == 8
-    assert {(r["seed"], r["side"]) for r in bench["runs"] if not r["trace"]} == {
+    assert len(bench["runs"]) == 28
+    assert {(r["seed"], r["side"]) for r in bench["runs"]
+            if not r["trace"] and r["workload"] == "refine"} == {
         (s, side) for s in (1, 2, 3) for side in ("parent", "change")}
     assert bench["unpaired"] == [["cli", 0, 1]]
     ops = bench["summary"]["refine"]["trace0"]["ops_per_s"]
@@ -79,3 +90,25 @@ def test_collect_bench_pairs_runs(tmp_path):
     assert bench["summary"]["refine"]["trace0"]["op_ms_p50"]["change_wins"] == 2
     calls = bench["summary"]["refine"]["trace1"]["knots.value.calls"]
     assert calls["parent"]["median"] == 4390.0 and calls["change_wins"] == 1
+    # fewer than six pairs give no 95% interval, so no verdict
+    assert ops["ratio"] == {"median": 3.0, "ci95": None, "verdict": None}
+    assert calls["ratio"]["ci95"] is None
+    evaluate = bench["summary"]["evaluate"]["trace0"]
+    ops = evaluate["ops_per_s"]["ratio"]
+    assert ops["median"] == pytest.approx(1.21) and ops["verdict"] == "gain"
+    assert ops["ci95"] == pytest.approx([1.05, 1.35])
+    p50 = evaluate["op_ms_p50"]["ratio"]
+    assert p50["ci95"] == pytest.approx([1 / 1.35, 1 / 1.05]) and p50["verdict"] == "gain"
+    assert evaluate["op_ms_p90"]["ratio"]["verdict"] == "loss"
+    setup = evaluate["setup_s"]["ratio"]   # 0.7 to 1.2 by pair: the interval holds 1
+    assert setup["ci95"][0] < 1 < setup["ci95"][1] and setup["verdict"] is None
+    # a written file's summary is recomputed from its runs alone
+    summary = bench.pop("summary")
+    out.write_text(json.dumps(bench))
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        import collect_bench
+    finally:
+        sys.path.remove(str(ROOT / "scripts"))
+    collect_bench.resummarize(out, collect_bench.directions(ROOT / "BENCHMARK.json"))
+    assert json.loads(out.read_text())["summary"] == summary
