@@ -201,10 +201,12 @@ class PiecewiseCurve:
     # built on the first evaluation
     @cached_property
     def _merged(self):
-        """Per interval: its span's left and right ends, length h and theta
-        (zero unless the span keeps the closed forms); one row per
-        component, its polynomial in x = (t - left)/h, highest power first
-        along axis 0; the weights of G(theta x) and G(theta (1 - x)); and G."""
+        """Per interval: its span's left end, the last t it takes (its span's
+        end, or the next live interval's start: find_interval sends t on dead
+        intervals left), length h and theta (zero unless the span keeps the
+        closed forms); one row per component, its polynomial in x = (t -
+        left)/h, highest power first along axis 0; the weights of G(theta x)
+        and G(theta (1 - x)); and G."""
         fam, k, slots = self.fam, self.degree - 1, self.slots
         # an interval without generators (slot -1) reads the last span, but
         # evaluation refuses it before reading its row
@@ -212,7 +214,9 @@ class PiecewiseCurve:
         ladders, closed = _ladder_polys(fam._kind_ids[slots], hi - lo, fam.omegas[slots], [k])
         coefs = np.moveaxis(self.coefs, 0, -1)   # columns, [components,] intervals
         col = lambda a: a.reshape(a.shape[:-1] + (1,) * (coefs.ndim - 2) + a.shape[-1:])
-        ends = np.stack([lo, hi, hi - lo, np.zeros(len(slots))])
+        live = np.where(slots >= 0, np.arange(len(slots)), len(slots))
+        after = np.append(np.minimum.accumulate(live[::-1])[::-1][1:], len(slots))
+        ends = np.stack([lo, np.maximum(hi, self.breaks[after]), hi - lo, np.zeros(len(slots))])
         # the polynomial part in x: s = h x - (break - left), so one Taylor
         # shift where the interval starts inside its span, then c_i h^i
         poly, tau = coefs[:-2], np.where(slots < 0, 0.0, lo - self.breaks[:-1])
@@ -372,7 +376,7 @@ def eval_curve(curve: SplineCurve, basis: LocalBasis, t, tol=DEFAULT_TOL):
 
 # piecewise form and reindexing -----------------------------------------------
 
-def reverse_diagonal_averages(coefs, tol=1e-6):
+def reverse_diagonal_averages(coefs, tol=1e-6, *, first=0):
     """Average anti-diagonal entries of a table, ignoring NaN markers.
 
     Entries on anti-diagonal r + c = d of the first two axes are the
@@ -380,7 +384,7 @@ def reverse_diagonal_averages(coefs, tol=1e-6):
     holds components.  A finite entry straying from its diagonal's mean by
     more than tol * max(1, |mean|), component by component, flags an
     ill-posed projection.  An estimate counts only if all its components are
-    finite.
+    finite.  Errors number coefficient d as first + d.
     """
     coefs = np.asarray(coefs, dtype=float)
     rows, cols = coefs.shape[:2]
@@ -390,7 +394,7 @@ def reverse_diagonal_averages(coefs, tol=1e-6):
     count = np.bincount(diag[ok], minlength=rows + cols - 1)
     if not count.all():
         raise AllMissingDiagonal(
-            f"no finite estimates for coefficient {np.flatnonzero(count == 0)[0]}")
+            f"no finite estimates for coefficient {first + np.flatnonzero(count == 0)[0]}")
     total = np.zeros((rows + cols - 1, flat.shape[1]))
     np.add.at(total, diag[ok], flat[ok])
     avg = total / count[:, None]
@@ -398,7 +402,8 @@ def reverse_diagonal_averages(coefs, tol=1e-6):
     if stray.any():
         d = diag[stray].min()
         vals = flat[ok & (diag == d)].reshape((-1,) + coefs.shape[2:])
-        raise InconsistentCoefficient(f"estimates for coefficient {d} disagree: {vals.tolist()}")
+        raise InconsistentCoefficient(
+            f"estimates for coefficient {first + d} disagree: {vals.tolist()}")
     return avg.reshape((rows + cols - 1,) + coefs.shape[2:])
 
 
@@ -409,10 +414,15 @@ def form_piecewise(cpts, basis: LocalBasis) -> PiecewiseCurve:
     functions weighted by their control points.  Control points shaped
     (n, d) give parts with a trailing axis of d components.
     """
+    return _form_rows(cpts, basis, 0, len(basis.local.breaks) - 1)
+
+
+def _form_rows(cpts, basis: LocalBasis, start, stop) -> PiecewiseCurve:
+    """form_piecewise over active intervals start..stop-1 alone."""
     cpts = np.asarray(cpts, dtype=float)
     _check_cpts(cpts, basis.n_basis)
     local = basis.local
-    windows = cpts[np.arange(len(local.breaks) - 1)[:, None] + np.arange(basis.degree + 1)]
-    return PiecewiseCurve(breaks=local.breaks,
-                          coefs=np.einsum("jwc,jc...->jw...", local.coefs, windows),
-                          degree=basis.degree, fam=basis.fam, slots=local.slots)
+    windows = cpts[np.arange(start, stop)[:, None] + np.arange(basis.degree + 1)]
+    return PiecewiseCurve(breaks=local.breaks[start : stop + 1],
+                          coefs=np.einsum("jwc,jc...->jw...", local.coefs[start:stop], windows),
+                          degree=basis.degree, fam=basis.fam, slots=local.slots[start:stop])

@@ -18,6 +18,7 @@ import math
 import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import index as _index
 
 import numpy as np
@@ -37,7 +38,7 @@ from .poly import DEFAULT_TOL
 KINDS = ("linear", "trigonometric", "exponential")
 _TRIGONOMETRIC, _EXPONENTIAL = KINDS.index("trigonometric"), KINDS.index("exponential")
 # trigonometric pairs stop being Chebyshev at pi; sinh overflows past log(max)
-_OMEGA_H_MAX = {"trigonometric": math.pi, "exponential": math.log(np.finfo(float).max)}
+_OMEGA_H_MAX = np.array([math.inf, math.pi, math.log(np.finfo(float).max)])   # by kind index
 
 
 def readonly(a, dtype=float):
@@ -256,11 +257,11 @@ class KnotFunctionFamily:
     kinds: tuple
     omegas: np.ndarray
     slots: np.ndarray   # (number of knot intervals,)
-    _kind_ids: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_kind_ids",
-                           readonly([KINDS.index(k) for k in self.kinds], dtype=int))
+    @cached_property
+    def _kind_ids(self):
+        """Index in KINDS of each span's kind, built on first use."""
+        return readonly([KINDS.index(k) for k in self.kinds], dtype=int)
 
     @property
     def n_spans(self) -> int:
@@ -319,17 +320,22 @@ def build_family(knots, kind="trigonometric", omega=math.pi / 2, *,
         raise InvalidFamily(
             f"need one spec per positive interval: {count} intervals, "
             f"{len(out_kinds)} kinds, {len(out_omegas)} frequencies")
-    for (a, b), kd, w in zip(spans.tolist(), out_kinds, out_omegas.tolist()):
+    codes = np.array([KINDS.index(kd) if kd in KINDS else -1 for kd in out_kinds], dtype=int)
+    with np.errstate(over="ignore"):
+        theta = out_omegas * (spans[:, 1] - spans[:, 0])
+    bad = ((codes < 0) | ~np.isfinite(out_omegas)
+           | ((codes > 0) & ~((out_omegas > 0) & (theta < _OMEGA_H_MAX[codes]))))
+    if bad.any():   # the first offending span names the error
+        i = int(np.argmax(bad))
+        (a, b), kd, w = spans[i].tolist(), out_kinds[i], out_omegas[i].item()
         if kd not in KINDS:
             raise InvalidFamily(f"unknown kind {kd!r}")
         if not math.isfinite(w):
             raise InvalidFamily(f"frequency {w} on [{a}, {b}] must be finite")
-        if kd != "linear":
-            if not w > 0:
-                raise InvalidFamily("frequency must be positive")
-            if w * (b - a) >= _OMEGA_H_MAX[kd]:
-                raise InvalidFamily(f"omega * h = {w * (b - a):.6g} on [{a}, {b}] "
-                                    f"must stay below {_OMEGA_H_MAX[kd]:.6g}")
+        if not w > 0:
+            raise InvalidFamily("frequency must be positive")
+        raise InvalidFamily(f"omega * h = {w * (b - a):.6g} on [{a}, {b}] "
+                            f"must stay below {_OMEGA_H_MAX[KINDS.index(kd)]:.6g}")
     return KnotFunctionFamily(
         spans=readonly(spans),
         kinds=out_kinds,

@@ -9,16 +9,17 @@ any simultaneous combination all ride on the same pipeline.  The identity
 y = t is already written in target coordinates, so `greville_abscissae`
 skips the rewrite and shares only the projection.
 
-Per-interval work is independent, so every stage runs on arrays over all
-target intervals at once: one Taylor shift re-expands the polynomial parts,
-one batched elimination solves all local systems, and one scatter averages
-the anti-diagonals.
+Knot insertion projects only on a clamped window of target knots around
+the new ones and copies every other control point; a degree raise's window
+is the whole target.  Per-interval work is independent, so every stage
+runs on arrays over the window at once: one Taylor shift re-expands the
+polynomial parts, one batched elimination solves all local systems, and
+one scatter averages the anti-diagonals.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_right
 from operator import index
 
 import numpy as np
@@ -27,6 +28,8 @@ from .basis import (
     LocalBasis,
     PiecewiseCurve,
     SplineCurve,
+    _check_cpts,
+    _form_rows,
     build_local_basis,
     form_piecewise,
     reverse_diagonal_averages,
@@ -76,7 +79,8 @@ def _solve(matrices, rhs, name):
     d right-hand sides share one elimination.  `name(i)` describes system i.
     A pivot at or below 1e-13 times the system's largest entry (at least 1)
     raises SingularLocalSystem; pivot ratios above PIVOT_RATIO_WARN give one
-    warning for the whole stack, at its worst system.
+    warning for the whole stack, at its worst system ("the worst of N" counts
+    only a knot insertion's window).
     """
     rhs = np.asarray(rhs, dtype=float)
     count, n = rhs.shape[:2]
@@ -160,19 +164,21 @@ def represent_knot_funcs(gen, tables_src):
     return out
 
 
-def _project(basis: LocalBasis, lfunc, tol, coef_tol) -> np.ndarray:
+def _project(local: PiecewiseCurve, lfunc, tol, coef_tol, first=0) -> np.ndarray:
     """Control points of the function whose target-local rows (polynomial
-    part, then generator pair, as `basis.local` stores them) are `lfunc`:
-    per positive-length interval solve for the coefficients of the nonzero
-    basis functions, each interval once with all d components as right-hand
-    sides, and aggregate by anti-diagonal averaging."""
-    breaks = basis.kv.active_region()
+    part, then generator pair, as a basis's rows `local` store them) are
+    `lfunc`: per positive-length interval solve for the coefficients of the
+    nonzero basis functions, each interval once with all d components as
+    right-hand sides, and aggregate by anti-diagonal averaging.  Errors count
+    intervals and coefficients from `first`, the place of `local` in the
+    target's rows."""
+    breaks = local.breaks
     live = np.flatnonzero(np.diff(breaks) > tol)
     coefs = np.full(lfunc.shape, np.nan)
     coefs[live] = _solve(
-        basis.local.coefs[live], lfunc[live],
-        lambda i: f"interval {live[i]} [{breaks[live[i]]}, {breaks[live[i] + 1]}]")
-    return reverse_diagonal_averages(coefs, coef_tol)
+        local.coefs[live], lfunc[live],
+        lambda i: f"interval {first + live[i]} [{breaks[live[i]]}, {breaks[live[i] + 1]}]")
+    return reverse_diagonal_averages(coefs, coef_tol, first=first)
 
 
 def refine_curve(curve: PiecewiseCurve, basis: LocalBasis,
@@ -189,61 +195,74 @@ def refine_curve(curve: PiecewiseCurve, basis: LocalBasis,
     components gives control points shaped (n, d).
     """
     tol, coef_tol = _tolerances(tol, coef_tol)
-    q, p = basis.degree, curve.degree
+    return _project(basis.local, _target_rows(curve, basis.local, tol), tol, coef_tol)
+
+
+def _target_rows(curve: PiecewiseCurve, target: PiecewiseCurve, tol, first=0):
+    """refine_curve's rows in the coordinates of `target`, a basis's rows or
+    some of them; intervals counted from `first`."""
+    q, p = target.degree, curve.degree
     if q < p:
         raise ValueError(f"target degree {q} is below the curve's degree {p}")
-    breaks = basis.kv.active_region()
+    breaks = target.breaks
     local = refine_local(curve, breaks, tol)
-    both = np.flatnonzero((local.slots >= 0) & (basis.local.slots >= 0))
-    a, b = local.slots[both], basis.local.slots[both]
-    kind = curve.fam._kind_ids[a]
-    bad = np.flatnonzero((kind != basis.fam._kind_ids[b]) | ((kind != KINDS.index("linear"))
-                         & (curve.fam.omegas[a] != basis.fam.omegas[b])))
-    if len(bad):
-        j, i = bad[0], both[bad[0]]
-        raise InvalidFamily(
-            f"interval {i} [{breaks[i]}, {breaks[i + 1]}]: the curve has {curve.fam.kinds[a[j]]} "
-            f"generators with omega {curve.fam.omegas[a[j]]}, the basis "
-            f"{basis.fam.kinds[b[j]]} ones with omega {basis.fam.omegas[b[j]]}")
+    _check_families(curve.fam, local.slots, target.fam, target.slots, breaks, first)
     tables = build_integral_table(curve.fam, breaks, q - p, q - 1, tol)
     lfunc = represent_knot_funcs(local.coefs[:, -2:], tables)
     lfunc[:, : local.coefs.shape[1] - 2] += local.coefs[:, :-2]
-    return _project(basis, lfunc, tol, coef_tol)
+    return lfunc
+
+
+def _check_families(fam, slots, fam1, slots1, breaks, first=0):
+    """On every interval of `breaks` live in both slot maps, the curve's family `fam` and
+    the basis's `fam1` must agree in kind and, unless linear, in frequency, or
+    InvalidFamily names the first interval, counted from `first`, where they differ."""
+    both = np.flatnonzero((slots >= 0) & (slots1 >= 0))
+    a, b = slots[both], slots1[both]
+    kind = fam._kind_ids[a]
+    bad = np.flatnonzero((kind != fam1._kind_ids[b]) | ((kind != KINDS.index("linear"))
+                         & (fam.omegas[a] != fam1.omegas[b])))
+    if len(bad):
+        j, i = bad[0], both[bad[0]]
+        raise InvalidFamily(
+            f"interval {first + i} [{breaks[i]}, {breaks[i + 1]}]: the curve has "
+            f"{fam.kinds[a[j]]} generators with omega {fam.omegas[a[j]]}, the basis "
+            f"{fam1.kinds[b[j]]} ones with omega {fam1.omegas[b[j]]}")
 
 
 # drivers ----------------------------------------------------------------------
 
 def _refined_knots(kv: KnotVector, inserts, raise_by, tol):
-    """Target knot vector: sorted insertion plus degree-raise repetitions."""
-    reg = kv.active_region()
-    a, b = float(reg[0]), float(reg[-1])
-    groups: list[list[float]] = []   # [value, multiplicity]
-    for x in reg[1:-1].tolist():
-        if groups and abs(x - groups[-1][0]) <= tol:
-            groups[-1][1] += 1
-        else:
-            groups.append([x, 1])
+    """Target knot vector: sorted insertion plus degree-raise repetitions.  A knot within
+    tol of its group's first takes its value; an insert joins the nearer (left on a tie)."""
+    reg, p = kv.active_region(), kv.degree
+    a, b, inner = float(reg[0]), float(reg[-1]), reg[1:-1]
+    gap = inner[1:] - inner[:-1]
+    short = (gap > 0) & (gap <= tol)
+    if short.any():
+        first = np.flatnonzero(np.concatenate(([True], gap > tol)))
+        for i in (np.flatnonzero(short) + 1).tolist():   # a run of short gaps splits past tol
+            if inner[i] - inner[first[np.searchsorted(first, i) - 1]] > tol:
+                first = np.insert(first, np.searchsorted(first, i), i)
+        inner = np.repeat(inner[first], np.diff(np.append(first, len(inner))))
     for x in inserts:
         x = float(x)
         if not (a + tol < x < b - tol):
             raise KnotOutsideActiveRegion(
                 f"knot {x} not strictly inside ({a}, {b})")
-        idx = bisect_right([g[0] for g in groups], x)
-        near = min(groups[max(idx - 1, 0) : idx + 1], key=lambda g: abs(x - g[0]), default=None)
-        if near is not None and abs(x - near[0]) <= tol:
-            near[1] += 1
-        else:
-            groups.insert(idx, [x, 1])
-    p = kv.degree
-    for value, mult in groups:
-        if mult > p + 1:
-            raise MultiplicityOverflow(
-                f"knot {value} would reach multiplicity {mult} > {p + 1}")
-    q = p + raise_by
-    interior = []
-    for value, mult in groups:
-        interior.extend([value] * (mult + raise_by))
-    return np.array([a] * (q + 1) + interior + [b] * (q + 1))
+        i = int(np.searchsorted(inner, x, side="right"))
+        near = min(inner[max(i - 1, 0) : i + 1].tolist(), key=lambda v: abs(x - v), default=x)
+        if abs(x - near) <= tol:
+            x, i = near, int(np.searchsorted(inner, near, side="right"))
+        inner = np.concatenate((inner[:i], [x], inner[i:]))
+    over = np.flatnonzero(inner[p + 1 :] == inner[: max(len(inner) - p - 1, 0)])
+    if len(over):
+        x = inner[over[0]]
+        raise MultiplicityOverflow(
+            f"knot {x} would reach multiplicity {np.count_nonzero(inner == x)} > {p + 1}")
+    if raise_by:   # raise_by more copies of each value
+        inner = np.repeat(inner, 1 + raise_by * (inner > np.concatenate(([-np.inf], inner[:-1]))))
+    return np.concatenate(([a] * (p + raise_by + 1), inner, [b] * (p + raise_by + 1)))
 
 
 def derive_family(fam: KnotFunctionFamily, knots, tol=DEFAULT_TOL) -> KnotFunctionFamily:
@@ -261,6 +280,19 @@ def derive_family(fam: KnotFunctionFamily, knots, tol=DEFAULT_TOL) -> KnotFuncti
                               slots=readonly(np.where(pos, np.cumsum(pos) - 1, -1), dtype=int))
 
 
+def _clamped(knots, lo, hi, p):
+    """Open knot vector on [knots[lo], knots[hi]], each end moved to the inner copy of its
+    value and raised to multiplicity p + 1 (`knots` itself if both are the active region's
+    ends), and the index in `knots` of its first function."""
+    if lo == p and hi == len(knots) - p - 1:
+        return knots, 0
+    if lo > p:
+        lo = int(np.searchsorted(knots, knots[lo], side="right")) - 1
+    if hi < len(knots) - p - 1:
+        hi = int(np.searchsorted(knots, knots[hi], side="left"))
+    return np.concatenate(([knots[lo]] * p, knots[lo : hi + 1], [knots[hi]] * p)), lo - p
+
+
 def refined_spline(curve: SplineCurve, basis: LocalBasis | None = None, *,
                    insert=(), elevate_by=0, tol=DEFAULT_TOL,
                    coef_tol=None) -> SplineCurve:
@@ -272,6 +304,16 @@ def refined_spline(curve: SplineCurve, basis: LocalBasis | None = None, *,
     still span the target local spaces (true for the trigonometric and
     exponential kinds, never for linear).  Control points shaped (n, d) are
     refined together: one target basis, one integral table.
+
+    Insertion alone changes the control points from p before the first knot
+    that moved to the one before the last: a coefficient depends only on the
+    knots inside its function's support.  The others are copied.  The
+    projection runs on a clamped window of knots around the changed ones'
+    supports and solves the very systems the full target has there, so its
+    cost does not grow with the curve.  Errors name global intervals.  A
+    caller's basis is still checked against the whole curve: its number of
+    functions and, unless it holds the curve's own family, its kinds and
+    frequencies.
     """
     tol, coef_tol = _tolerances(tol, coef_tol)
     elevate_by, p = index(elevate_by), curve.kv.degree
@@ -279,19 +321,54 @@ def refined_spline(curve: SplineCurve, basis: LocalBasis | None = None, *,
         raise DegreeTooSmall("refinement needs degree >= 2")
     if elevate_by < 0:
         raise ValueError("elevate_by must be nonnegative")
-    if elevate_by > 0 and any(k == "linear" for k in curve.fam.kinds):
+    if elevate_by > 0 and "linear" in curve.fam.kinds:
         raise FamilyNotClosedUnderDerivative(
             "derivatives of linear generators collapse; cannot raise the degree")
     q = p + elevate_by
-    knots1 = _refined_knots(curve.kv, insert, elevate_by, tol)
-    kv1 = KnotVector(knots1, q)
-    fam1 = derive_family(curve.fam, knots1, tol)
-    if basis is None:
-        basis = build_local_basis(curve.kv, curve.fam, tol)
-    piece = form_piecewise(curve.cpts, basis)
-    basis1 = build_local_basis(kv1, fam1, tol)
-    cpts1 = refine_curve(piece, basis1, tol, coef_tol)
-    return SplineCurve(kv=kv1, fam=fam1, cpts=cpts1)
+    knots, knots1 = curve.kv.knots, _refined_knots(curve.kv, insert, elevate_by, tol)
+    kv1, fam1 = KnotVector(knots1, q), derive_family(curve.fam, knots1, tol)
+    m, m1, n1 = len(knots), len(knots1), kv1.n_basis
+    if basis is not None:   # refuse another curve's basis, as the full projection does
+        _check_cpts(curve.cpts, basis.n_basis)
+        if basis.fam is not curve.fam:
+            breaks1 = knots1[q : m1 - q]
+            _check_families(basis.fam, containing_spans(basis.fam.spans, breaks1, tol),
+                            fam1, fam1.slots[q : m1 - q - 1], breaks1)
+    first, last = 0, n1 - 1   # the control points that change
+    if not elevate_by:   # from p before the first knot that moved to before the last
+        moved = np.flatnonzero(knots1[:m] != knots)
+        if not len(moved):
+            return SplineCurve(kv=kv1, fam=fam1, cpts=curve.cpts)
+        first = moved[0] - p
+        last = np.flatnonzero(knots1[m1 - m :] != knots)[-1] + m1 - m - 1
+    # the changed functions' supports and q knots more each side: every interval outside
+    # is one of `knots`, and each interval of those supports has only the target's functions
+    window, shift = _clamped(knots1, max(first - q, q), min(last + 2 * q + 1, m1 - q - 1), q)
+    whole = window is knots1
+    famw = fam1 if whole else derive_family(fam1, window, tol)
+    # source knot intervals lo..hi-1 cover the window
+    lo, hi = (p, m - p - 1) if whole else (shift + q, shift + len(window) - q - 1 - m1 + m)
+    if basis is None:   # a source basis is exact p intervals inside its window's ends
+        src, offset = _clamped(knots, max(lo - p, p), min(hi + p, m - p - 1), p)
+        basis = build_local_basis(*((curve.kv, curve.fam) if src is knots else
+                                    (KnotVector(src, p), derive_family(curve.fam, src, tol))), tol)
+        piece = form_piecewise(curve.cpts[offset : offset + len(src) - p - 1], basis)
+    else:
+        piece = _form_rows(curve.cpts, basis, lo - p, hi - p)
+    rows, j0 = build_local_basis(kv1 if whole else KnotVector(window, q), famw, tol).local, 0
+    if not whole:   # solve from the first to the last live interval whose nonzero functions
+        # are all the target's own: a clamped end's gives systems the target has not
+        k = shift + np.arange(len(rows.slots))
+        own = np.flatnonzero((np.diff(rows.breaks) > tol) & (knots1[k] >= window[q])
+                             & (knots1[k + 2 * q + 1] <= window[-q - 1]))
+        j0, j1 = (own[0], own[-1] + 1) if len(own) else (0, 0)   # none: nothing changes
+        rows = PiecewiseCurve(breaks=rows.breaks[j0 : j1 + 1], coefs=rows.coefs[j0:j1], degree=q,
+                              fam=famw, slots=rows.slots[j0:j1])
+    at, old = shift + j0, curve.cpts   # the target index of cpts[0]; the others are copied
+    cpts = old[:0] if not len(rows.slots) else _project(
+        rows, _target_rows(piece, rows, tol, at), tol, coef_tol, at)
+    return SplineCurve(kv=kv1, fam=fam1, cpts=np.concatenate(
+        [old[:first], cpts[first - at : last + 1 - at], old[len(old) - n1 + last + 1 :]]))
 
 
 def insert_knots(curve: SplineCurve, basis: LocalBasis | None, new_knots,
@@ -333,4 +410,4 @@ def greville_abscissae(basis: LocalBasis, tol=DEFAULT_TOL, coef_tol=None) -> np.
             "y = x lies outside the degree-2 local spaces of this family")
     else:
         lfunc[:, 1:] = 1.0   # first integrals of the linear pair sum to the local coordinate
-    return _project(basis, lfunc, tol, coef_tol)
+    return _project(basis.local, lfunc, tol, coef_tol)

@@ -479,6 +479,28 @@ class TestSubToleranceInterval:
             build_local_basis(self.kv, self.fam)
 
 
+class TestSubToleranceRun:
+    """Intervals each no longer than tol that together are longer: a t inside
+    the run belongs to the live interval on its left, as find_interval says."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("run", [(6e-11, 1.2e-10), (4e-11, 8e-11, 1.2e-10)])
+    def test_evaluates_inside_the_run(self, kind, run):
+        kv = open_kv(3, (0.5,) + tuple(0.5 + r for r in run))
+        fam = build_family(kv.knots, kind=kind, omega=1.0)
+        basis = build_local_basis(kv, fam)
+        cpts = np.random.default_rng(5).uniform(-1, 1, kv.n_basis)
+        curve = SplineCurve(kv=kv, fam=fam, cpts=cpts)
+        ts = 0.5 + np.linspace(0.0, run[-1], 13)[:-1]   # the last is the next live interval's
+        scalar = np.array([eval_curve(curve, basis, float(t)) for t in ts])
+        batch = eval_curve(curve, basis, ts)
+        assert batch.tobytes() == scalar.tobytes()
+        assert np.abs(scalar - scalar[0]).max() <= 1e-8   # continuous across the run
+        for t in ts.tolist():
+            first, vals = nonzero_basis_values(basis, t)
+            assert first == 0 and abs(vals.sum() - 1.0) <= 1e-12
+
+
 class TestBatchEvaluation:
     """Arrays of parameters go through the scalar path's arithmetic: every
     batch result equals the stacked scalar calls bit for bit."""
@@ -523,8 +545,9 @@ class TestBatchEvaluation:
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("degree", [2, 3, 5, 8])
-    @pytest.mark.parametrize("interior", [(0.3, 0.5, 0.5, 0.8), (0.3, 0.5, 0.5 + 1e-11, 0.8)],
-                             ids=["double-knot", "sub-tolerance-interval"])
+    @pytest.mark.parametrize("interior", [(0.3, 0.5, 0.5, 0.8), (0.3, 0.5, 0.5 + 1e-11, 0.8),
+                                          (0.3, 0.5, 0.5 + 4e-11, 0.5 + 8e-11, 0.5 + 1.2e-10, 0.8)],
+                             ids=["double-knot", "sub-tolerance-interval", "sub-tolerance-run"])
     @pytest.mark.parametrize("dim", [None, 3])
     def test_repeated_and_short_intervals(self, kind, degree, interior, dim):
         kv = open_kv(degree, interior)

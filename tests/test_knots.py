@@ -139,6 +139,19 @@ class TestFamilies:
         with pytest.raises(InvalidFamily, match=r"\[1\.0, 2\.0\]"):
             build_family([0, 1, 2], kinds=("exponential",) * 2, omegas=[700.0, 720.0])
 
+    @pytest.mark.parametrize("first, message", [
+        (("trigonometric", 4.0), r"omega \* h = 4 on \[1\.0, 2\.0\] must stay below 3\.14159$"),
+        (("bogus", 1.0), r"unknown kind 'bogus'$"),
+        (("exponential", math.nan), r"frequency nan on \[1\.0, 2\.0\] must be finite$"),
+        (("exponential", -1.0), r"frequency must be positive$")])
+    def test_the_first_offending_span_names_the_error(self, first, message):
+        """Every check runs on all spans at once; the first span failing any
+        of them is named, with the message of its own first failing check."""
+        kinds = ("linear", first[0], "exponential", "rational", "trigonometric")
+        omegas = [-5.0, first[1], 710.0, 1.0, math.inf]
+        with pytest.raises(InvalidFamily, match=message):
+            build_family([0, 1, 2, 3, 4, 5], kinds=kinds, omegas=omegas)
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(InvalidFamily):
             build_family([0, 1], kind="rational")

@@ -1,9 +1,13 @@
 """Projection-based refinement: reindexing, generator rewrites, drivers."""
 import math
+import re
+from contextlib import nullcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import gbspline.refine
 from gbspline import (
     KnotVector,
     PiecewiseCurve,
@@ -25,6 +29,7 @@ from gbspline.errors import (
     InvalidFamily,
     IntervalStraddle,
     KnotOutsideActiveRegion,
+    LengthMismatch,
     MultiplicityOverflow,
     SingularLocalSystem,
 )
@@ -255,9 +260,8 @@ class TestInsertKnots:
         out = insert_knots(curve, basis, [x])
         k = int(np.searchsorted(kv.knots, x, side="right")) - 1
         p = kv.degree
-        np.testing.assert_allclose(out.cpts[: k - p + 1], curve.cpts[: k - p + 1],
-                                   atol=1e-10)
-        np.testing.assert_allclose(out.cpts[k + 1 :], curve.cpts[k:], atol=1e-10)
+        assert out.cpts[: k - p + 1].tobytes() == curve.cpts[: k - p + 1].tobytes()
+        assert out.cpts[k + 1 :].tobytes() == curve.cpts[k:].tobytes()
 
     @pytest.mark.parametrize("offset", [5e-11, -5e-11])
     def test_knot_within_tol_merges_from_either_side(self, offset):
@@ -283,6 +287,112 @@ class TestInsertKnots:
         curve = SplineCurve(kv=kv, fam=fam, cpts=np.ones(basis.n_basis))
         with pytest.raises(DegreeTooSmall):
             insert_knots(curve, basis, [0.25])
+
+
+def boehm_insert(knots, p, cpts, x):
+    """Boehm (CAD 12(4), 1980): one knot x inserted into a polynomial
+    B-spline, Q_i = a_i P_i + (1 - a_i) P_(i-1) with a_i = (x - t_i) /
+    (t_(i+p) - t_i) where t_i <= x < t_(i+p), P_i itself left of that range
+    and P_(i-1) right of it."""
+    k = max(i for i in range(len(knots) - p - 1) if knots[i] <= x)
+    alpha = [(x - knots[i]) / (knots[i + p] - knots[i]) for i in range(k - p + 1, k + 1)]
+    out = cpts[: k - p + 1] + [a * cpts[i] + (1 - a) * cpts[i - 1]
+                               for a, i in zip(alpha, range(k - p + 1, k + 1))] + cpts[k:]
+    return sorted(knots + [x]), out
+
+
+BOEHM_CASES = {"left end": lambda p: (0.01,), "middle": lambda p: (0.4321,),
+               "right end": lambda p: (0.99,), "doubled": lambda p: (0.4321, 0.4321),
+               "two apart": lambda p: (0.7, 0.2), "new knot to p+1": lambda p: (0.4321,) * (p + 1),
+               "old knot to p+1": lambda p: (0.5,) * p}
+# ROADMAP item 2: unequilibrated, these local systems fail the pivot floor,
+# next to the short end intervals or at a knot of multiplicity p + 1
+BOEHM_SINGULAR = {(7, "left end"), (7, "right end"), (8, "left end"), (8, "right end"),
+                  (8, "new knot to p+1")}
+
+
+@pytest.mark.parametrize("case", BOEHM_CASES)
+@pytest.mark.parametrize("p", range(2, 9))
+def test_linear_insertion_matches_boehm(p, case):
+    """The linear kind spans the polynomial splines, so Boehm's formula, run
+    in exact rational arithmetic, is an oracle: where it copies a control
+    point, insertion copies its bytes; elsewhere the two agree within
+    1e-13 up to degree 4.  Above that the unequilibrated local solves
+    (ROADMAP item 2) lose digits next to short intervals, up to 8e-11 at
+    degree 6, so the package's preservation bound 1e-8 applies."""
+    curve, basis = uniform_curve("linear", p, 8)
+    inserts = BOEHM_CASES[case](p)
+    if (p, case) in BOEHM_SINGULAR:
+        with pytest.raises(SingularLocalSystem):
+            insert_knots(curve, basis, inserts)
+        return
+    with pytest.warns(RuntimeWarning) if (p, case) == (6, "left end") else nullcontext():
+        out = insert_knots(curve, basis, inserts)   # pivot ratio 7.2e12 (ROADMAP item 5)
+    knots = [Fraction(v) for v in curve.kv.knots.tolist()]
+    cpts = source = [Fraction(v) for v in curve.cpts.tolist()]
+    for x in inserts:
+        knots, cpts = boehm_insert(knots, p, cpts, Fraction(x))
+    assert out.kv.knots.tolist() == [float(v) for v in knots]
+    want = np.array([float(v) for v in cpts])
+    new = [i for i, v in enumerate(cpts) if not any(v is c for c in source)] or [len(cpts)]
+    copied = [i for i in range(len(cpts)) if i < new[0] or i > new[-1]]   # around one window
+    assert copied and out.cpts[copied].tobytes() == want[copied].tobytes()
+    bound = (1e-13 if p <= 4 else 1e-8) * max(1.0, np.abs(want).max())
+    assert np.abs(out.cpts - want).max() <= bound
+
+
+def test_one_knot_insertion_builds_bases_on_a_window_only(monkeypatch):
+    """10^4 intervals: with the source basis given, one target basis over the
+    window; without it, a source basis over a window p intervals wider."""
+    kv = open_kv(3, np.linspace(0, 1, 10001)[1:-1])
+    fam = build_family(kv.knots)
+    curve = SplineCurve(kv=kv, fam=fam, cpts=np.random.default_rng(3).uniform(-1, 1, kv.n_basis))
+    basis = build_local_basis(kv, fam)
+    sizes, build = [], gbspline.refine.build_local_basis
+    monkeypatch.setattr(gbspline.refine, "build_local_basis",
+                        lambda kv, fam, tol: sizes.append(len(kv.knots)) or build(kv, fam, tol))
+    for given in (basis, None):
+        out = insert_knots(curve, given, [0.4321])
+        assert out.kv.n_basis == kv.n_basis + 1
+    assert len(sizes) == 3 and max(sizes) < 8 * (3 + 1)
+
+
+def test_window_errors_name_global_intervals():
+    """Errors raised on the window count intervals over the whole target:
+    linear p=8 fails the pivot floor on every interval, and an insertion
+    solves, and names, only the window's."""
+    interior = sorted(np.linspace(0, 1, 65)[1:-1].tolist() + [0.5 + 6e-11, 0.5 + 1.2e-10])
+    kv = open_kv(3, interior)   # two short intervals at 0.5 merge into a knot no span holds
+    curve = SplineCurve(kv=kv, fam=build_family(kv.knots), cpts=np.ones(kv.n_basis))
+    with pytest.raises(IntervalStraddle, match=r"^interval 37 \[0\.5, 0\.50000000012\] "):
+        insert_knots(curve, None, [0.45])
+    curve, basis = uniform_curve("linear", 8, 64)   # every local system fails the pivot floor
+    with pytest.raises(SingularLocalSystem) as error:
+        insert_knots(curve, basis, [0.4321])
+    j, a, b = re.search(r"interval (\d+) \[(\S+), (\S+)\]", str(error.value)).groups()
+    breaks = _refined_knots(curve.kv, [0.4321], 0, DEFAULT_TOL)[8:-8]
+    assert int(j) > 0 and [float(a), float(b)] == breaks[int(j) : int(j) + 2].tolist()
+
+
+@pytest.mark.parametrize("insert, first", [((), "15 [0.9375, 1.0]"), ((0.1,), "16 [0.9375, 1.0]"),
+                                           ((0.95,), "15 [0.9375, 0.95]")])
+def test_another_curves_basis_is_refused_over_the_whole_curve(insert, first):
+    """A basis that differs from the curve only on its last interval, far
+    from the window of an insertion at 0.1, or with no knot to insert, is
+    refused as a projection over the whole curve refuses it."""
+    kv = open_kv(3, np.linspace(0, 1, 17)[1:-1])
+    curve = SplineCurve(kv=kv, fam=build_family(kv.knots),
+                        cpts=np.random.default_rng(3).uniform(-1, 1, kv.n_basis))
+    other = build_local_basis(kv, build_family(kv.knots, omegas=[np.pi / 2] * 15 + [1.0]))
+    with pytest.raises(InvalidFamily, match=rf"^interval {re.escape(first)}: the curve has "
+                                            r"trigonometric generators with omega 1\.0, "):
+        insert_knots(curve, other, insert)
+    kv1 = open_kv(3, np.linspace(0, 1, 16)[1:-1])
+    with pytest.raises(LengthMismatch, match="^18 basis functions but control points shaped"):
+        insert_knots(curve, build_local_basis(kv1, build_family(kv1.knots)), insert)
+    kv1 = open_kv(3, np.linspace(0, 1, 17)[1:-1] + 0.01)
+    with pytest.raises(IntervalStraddle, match=r"^interval 1 \[0\.0625, 0\.1"):
+        insert_knots(curve, build_local_basis(kv1, build_family(kv1.knots)), insert)
 
 
 class TestElevateDegree:
@@ -630,12 +740,22 @@ class TestMixedFamily:
     @pytest.mark.parametrize("insert, raise_by", [((0.4321,), 0), ((0.55,), 2)])
     def test_shared_tables_match_tables_built_apart(self, insert, raise_by):
         # refined_spline's control points are those of refine_curve against a
-        # target basis built apart from it, byte for byte
+        # target basis built apart from it: byte for byte under a degree
+        # raise; an insertion between knots 0.3 and 0.5 projects only the p
+        # control points whose functions span it, and copies the others
         curve, basis = self.curve()
         out = refined_spline(curve, basis, insert=insert, elevate_by=raise_by)
         basis1 = build_local_basis(out.kv, out.fam)
         cpts = refine_curve(form_piecewise(curve.cpts, basis), basis1)
-        assert cpts.tobytes() == out.cpts.tobytes()
+        if raise_by:
+            assert cpts.tobytes() == out.cpts.tobytes()
+            return
+        k = int(np.searchsorted(curve.kv.knots, insert[0], side="right")) - 1
+        window = slice(k - 2, k + 1)
+        scale = max(1.0, float(np.abs(cpts).max()))
+        assert np.abs(out.cpts[window] - cpts[window]).max() <= 1e-12 * scale
+        assert out.cpts[: k - 2].tobytes() == curve.cpts[: k - 2].tobytes()
+        assert out.cpts[k + 1 :].tobytes() == curve.cpts[k:].tobytes()
 
     @pytest.mark.parametrize("kind, degree", [("linear", 2)] + [
         (kind, degree) for kind in ALL_KINDS + ("mixed",) for degree in range(3, 9)])
