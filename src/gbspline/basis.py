@@ -31,7 +31,7 @@ from .errors import (
     LengthMismatch,
     OutOfInterval,
 )
-from .knots import (KnotFunctionFamily, KnotVector, _ladder_polys, _ladder_values,
+from .knots import (KnotFunctionFamily, KnotVector, _ladder_polys, _ladders_at,
                     containing_spans, find_interval, readonly)
 from .poly import DEFAULT_TOL, integrate_poly, poly_eval, taylor_shift
 
@@ -269,7 +269,7 @@ def _next_level(lens, alive, reps, right, k):
     """
     win = np.arange(len(reps))[:, None] + np.arange(k + 2)   # support windows and one slot more
     j, cum = win[:, :-1], integrate_poly(reps[..., :-2])
-    ints = np.where(alive[j], poly_eval(np.moveaxis(cum, -1, 0), lens[j])
+    ints = np.where(alive[j], poly_eval(cum.transpose(2, 0, 1), lens[j])
                     + reps[..., -2] * right[j, 0] + reps[..., -1] * right[j, 1], 0.0)
     delta = ints.sum(axis=1)
     cum[:, 1:, 0] = np.cumsum(ints[:, :-1], axis=1)
@@ -294,25 +294,26 @@ def build_local_basis(kv: KnotVector, fam: KnotFunctionFamily, tol=DEFAULT_TOL) 
     if p < 1:
         raise DegreeTooSmall("basis construction needs degree >= 1")
     knots = kv.knots
-    m = len(knots)
-    lens = np.diff(knots)
-    slots = containing_spans(fam.spans, knots, tol)   # -1 exactly where lens <= tol
-    alive = slots >= 0
-
-    reps = np.zeros((m - 2, 2, 2))   # no polynomial part yet: u, then v
-    reps[:, 0, 0] = 1.0
-    reps[:, 1, 1] = 1.0
-
-    # ladder values of orders 1..p-1 at the right end of every knot interval
-    live = np.flatnonzero(alive)
+    slots = containing_spans(fam.spans, knots, tol)   # -1 exactly where the interval is <= tol
+    live = np.flatnonzero(slots >= 0)
     lo, hi = fam.spans[slots[live]].T
     if len(wide := np.flatnonzero((lo < knots[live] - tol) | (hi > knots[live + 1] + tol))):
         j, k = int(live[wide[0]]), wide[0]
         raise InvalidFamily(f"knot interval {j} [{knots[j]}, {knots[j + 1]}] lies inside the "
                             f"longer span [{lo[k]}, {hi[k]}]; build the family over the knots")
-    right = np.zeros((p - 1, m - 1, 2))
-    right[:, live] = _ladder_values(fam._kind_ids[slots[live]], hi - lo, fam.omegas[slots[live]],
-                                    range(1, p), (knots[live + 1] - lo) / (hi - lo)).swapaxes(1, 2)
+    return _basis_from_ends(kv, fam, slots, *_ladders_at(range(1, p), (fam, slots, knots, False)))
+
+
+def _basis_from_ends(kv: KnotVector, fam: KnotFunctionFamily, slots, right) -> LocalBasis:
+    """build_local_basis from the slot map of kv's knot intervals in `fam`
+    and the ladder values of orders 1..p-1 at the right end of each
+    (`_ladders_at`), unchecked."""
+    p, knots = kv.degree, kv.knots
+    m = len(knots)
+    lens, alive = np.diff(knots), slots >= 0
+    reps = np.zeros((m - 2, 2, 2))   # no polynomial part yet: u, then v
+    reps[:, 0, 0] = 1.0
+    reps[:, 1, 1] = 1.0
     deltas = []
     for level in range(1, p):
         delta, reps = _next_level(lens, alive, reps, right[level - 1], level)
@@ -322,7 +323,7 @@ def build_local_basis(kv: KnotVector, fam: KnotFunctionFamily, tol=DEFAULT_TOL) 
     # component c is function j + c's slot p - c
     rows = np.arange(len(reps) - p)[:, None] + np.arange(p + 1)
     local = PiecewiseCurve(breaks=kv.active_region(),
-                           coefs=np.moveaxis(reps[rows, p - np.arange(p + 1)], 1, -1),
+                           coefs=reps[rows, p - np.arange(p + 1)].swapaxes(1, 2),
                            degree=p, fam=fam, slots=slots[p : m - p - 1])
     return LocalBasis(kv=kv, fam=fam, local=local, deltas=tuple(readonly(d) for d in deltas))
 

@@ -6,7 +6,10 @@ integrals are taken from the interval's left endpoint, so every positive
 order vanishes there; this canonical choice keeps all downstream
 bookkeeping free of integration constants.  Every order, derivatives too,
 is a polynomial in the interval's local coordinate with per-span
-coefficients, evaluated by Horner's rule.
+coefficients, evaluated by Horner's rule.  A span's values depend on its
+kind, length and frequency alone, so one pass (`_ladders_at`) serves
+several callers at once: a refinement reads the target basis's right ends
+and the source generators' integral table from the same call.
 
 All types are immutable after construction and safe for concurrent reads.
 Scalar parameters are computed as Python floats whatever their type:
@@ -27,6 +30,7 @@ from .errors import (
     DegreeTooSmall,
     IntervalStraddle,
     InvalidFamily,
+    MultiplicityOverflow,
     NotNondecreasing,
     NotOpen,
     OutOfActiveRegion,
@@ -49,7 +53,8 @@ def readonly(a, dtype=float):
 
 @dataclass(frozen=True, eq=False)
 class KnotVector:
-    """Open nondecreasing knot sequence with its spline degree."""
+    """Open nondecreasing knot sequence with its spline degree; no knot,
+    end or interior, is repeated more than degree + 1 times."""
 
     knots: np.ndarray
     degree: int
@@ -66,6 +71,11 @@ class KnotVector:
             raise NotNondecreasing("knots must be finite and nondecreasing")
         if k[0] != k[p] or k[m - p - 1] != k[m - 1]:
             raise NotOpen(f"first and last knots need multiplicity {p + 1}")
+        over = np.flatnonzero(k[p + 1 :] == k[: m - p - 1])
+        if len(over):   # a basis function over p + 2 equal knots is identically zero
+            x = k[over[0]]
+            raise MultiplicityOverflow(
+                f"knot {x} has multiplicity {np.count_nonzero(k == x)} > {p + 1}")
         object.__setattr__(self, "_active", k[p : m - p])
 
     @property
@@ -244,6 +254,43 @@ def _ladder_values(codes, h, omega, orders, x, at=None):
     return out
 
 
+def _ladders_at(orders, *requests):
+    """Ladder values of orders `orders` for several requests from one
+    `_ladder_values` pass.  A request (fam, slots, breaks, both) asks, on
+    every live interval j of `breaks` (fam's span slots[j]), for the right
+    end, or both ends if `both`, and gets an array [k, j, (e,) w] (order,
+    interval, end, generator 'u' first), zero on dead intervals.  A span's
+    values do not depend on the other requests."""
+    args, counts, points = [], [], []
+    for fam, slots, breaks, both in requests:
+        live = np.flatnonzero(slots >= 0)
+        span, t = slots[live], breaks[live + 1]
+        left, right = fam.spans[span].T
+        x = (t - left) / (right - left) if not both else (
+            (np.stack([breaks[live], t], axis=1) - left[:, None]) / (right - left)[:, None])
+        args.append((fam._kind_ids[span], right - left, fam.omegas[span], x.ravel()))
+        counts.append(len(live))
+        points.append(1 + both)
+    if points == [1]:   # one request, point i on span i
+        values = _ladder_values(*args[0][:3], orders, x)
+    else:   # a span's values depend on its kind, length and frequency alone: build each once
+        codes, h, omega, x = (np.concatenate(a) for a in zip(*args))
+        order = np.lexsort((omega, codes, h))
+        key = np.stack([h, codes, omega])[:, order]
+        new = np.concatenate(([True], (key[:, 1:] != key[:, :-1]).any(axis=0)))
+        group, one = np.empty(len(h), dtype=int), order[new]
+        group[order] = np.cumsum(new) - 1
+        values = _ladder_values(codes[one], h[one], omega[one], orders, x,
+                                np.repeat(group, np.repeat(points, counts)))
+    end, out = 0, []
+    for (_, slots, _, both), n, e in zip(requests, counts, points):
+        part = values[..., end : end + n * e].reshape((len(orders), 2, n) + (2,) * both)
+        out.append(np.zeros((len(orders), len(slots)) + (2,) * both + (2,)))
+        out[-1][:, slots >= 0] = part.transpose((0, 2, 3, 1) if both else (0, 2, 1))
+        end += n * e
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class KnotFunctionFamily:
     """Generator pairs for the positive-length intervals of a knot sequence.
@@ -352,15 +399,11 @@ def build_integral_table(fam: KnotFunctionFamily, breakpoints, derivative_offset
     `derivative_offset`-th derivative of generator w ('u' first) of the
     source interval containing target interval j, evaluated at endpoint e
     (left, then right).  Zero-length target intervals are left as zeros.
-    One array `fam.value` call covers every order, generator and target.
+    One `_ladder_values` pass covers every order, generator and target.
     """
     if derivative_offset < 0:
         raise ValueError("derivative_offset must be nonnegative")
     br = np.asarray(breakpoints, dtype=float)
     slots = containing_spans(fam.spans, br, tol)
-    live = np.flatnonzero(slots >= 0)
-    ends = np.stack([br[live], br[live + 1]], axis=1)
     orders = range(-derivative_offset, max_order + 1 - derivative_offset)
-    out = np.zeros((max_order + 1, len(slots), 2, 2))
-    out[:, live] = np.moveaxis(fam.value(slots[live, None], orders, ends, tol), 1, -1)
-    return out
+    return _ladders_at(orders, (fam, slots, br, True))[0]

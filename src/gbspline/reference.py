@@ -92,14 +92,16 @@ class ReferenceEvaluator:
     def _seed(self, i, t):
         """Degree-1 function i at t from the generators' definition: span i's
         u = G(omega s)/G(omega h), then span i+1's v = G(omega (h - s))/G(omega h),
-        s = t - left, G = sin or sinh; s/h and 1 - s/h on the linear kind."""
-        knots = self._knots
-        if knots[i + 1] - knots[i] > self.tol and knots[i] <= t < knots[i + 1]:
-            slot, rising = self._slots[i], True
-        elif knots[i + 2] - knots[i + 1] > self.tol and knots[i + 1] <= t <= knots[i + 2]:
-            slot, rising = self._slots[i + 1], False
-        else:
+        s = t - left, G = sin or sinh; s/h and 1 - s/h on the linear kind.
+        t belongs to the knot interval holding it, the last one closed; inside
+        a run of intervals no longer than tol, to the longer one on its left."""
+        knots, tol = self._knots, self.tol
+        j = min(bisect_right(knots, t), len(knots) - 1) - 1   # -1 left of the knots
+        while j > 0 and not knots[j + 1] - knots[j] > tol:
+            j -= 1
+        if t > knots[-1] or j - i not in (0, 1) or not knots[j + 1] - knots[j] > tol:
             return 0.0
+        slot, rising = self._slots[j], j == i
         (left, right), omega, kind = self._spans[slot], self._omegas[slot], self.fam.kinds[slot]
         s, h = t - left, right - left
         if kind == "linear":

@@ -12,14 +12,20 @@ skips the rewrite and shares only the projection.
 Knot insertion projects only on a clamped window of target knots around
 the new ones and copies every other control point; a degree raise's window
 is the whole target.  Per-interval work is independent, so every stage
-runs on arrays over the window at once: one Taylor shift re-expands the
-polynomial parts, one batched elimination solves all local systems, and
-one scatter averages the anti-diagonals.
+runs on arrays over the window at once: one ladder pass gives the target
+basis's right ends and the source generators' integral table, one Taylor
+shift re-expands the polynomial parts, one batched elimination solves all
+local systems, and one scatter averages the anti-diagonals.  Target
+intervals are placed in source spans once over the whole target, to derive
+its family, and once over the solved ones, to reindex the curve; a
+caller's basis of another family object, or a source basis built on a
+window, adds one more search.
 """
 from __future__ import annotations
 
 import math
 import warnings
+from itertools import chain
 from operator import index
 
 import numpy as np
@@ -28,6 +34,7 @@ from .basis import (
     LocalBasis,
     PiecewiseCurve,
     SplineCurve,
+    _basis_from_ends,
     _check_cpts,
     _form_rows,
     build_local_basis,
@@ -47,6 +54,7 @@ from .knots import (
     KINDS,
     KnotFunctionFamily,
     KnotVector,
+    _ladders_at,
     build_integral_table,
     containing_spans,
     readonly,
@@ -78,29 +86,33 @@ def _solve(matrices, rhs, name):
     `matrices` is (systems, n, n) and `rhs` (systems, n) or (systems, n, d):
     d right-hand sides share one elimination.  `name(i)` describes system i.
     A pivot at or below 1e-13 times the system's largest entry (at least 1)
-    raises SingularLocalSystem; pivot ratios above PIVOT_RATIO_WARN give one
-    warning for the whole stack, at its worst system ("the worst of N" counts
-    only a knot insertion's window).
+    raises SingularLocalSystem, naming the first column where one occurs and
+    the first system with one there; pivot ratios above PIVOT_RATIO_WARN give
+    one warning for the whole stack, at its worst system ("the worst of N"
+    counts only a knot insertion's window).
     """
     rhs = np.asarray(rhs, dtype=float)
     count, n = rhs.shape[:2]
     a = np.concatenate([np.asarray(matrices, dtype=float), rhs.reshape(count, n, -1)], axis=2)
     floor = 1e-13 * np.maximum(1.0, np.abs(a[:, :, :n]).max(axis=(1, 2), initial=0.0))
     every = np.arange(count)
-    for col in range(n):
-        r = col + np.argmax(np.abs(a[:, col:, col]), axis=1)
-        rows = a[every, r]
-        low = np.flatnonzero(np.abs(rows[:, col]) <= floor)
-        if len(low):
-            i = low[0]
-            raise SingularLocalSystem(
-                f"system is singular at column {col} on {name(i)}: "
-                f"|pivot| {abs(rows[i, col]):.3e} <= floor {floor[i]:.3e}")
-        a[every, r] = a[:, col]
-        a[:, col] = rows
-        pivot = a[:, col : col + 1, col : col + 1]
-        a[:, col + 1 :] -= a[:, col + 1 :, col : col + 1] / pivot * a[:, col : col + 1]
+    # a system with a pivot below its floor runs on to nonsense alone, refused after the loop
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for col in range(n):
+            r = col + np.argmax(np.abs(a[:, col:, col]), axis=1)
+            rows = a[every, r]
+            a[every, r] = a[:, col]
+            a[:, col] = rows
+            pivot = a[:, col : col + 1, col : col + 1]
+            a[:, col + 1 :] -= a[:, col + 1 :, col : col + 1] / pivot * a[:, col : col + 1]
     pivots = np.abs(np.diagonal(a, axis1=1, axis2=2))
+    low = pivots <= floor[:, None]
+    if low.any():
+        col = int(np.argmax(low.any(axis=0)))
+        i = int(np.argmax(low[:, col]))
+        raise SingularLocalSystem(
+            f"system is singular at column {col} on {name(i)}: "
+            f"|pivot| {pivots[i, col]:.3e} <= floor {floor[i]:.3e}")
     ratio = pivots.max(axis=1) / pivots.min(axis=1)
     if count and ratio.max() > PIVOT_RATIO_WARN:
         i = int(np.argmax(ratio))
@@ -133,7 +145,7 @@ def refine_local(curve: PiecewiseCurve, dst_breaks, tol=DEFAULT_TOL) -> Piecewis
     coefs = np.zeros((len(idx),) + curve.coefs.shape[1:])
     coefs[live] = curve.coefs[row]
     tau = (dst[live] - spans[idx[live], 0]).reshape((-1,) + (1,) * (coefs.ndim - 2))
-    coefs[live, :-2] = np.moveaxis(taylor_shift(np.moveaxis(coefs[live, :-2], 1, 0), tau), 0, 1)
+    coefs[live, :-2] = taylor_shift(coefs[live, :-2].swapaxes(0, 1), tau).swapaxes(0, 1)
     slots = np.full(len(idx), -1)
     slots[live] = curve.slots[row]
     return PiecewiseCurve(breaks=dst, coefs=coefs, degree=curve.degree, fam=curve.fam,
@@ -157,26 +169,26 @@ def represent_knot_funcs(gen, tables_src):
     """
     orders, num = tables_src.shape[:2]
     gen = np.asarray(gen, dtype=float)
-    ivals = np.einsum("kjew,jw...->kje...", tables_src, gen)
+    tables = tables_src.reshape(tables_src.shape + (1,) * (gen.ndim - 2))   # components last
+    ivals = tables[:, :, :, 0] * gen[:, None, 0] + tables[:, :, :, 1] * gen[:, None, 1]
     out = np.zeros((num, orders + 1) + gen.shape[2:])
     out[:, -2:] = ivals[0, :, ::-1]
-    out[:, :-2] = np.moveaxis(left_taylor_series(ivals[:0:-1, :, 0]), 0, 1)
+    out[:, :-2] = left_taylor_series(ivals[:0:-1, :, 0]).swapaxes(0, 1)
     return out
 
 
-def _project(local: PiecewiseCurve, lfunc, tol, coef_tol, first=0) -> np.ndarray:
+def _project(breaks, rows, lfunc, tol, coef_tol, first=0) -> np.ndarray:
     """Control points of the function whose target-local rows (polynomial
-    part, then generator pair, as a basis's rows `local` store them) are
-    `lfunc`: per positive-length interval solve for the coefficients of the
-    nonzero basis functions, each interval once with all d components as
+    part, then generator pair, as a basis's `rows` over `breaks` store them)
+    are `lfunc`: per positive-length interval solve for the coefficients of
+    the nonzero basis functions, each interval once with all d components as
     right-hand sides, and aggregate by anti-diagonal averaging.  Errors count
-    intervals and coefficients from `first`, the place of `local` in the
+    intervals and coefficients from `first`, the place of `rows` in the
     target's rows."""
-    breaks = local.breaks
     live = np.flatnonzero(np.diff(breaks) > tol)
     coefs = np.full(lfunc.shape, np.nan)
     coefs[live] = _solve(
-        local.coefs[live], lfunc[live],
+        rows[live], lfunc[live],
         lambda i: f"interval {first + live[i]} [{breaks[live[i]]}, {breaks[live[i] + 1]}]")
     return reverse_diagonal_averages(coefs, coef_tol, first=first)
 
@@ -195,28 +207,28 @@ def refine_curve(curve: PiecewiseCurve, basis: LocalBasis,
     components gives control points shaped (n, d).
     """
     tol, coef_tol = _tolerances(tol, coef_tol)
-    return _project(basis.local, _target_rows(curve, basis.local, tol), tol, coef_tol)
-
-
-def _target_rows(curve: PiecewiseCurve, target: PiecewiseCurve, tol, first=0):
-    """refine_curve's rows in the coordinates of `target`, a basis's rows or
-    some of them; intervals counted from `first`."""
-    q, p = target.degree, curve.degree
+    q, p, target = basis.degree, curve.degree, basis.local
     if q < p:
         raise ValueError(f"target degree {q} is below the curve's degree {p}")
-    breaks = target.breaks
-    local = refine_local(curve, breaks, tol)
-    _check_families(curve.fam, local.slots, target.fam, target.slots, breaks, first)
-    tables = build_integral_table(curve.fam, breaks, q - p, q - 1, tol)
+    local = refine_local(curve, target.breaks, tol)
+    _check_families(curve.fam, local.slots, target.fam, target.slots, target.breaks)
+    tables = build_integral_table(curve.fam, target.breaks, q - p, q - 1, tol)
+    return _project(target.breaks, target.coefs, _target_rows(local, tables), tol, coef_tol)
+
+
+def _target_rows(local: PiecewiseCurve, tables):
+    """The rows, in target coordinates, of a curve reindexed onto the target
+    breaks (`local`), from its source generators' integral table there: the
+    rewritten generator terms plus the polynomial parts."""
     lfunc = represent_knot_funcs(local.coefs[:, -2:], tables)
     lfunc[:, : local.coefs.shape[1] - 2] += local.coefs[:, :-2]
     return lfunc
 
 
-def _check_families(fam, slots, fam1, slots1, breaks, first=0):
+def _check_families(fam, slots, fam1, slots1, breaks):
     """On every interval of `breaks` live in both slot maps, the curve's family `fam` and
     the basis's `fam1` must agree in kind and, unless linear, in frequency, or
-    InvalidFamily names the first interval, counted from `first`, where they differ."""
+    InvalidFamily names the first interval where they differ."""
     both = np.flatnonzero((slots >= 0) & (slots1 >= 0))
     a, b = slots[both], slots1[both]
     kind = fam._kind_ids[a]
@@ -225,7 +237,7 @@ def _check_families(fam, slots, fam1, slots1, breaks, first=0):
     if len(bad):
         j, i = bad[0], both[bad[0]]
         raise InvalidFamily(
-            f"interval {first + i} [{breaks[i]}, {breaks[i + 1]}]: the curve has "
+            f"interval {i} [{breaks[i]}, {breaks[i + 1]}]: the curve has "
             f"{fam.kinds[a[j]]} generators with omega {fam.omegas[a[j]]}, the basis "
             f"{fam1.kinds[b[j]]} ones with omega {fam1.omegas[b[j]]}")
 
@@ -274,10 +286,16 @@ def derive_family(fam: KnotFunctionFamily, knots, tol=DEFAULT_TOL) -> KnotFuncti
     pos = slots >= 0
     if not pos.any():
         raise InvalidFamily(f"no knot interval is longer than tol={tol:g}")
-    return KnotFunctionFamily(spans=readonly(np.stack([knots[:-1][pos], knots[1:][pos]], axis=1)),
-                              kinds=tuple([fam.kinds[s] for s in slots[pos].tolist()]),
-                              omegas=readonly(fam.omegas[slots[pos]]),
-                              slots=readonly(np.where(pos, np.cumsum(pos) - 1, -1), dtype=int))
+    src = slots[pos]
+    cut = np.flatnonzero(src[1:] != src[:-1] + 1)   # runs of consecutive source spans
+    runs = zip(src[np.append(0, cut + 1)].tolist(), src[np.append(cut, len(src) - 1)].tolist())
+    out = KnotFunctionFamily(spans=readonly(np.stack([knots[:-1][pos], knots[1:][pos]], axis=1)),
+                             kinds=tuple(chain.from_iterable(fam.kinds[a : b + 1]
+                                                             for a, b in runs)),
+                             omegas=readonly(fam.omegas[src]),
+                             slots=readonly(np.where(pos, np.cumsum(pos) - 1, -1), dtype=int))
+    out.__dict__["_kind_ids"] = readonly(fam._kind_ids[src], dtype=int)   # the cached property
+    return out
 
 
 def _clamped(knots, lo, hi, p):
@@ -345,28 +363,38 @@ def refined_spline(curve: SplineCurve, basis: LocalBasis | None = None, *,
     # is one of `knots`, and each interval of those supports has only the target's functions
     window, shift = _clamped(knots1, max(first - q, q), min(last + 2 * q + 1, m1 - q - 1), q)
     whole = window is knots1
-    famw = fam1 if whole else derive_family(fam1, window, tol)
     # source knot intervals lo..hi-1 cover the window
     lo, hi = (p, m - p - 1) if whole else (shift + q, shift + len(window) - q - 1 - m1 + m)
     if basis is None:   # a source basis is exact p intervals inside its window's ends
         src, offset = _clamped(knots, max(lo - p, p), min(hi + p, m - p - 1), p)
-        basis = build_local_basis(*((curve.kv, curve.fam) if src is knots else
-                                    (KnotVector(src, p), derive_family(curve.fam, src, tol))), tol)
+        if src is knots:
+            basis = build_local_basis(curve.kv, curve.fam, tol)
+        else:   # a family derived over its knots needs no checks
+            fam = derive_family(curve.fam, src, tol)
+            basis = _basis_from_ends(KnotVector(src, p), fam, fam.slots,
+                                     *_ladders_at(range(1, p), (fam, fam.slots, src, False)))
         piece = form_piecewise(curve.cpts[offset : offset + len(src) - p - 1], basis)
     else:
         piece = _form_rows(curve.cpts, basis, lo - p, hi - p)
-    rows, j0 = build_local_basis(kv1 if whole else KnotVector(window, q), famw, tol).local, 0
-    if not whole:   # solve from the first to the last live interval whose nonzero functions
-        # are all the target's own: a clamped end's gives systems the target has not
-        k = shift + np.arange(len(rows.slots))
-        own = np.flatnonzero((np.diff(rows.breaks) > tol) & (knots1[k] >= window[q])
+    # the window's knot intervals in fam1, and the ones solved: j0..j1-1 of its active ones
+    slots = np.concatenate(([-1] * q, fam1.slots[shift + q : shift + len(window) - q - 1],
+                            [-1] * q))
+    breaks, j0, j1 = window[q : len(window) - q], 0, len(window) - 2 * q - 1
+    if not whole:   # from the first to the last live interval whose nonzero functions are
+        # all the target's own: a clamped end's gives systems the target has not
+        k = shift + np.arange(j1)
+        own = np.flatnonzero((np.diff(breaks) > tol) & (knots1[k] >= window[q])
                              & (knots1[k + 2 * q + 1] <= window[-q - 1]))
         j0, j1 = (own[0], own[-1] + 1) if len(own) else (0, 0)   # none: nothing changes
-        rows = PiecewiseCurve(breaks=rows.breaks[j0 : j1 + 1], coefs=rows.coefs[j0:j1], degree=q,
-                              fam=famw, slots=rows.slots[j0:j1])
     at, old = shift + j0, curve.cpts   # the target index of cpts[0]; the others are copied
-    cpts = old[:0] if not len(rows.slots) else _project(
-        rows, _target_rows(piece, rows, tol, at), tol, coef_tol, at)
+    cpts = old[:0]
+    if j1 > j0:   # one ladder pass: the target basis's right ends and the source table
+        local = refine_local(piece, breaks[j0 : j1 + 1], tol)
+        right, tables = _ladders_at(range(p - q, q), (fam1, slots, window, False),
+                                    (piece.fam, local.slots, local.breaks, True))
+        rows = _basis_from_ends(kv1 if whole else KnotVector(window, q), fam1, slots,
+                                right[q - p + 1 :]).local.coefs[j0:j1]
+        cpts = _project(local.breaks, rows, _target_rows(local, tables[:q]), tol, coef_tol, at)
     return SplineCurve(kv=kv1, fam=fam1, cpts=np.concatenate(
         [old[:first], cpts[first - at : last + 1 - at], old[len(old) - n1 + last + 1 :]]))
 
@@ -410,4 +438,4 @@ def greville_abscissae(basis: LocalBasis, tol=DEFAULT_TOL, coef_tol=None) -> np.
             "y = x lies outside the degree-2 local spaces of this family")
     else:
         lfunc[:, 1:] = 1.0   # first integrals of the linear pair sum to the local coordinate
-    return _project(basis.local, lfunc, tol, coef_tol)
+    return _project(breaks, basis.local.coefs, lfunc, tol, coef_tol)

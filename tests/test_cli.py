@@ -188,6 +188,16 @@ class TestCurveFile:
             load_curve(path)
         assert type(info.value) is CurveFileError and str(info.value) == message
 
+    @pytest.mark.parametrize("knots", [[0] * 5 + [0.2, 0.4, 0.6, 0.8] + [1] * 4,
+                                       [0] * 4 + [0.2, 0.4, 0.6, 0.8] + [1] * 5])
+    def test_an_end_knot_past_degree_plus_one_copies_is_a_file_error(self, tmp_path, knots):
+        doc = {"degree": 3, "knots": knots, "families": [{"kind": "linear"}] * 5,
+               "control_points": [[float(i)] for i in range(len(knots) - 4)]}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CurveFileError, match=r"^knot [01]\.0 has multiplicity 5 > 4$"):
+            load_curve(path)
+
 
 class TestCommands:
     def test_eval_writes_samples(self, tmp_path):
@@ -301,15 +311,17 @@ class TestCommands:
 
     @pytest.mark.parametrize("args", [["insert", "--at", "0.3"], ["elevate", "--by", "1"]])
     def test_refinement_builds_two_bases(self, tmp_path, monkeypatch, args):
-        """A 3-D curve is refined in one projection: source and target basis."""
+        """A 3-D curve is refined in one projection: source and target basis,
+        public builds or `refined_spline`'s builds from ladder values."""
         calls = []
 
-        def counting(*a, **kw):
-            calls.append(1)
-            return build_local_basis(*a, **kw)
+        def counting(build):
+            return lambda *a, **kw: calls.append(1) or build(*a, **kw)
 
         for module in (gbspline.cli, gbspline.refine):
-            monkeypatch.setattr(module, "build_local_basis", counting)
+            monkeypatch.setattr(module, "build_local_basis", counting(build_local_basis))
+        monkeypatch.setattr(gbspline.refine, "_basis_from_ends",
+                            counting(gbspline.refine._basis_from_ends))
         src = tmp_path / "c.json"
         write_demo_curve(src, dim=3, seed=4)
         assert main([args[0], "--curve", str(src), *args[1:],

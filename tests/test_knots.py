@@ -11,6 +11,7 @@ from gbspline import build_family, validate_open_knot_vector
 from gbspline.errors import (
     IntervalStraddle,
     InvalidFamily,
+    MultiplicityOverflow,
     NotNondecreasing,
     NotOpen,
     OutOfActiveRegion,
@@ -19,6 +20,7 @@ from gbspline.errors import (
 )
 from gbspline.knots import (
     _SERIES_THETA_MAX,
+    _ladder_values,
     build_integral_table,
     containing_spans,
     find_interval,
@@ -44,6 +46,16 @@ class TestValidation:
     def test_rejects_unclamped_ends(self):
         with pytest.raises(NotOpen):
             validate_open_knot_vector([0, 0, 0.5, 1, 1, 2], 2)
+
+    @pytest.mark.parametrize("knots, message", [
+        ([0] * 5 + [0.2, 0.4, 0.6, 0.8] + [1] * 4, "knot 0.0 has multiplicity 5 > 4"),
+        ([0] * 4 + [0.2, 0.4, 0.6, 0.8] + [1] * 5, "knot 1.0 has multiplicity 5 > 4"),
+        ([0] * 4 + [0.2] + [0.5] * 5 + [0.8] + [1] * 4, "knot 0.5 has multiplicity 5 > 4"),
+    ])
+    def test_rejects_a_knot_past_degree_plus_one_copies(self, knots, message):
+        """Its basis functions would be identically zero."""
+        with pytest.raises(MultiplicityOverflow, match=f"^{re.escape(message)}$"):
+            validate_open_knot_vector(knots, 3)
 
     def test_rejects_short_vector(self):
         with pytest.raises(TooShort):
@@ -352,6 +364,33 @@ class TestArrayLadder:
                     for row in zip(slot, t)]
             assert got.shape == (2,) + t.shape
             assert got.tobytes() == np.moveaxis(want, -1, 0).tobytes()
+
+    @pytest.mark.parametrize("kind, omega", [("linear", 1.0), ("trigonometric", 1.3),
+                                             ("exponential", 3 * _SERIES_THETA_MAX)])
+    @pytest.mark.parametrize("repeated", [True, False])
+    def test_one_call_over_two_span_sets_matches_two_calls(self, kind, omega, repeated):
+        """What refinement's single ladder pass relies on: a target basis's
+        right ends (orders 1..q-1, one point per span) and a source table
+        (orders p-q..p-1, two points per span) read from one call with the
+        union of their orders; h repeated within and across the two sets, or
+        all distinct.  omega = 12 puts exponential spans of h > 1/3 on the
+        closed forms."""
+        rng = np.random.default_rng(7 + repeated)
+        h = np.array([0.25, 0.5, 0.25, 0.5, 0.25]) if repeated else rng.uniform(0.05, 0.9, 5)
+        h2 = np.concatenate([h[:3], [0.5, 0.5]]) if repeated else rng.uniform(0.05, 0.9, 5)
+        code = ALL_KINDS.index(kind)   # the package's order of kinds
+        x1, x2 = np.ones(5), rng.uniform(0, 1, 10)
+        x2[:2] = 0.0, 1.0
+        at2 = np.repeat(np.arange(5), 2)
+        for p, q in ((3, 3), (2, 3), (2, 4), (5, 7)):
+            first = _ladder_values(np.full(5, code), h, np.full(5, omega), range(1, q), x1)
+            second = _ladder_values(np.full(5, code), h2, np.full(5, omega), range(p - q, p),
+                                    x2, at2)
+            both = _ladder_values(np.full(10, code), np.concatenate([h, h2]), np.full(10, omega),
+                                  range(p - q, q), np.concatenate([x1, x2]),
+                                  np.concatenate([np.arange(5), 5 + at2]))
+            assert both[q - p + 1 :, :, :5].tobytes() == first.tobytes()
+            assert both[:q, :, 5:].tobytes() == second.tobytes()
 
     def test_array_t_outside_its_interval(self):
         fam = self.family("trigonometric")

@@ -9,7 +9,10 @@ from gbspline import (
     QuadratureConfig,
     ReferenceEvaluator,
     build_family,
+    build_local_basis,
     eval_basis_function,
+    nonzero_basis_values,
+    validate_open_knot_vector,
 )
 from gbspline.errors import DepthExceeded
 from gbspline.reference import adaptive_simpson
@@ -122,3 +125,17 @@ class TestGeneratorSeed:
         ev = ReferenceEvaluator(knots, fam)
         assert fam.slots.tolist() == [0, -1, 1, 2]
         assert ev.basis_value(1, 1, 1.0 + 5e-13) == 0.0
+
+    def test_a_t_inside_a_short_interval_belongs_to_the_interval_on_its_left(self):
+        """As the package's interval lookup has it, so degree 1 keeps its
+        partition of unity there."""
+        knots, t = [0, 0, 0, 1, 1 + 1e-12, 2, 2, 2], 1 + 5e-13
+        ev = ReferenceEvaluator(knots, build_family(knots, kind="trigonometric", omega=1.0))
+        got = np.array([ev.basis_value(i, 1, t) for i in range(6)])
+        kv = validate_open_knot_vector(knots[1:-1], 1)   # the degree-1 functions 1..4
+        j, values = nonzero_basis_values(
+            build_local_basis(kv, build_family(kv.knots, kind="trigonometric", omega=1.0)), t)
+        want = np.zeros(6)
+        want[1 + j : 3 + j] = values
+        assert abs(got.sum() - 1.0) <= 1e-12
+        assert np.abs(got - want).max() <= 1e-12

@@ -343,14 +343,16 @@ def test_linear_insertion_matches_boehm(p, case):
 
 def test_one_knot_insertion_builds_bases_on_a_window_only(monkeypatch):
     """10^4 intervals: with the source basis given, one target basis over the
-    window; without it, a source basis over a window p intervals wider."""
+    window; without it, a source basis over a window p intervals wider.
+    Both are built from ladder values (`_basis_from_ends`)."""
     kv = open_kv(3, np.linspace(0, 1, 10001)[1:-1])
     fam = build_family(kv.knots)
     curve = SplineCurve(kv=kv, fam=fam, cpts=np.random.default_rng(3).uniform(-1, 1, kv.n_basis))
     basis = build_local_basis(kv, fam)
-    sizes, build = [], gbspline.refine.build_local_basis
-    monkeypatch.setattr(gbspline.refine, "build_local_basis",
-                        lambda kv, fam, tol: sizes.append(len(kv.knots)) or build(kv, fam, tol))
+    sizes, build = [], gbspline.refine._basis_from_ends
+    monkeypatch.setattr(gbspline.refine, "_basis_from_ends",
+                        lambda kv, *args: sizes.append(len(kv.knots)) or build(kv, *args))
+    monkeypatch.setattr(gbspline.refine, "build_local_basis", None)   # no public build
     for given in (basis, None):
         out = insert_knots(curve, given, [0.4321])
         assert out.kv.n_basis == kv.n_basis + 1
@@ -756,6 +758,23 @@ class TestMixedFamily:
         assert np.abs(out.cpts[window] - cpts[window]).max() <= 1e-12 * scale
         assert out.cpts[: k - 2].tobytes() == curve.cpts[: k - 2].tobytes()
         assert out.cpts[k + 1 :].tobytes() == curve.cpts[k:].tobytes()
+
+    @pytest.mark.parametrize("kind, omega", [("trigonometric", np.pi / 2), ("exponential", 1.5),
+                                             ("exponential", 40.0)])
+    @pytest.mark.parametrize("degree", range(2, 7))
+    def test_elevation_matches_refine_curve_on_a_basis_built_apart(self, kind, omega, degree):
+        # one ladder pass gives refined_spline both the target basis's right
+        # ends and the source table; built apart they are the same bits
+        # (omega = 40 puts every span on the closed forms; linear cannot rise)
+        kv, fam, basis = make_basis(degree, interior=(0.15, 0.3, 0.5, 0.62, 0.8),
+                                    kind=kind, omega=omega)
+        curve = SplineCurve(kv=kv, fam=fam,
+                            cpts=np.random.default_rng(degree).uniform(-1, 1, kv.n_basis))
+        out = refined_spline(curve, basis, elevate_by=1)
+        knots1 = _refined_knots(kv, (), 1, DEFAULT_TOL)
+        basis1 = build_local_basis(KnotVector(knots1, degree + 1), derive_family(fam, knots1))
+        cpts = refine_curve(form_piecewise(curve.cpts, basis), basis1)
+        assert cpts.tobytes() == out.cpts.tobytes()
 
     @pytest.mark.parametrize("kind, degree", [("linear", 2)] + [
         (kind, degree) for kind in ALL_KINDS + ("mixed",) for degree in range(3, 9)])
