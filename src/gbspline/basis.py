@@ -301,7 +301,7 @@ def build_local_basis(kv: KnotVector, fam: KnotFunctionFamily, tol=DEFAULT_TOL) 
         j, k = int(live[wide[0]]), wide[0]
         raise InvalidFamily(f"knot interval {j} [{knots[j]}, {knots[j + 1]}] lies inside the "
                             f"longer span [{lo[k]}, {hi[k]}]; build the family over the knots")
-    return _basis_from_ends(kv, fam, slots, *_ladders_at(range(1, p), (fam, slots, knots, False)))
+    return _basis_from_ends(kv, fam, slots, *_ladders_at((range(1, p), fam, slots, knots, False)))
 
 
 def _basis_from_ends(kv: KnotVector, fam: KnotFunctionFamily, slots, right) -> LocalBasis:

@@ -189,7 +189,7 @@ _SERIES_THETA_MAX = 4.0   # where the series' error overtakes the closed forms'
 _FACTORIAL = np.array([math.factorial(n) for n in range(171)], dtype=float)
 
 
-def _ladder_polys(codes, h, omega, orders):
+def _ladder_polys(codes, h, omega, orders, need=True):
     """u_k and v_k of each order k on spans of kind indices `codes`, lengths
     `h` and frequencies `omega`: (their coefficients in x, highest power
     first, shaped (size, len(orders), 2, spans) with u first and each span's
@@ -197,7 +197,8 @@ def _ladder_polys(codes, h, omega, orders):
     per order]) if some span keeps the closed forms).
     Only math's functions, pow and IEEE arithmetic enter, element by element,
     so a span's numbers do not depend on what is asked for with it; h**k
-    raises OverflowError where it overflows."""
+    raises OverflowError where it overflows.  Where `need` (orders, spans)
+    is False, h**k is taken as 1: those entries are not read."""
     n = len(h)
     theta = np.where(codes == KINDS.index("linear"), 0.0, omega * h)
     closed, trig = (codes == _EXPONENTIAL) & (theta > _SERIES_THETA_MAX), codes == _TRIGONOMETRIC
@@ -211,7 +212,8 @@ def _ladder_polys(codes, h, omega, orders):
     width, ks = 2 * terms.max(initial=0), np.array(orders, dtype=int)[:, None]
     q = np.maximum(-ks, 0) + np.arange(width)   # the series' indices 2j and 2j+1, per order
     powers = np.cumprod([np.ones(n)] + [sq] * (q.max(initial=0) // 2), axis=0)
-    hk = np.array([x**k for k in orders for x in h.tolist()]).reshape(len(orders), 1, n)
+    hs = [h.tolist()] * len(orders) if need is True else np.where(need, h, 1.0).tolist()
+    hk = np.array([x**k for k, row in zip(orders, hs) for x in row]).reshape(len(orders), 1, n)
     base = hk * powers[q // 2] / _FACTORIAL[q + ks][..., None]
     base[:, np.arange(width)[:, None] >= 2 * terms] = 0.0
     odd = (q % 2 == 1)[..., None]
@@ -233,12 +235,12 @@ def _ladder_polys(codes, h, omega, orders):
     return out, (closed, theta, inv, scales)
 
 
-def _ladder_values(codes, h, omega, orders, x, at=None):
+def _ladder_values(codes, h, omega, orders, x, at, need=True):
     """Ladder values (len(orders), 2, len(x)) of `_ladder_polys(codes, h,
-    omega, orders)` at local coordinates x: one Horner pass, then the closed
-    forms' term point by point.  Sample i reads span at[i], or span i when
-    `at` is None."""
-    coefs, closed = _ladder_polys(codes, h, omega, orders)
+    omega, orders, need)` at local coordinates x, sample i on span at[i]
+    (span i if `at` is None): one Horner pass, then the closed forms' term
+    point by point."""
+    coefs, closed = _ladder_polys(codes, h, omega, orders, need)
     out = np.zeros((len(orders), 2, len(x)))
     for c in coefs:
         out = out * x + (c if at is None else np.take(c, at, axis=-1))
@@ -254,40 +256,47 @@ def _ladder_values(codes, h, omega, orders, x, at=None):
     return out
 
 
-def _ladders_at(orders, *requests):
-    """Ladder values of orders `orders` for several requests from one
-    `_ladder_values` pass.  A request (fam, slots, breaks, both) asks, on
-    every live interval j of `breaks` (fam's span slots[j]), for the right
+def _ladders_at(*requests):
+    """Ladder values for several requests from one `_ladder_values` pass.  A
+    request (orders, fam, slots, breaks, both), `orders` a range, asks on
+    every live interval j of `breaks` (fam's span slots[j]) for the right
     end, or both ends if `both`, and gets an array [k, j, (e,) w] (order,
-    interval, end, generator 'u' first), zero on dead intervals.  A span's
-    values do not depend on the other requests."""
-    args, counts, points = [], [], []
-    for fam, slots, breaks, both in requests:
+    interval, end, generator 'u' first), zero on dead intervals."""
+    spans, points = [], []
+    for orders, fam, slots, breaks, both in requests:
         live = np.flatnonzero(slots >= 0)
-        span, t = slots[live], breaks[live + 1]
+        span = slots[live]
         left, right = fam.spans[span].T
-        x = (t - left) / (right - left) if not both else (
-            (np.stack([breaks[live], t], axis=1) - left[:, None]) / (right - left)[:, None])
-        args.append((fam._kind_ids[span], right - left, fam.omegas[span], x.ravel()))
-        counts.append(len(live))
-        points.append(1 + both)
-    if points == [1]:   # one request, point i on span i
-        values = _ladder_values(*args[0][:3], orders, x)
-    else:   # a span's values depend on its kind, length and frequency alone: build each once
-        codes, h, omega, x = (np.concatenate(a) for a in zip(*args))
+        ends = np.stack([breaks[live], breaks[live + 1]], axis=1) if both else breaks[live + 1]
+        spans.append((right - left, fam._kind_ids[span], fam.omegas[span]))
+        points.append((live, ((ends.T - left) / (right - left)).T))
+    h, codes, omega = map(np.concatenate, zip(*spans))
+    x = np.concatenate([x.ravel() for _, x in points])
+    low = min(r[0].start for r in requests)
+    orders = range(low, max(r[0].stop for r in requests))
+    if len(requests) == 1 and len(x) == len(h):   # point i on span i: cheaper ungrouped
+        values = _ladder_values(codes, h, omega, orders, x, None)
+    else:   # spans of one kind, h and omega are built once, with the orders any request asks
         order = np.lexsort((omega, codes, h))
         key = np.stack([h, codes, omega])[:, order]
-        new = np.concatenate(([True], (key[:, 1:] != key[:, :-1]).any(axis=0)))
-        group, one = np.empty(len(h), dtype=int), order[new]
+        new = np.append(True, (key[:, 1:] != key[:, :-1]).any(axis=0))
+        group = np.empty(len(order), dtype=int)
         group[order] = np.cumsum(new) - 1
-        values = _ladder_values(codes[one], h[one], omega[one], orders, x,
-                                np.repeat(group, np.repeat(points, counts)))
-    end, out = 0, []
-    for (_, slots, _, both), n, e in zip(requests, counts, points):
-        part = values[..., end : end + n * e].reshape((len(orders), 2, n) + (2,) * both)
-        out.append(np.zeros((len(orders), len(slots)) + (2,) * both + (2,)))
-        out[-1][:, slots >= 0] = part.transpose((0, 2, 3, 1) if both else (0, 2, 1))
-        end += n * e
+        need, start, at = np.zeros((len(orders), np.count_nonzero(new)), dtype=bool), 0, []
+        for (asked, *_, both), (live, _) in zip(requests, points):
+            g = group[start : start + len(live)]
+            need[asked.start - low : asked.stop - low, g] = True
+            at.append(np.repeat(g, 1 + both))
+            start += len(live)
+        h, codes, omega = key[:, new]
+        values = _ladder_values(codes.astype(int), h, omega, orders, x, np.concatenate(at), need)
+    start, out = 0, []
+    for (asked, _, slots, *_), (live, x) in zip(requests, points):
+        out.append(np.zeros((len(asked), len(slots)) + x.shape[1:] + (2,)))
+        part = values[asked.start - low : asked.stop - low, :, start : start + x.size]
+        part = part.reshape((len(asked), 2) + x.shape)   # to order, interval, (end,) generator
+        out[-1][:, live] = part.transpose(0, *range(2, x.ndim + 2), 1)
+        start += x.size
     return out
 
 
@@ -406,4 +415,4 @@ def build_integral_table(fam: KnotFunctionFamily, breakpoints, derivative_offset
     br = np.asarray(breakpoints, dtype=float)
     slots = containing_spans(fam.spans, br, tol)
     orders = range(-derivative_offset, max_order + 1 - derivative_offset)
-    return _ladders_at(orders, (fam, slots, br, True))[0]
+    return _ladders_at((orders, fam, slots, br, True))[0]

@@ -18,8 +18,8 @@ shift re-expands the polynomial parts, one batched elimination solves all
 local systems, and one scatter averages the anti-diagonals.  Target
 intervals are placed in source spans once over the whole target, to derive
 its family, and once over the solved ones, to reindex the curve; a
-caller's basis of another family object, or a source basis built on a
-window, adds one more search.
+caller's basis of another family object adds one more search, and a source
+basis built here (no basis given) one, or two on a window.
 """
 from __future__ import annotations
 
@@ -367,12 +367,8 @@ def refined_spline(curve: SplineCurve, basis: LocalBasis | None = None, *,
     lo, hi = (p, m - p - 1) if whole else (shift + q, shift + len(window) - q - 1 - m1 + m)
     if basis is None:   # a source basis is exact p intervals inside its window's ends
         src, offset = _clamped(knots, max(lo - p, p), min(hi + p, m - p - 1), p)
-        if src is knots:
-            basis = build_local_basis(curve.kv, curve.fam, tol)
-        else:   # a family derived over its knots needs no checks
-            fam = derive_family(curve.fam, src, tol)
-            basis = _basis_from_ends(KnotVector(src, p), fam, fam.slots,
-                                     *_ladders_at(range(1, p), (fam, fam.slots, src, False)))
+        basis = build_local_basis(*((curve.kv, curve.fam) if src is knots else
+                                    (KnotVector(src, p), derive_family(curve.fam, src, tol))), tol)
         piece = form_piecewise(curve.cpts[offset : offset + len(src) - p - 1], basis)
     else:
         piece = _form_rows(curve.cpts, basis, lo - p, hi - p)
@@ -390,11 +386,11 @@ def refined_spline(curve: SplineCurve, basis: LocalBasis | None = None, *,
     cpts = old[:0]
     if j1 > j0:   # one ladder pass: the target basis's right ends and the source table
         local = refine_local(piece, breaks[j0 : j1 + 1], tol)
-        right, tables = _ladders_at(range(p - q, q), (fam1, slots, window, False),
-                                    (piece.fam, local.slots, local.breaks, True))
+        right, tables = _ladders_at((range(1, q), fam1, slots, window, False),
+                                    (range(p - q, p), piece.fam, local.slots, local.breaks, True))
         rows = _basis_from_ends(kv1 if whole else KnotVector(window, q), fam1, slots,
-                                right[q - p + 1 :]).local.coefs[j0:j1]
-        cpts = _project(local.breaks, rows, _target_rows(local, tables[:q]), tol, coef_tol, at)
+                                right).local.coefs[j0:j1]
+        cpts = _project(local.breaks, rows, _target_rows(local, tables), tol, coef_tol, at)
     return SplineCurve(kv=kv1, fam=fam1, cpts=np.concatenate(
         [old[:first], cpts[first - at : last + 1 - at], old[len(old) - n1 + last + 1 :]]))
 

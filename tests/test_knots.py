@@ -21,6 +21,7 @@ from gbspline.errors import (
 from gbspline.knots import (
     _SERIES_THETA_MAX,
     _ladder_values,
+    _ladders_at,
     build_integral_table,
     containing_spans,
     find_interval,
@@ -383,7 +384,8 @@ class TestArrayLadder:
         x2[:2] = 0.0, 1.0
         at2 = np.repeat(np.arange(5), 2)
         for p, q in ((3, 3), (2, 3), (2, 4), (5, 7)):
-            first = _ladder_values(np.full(5, code), h, np.full(5, omega), range(1, q), x1)
+            first = _ladder_values(np.full(5, code), h, np.full(5, omega), range(1, q), x1,
+                                   np.arange(5))
             second = _ladder_values(np.full(5, code), h2, np.full(5, omega), range(p - q, p),
                                     x2, at2)
             both = _ladder_values(np.full(10, code), np.concatenate([h, h2]), np.full(10, omega),
@@ -391,6 +393,31 @@ class TestArrayLadder:
                                   np.concatenate([np.arange(5), 5 + at2]))
             assert both[q - p + 1 :, :, :5].tobytes() == first.tobytes()
             assert both[:q, :, 5:].tobytes() == second.tobytes()
+
+    @pytest.mark.parametrize("kind, omega", [("trigonometric", 1.3), ("trigonometric", 2.0),
+                                             ("exponential", 1.3), ("exponential", 12.0)])
+    @pytest.mark.parametrize("repeated", [True, False])
+    def test_one_pass_over_two_requests_matches_two_passes(self, kind, omega, repeated):
+        """`_ladders_at` groups spans of equal (h, kind, omega) across requests
+        and splits the values back: right ends on trigonometric omega = 1.3
+        spans, and both ends of every piece of the same spans cut in two (one
+        piece of zero length) under the same family (first case) or another
+        kind or omega, at each request's own orders, give the bytes of two
+        separate passes."""
+        rng = np.random.default_rng(11 + repeated)
+        h = np.array([0.25, 0.5, 0.25, 0.5]) if repeated else rng.uniform(0.05, 0.9, 4)
+        knots = np.concatenate([[0.0], np.cumsum(h)])
+        fam1 = build_family(knots, kind="trigonometric", omega=1.3)
+        fam2 = build_family(knots, kind=kind, omega=omega)
+        breaks = np.sort(np.concatenate([knots, knots[:-1] + rng.uniform(0.2, 0.8, 4) * h,
+                                         knots[2:3]]))
+        for p, q in ((3, 3), (2, 3), (2, 4), (5, 7)):
+            first = (range(1, q), fam1, fam1.slots, knots, False)
+            second = (range(p - q, p), fam2, containing_spans(fam2.spans, breaks), breaks, True)
+            joint = _ladders_at(first, second)
+            apart = _ladders_at(first) + _ladders_at(second)
+            assert [a.shape for a in joint] == [a.shape for a in apart]
+            assert [a.tobytes() for a in joint] == [a.tobytes() for a in apart]
 
     def test_array_t_outside_its_interval(self):
         fam = self.family("trigonometric")

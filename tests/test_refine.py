@@ -1,6 +1,7 @@
 """Projection-based refinement: reindexing, generator rewrites, drivers."""
 import math
 import re
+import warnings
 from contextlib import nullcontext
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from gbspline import (
     refined_spline,
 )
 from gbspline.errors import (
+    AllMissingDiagonal,
     DegreeTooSmall,
     FamilyNotClosedUnderDerivative,
     InconsistentCoefficient,
@@ -344,19 +346,35 @@ def test_linear_insertion_matches_boehm(p, case):
 def test_one_knot_insertion_builds_bases_on_a_window_only(monkeypatch):
     """10^4 intervals: with the source basis given, one target basis over the
     window; without it, a source basis over a window p intervals wider.
-    Both are built from ladder values (`_basis_from_ends`)."""
+    The target is built from the ladder pass's values (`_basis_from_ends`),
+    the source by `build_local_basis`; both are wrapped."""
     kv = open_kv(3, np.linspace(0, 1, 10001)[1:-1])
     fam = build_family(kv.knots)
     curve = SplineCurve(kv=kv, fam=fam, cpts=np.random.default_rng(3).uniform(-1, 1, kv.n_basis))
     basis = build_local_basis(kv, fam)
-    sizes, build = [], gbspline.refine._basis_from_ends
-    monkeypatch.setattr(gbspline.refine, "_basis_from_ends",
-                        lambda kv, *args: sizes.append(len(kv.knots)) or build(kv, *args))
-    monkeypatch.setattr(gbspline.refine, "build_local_basis", None)   # no public build
+    sizes = []
+    for name in ("_basis_from_ends", "build_local_basis"):
+        build = getattr(gbspline.refine, name)
+        monkeypatch.setattr(gbspline.refine, name, lambda kv, *args, build=build:
+                            sizes.append(len(kv.knots)) or build(kv, *args))
     for given in (basis, None):
         out = insert_knots(curve, given, [0.4321])
         assert out.kv.n_basis == kv.n_basis + 1
     assert len(sizes) == 3 and max(sizes) < 8 * (3 + 1)
+
+
+@pytest.mark.parametrize("by", [1, 2])
+def test_a_raise_beside_a_tiny_piece_keeps_the_projection_error(by):
+    """An insert at 1e-170 under tol 1e-300 leaves a target piece whose basis
+    divides by an underflowed area.  A raise of 2 must not evaluate the
+    target's unread derivatives there, where h**-2 overflows: the error is
+    the projection's, as for a raise of 1."""
+    kv = KnotVector(np.array([0.0] * 4 + [1, 2, 3] + [4] * 4), 3)
+    curve = SplineCurve(kv=kv, fam=build_family(kv.knots, omega=0.5), cpts=np.arange(7.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(AllMissingDiagonal, match="^no finite estimates for coefficient 0$"):
+            refined_spline(curve, None, insert=(1e-170,), elevate_by=by, tol=1e-300)
 
 
 def test_window_errors_name_global_intervals():
