@@ -3,20 +3,22 @@
 On each knot interval a degree-p basis function is a polynomial term of
 degree at most p-2 plus a coefficient pair (a, b) multiplying the (p-1)-th
 integrals of that interval's generator pair.  The basis is stored interval
-by interval and evaluated through `PiecewiseCurve.value_on` alone.
+by interval and evaluated through `PiecewiseCurve` alone.
 Construction runs the recursive-integral definition function by function;
 polynomial parts integrate symbolically and generator parts read the
 family's ladder values, so no quadrature enters the production path.
 
 Built values are immutable and safe to evaluate concurrently.  On its first
 evaluation a PiecewiseCurve merges each interval's row into one polynomial
-in its span's x (plus the closed forms' term on wide exponential spans), and
-on its first scalar one copies those rows to Python floats; a batch runs the
-same operations on arrays, so batch rows equal scalar calls bit for bit.
+in its span's x (plus the closed forms' term on wide exponential spans).  A
+scalar t runs one evaluator that bisects a list of the breaks and evaluates
+a Python-float copy of the row, in one frame; a batch runs the same
+operations on arrays, so batch rows equal scalar calls bit for bit.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -29,9 +31,10 @@ from .errors import (
     IntervalStraddle,
     InvalidFamily,
     LengthMismatch,
+    OutOfActiveRegion,
     OutOfInterval,
 )
-from .knots import (KnotFunctionFamily, KnotVector, _ladder_polys, _ladders_at,
+from .knots import (KnotFunctionFamily, KnotVector, _as_float, _ladder_polys, _ladders_at,
                     containing_spans, find_interval, readonly)
 from .poly import DEFAULT_TOL, integrate_poly, poly_eval, taylor_shift
 
@@ -43,6 +46,20 @@ def _check_cpts(cpts, n_basis):
             "expected (n,) or (n, d)")
     if not np.isfinite(cpts).all():
         raise ValueError(f"control point {np.argwhere(~np.isfinite(cpts))[0, 0]} is not finite")
+
+
+def _interval_indices(j, n):
+    """j as an int array of indices into n intervals, else IndexError naming the entry."""
+    j = np.asarray(j)
+    bad = np.flatnonzero((j < 0) | (j >= n) if j.dtype.kind in "iu" else np.ones(j.shape, bool))
+    if len(bad):
+        raise IndexError(f"j={j.flat[bad[0]]}{f' (entry {bad[0]})' if j.ndim else ''} is not an "
+                         f"index of the {n} intervals 0..{n - 1}")
+    return j.astype(int, copy=False)
+
+
+def _raise_no_generators(breaks, k):
+    raise IntervalStraddle(f"interval {k} [{breaks[k]}, {breaks[k + 1]}] has no generators")
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,7 +117,7 @@ class PiecewiseCurve:
     -1 for intervals without generators; the builders pass the map they
     made under their own tolerance, and it defaults to `containing_spans`
     under the default one.  Evaluation reads one merged polynomial per
-    interval and component in its span's x, built on first use.
+    interval and component in its span's x; `_at` does it for a scalar t.
     """
 
     breaks: np.ndarray
@@ -127,27 +144,29 @@ class PiecewiseCurve:
     def value(self, t, tol=DEFAULT_TOL):
         """Curve value at t: a float, or an array of the d components.  An
         array of N parameters gives values shaped (N,) or (N, d)."""
-        j = self._find(t, tol)   # scalars skip value_on's slow np.shape checks
-        return self.value_on(j, t, tol) if isinstance(j, np.ndarray) else self._row(j, t, tol)
+        if isinstance(t, np.ndarray) and t.ndim:
+            return self.value_on(find_interval(self.breaks, t, tol), t, tol)
+        return self._at(t, tol)
 
     def value_on(self, j, t, tol=DEFAULT_TOL):
         """Value at t on interval j: one Horner pass over the interval's
         merged row in x, plus the closed forms' term if its span keeps them.
 
-        Arrays j and t of N samples give a leading axis of N; each row
-        equals the scalar call bit for bit.  A scalar mixed with an array, or
-        arrays of two shapes, raise ValueError naming both shapes.
+        Arrays, lists or tuples j and t of N samples give a leading axis of
+        N, each row the scalar call's bits.  A scalar mixed with an array, or
+        two shapes, raise ValueError, and a j not in 0..intervals-1 IndexError.
         """
-        seq = (np.ndarray, list, tuple)   # np.shape of a number costs more than _row
+        seq = (np.ndarray, list, tuple)   # np.shape of a number costs more than the scalar path
         array = isinstance(j, seq) or isinstance(t, seq)
         if array and np.shape(j) != np.shape(t):
             raise ValueError(f"j and t must both be scalars or arrays of one shape, "
                              f"got j {np.shape(j) or 'scalar'} and t {np.shape(t) or 'scalar'}")
         if not (array and np.shape(j)):
-            return self._row(j, t, tol)
+            return self._at(t, tol, j)
+        j = _interval_indices(j, len(self.slots))
         missing = np.extract(self.slots[j] < 0, j)
         if len(missing):
-            self._raise_no_generators(missing[0])
+            _raise_no_generators(self.breaks, missing[0])
         ends, rows, weights, g = self._merged
         shape, j, t = j.shape, j.ravel(), np.asarray(t, dtype=float).ravel()
         left, right, h, theta = ends[:, j]
@@ -166,37 +185,6 @@ class PiecewiseCurve:
             on = j[pts]
             acc[..., pts] = acc[..., pts] + weights[0][..., on] * ga + weights[1][..., on] * gb
         return np.ascontiguousarray(acc.T).reshape(shape + acc.shape[:-1])
-
-    def _find(self, t, tol):
-        """find_interval over these breaks, searching their list for a scalar t."""
-        return find_interval(self.breaks if isinstance(t, np.ndarray) else self._break_list,
-                             t, tol)
-
-    def _row(self, j, t, tol):
-        """value_on for one sample, on Python floats: per component the same
-        IEEE operations in the same order as the array expression, so the
-        same bits."""
-        t, entry = float(t), self._rows[j]
-        if entry is None:
-            self._raise_no_generators(j)
-        (left, right, h), rows, closed = entry
-        if t < left - tol or t > right + tol:
-            raise OutOfInterval(f"t={t} outside [{left}, {right}]")
-        x, out = (t - left) / h, []
-        for row in rows:
-            acc = 0.0
-            for c in row:
-                acc = acc * x + c
-            out.append(acc)
-        if closed:
-            theta, wa, wb, g = closed
-            ga, gb = g(theta * x), g(theta * (1.0 - x))
-            out = [o + a * ga + b * gb for o, a, b in zip(out, wa, wb)]
-        return np.array(out) if self.coefs.ndim == 3 else out[0]
-
-    def _raise_no_generators(self, k):
-        br = self.breaks
-        raise IntervalStraddle(f"interval {k} [{br[k]}, {br[k + 1]}] has no generators")
 
     # built on the first evaluation
     @cached_property
@@ -236,20 +224,56 @@ class PiecewiseCurve:
         return ends, rows, weights, (math.sinh, math.cosh)[k & 1]
 
     @cached_property
-    def _rows(self):
-        """_merged on Python floats, per interval: None without generators,
-        else ((left, right, h), rows per component, None or (theta, weights
-        of G(theta x), of G(theta (1 - x)), G))."""
+    def _at(self):
+        """at(t, tol, j=None, pair=False): value(t, tol) for a scalar t in one
+        frame, or value_on(j, t, tol) given j; (j, value) if pair.  Its
+        bisection matches find_interval, and its float operations on a list
+        copy of _merged value_on's array ones in order, so the same bits."""
         ends, rows, weights, g = self._merged
-        n, d = len(self.slots), int(np.prod(self.coefs.shape[2:]))
-        per = rows.reshape(len(rows), d, n).T.tolist()   # interval, component, power
-        return [None if s < 0 else (e[:3], r, (e[3], a, b, g) if e[3] else None)
-                for s, e, r, a, b in zip(self.slots.tolist(), ends.T.tolist(), per,
-                                         *np.moveaxis(weights.reshape(2, d, n), -1, 1).tolist())]
+        rows = [None if s < 0 else (*e[:3], r, (e[3], a, b, g) if e[3] else None)
+                for s, e, r, a, b in zip(self.slots.tolist(), ends.T.tolist(), rows.T.tolist(),
+                                         weights[0].T.tolist(), weights[1].T.tolist())]
+        n, one, breaks = len(rows), self.coefs.ndim == 2, self.breaks.tolist()
+        first, last = breaks[0], breaks[-1]
 
-    @cached_property
-    def _break_list(self):
-        return self.breaks.tolist()
+        def at(t, tol, j=None, pair=False):
+            if type(t) is not float:
+                t = _as_float(t)
+            if j is None:
+                if not first <= t <= last:
+                    raise OutOfActiveRegion(f"t={t} outside [{first}, {last}]")
+                j = bisect_right(breaks, t, 0, n) - 1   # the last interval holds its right end
+                while j > 0 and not breaks[j + 1] - breaks[j] > tol:   # left over intervals <= tol
+                    j -= 1
+            elif type(j) is not int or not 0 <= j < n:
+                j = int(_interval_indices(j, n))
+            entry = rows[j]   # per component unless one: row, a and b
+            if entry is None:
+                _raise_no_generators(breaks, j)
+            left, right, h, row, closed = entry
+            if t < left - tol or t > right + tol:
+                raise OutOfInterval(f"t={t} outside [{left}, {right}]")
+            x = (t - left) / h
+            if one:
+                out = 0.0
+                for c in row:
+                    out = out * x + c
+                if closed:
+                    theta, a, b, g = closed
+                    out = out + a * g(theta * x) + b * g(theta * (1.0 - x))
+                return (j, out) if pair else out
+            out = []
+            for r in row:
+                acc = 0.0
+                for c in r:
+                    acc = acc * x + c
+                out.append(acc)
+            if closed:
+                theta, wa, wb, g = closed
+                ga, gb = g(theta * x), g(theta * (1.0 - x))
+                out = [o + a * ga + b * gb for o, a, b in zip(out, wa, wb)]
+            return (j, np.array(out)) if pair else np.array(out)
+        return at
 
 
 # construction ----------------------------------------------------------------
@@ -341,8 +365,8 @@ def eval_basis_function(basis: LocalBasis, i, t, tol=DEFAULT_TOL) -> float:
     # the final function owns the closed right end of the active region
     if i == n - 1 and t == knots[-1] and knots[p] != knots[-1]:
         return 1.0
-    j = basis.local._find(t, tol)
-    return basis.local._row(j, t, tol)[i - j] if j <= i <= j + p else 0.0
+    j, vals = basis.local._at(t, tol, pair=True)
+    return vals[i - j] if j <= i <= j + p else 0.0
 
 
 def nonzero_basis_values(basis: LocalBasis, t, tol=DEFAULT_TOL):
@@ -351,8 +375,11 @@ def nonzero_basis_values(basis: LocalBasis, t, tol=DEFAULT_TOL):
     An array of N parameters gives first indices shaped (N,) and values
     shaped (N, degree+1).
     """
-    j = basis.local._find(t, tol)
-    return j, basis.local.value_on(j, t, tol)
+    local = basis.local
+    if isinstance(t, np.ndarray) and t.ndim:
+        j = find_interval(local.breaks, t, tol)
+        return j, local.value_on(j, t, tol)
+    return local._at(t, tol, pair=True)
 
 
 def eval_curve(curve: SplineCurve, basis: LocalBasis, t, tol=DEFAULT_TOL):
@@ -363,16 +390,15 @@ def eval_curve(curve: SplineCurve, basis: LocalBasis, t, tol=DEFAULT_TOL):
     each equal to the scalar call bit for bit.  The value is
     `form_piecewise(curve.cpts, basis).value(t, tol)`; the curve keeps that
     piecewise form for the last basis it was evaluated against (compared by
-    identity), so repeated calls build it, and its merged rows, once.
+    identity), so repeated calls check sizes and build it and its rows once.
     """
-    kv = basis.kv   # n_basis, without the property chain
-    if len(curve.cpts) != len(kv.knots) - kv.degree - 1:
-        raise LengthMismatch("curve and basis sizes differ")
     held, piece = curve._piece
     if held is not basis:
+        if len(curve.cpts) != basis.n_basis:
+            raise LengthMismatch("curve and basis sizes differ")
         piece = form_piecewise(curve.cpts, basis)
         object.__setattr__(curve, "_piece", (basis, piece))
-    return piece.value(t, tol)
+    return piece._at(t, tol) if isinstance(t, float) else piece.value(t, tol)
 
 
 # piecewise form and reindexing -----------------------------------------------

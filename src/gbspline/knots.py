@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import index as _index
@@ -103,36 +102,27 @@ def find_interval(breaks, t, tol=DEFAULT_TOL):
 
     The final interval is closed on the right; zero-length intervals are
     skipped leftwards.  A 1-D array `t` gives an int array of one index per
-    entry, from one search.  A scalar t (a real number or a 0-d array) is
-    taken as a Python float and searched by bisection, fastest when
-    `breaks` is a list of floats.  A t outside the breaks, or not finite,
-    raises OutOfActiveRegion, naming the first such entry of an array; a t
-    that is neither a number nor an array raises TypeError, and an array of
-    two or more dimensions ValueError.
+    entry, from one search; a scalar t (a real number or a 0-d array) is
+    taken as a Python float and gives an int.  A t outside the breaks, or
+    not finite, raises OutOfActiveRegion, naming the first such entry of an
+    array; a t that is neither a number nor an array raises TypeError, and
+    an array of two or more dimensions ValueError.  `PiecewiseCurve`'s
+    scalar evaluator bisects its own list of the breaks to the same index.
     """
-    if type(t) is not float:
-        if isinstance(t, np.ndarray) and t.ndim:
-            return _find_intervals(np.asarray(breaks), t, tol)
-        t = _as_float(t)
-    if not breaks[0] <= t <= breaks[-1]:
-        raise OutOfActiveRegion(f"t={t} outside [{breaks[0]}, {breaks[-1]}]")
-    j = bisect_right(breaks, t, 0, len(breaks) - 1) - 1   # the last interval holds its right end
-    if breaks[j + 1] - breaks[j] <= tol:   # _positive_at_or_left, for one j
-        while j > 0 and not breaks[j + 1] - breaks[j] > tol:
-            j -= 1
-    return j
-
-
-def _find_intervals(breaks, t, tol):
-    """find_interval for an array t: one searchsorted over the break array."""
-    if t.ndim > 1:
+    breaks, scalar = np.asarray(breaks), not (isinstance(t, np.ndarray) and t.ndim)
+    ts = np.array([_as_float(t)]) if scalar else t
+    if ts.ndim > 1:
         raise ValueError(f"t must be a number or a 1-D array, got an array shaped {t.shape}")
-    outside = np.flatnonzero(~((t >= breaks[0]) & (t <= breaks[-1])))
+    outside = np.flatnonzero(~((ts >= breaks[0]) & (ts <= breaks[-1])))
     if len(outside):
         i = int(outside[0])
-        raise OutOfActiveRegion(f"t[{i}]={t[i]} outside [{breaks[0]}, {breaks[-1]}]")
-    j = np.minimum(np.searchsorted(breaks, t, side="right") - 1, len(breaks) - 2)
-    return _positive_at_or_left(breaks, tol)[j]
+        raise OutOfActiveRegion(f"{'t' if scalar else f't[{i}]'}={ts[i]} outside "
+                                f"[{breaks[0]}, {breaks[-1]}]")
+    j = np.minimum(np.searchsorted(breaks, ts, side="right") - 1, len(breaks) - 2)
+    live = np.diff(breaks) > tol   # each interval's last one at or left of it longer than tol
+    live[0] = True
+    j = np.maximum.accumulate(np.where(live, np.arange(len(live)), 0))[j]
+    return int(j[0]) if scalar else j
 
 
 def _as_float(t):
@@ -141,13 +131,6 @@ def _as_float(t):
     if isinstance(t, (float, numbers.Real, np.ndarray)):
         return float(t)
     raise TypeError(f"t must be a real number or an array, not {type(t).__name__}")
-
-
-def _positive_at_or_left(breaks, tol):
-    """Per interval j, the last interval at or left of j longer than tol (0 if none)."""
-    pos = np.diff(breaks) > tol
-    pos[0] = True
-    return np.maximum.accumulate(np.where(pos, np.arange(len(pos)), 0))
 
 
 def containing_spans(spans, breaks, tol=DEFAULT_TOL) -> np.ndarray:

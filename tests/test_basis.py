@@ -30,9 +30,10 @@ from gbspline.errors import (
     InvalidFamily,
     LengthMismatch,
     OutOfActiveRegion,
+    OutOfInterval,
 )
-from gbspline.knots import containing_spans
-from gbspline.poly import derive_poly, poly_eval
+from gbspline.knots import containing_spans, find_interval
+from gbspline.poly import DEFAULT_TOL, derive_poly, poly_eval
 from gbspline.reference import adaptive_simpson
 from conftest import ALL_KINDS, cox_de_boor, make_basis, open_kv, random_interiors
 
@@ -819,3 +820,130 @@ class TestScalarParameterTypes:
         for call in calls:
             with pytest.raises(ValueError, match=r"shaped \(2, 1\)"):
                 call(np.array([[0.3], [0.6]]))
+
+
+class TestScalarEvaluator:
+    """Every scalar value comes from one evaluator per piecewise curve: its
+    own bisection picks the interval find_interval picks, and its value
+    equals the batch row bit for bit."""
+
+    # interior breaks on [0, 8]: integer ints land on them
+    MESHES = {"uniform": (1, 2, 3, 4, 5, 6, 7),
+              "sub-tolerance-run": (2, 4, 4 + 4e-11, 4 + 8e-11, 4 + 1.2e-10, 6),
+              "double-knot": (2, 4, 4, 6)}
+    FAMILIES = {"linear": {"kind": "linear"},
+                "trigonometric": {"kind": "trigonometric", "omega": 0.3},
+                "closed-form-exponential": {"kind": "exponential", "omega": 40.0}}
+
+    @staticmethod
+    def inputs(breaks):
+        """A grid over [0, 8] with both ends, every break, the points next to
+        it and points inside a short run, as floats, ints where whole,
+        float32 and 0-d arrays."""
+        ts = np.unique(np.concatenate([np.linspace(0, 8, 161), breaks, 4 + np.arange(13) * 1e-11,
+                                       np.nextafter(breaks, 4.0)])).tolist()
+        return (ts + [int(t) for t in ts if t.is_integer()] + list(np.float32(ts))
+                + [np.array(t) for t in ts])
+
+    @pytest.mark.parametrize("mesh", MESHES)
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("degree", [1, 3])
+    def test_same_interval_and_bits_as_the_batch(self, mesh, family, degree):
+        knots = [0.0] * (degree + 1) + list(self.MESHES[mesh]) + [8.0] * (degree + 1)
+        kv = validate_open_knot_vector(knots, degree)
+        fam = build_family(kv.knots, **self.FAMILIES[family])
+        basis = build_local_basis(kv, fam)
+        if family == "closed-form-exponential":   # theta above the series' cutoff of 4
+            assert (fam.omegas * np.diff(fam.spans)[:, 0] > 4).all()
+        breaks = basis.local.breaks
+        ts = self.inputs(breaks)
+        exact = np.array([float(t) for t in ts])
+        want = find_interval(breaks, exact)
+        cpts = np.random.default_rng(degree).uniform(-1, 1, (kv.n_basis, 3))
+        for c in (cpts[:, 0], cpts):   # d = 1 and d = 3
+            curve = SplineCurve(kv=kv, fam=fam, cpts=c)
+            piece = form_piecewise(c, basis)
+            batch = eval_curve(curve, basis, exact)
+            assert [piece._at(t, DEFAULT_TOL, pair=True)[0] for t in ts] == want.tolist()
+            for t, row in zip(ts, batch):
+                assert np.asarray(eval_curve(curve, basis, t)).tobytes() == row.tobytes()
+                assert np.asarray(piece.value(t)).tobytes() == row.tobytes()
+        first, vals = nonzero_basis_values(basis, exact)
+        assert np.array_equal(first, want)
+        for t, j, row in zip(ts, first.tolist(), vals):
+            got = nonzero_basis_values(basis, t)
+            assert got[0] == j and got[1].tobytes() == row.tobytes()
+            if float(t) < 8.0:   # at 8 the last function owns the closed right end
+                assert [eval_basis_function(basis, j + k, t) for k in range(degree + 1)] == \
+                    row.tolist()
+
+    def test_errors_keep_their_classes_and_messages(self):
+        kv = validate_open_knot_vector([0.0] * 4 + [0.25, 0.5, 0.75] + [1.0] * 4, 3)
+        fam = build_family(kv.knots, kind="trigonometric", omega=1.0)
+        basis = build_local_basis(kv, fam)
+        for c in (np.ones(kv.n_basis), np.ones((kv.n_basis, 2))):
+            curve = SplineCurve(kv=kv, fam=fam, cpts=c)
+            piece = form_piecewise(c, basis)
+            for call in (lambda t: eval_curve(curve, basis, t), piece.value,
+                         lambda t: nonzero_basis_values(basis, t)):
+                for t, shown in ((1.5, "1.5"), (float("nan"), "nan"), (-1, "-1.0")):
+                    with pytest.raises(OutOfActiveRegion,
+                                       match=rf"^t={shown} outside \[0.0, 1.0\]$"):
+                        call(t)
+                with pytest.raises(TypeError,
+                                   match=r"^t must be a real number or an array, not list$"):
+                    call([0.3])
+            with pytest.raises(OutOfInterval, match=r"^t=0.9 outside \[0.0, 0.25\]$"):
+                piece.value_on(0, 0.9)
+            with pytest.raises(OutOfInterval, match=r"^t=0.249999999 outside \[0.75, 1.0\]$"):
+                piece.value_on(3, 0.25 - 1e-9)
+        with pytest.raises(OutOfActiveRegion, match=r"^t=1.5 outside \[0.0, 1.0\]$"):
+            eval_basis_function(basis, 1, 1.5)
+        kv = validate_open_knot_vector([0.0] * 4 + [0.5, 0.5 + 1e-9] + [1.0] * 4, 3)
+        fam = build_family(kv.knots, tol=1e-8)
+        basis = build_local_basis(kv, fam, tol=1e-8)
+        curve = SplineCurve(kv=kv, fam=fam, cpts=np.ones(kv.n_basis))
+        for call in (lambda: eval_curve(curve, basis, 0.5000000005),
+                     lambda: basis.local.value_on(1, 0.5000000005),
+                     lambda: nonzero_basis_values(basis, 0.5000000005),
+                     lambda: eval_basis_function(basis, 2, 0.5000000005)):
+            with pytest.raises(IntervalStraddle,
+                               match=r"^interval 1 \[0.5, 0.500000001\] has no generators$"):
+                call()
+
+
+class TestIntervalIndices:
+    """value_on takes lists and tuples of interval indices as arrays, and
+    refuses an index that is not a whole number in 0..intervals-1 with an
+    IndexError naming it, its entry in a batch, and the interval count."""
+
+    def setup_method(self):
+        _, _, basis = make_basis(3, interior=(0.25, 0.5, 0.75))
+        self.local = basis.local   # 4 intervals
+
+    def test_lists_and_tuples_are_arrays(self):
+        j, t = [0, 1, 3, 3], [0.1, 0.3, 0.8, 1.0]
+        want = self.local.value_on(np.array(j), np.array(t))
+        assert want.shape == (4, 4)
+        for jj, tt in ((j, t), (tuple(j), tuple(t)), (j, np.array(t)), (np.array(j), tuple(t))):
+            assert self.local.value_on(jj, tt).tobytes() == want.tobytes()
+        for k in range(4):
+            assert self.local.value_on(np.int64(j[k]), t[k]).tobytes() == want[k].tobytes()
+            assert self.local.value_on(np.array(j[k]), t[k]).tobytes() == want[k].tobytes()
+
+    @pytest.mark.parametrize("j, t, shown", [(-4, 0.1, "-4"), (-1, 0.9, "-1"), (4, 1.0, "4"),
+                                             (1.5, 0.3, "1.5"), (1.0, 0.3, "1.0"),
+                                             (True, 0.3, "True"), ("1", 0.3, "1")])
+    def test_scalar_index_is_refused(self, j, t, shown):
+        with pytest.raises(IndexError,
+                           match=rf"^j={shown} is not an index of the 4 intervals 0\.\.3$"):
+            self.local.value_on(j, t)
+
+    @pytest.mark.parametrize("j, shown, entry", [([0, -1], "-1", 1), ((0, 1, 4), "4", 2),
+                                                 ([0.0, 1.0], "0.0", 0), ([1, -4, 9], "-4", 1)])
+    def test_batch_index_is_refused(self, j, shown, entry):
+        t = np.linspace(0.1, 0.9, len(j))
+        for jj in (j, np.array(j)):
+            with pytest.raises(IndexError, match=rf"^j={shown} \(entry {entry}\) is not an index "
+                                                 rf"of the 4 intervals 0\.\.3$"):
+                self.local.value_on(jj, t)
