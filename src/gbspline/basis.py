@@ -35,8 +35,8 @@ from .errors import (
     OutOfInterval,
 )
 from .knots import (KnotFunctionFamily, KnotVector, _as_float, _ladder_polys, _ladders_at,
-                    containing_spans, find_interval, readonly)
-from .poly import DEFAULT_TOL, integrate_poly, poly_eval, taylor_shift
+                    _unchecked, containing_spans, find_interval, readonly)
+from .poly import DEFAULT_TOL, taylor_shift
 
 
 def _check_cpts(cpts, n_basis):
@@ -278,32 +278,30 @@ class PiecewiseCurve:
 
 # construction ----------------------------------------------------------------
 
-def _next_level(lens, alive, reps, right, k):
+def _next_level(table, reps, k):
     """One level of the construction recurrence (level k -> k + 1), for every
     function at once: the level's normalization integrals and the new rows.
 
-    Each function's [poly | u v] rows integrate over its support intervals;
-    `right` holds the level's ladder values at the right end of every knot
-    interval, which equal the integrals of the level below because positive
-    orders vanish on the left.  Function f's accumulated, normalized integral
-    fills its support slots 0..k; right of its support (or when f vanishes
-    identically) it is the unit step in slot k+1.  New function i is that
-    accumulation for f = i minus the one for f = i+1, which starts one
-    interval later.
+    Each function's [poly | u v] rows integrate over its support intervals
+    in one contraction against `table`, there [h^(c+1)/(c+1) | the level's
+    right ends] (which equal the level below's integrals, as positive orders
+    vanish on the left), zero on dead intervals.  Function f's accumulated,
+    normalized integral fills its support slots 0..k; right of its support
+    (or when f vanishes identically) it is the unit step in slot k+1.  New
+    function i is that accumulation for f = i minus the one for f = i+1,
+    which starts one interval later.  A row reads only its own interval's
+    rows, so rows on dead intervals are zeroed once, at the top level.
     """
-    win = np.arange(len(reps))[:, None] + np.arange(k + 2)   # support windows and one slot more
-    j, cum = win[:, :-1], integrate_poly(reps[..., :-2])
-    ints = np.where(alive[j], poly_eval(cum.transpose(2, 0, 1), lens[j])
-                    + reps[..., -2] * right[j, 0] + reps[..., -1] * right[j, 1], 0.0)
+    ints = np.einsum("fsw,fsw->fs", reps, table)
     delta = ints.sum(axis=1)
-    cum[:, 1:, 0] = np.cumsum(ints[:, :-1], axis=1)
-    top = np.concatenate([cum, reps[..., -2:]], axis=-1)
-    acc = np.zeros((len(delta), k + 2, k + 2))
+    acc = np.zeros((len(reps), k + 2, k + 2))
+    acc[:, 1 : k + 1, 0] = ints[:, :-1].cumsum(axis=1)
+    acc[:, : k + 1, 1:k] = reps[..., :-2] / np.arange(1, k)
+    acc[:, : k + 1, k:] = reps[..., -2:]
+    acc[:, : k + 1] /= np.where(delta != 0.0, delta, np.inf)[:, None, None]   # 0 if f vanishes
     acc[:, k + 1, 0] = 1.0
-    acc[:, : k + 1] += np.divide(top, delta[:, None, None], out=np.zeros_like(top),
-                                 where=(delta != 0.0)[:, None, None])
     acc[:-1, 1:] -= acc[1:, : k + 1]
-    return delta, np.where(alive[win[:-1]][..., None], acc[:-1], 0.0)
+    return delta, acc[:-1]
 
 
 def build_local_basis(kv: KnotVector, fam: KnotFunctionFamily, tol=DEFAULT_TOL) -> LocalBasis:
@@ -333,23 +331,27 @@ def _basis_from_ends(kv: KnotVector, fam: KnotFunctionFamily, slots, right) -> L
     and the ladder values of orders 1..p-1 at the right end of each
     (`_ladders_at`), unchecked."""
     p, knots = kv.degree, kv.knots
-    m = len(knots)
-    lens, alive = np.diff(knots), slots >= 0
+    m, alive = len(knots), slots >= 0
+    # the integrals of s^c over each live interval, c = 0..p-3
+    powers = np.where(alive[:, None], (knots[1:] - knots[:-1])[:, None] ** np.arange(1, p - 1), 0.0)
+    powers /= np.arange(1, p - 1)
     reps = np.zeros((m - 2, 2, 2))   # no polynomial part yet: u, then v
     reps[:, 0, 0] = 1.0
     reps[:, 1, 1] = 1.0
-    deltas = []
-    for level in range(1, p):
-        delta, reps = _next_level(lens, alive, reps, right[level - 1], level)
+    deltas, support = [], np.arange(m - 2)[:, None] + np.arange(p)   # function f's intervals
+    for level in range(1, p):   # level k has m - 1 - k functions of k + 1 intervals
+        table = np.concatenate([powers[:, : level - 1], right[level - 1]], axis=1)
+        delta, reps = _next_level(table[support[: m - 1 - level, : level + 1]], reps, level)
         deltas.append(delta)
 
     # function-major slots become interval-major rows, components last: row j,
-    # component c is function j + c's slot p - c
+    # component c is function j + c's slot p - c; rows on dead intervals are zeros
     rows = np.arange(len(reps) - p)[:, None] + np.arange(p + 1)
-    local = PiecewiseCurve(breaks=kv.active_region(),
-                           coefs=reps[rows, p - np.arange(p + 1)].swapaxes(1, 2),
-                           degree=p, fam=fam, slots=slots[p : m - p - 1])
-    return LocalBasis(kv=kv, fam=fam, local=local, deltas=tuple(readonly(d) for d in deltas))
+    coefs = np.where(alive[p : m - p - 1, None, None],
+                     reps[rows, p - np.arange(p + 1)].swapaxes(1, 2), 0.0)
+    local = _unchecked(PiecewiseCurve, breaks=kv.active_region(), coefs=coefs, degree=p, fam=fam,
+                       slots=slots[p : m - p - 1])
+    return LocalBasis(kv=kv, fam=fam, local=local, deltas=tuple(map(readonly, deltas)))
 
 
 # evaluation ------------------------------------------------------------------
@@ -441,15 +443,16 @@ def form_piecewise(cpts, basis: LocalBasis) -> PiecewiseCurve:
     functions weighted by their control points.  Control points shaped
     (n, d) give parts with a trailing axis of d components.
     """
+    cpts = np.asarray(cpts, dtype=float)
+    _check_cpts(cpts, basis.n_basis)
     return _form_rows(cpts, basis, 0, len(basis.local.breaks) - 1)
 
 
 def _form_rows(cpts, basis: LocalBasis, start, stop) -> PiecewiseCurve:
-    """form_piecewise over active intervals start..stop-1 alone."""
-    cpts = np.asarray(cpts, dtype=float)
-    _check_cpts(cpts, basis.n_basis)
+    """form_piecewise over active intervals start..stop-1 alone, from checked
+    control points (their index counted in the basis), unchecked."""
     local = basis.local
     windows = cpts[np.arange(start, stop)[:, None] + np.arange(basis.degree + 1)]
-    return PiecewiseCurve(breaks=local.breaks[start : stop + 1],
-                          coefs=np.einsum("jwc,jc...->jw...", local.coefs[start:stop], windows),
-                          degree=basis.degree, fam=basis.fam, slots=local.slots[start:stop])
+    return _unchecked(PiecewiseCurve, breaks=local.breaks[start : stop + 1],
+                      coefs=np.einsum("jwc,jc...->jw...", local.coefs[start:stop], windows),
+                      degree=basis.degree, fam=basis.fam, slots=local.slots[start:stop])

@@ -8,8 +8,9 @@ bookkeeping free of integration constants.  Every order, derivatives too,
 is a polynomial in the interval's local coordinate with per-span
 coefficients, evaluated by Horner's rule.  A span's values depend on its
 kind, length and frequency alone, so one pass (`_ladders_at`) serves
-several callers at once: a refinement reads the target basis's right ends
-and the source generators' integral table from the same call.
+several callers at once: a refinement reads the target basis's right ends,
+the source generators' integral table and, with no basis given, the
+source basis's right ends from the same call.
 
 All types are immutable after construction and safe for concurrent reads.
 Scalar parameters are computed as Python floats whatever their type:
@@ -19,8 +20,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from operator import index as _index
 
 import numpy as np
@@ -57,7 +58,6 @@ class KnotVector:
 
     knots: np.ndarray
     degree: int
-    _active: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "knots", readonly(self.knots))
@@ -75,7 +75,6 @@ class KnotVector:
             x = k[over[0]]
             raise MultiplicityOverflow(
                 f"knot {x} has multiplicity {np.count_nonzero(k == x)} > {p + 1}")
-        object.__setattr__(self, "_active", k[p : m - p])
 
     @property
     def m(self) -> int:
@@ -87,7 +86,7 @@ class KnotVector:
 
     def active_region(self) -> np.ndarray:
         """Breakpoints t_p..t_{m-p-1}, interior multiplicities retained."""
-        return self._active
+        return self.knots[self.degree : len(self.knots) - self.degree]
 
 
 def validate_open_knot_vector(knots, degree) -> KnotVector:
@@ -150,6 +149,17 @@ def containing_spans(spans, breaks, tol=DEFAULT_TOL) -> np.ndarray:
     return np.where(pos, idx, -1)
 
 
+def _unchecked(cls, **fields):
+    """The frozen dataclass `cls` from fields derived from checked ones, without
+    its constructor's checks; array fields (fresh, or views) are made read-only."""
+    for value in fields.values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 # ladder values ------------------------------------------------------------------
 #
 # On a span of length h, with theta = omega*h and x = (t - left)/h, ladder
@@ -170,6 +180,21 @@ def containing_spans(spans, breaks, tol=DEFAULT_TOL) -> np.ndarray:
 _SERIES_THETAS = np.array([(2.0**-53 * math.factorial(2 * j)) ** (0.5 / j) for j in range(1, 60)])
 _SERIES_THETA_MAX = 4.0   # where the series' error overtakes the closed forms'
 _FACTORIAL = np.array([math.factorial(n) for n in range(171)], dtype=float)
+_ENDS = np.array([[0], [1]])   # an interval's left and right end in the breaks
+
+
+@lru_cache(maxsize=256)
+def _series_tables(orders, width):
+    """`_ladder_polys`' index tables for `orders` (a tuple) and `width` terms
+    each, kept (read-only): they depend on nothing else."""
+    ks, cols = np.array(orders, dtype=int)[:, None], np.arange(width)
+    q = np.maximum(-ks, 0) + cols   # the series' indices 2j and 2j+1, per order
+    size = np.maximum(ks, 0).max(initial=0) + width
+    at = size - 1 - np.maximum(ks, 0) - cols, np.arange(len(orders))[:, None]
+    out = q // 2, _FACTORIAL[q + ks][..., None], (q % 2 == 1)[..., None], cols[:, None], at
+    for a in (*out[:4], *at):
+        a.flags.writeable = False
+    return *out, size, int(q.max(initial=0)) // 2
 
 
 def _ladder_polys(codes, h, omega, orders, need=True):
@@ -184,24 +209,23 @@ def _ladder_polys(codes, h, omega, orders, need=True):
     is False, h**k is taken as 1: those entries are not read."""
     n = len(h)
     theta = np.where(codes == KINDS.index("linear"), 0.0, omega * h)
-    closed, trig = (codes == _EXPONENTIAL) & (theta > _SERIES_THETA_MAX), codes == _TRIGONOMETRIC
+    trig, expo = codes == _TRIGONOMETRIC, codes == _EXPONENTIAL
+    closed = expo & (theta > _SERIES_THETA_MAX)
     sine, cosine = np.ones(n), np.ones(n)   # the linear kind's limits
-    for on, s, c in ((trig, math.sin, math.cos), (codes == _EXPONENTIAL, math.sinh, math.cosh)):
+    for on, s, c in ((trig, math.sin, math.cos), (expo, math.sinh, math.cosh)):
         z = theta[on].tolist()
         sine[on], cosine[on] = list(map(s, z)), list(map(c, z))
     a = np.divide(theta, sine, out=np.ones(n), where=theta > 0)   # theta/S, 1 in the limit
     sq = np.where(closed, 0.0, np.where(trig, -theta, theta) * theta)
-    terms = np.where(closed, 0, 1 + np.searchsorted(_SERIES_THETAS, theta))
-    width, ks = 2 * terms.max(initial=0), np.array(orders, dtype=int)[:, None]
-    q = np.maximum(-ks, 0) + np.arange(width)   # the series' indices 2j and 2j+1, per order
-    powers = np.cumprod([np.ones(n)] + [sq] * (q.max(initial=0) // 2), axis=0)
+    terms = np.where(closed, 0, 1 + _SERIES_THETAS.searchsorted(theta))
+    half, fact, odd, cols, at, size, top = _series_tables(tuple(orders),
+                                                          2 * int(terms.max(initial=0)))
+    powers = np.array([np.ones(n)] + [sq] * top).cumprod(axis=0)
     hs = [h.tolist()] * len(orders) if need is True else np.where(need, h, 1.0).tolist()
     hk = np.array([x**k for k, row in zip(orders, hs) for x in row]).reshape(len(orders), 1, n)
-    base = hk * powers[q // 2] / _FACTORIAL[q + ks][..., None]
-    base[:, np.arange(width)[:, None] >= 2 * terms] = 0.0
-    odd = (q % 2 == 1)[..., None]
-    out = np.zeros((np.maximum(ks, 0).max(initial=0) + width, len(orders), 2, n))
-    at = len(out) - 1 - np.maximum(ks, 0) - np.arange(width), np.arange(len(orders))[:, None]
+    base = hk * powers[half] / fact
+    base[:, cols >= 2 * terms] = 0.0
+    out = np.zeros((size, len(orders), 2, n))
     out[at + (0,)] = np.where(odd, a * base, 0.0)
     out[at + (1,)] = np.where(odd, -(a * cosine * base), base)
     if not closed.any():
@@ -220,17 +244,19 @@ def _ladder_polys(codes, h, omega, orders, need=True):
 
 def _ladder_values(codes, h, omega, orders, x, at, need=True):
     """Ladder values (len(orders), 2, len(x)) of `_ladder_polys(codes, h,
-    omega, orders, need)` at local coordinates x, sample i on span at[i]
-    (span i if `at` is None): one Horner pass, then the closed forms' term
-    point by point."""
+    omega, orders, need)` at local coordinates x, sample i on span at[i]: the
+    coefficients gathered once, one in-place Horner pass, then the closed
+    forms' term point by point."""
     coefs, closed = _ladder_polys(codes, h, omega, orders, need)
-    out = np.zeros((len(orders), 2, len(x)))
+    coefs = coefs[..., at]
+    out = np.zeros(coefs.shape[1:])
     for c in coefs:
-        out = out * x + (c if at is None else np.take(c, at, axis=-1))
+        out *= x
+        out += c
     if closed is not None:   # G through math, point by point, as in the scalar path
         on, theta, inv, scales = closed
-        pts = np.flatnonzero(on if at is None else on[at])
-        sp = pts if at is None else at[pts]
+        pts = np.flatnonzero(on[at])
+        sp = at[pts]
         for i, k in enumerate(orders):
             g = math.cosh if k & 1 else math.sinh
             for w, z in enumerate((x[pts], 1.0 - x[pts])):
@@ -247,38 +273,37 @@ def _ladders_at(*requests):
     interval, end, generator 'u' first), zero on dead intervals."""
     spans, points = [], []
     for orders, fam, slots, breaks, both in requests:
-        live = np.flatnonzero(slots >= 0)
+        live = (slots >= 0).nonzero()[0]
         span = slots[live]
         left, right = fam.spans[span].T
-        ends = np.stack([breaks[live], breaks[live + 1]], axis=1) if both else breaks[live + 1]
-        spans.append((right - left, fam._kind_ids[span], fam.omegas[span]))
-        points.append((live, ((ends.T - left) / (right - left)).T))
+        h = right - left
+        spans.append((h, fam._kind_ids[span], fam.omegas[span]))
+        points.append((live, (breaks[live + _ENDS if both else live + 1] - left) / h))   # [(e,) j]
     h, codes, omega = map(np.concatenate, zip(*spans))
     x = np.concatenate([x.ravel() for _, x in points])
     low = min(r[0].start for r in requests)
     orders = range(low, max(r[0].stop for r in requests))
     if len(requests) == 1 and len(x) == len(h):   # point i on span i: cheaper ungrouped
-        values = _ladder_values(codes, h, omega, orders, x, None)
+        values = _ladder_values(codes, h, omega, orders, x, np.arange(len(x)))
     else:   # spans of one kind, h and omega are built once, with the orders any request asks
         order = np.lexsort((omega, codes, h))
-        key = np.stack([h, codes, omega])[:, order]
-        new = np.append(True, (key[:, 1:] != key[:, :-1]).any(axis=0))
+        key = np.array([h, codes, omega])[:, order]
+        new = np.concatenate(([True], (key[:, 1:] != key[:, :-1]).any(axis=0)))
         group = np.empty(len(order), dtype=int)
-        group[order] = np.cumsum(new) - 1
+        group[order] = new.cumsum() - 1
         need, start, at = np.zeros((len(orders), np.count_nonzero(new)), dtype=bool), 0, []
         for (asked, *_, both), (live, _) in zip(requests, points):
             g = group[start : start + len(live)]
             need[asked.start - low : asked.stop - low, g] = True
-            at.append(np.repeat(g, 1 + both))
+            at += [g, g] if both else [g]
             start += len(live)
         h, codes, omega = key[:, new]
         values = _ladder_values(codes.astype(int), h, omega, orders, x, np.concatenate(at), need)
     start, out = 0, []
     for (asked, _, slots, *_), (live, x) in zip(requests, points):
-        out.append(np.zeros((len(asked), len(slots)) + x.shape[1:] + (2,)))
         part = values[asked.start - low : asked.stop - low, :, start : start + x.size]
-        part = part.reshape((len(asked), 2) + x.shape)   # to order, interval, (end,) generator
-        out[-1][:, live] = part.transpose(0, *range(2, x.ndim + 2), 1)
+        out.append(np.zeros((len(asked), len(slots)) + x.shape[:-1] + (2,)))
+        out[-1][:, live] = part.reshape((len(asked), 2) + x.shape).swapaxes(1, -1)
         start += x.size
     return out
 
@@ -375,12 +400,10 @@ def build_family(knots, kind="trigonometric", omega=math.pi / 2, *,
             raise InvalidFamily("frequency must be positive")
         raise InvalidFamily(f"omega * h = {w * (b - a):.6g} on [{a}, {b}] "
                             f"must stay below {_OMEGA_H_MAX[KINDS.index(kd)]:.6g}")
-    return KnotFunctionFamily(
-        spans=readonly(spans),
-        kinds=out_kinds,
-        omegas=readonly(out_omegas),
-        slots=readonly(slots, dtype=int),
-    )
+    out = KnotFunctionFamily(spans=readonly(spans), kinds=out_kinds, omegas=readonly(out_omegas),
+                             slots=readonly(slots, dtype=int))
+    out.__dict__["_kind_ids"] = readonly(codes, dtype=int)   # the cached property, computed
+    return out
 
 
 def build_integral_table(fam: KnotFunctionFamily, breakpoints, derivative_offset,

@@ -12,14 +12,12 @@ skips the rewrite and shares only the projection.
 Knot insertion projects only on a clamped window of target knots around
 the new ones and copies every other control point; a degree raise's window
 is the whole target.  Per-interval work is independent, so every stage
-runs on arrays over the window at once: one ladder pass gives the target
-basis's right ends and the source generators' integral table, one Taylor
-shift re-expands the polynomial parts, one batched elimination solves all
-local systems, and one scatter averages the anti-diagonals.  Target
-intervals are placed in source spans once over the whole target, to derive
-its family, and once over the solved ones, to reindex the curve; a
-caller's basis of another family object adds one more search, and a source
-basis built here (no basis given) one, or two on a window.
+runs on arrays over the window at once.  One span search places the target
+intervals in the source spans; with the source family's own interval map
+it also gives each solved interval its source row and offset.  One ladder
+pass gives the target basis's right ends, the source table and, with no
+basis given, the source basis's right ends; one Taylor shift, one batched
+elimination and one scatter do the rest.
 """
 from __future__ import annotations
 
@@ -37,8 +35,7 @@ from .basis import (
     _basis_from_ends,
     _check_cpts,
     _form_rows,
-    build_local_basis,
-    form_piecewise,
+    build_local_basis,  # not called here; the benchmark's self-test reaches it through this module
     reverse_diagonal_averages,
 )
 from .errors import (
@@ -54,10 +51,11 @@ from .knots import (
     KINDS,
     KnotFunctionFamily,
     KnotVector,
+    _ENDS,
     _ladders_at,
+    _unchecked,
     build_integral_table,
     containing_spans,
-    readonly,
 )
 from .poly import DEFAULT_TOL, left_taylor_series, taylor_shift
 
@@ -138,18 +136,22 @@ def refine_local(curve: PiecewiseCurve, dst_breaks, tol=DEFAULT_TOL) -> Piecewis
     src = np.asarray(curve.breaks, dtype=float)
     dst = np.asarray(dst_breaks, dtype=float)
     rows = np.flatnonzero(np.diff(src) > tol)
-    spans = np.stack([src[rows], src[rows + 1]], axis=1)
-    idx = containing_spans(spans, dst, tol)
-    live = np.flatnonzero(idx >= 0)
-    row = rows[idx[live]]
-    coefs = np.zeros((len(idx),) + curve.coefs.shape[1:])
-    coefs[live] = curve.coefs[row]
-    tau = (dst[live] - spans[idx[live], 0]).reshape((-1,) + (1,) * (coefs.ndim - 2))
+    idx = containing_spans(np.stack([src[rows], src[rows + 1]], axis=1), dst, tol)
+    row = np.append(rows, -1)[idx]   # -1 on zero-length targets
+    return PiecewiseCurve(breaks=dst, coefs=_reindex(curve, dst, row), degree=curve.degree,
+                          fam=curve.fam, slots=np.where(row >= 0, curve.slots[row], -1))
+
+
+def _reindex(curve: PiecewiseCurve, dst, row):
+    """`refine_local`'s rows from its map: interval j of `dst` is a piece of
+    curve's interval row[j], or has zero length where row[j] is -1."""
+    live = np.flatnonzero(row >= 0)
+    src = row[live]
+    coefs = np.zeros((len(row),) + curve.coefs.shape[1:])
+    coefs[live] = curve.coefs[src]
+    tau = (dst[live] - curve.breaks[src]).reshape((-1,) + (1,) * (coefs.ndim - 2))
     coefs[live, :-2] = taylor_shift(coefs[live, :-2].swapaxes(0, 1), tau).swapaxes(0, 1)
-    slots = np.full(len(idx), -1)
-    slots[live] = curve.slots[row]
-    return PiecewiseCurve(breaks=dst, coefs=coefs, degree=curve.degree, fam=curve.fam,
-                          slots=slots)
+    return coefs
 
 
 def represent_knot_funcs(gen, tables_src):
@@ -213,15 +215,15 @@ def refine_curve(curve: PiecewiseCurve, basis: LocalBasis,
     local = refine_local(curve, target.breaks, tol)
     _check_families(curve.fam, local.slots, target.fam, target.slots, target.breaks)
     tables = build_integral_table(curve.fam, target.breaks, q - p, q - 1, tol)
-    return _project(target.breaks, target.coefs, _target_rows(local, tables), tol, coef_tol)
+    return _project(target.breaks, target.coefs, _target_rows(local.coefs, tables), tol, coef_tol)
 
 
-def _target_rows(local: PiecewiseCurve, tables):
+def _target_rows(coefs, tables):
     """The rows, in target coordinates, of a curve reindexed onto the target
-    breaks (`local`), from its source generators' integral table there: the
-    rewritten generator terms plus the polynomial parts."""
-    lfunc = represent_knot_funcs(local.coefs[:, -2:], tables)
-    lfunc[:, : local.coefs.shape[1] - 2] += local.coefs[:, :-2]
+    breaks (its rows `coefs` there), from its source generators' integral
+    table there: the rewritten generator terms plus the polynomial parts."""
+    lfunc = represent_knot_funcs(coefs[:, -2:], tables)
+    lfunc[:, : coefs.shape[1] - 2] += coefs[:, :-2]
     return lfunc
 
 
@@ -282,33 +284,35 @@ def derive_family(fam: KnotFunctionFamily, knots, tol=DEFAULT_TOL) -> KnotFuncti
     frequency of the source span containing it.  A piece of a valid span is
     valid, so nothing is re-validated."""
     knots = np.asarray(knots, dtype=float)
-    slots = containing_spans(fam.spans, knots, tol)
+    return _derived(fam, knots, containing_spans(fam.spans, knots, tol), tol)
+
+
+def _derived(fam: KnotFunctionFamily, knots, slots, tol) -> KnotFunctionFamily:
+    """derive_family from `slots`, the span of fam holding each interval of knots."""
     pos = slots >= 0
     if not pos.any():
         raise InvalidFamily(f"no knot interval is longer than tol={tol:g}")
-    src = slots[pos]
-    cut = np.flatnonzero(src[1:] != src[:-1] + 1)   # runs of consecutive source spans
+    src, live = slots[pos], pos.nonzero()[0]
+    cut = (src[1:] != src[:-1] + 1).nonzero()[0]   # runs of consecutive source spans
     runs = zip(src[np.append(0, cut + 1)].tolist(), src[np.append(cut, len(src) - 1)].tolist())
-    out = KnotFunctionFamily(spans=readonly(np.stack([knots[:-1][pos], knots[1:][pos]], axis=1)),
-                             kinds=tuple(chain.from_iterable(fam.kinds[a : b + 1]
-                                                             for a, b in runs)),
-                             omegas=readonly(fam.omegas[src]),
-                             slots=readonly(np.where(pos, np.cumsum(pos) - 1, -1), dtype=int))
-    out.__dict__["_kind_ids"] = readonly(fam._kind_ids[src], dtype=int)   # the cached property
-    return out
+    return _unchecked(KnotFunctionFamily, spans=knots[live + _ENDS].T, omegas=fam.omegas[src],
+                      kinds=tuple(chain.from_iterable(fam.kinds[a : b + 1] for a, b in runs)),
+                      slots=np.where(pos, pos.cumsum() - 1, -1), _kind_ids=fam._kind_ids[src])
 
 
-def _clamped(knots, lo, hi, p):
+def _clamped(knots, lo, hi, p, slots):
     """Open knot vector on [knots[lo], knots[hi]], each end moved to the inner copy of its
     value and raised to multiplicity p + 1 (`knots` itself if both are the active region's
-    ends), and the index in `knots` of its first function."""
+    ends), the index in `knots` of its first function, and its intervals' entries of
+    `slots` (a map of knots' intervals), -1 on the copies."""
     if lo == p and hi == len(knots) - p - 1:
-        return knots, 0
+        return knots, 0, slots
     if lo > p:
         lo = int(np.searchsorted(knots, knots[lo], side="right")) - 1
     if hi < len(knots) - p - 1:
         hi = int(np.searchsorted(knots, knots[hi], side="left"))
-    return np.concatenate(([knots[lo]] * p, knots[lo : hi + 1], [knots[hi]] * p)), lo - p
+    return (np.concatenate(([knots[lo]] * p, knots[lo : hi + 1], [knots[hi]] * p)), lo - p,
+            np.concatenate(([-1] * p, slots[lo:hi], [-1] * p)))
 
 
 def refined_spline(curve: SplineCurve, basis: LocalBasis | None = None, *,
@@ -331,28 +335,35 @@ def refined_spline(curve: SplineCurve, basis: LocalBasis | None = None, *,
     cost does not grow with the curve.  Errors name global intervals.  A
     caller's basis is still checked against the whole curve: its number of
     functions and, unless it holds the curve's own family, its kinds and
-    frequencies.
+    frequencies.  The curve's family must be built over the curve's knots.
     """
     tol, coef_tol = _tolerances(tol, coef_tol)
-    elevate_by, p = index(elevate_by), curve.kv.degree
+    elevate_by, p, fam = index(elevate_by), curve.kv.degree, curve.fam
     if p < 2:
         raise DegreeTooSmall("refinement needs degree >= 2")
     if elevate_by < 0:
         raise ValueError("elevate_by must be nonnegative")
-    if elevate_by > 0 and "linear" in curve.fam.kinds:
+    if elevate_by > 0 and "linear" in fam.kinds:
         raise FamilyNotClosedUnderDerivative(
             "derivatives of linear generators collapse; cannot raise the degree")
     q = p + elevate_by
     knots, knots1 = curve.kv.knots, _refined_knots(curve.kv, insert, elevate_by, tol)
-    kv1, fam1 = KnotVector(knots1, q), derive_family(curve.fam, knots1, tol)
-    m, m1, n1 = len(knots), len(knots1), kv1.n_basis
+    m, m1, src = len(knots), len(knots1), np.flatnonzero(fam.slots >= 0)   # span i: interval src[i]
+    if len(fam.slots) != m - 1 or not np.array_equal(fam.spans, knots[src + _ENDS].T):
+        raise InvalidFamily("the curve's family is not built over its knots")
+    spans1 = containing_spans(fam.spans, knots1, tol)   # the one search: each target's source span
+    kv1, fam1 = _unchecked(KnotVector, knots=knots1, degree=q), _derived(fam, knots1, spans1, tol)
     if basis is not None:   # refuse another curve's basis, as the full projection does
         _check_cpts(curve.cpts, basis.n_basis)
-        if basis.fam is not curve.fam:
-            breaks1 = knots1[q : m1 - q]
-            _check_families(basis.fam, containing_spans(basis.fam.spans, breaks1, tol),
+        if basis.fam is not fam:   # the basis's span of each target interval: its source's, if
+            # the basis has the curve's live knot intervals; else a search names where it fails
+            breaks1, own = knots1[q : m1 - q], basis.local.slots
+            same = np.array_equal(basis.kv.knots, knots) and np.array_equal(
+                own >= 0, fam.slots[p : m - p - 1] >= 0)
+            _check_families(basis.fam, own[src[spans1[q : m1 - q - 1]] - p] if same else
+                            containing_spans(basis.fam.spans, breaks1, tol),
                             fam1, fam1.slots[q : m1 - q - 1], breaks1)
-    first, last = 0, n1 - 1   # the control points that change
+    first, last = 0, kv1.n_basis - 1   # the control points that change
     if not elevate_by:   # from p before the first knot that moved to before the last
         moved = np.flatnonzero(knots1[:m] != knots)
         if not len(moved):
@@ -361,20 +372,12 @@ def refined_spline(curve: SplineCurve, basis: LocalBasis | None = None, *,
         last = np.flatnonzero(knots1[m1 - m :] != knots)[-1] + m1 - m - 1
     # the changed functions' supports and q knots more each side: every interval outside
     # is one of `knots`, and each interval of those supports has only the target's functions
-    window, shift = _clamped(knots1, max(first - q, q), min(last + 2 * q + 1, m1 - q - 1), q)
+    window, shift, slots = _clamped(knots1, max(first - q, q), min(last + 2 * q + 1, m1 - q - 1),
+                                    q, fam1.slots)
     whole = window is knots1
     # source knot intervals lo..hi-1 cover the window
     lo, hi = (p, m - p - 1) if whole else (shift + q, shift + len(window) - q - 1 - m1 + m)
-    if basis is None:   # a source basis is exact p intervals inside its window's ends
-        src, offset = _clamped(knots, max(lo - p, p), min(hi + p, m - p - 1), p)
-        basis = build_local_basis(*((curve.kv, curve.fam) if src is knots else
-                                    (KnotVector(src, p), derive_family(curve.fam, src, tol))), tol)
-        piece = form_piecewise(curve.cpts[offset : offset + len(src) - p - 1], basis)
-    else:
-        piece = _form_rows(curve.cpts, basis, lo - p, hi - p)
-    # the window's knot intervals in fam1, and the ones solved: j0..j1-1 of its active ones
-    slots = np.concatenate(([-1] * q, fam1.slots[shift + q : shift + len(window) - q - 1],
-                            [-1] * q))
+    # the window's knot intervals solved: j0..j1-1 of its active ones
     breaks, j0, j1 = window[q : len(window) - q], 0, len(window) - 2 * q - 1
     if not whole:   # from the first to the last live interval whose nonzero functions are
         # all the target's own: a clamped end's gives systems the target has not
@@ -384,15 +387,29 @@ def refined_spline(curve: SplineCurve, basis: LocalBasis | None = None, *,
         j0, j1 = (own[0], own[-1] + 1) if len(own) else (0, 0)   # none: nothing changes
     at, old = shift + j0, curve.cpts   # the target index of cpts[0]; the others are copied
     cpts = old[:0]
-    if j1 > j0:   # one ladder pass: the target basis's right ends and the source table
-        local = refine_local(piece, breaks[j0 : j1 + 1], tol)
-        right, tables = _ladders_at((range(1, q), fam1, slots, window, False),
-                                    (range(p - q, p), piece.fam, local.slots, local.breaks, True))
-        rows = _basis_from_ends(kv1 if whole else KnotVector(window, q), fam1, slots,
-                                right).local.coefs[j0:j1]
-        cpts = _project(local.breaks, rows, _target_rows(local, tables), tol, coef_tol, at)
+    if j1 > j0:
+        span, dst, source = spans1[shift + q + j0 : shift + q + j1], breaks[j0 : j1 + 1], ()
+        row = np.where(span >= 0, src[span] - lo, -1)   # in a source piece from knot interval lo
+        if basis is None:   # a source basis exact p intervals inside its window's ends
+            knots0, offset, slots0 = _clamped(knots, max(lo - p, p), min(hi + p, m - p - 1), p,
+                                              fam.slots)
+            slots0 = np.where(np.diff(knots0) > tol, slots0, -1)   # as a search under tol
+            source = ((range(1, p), fam, slots0, knots0, False),)
+        # one ladder pass: target right ends, source table and, with no basis, source right ends
+        right, tables, *ends0 = _ladders_at((range(1, q), fam1, slots, window, False),
+                                            (range(p - q, p), fam, span, dst, True), *source)
+        if basis is None:
+            basis0 = _basis_from_ends(_unchecked(KnotVector, knots=knots0, degree=p), fam, slots0,
+                                      *ends0)
+            piece = _form_rows(old[offset:], basis0, lo - p - offset, hi - p - offset)
+        else:
+            piece = _form_rows(old, basis, lo - p, hi - p)
+        rows = _basis_from_ends(kv1 if whole else _unchecked(KnotVector, knots=window, degree=q),
+                                fam1, slots, right).local.coefs[j0:j1]
+        cpts = _project(dst, rows, _target_rows(_reindex(piece, dst, row), tables), tol,
+                        coef_tol, at)
     return SplineCurve(kv=kv1, fam=fam1, cpts=np.concatenate(
-        [old[:first], cpts[first - at : last + 1 - at], old[len(old) - n1 + last + 1 :]]))
+        [old[:first], cpts[first - at : last + 1 - at], old[len(old) - kv1.n_basis + last + 1 :]]))
 
 
 def insert_knots(curve: SplineCurve, basis: LocalBasis | None, new_knots,

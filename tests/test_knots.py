@@ -19,6 +19,7 @@ from gbspline.errors import (
     TooShort,
 )
 from gbspline.knots import (
+    KINDS,
     _SERIES_THETA_MAX,
     _ladder_values,
     _ladders_at,
@@ -168,6 +169,18 @@ class TestFamilies:
     def test_rejects_unknown_kind(self):
         with pytest.raises(InvalidFamily):
             build_family([0, 1], kind="rational")
+
+    @pytest.mark.parametrize("kinds", [None, ("exponential", "linear", "trigonometric",
+                                              "linear", "exponential")])
+    def test_stores_the_kind_indices_it_checked(self, kinds):
+        """The indices build_family checks the kinds with are kept as the
+        family's `_kind_ids`, so a loaded family is not walked again."""
+        fam = build_family([0, 1, 2, 3, 4, 5], kinds=kinds, omegas=None if kinds is None else
+                           [2.0, 0.0, 1.0, 0.0, 2.0], omega=1.0)
+        assert "_kind_ids" in vars(fam)   # built with the family, not on first use
+        ids = fam._kind_ids
+        assert ids.tolist() == [KINDS.index(k) for k in fam.kinds]
+        assert ids.dtype == int and not ids.flags.writeable
 
     def test_rejects_spec_count_mismatch(self):
         with pytest.raises(InvalidFamily):

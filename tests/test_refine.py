@@ -7,7 +7,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, seed, settings, strategies as st
 
+import gbspline.basis
+import gbspline.knots
 import gbspline.refine
 from gbspline import (
     KnotVector,
@@ -346,17 +349,15 @@ def test_linear_insertion_matches_boehm(p, case):
 def test_one_knot_insertion_builds_bases_on_a_window_only(monkeypatch):
     """10^4 intervals: with the source basis given, one target basis over the
     window; without it, a source basis over a window p intervals wider.
-    The target is built from the ladder pass's values (`_basis_from_ends`),
-    the source by `build_local_basis`; both are wrapped."""
+    Both are built from the ladder pass's values (`_basis_from_ends`)."""
     kv = open_kv(3, np.linspace(0, 1, 10001)[1:-1])
     fam = build_family(kv.knots)
     curve = SplineCurve(kv=kv, fam=fam, cpts=np.random.default_rng(3).uniform(-1, 1, kv.n_basis))
     basis = build_local_basis(kv, fam)
     sizes = []
-    for name in ("_basis_from_ends", "build_local_basis"):
-        build = getattr(gbspline.refine, name)
-        monkeypatch.setattr(gbspline.refine, name, lambda kv, *args, build=build:
-                            sizes.append(len(kv.knots)) or build(kv, *args))
+    build = gbspline.refine._basis_from_ends
+    monkeypatch.setattr(gbspline.refine, "_basis_from_ends", lambda kv, *args:
+                        sizes.append(len(kv.knots)) or build(kv, *args))
     for given in (basis, None):
         out = insert_knots(curve, given, [0.4321])
         assert out.kv.n_basis == kv.n_basis + 1
@@ -413,6 +414,23 @@ def test_another_curves_basis_is_refused_over_the_whole_curve(insert, first):
     kv1 = open_kv(3, np.linspace(0, 1, 17)[1:-1] + 0.01)
     with pytest.raises(IntervalStraddle, match=r"^interval 1 \[0\.0625, 0\.1"):
         insert_knots(curve, build_local_basis(kv1, build_family(kv1.knots)), insert)
+
+
+def test_a_basis_missing_a_live_interval_is_refused_as_before():
+    """A basis of another family object over the curve's knots but built at
+    a coarser tol has no generators on a 1e-9 interval the refinement sees
+    as live; as when every basis of another family was searched, the
+    refinement names that interval.  A curve whose family is not built over
+    its knots is refused before any projection."""
+    kv = open_kv(3, (0.25, 0.5, 0.5 + 1e-9, 0.75))
+    curve = SplineCurve(kv=kv, fam=build_family(kv.knots), cpts=np.arange(8.0))
+    coarse = build_local_basis(kv, build_family(kv.knots, tol=1e-8), tol=1e-8)
+    with pytest.raises(IntervalStraddle, match=r"^interval 3 \[0\.5, 0\.500000001\] "):
+        insert_knots(curve, coarse, [0.1])
+    other = SplineCurve(kv=kv, fam=build_family(kv.knots[1:-1]), cpts=curve.cpts)
+    for basis in (None, build_local_basis(kv, other.fam)):
+        with pytest.raises(InvalidFamily, match="^the curve's family is not built over its knots$"):
+            insert_knots(other, basis, [0.1])
 
 
 class TestElevateDegree:
@@ -729,6 +747,135 @@ class TestDeriveFamily:
             a, b = getattr(got, name), getattr(want, name)
             assert (a.dtype, a.shape, a.flags.writeable) == (b.dtype, b.shape, b.flags.writeable)
             assert a.tobytes() == b.tobytes(), name
+
+
+@seed(25)
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_refined_knots_pass_the_knot_vector_checks(data):
+    """The refinement builds its target KnotVector and family without their
+    checks, so `_refined_knots` must always give an open knot vector that
+    passes them, and `derive_family` build_family's family: over interior
+    multiplicities up to p + 1, runs of gaps no longer than tol, inserts
+    anywhere in the active region (some within tol of a knot) and raises of
+    0 to 2.  A refusal must be one of the refinement's own errors.  No gap
+    lies near tol, where a piece may sit in either neighbouring span."""
+    tol, p = DEFAULT_TOL, data.draw(st.integers(2, 4), label="degree")
+    interior = []
+    for v in data.draw(st.lists(st.floats(0.02, 0.98), max_size=6), label="values"):
+        if data.draw(st.booleans(), label="run"):   # v, then gaps each under tol / 2
+            gaps = data.draw(st.lists(st.floats(1e-13, 0.45 * tol), min_size=1, max_size=3))
+            interior += (v + np.cumsum([0.0] + gaps)).tolist()
+        else:
+            interior += [v] * data.draw(st.integers(1, p + 1), label="multiplicity")
+    try:
+        kv = open_kv(p, interior)
+    except MultiplicityOverflow:
+        assume(False)
+    gaps = np.diff(kv.knots)
+    assume(not ((gaps > tol / 2) & (gaps < 2 * tol)).any())
+    near = st.sampled_from(kv.knots.tolist()).flatmap(
+        lambda k: st.floats(k - tol, k + tol).filter(lambda x: 0.0 < x < 1.0))
+    inserts = data.draw(st.lists(st.floats(0.0, 1.0) | near, max_size=4), label="inserts")
+    raise_by = data.draw(st.integers(0, 2), label="raise")
+    try:
+        knots1 = _refined_knots(kv, inserts, raise_by, tol)
+    except (KnotOutsideActiveRegion, MultiplicityOverflow):
+        return
+    kv1 = KnotVector(knots1, p + raise_by)   # every check passes
+    assert kv1.knots.tobytes() == knots1.tobytes()
+    count = int(np.count_nonzero(np.diff(kv.knots) > tol))   # intervals with generators
+    kinds = data.draw(st.lists(st.sampled_from(ALL_KINDS), min_size=count, max_size=count))
+    fam = build_family(kv.knots, kinds=kinds, omegas=[1.5] * count)
+    try:
+        got = derive_family(fam, knots1)
+    except IntervalStraddle:   # a sub-tol run whose merged knot leaves a wider piece
+        return
+    mids = [(a + b) / 2 for a, b in zip(knots1[:-1], knots1[1:]) if b - a > tol]
+    lo, hi = fam.spans.T
+    src = [int(np.flatnonzero((lo <= m) & (m <= hi))[0]) for m in mids]
+    want = build_family(knots1, kinds=[fam.kinds[s] for s in src], omegas=fam.omegas[src])
+    assert got.kinds == want.kinds
+    for name in ("spans", "omegas", "slots", "_kind_ids"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.flags.writeable) == (b.dtype, b.shape, b.flags.writeable)
+        assert a.tobytes() == b.tobytes(), name
+
+
+def mesh_curve(mesh, degree=3, linear=True):
+    """A curve of 20 intervals on [0, 1] with control points from seed 5; the
+    mixed kinds skip the linear one unless `linear`."""
+    interior = np.linspace(0, 1, 21)[1:-1].tolist()
+    kinds, omegas = ["trigonometric"] * 20, [np.pi / 2] * 20
+    if mesh == "geometric":
+        interior = (0.8 ** np.arange(20, 1, -1)).tolist()
+    elif mesh == "double knot":
+        interior += [0.5]
+    elif mesh == "sub-tol run":   # three knots 3e-11 apart, which refinement merges
+        interior += [0.5 + 3e-11, 0.5 + 6e-11]
+    elif mesh == "mixed kinds":
+        kinds = ["trigonometric", "exponential", "linear" if linear else "trigonometric",
+                 "exponential"] * 5
+        omegas = [1.5, 100.0, 0.5, 2.0] * 5   # theta = 5 keeps the closed forms
+    kv = open_kv(degree, interior)
+    count = np.count_nonzero(np.diff(kv.knots) > DEFAULT_TOL)   # intervals with generators
+    fam = build_family(kv.knots, kinds=(kinds * 2)[:count], omegas=(omegas * 2)[:count])
+    return SplineCurve(kv=kv, fam=fam, cpts=np.random.default_rng(5).uniform(-1, 1, kv.n_basis))
+
+
+class TestOnePass:
+    """A refinement places the target intervals in the source spans once and
+    runs one ladder pass, with a caller's basis (of the curve's family or a
+    copy of it) or without one, on a window or on the whole target; the rows
+    it reindexes are `refine_local`'s bit for bit."""
+
+    MESHES = ("uniform", "geometric", "double knot", "sub-tol run", "mixed kinds")
+
+    @pytest.mark.parametrize("mesh", MESHES)
+    @pytest.mark.parametrize("given", ["none", "own", "copy"])
+    @pytest.mark.parametrize("insert, raise_by", [((0.4321,), 0), ((0.02, 0.51), 0), ((), 1)])
+    def test_one_search_one_pass_and_refine_locals_rows(self, monkeypatch, mesh, given,
+                                                        insert, raise_by):
+        curve = mesh_curve(mesh, linear=not raise_by)
+        fam = curve.fam
+        if given == "copy":
+            fam = build_family(curve.kv.knots, kinds=fam.kinds, omegas=fam.omegas)
+        basis = None if given == "none" else build_local_basis(curve.kv, fam)
+        calls = {"search": 0, "pass": [], "reindex": []}
+
+        def counting(fn, key):
+            def wrapped(*args):
+                out = fn(*args)
+                if key == "search":
+                    calls[key] += 1
+                else:
+                    calls[key].append((args, out))
+                return out
+            return wrapped
+
+        search = counting(gbspline.knots.containing_spans, "search")
+        for module in (gbspline.knots, gbspline.basis, gbspline.refine):
+            monkeypatch.setattr(module, "containing_spans", search)
+        for module in (gbspline.basis, gbspline.refine):
+            monkeypatch.setattr(module, "_ladders_at", counting(gbspline.knots._ladders_at, "pass"))
+        monkeypatch.setattr(gbspline.refine, "_reindex", counting(gbspline.refine._reindex,
+                                                                  "reindex"))
+        out = refined_spline(curve, basis, insert=insert, elevate_by=raise_by)
+        assert calls["search"] == 1 and len(calls["pass"]) == 1 and len(calls["reindex"]) == 1
+        requests = calls["pass"][0][0]
+        assert len(requests) == (3 if basis is None else 2)
+        (piece, dst, row), rows = calls["reindex"][0]
+        monkeypatch.undo()
+        local = refine_local(piece, dst)
+        assert rows.tobytes() == local.coefs.tobytes()
+        assert requests[1][2].tobytes() == local.slots.tobytes()   # the table's spans
+        want = refined_spline(curve, build_local_basis(curve.kv, curve.fam), insert=insert,
+                              elevate_by=raise_by)
+        assert out.kv.knots.tobytes() == want.kv.knots.tobytes()
+        assert out.cpts.tobytes() == want.cpts.tobytes()
+        for name in ("knots", "spans", "omegas", "slots", "_kind_ids"):
+            got = getattr(out.kv if name == "knots" else out.fam, name)
+            assert not got.flags.writeable, name
 
 
 class TestMixedFamily:
