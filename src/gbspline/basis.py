@@ -278,7 +278,7 @@ class PiecewiseCurve:
 
 # construction ----------------------------------------------------------------
 
-def _next_level(table, reps, k):
+def _next_level(table, reps, k, alive):
     """One level of the construction recurrence (level k -> k + 1), for every
     function at once: the level's normalization integrals and the new rows.
 
@@ -289,8 +289,8 @@ def _next_level(table, reps, k):
     normalized integral fills its support slots 0..k; right of its support
     (or when f vanishes identically) it is the unit step in slot k+1.  New
     function i is that accumulation for f = i minus the one for f = i+1,
-    which starts one interval later.  A row reads only its own interval's
-    rows, so rows on dead intervals are zeroed once, at the top level.
+    which starts one interval later.  `alive` marks each new function's live
+    slots; the others are zeroed, so they cannot grow level by level.
     """
     ints = np.einsum("fsw,fsw->fs", reps, table)
     delta = ints.sum(axis=1)
@@ -301,7 +301,7 @@ def _next_level(table, reps, k):
     acc[:, : k + 1] /= np.where(delta != 0.0, delta, np.inf)[:, None, None]   # 0 if f vanishes
     acc[:, k + 1, 0] = 1.0
     acc[:-1, 1:] -= acc[1:, : k + 1]
-    return delta, acc[:-1]
+    return delta, np.where(alive[..., None], acc[:-1], 0.0)
 
 
 def build_local_basis(kv: KnotVector, fam: KnotFunctionFamily, tol=DEFAULT_TOL) -> LocalBasis:
@@ -335,21 +335,21 @@ def _basis_from_ends(kv: KnotVector, fam: KnotFunctionFamily, slots, right) -> L
     # the integrals of s^c over each live interval, c = 0..p-3
     powers = np.where(alive[:, None], (knots[1:] - knots[:-1])[:, None] ** np.arange(1, p - 1), 0.0)
     powers /= np.arange(1, p - 1)
-    reps = np.zeros((m - 2, 2, 2))   # no polynomial part yet: u, then v
-    reps[:, 0, 0] = 1.0
-    reps[:, 1, 1] = 1.0
-    deltas, support = [], np.arange(m - 2)[:, None] + np.arange(p)   # function f's intervals
+    reps = np.zeros((m - 2, 2, 2))   # no polynomial part yet: u, then v, zero where dead
+    reps[:, 0, 0] = alive[:-1]
+    reps[:, 1, 1] = alive[1:]
+    deltas, support = [], np.arange(m - 2)[:, None] + np.arange(p + 1)   # function f's intervals
     for level in range(1, p):   # level k has m - 1 - k functions of k + 1 intervals
         table = np.concatenate([powers[:, : level - 1], right[level - 1]], axis=1)
-        delta, reps = _next_level(table[support[: m - 1 - level, : level + 1]], reps, level)
+        delta, reps = _next_level(table[support[: m - 1 - level, : level + 1]], reps, level,
+                                  alive[support[: m - 2 - level, : level + 2]])
         deltas.append(delta)
 
     # function-major slots become interval-major rows, components last: row j,
-    # component c is function j + c's slot p - c; rows on dead intervals are zeros
+    # component c is function j + c's slot p - c
     rows = np.arange(len(reps) - p)[:, None] + np.arange(p + 1)
-    coefs = np.where(alive[p : m - p - 1, None, None],
-                     reps[rows, p - np.arange(p + 1)].swapaxes(1, 2), 0.0)
-    local = _unchecked(PiecewiseCurve, breaks=kv.active_region(), coefs=coefs, degree=p, fam=fam,
+    local = _unchecked(PiecewiseCurve, breaks=kv.active_region(),
+                       coefs=reps[rows, p - np.arange(p + 1)].swapaxes(1, 2), degree=p, fam=fam,
                        slots=slots[p : m - p - 1])
     return LocalBasis(kv=kv, fam=fam, local=local, deltas=tuple(map(readonly, deltas)))
 

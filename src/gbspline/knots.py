@@ -135,10 +135,15 @@ def _as_float(t):
 def containing_spans(spans, breaks, tol=DEFAULT_TOL) -> np.ndarray:
     """Row of `spans` (sorted, disjoint (s, 2) endpoints) holding each interval
     of `breaks`, or -1 for intervals of zero length.  An interval that fits
-    in no span raises IntervalStraddle naming it."""
+    in no span raises IntervalStraddle naming it.  One that fits two (it is
+    at most 2 * tol long) goes to the left one unless the right one starts
+    at or before its midpoint."""
     br = np.asarray(breaks, dtype=float)
     a, b = br[:-1], br[1:]
     idx = np.searchsorted(spans[:, 0], a + tol, side="right") - 1
+    if len(spans):   # starts after the midpoint: back to the span before, if that one fits
+        back = np.flatnonzero((idx > 0) & (spans[idx, 0] > (a + b) / 2))
+        idx[back[b[back] <= spans[idx[back] - 1, 1] + tol]] -= 1
     lo, hi = spans[idx].T if len(spans) else (a, b)
     pos = b - a > tol
     bad = np.flatnonzero(pos & ((idx < 0) | (a < lo - tol) | (b > hi + tol)))

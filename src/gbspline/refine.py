@@ -14,10 +14,12 @@ the new ones and copies every other control point; a degree raise's window
 is the whole target.  Per-interval work is independent, so every stage
 runs on arrays over the window at once.  One span search places the target
 intervals in the source spans; with the source family's own interval map
-it also gives each solved interval its source row and offset.  One ladder
-pass gives the target basis's right ends, the source table and, with no
-basis given, the source basis's right ends; one Taylor shift, one batched
-elimination and one scatter do the rest.
+it also gives each solved interval its source row and offset.  A curve
+whose family is built over other knots, and a caller's basis of another
+family object, each take one more search.  One ladder pass gives the
+target basis's right ends, the source table and, with no basis given, the
+source basis's right ends; one Taylor shift, one batched elimination and
+one scatter do the rest.
 """
 from __future__ import annotations
 
@@ -335,7 +337,7 @@ def refined_spline(curve: SplineCurve, basis: LocalBasis | None = None, *,
     cost does not grow with the curve.  Errors name global intervals.  A
     caller's basis is still checked against the whole curve: its number of
     functions and, unless it holds the curve's own family, its kinds and
-    frequencies.  The curve's family must be built over the curve's knots.
+    frequencies.
     """
     tol, coef_tol = _tolerances(tol, coef_tol)
     elevate_by, p, fam = index(elevate_by), curve.kv.degree, curve.fam
@@ -348,20 +350,18 @@ def refined_spline(curve: SplineCurve, basis: LocalBasis | None = None, *,
             "derivatives of linear generators collapse; cannot raise the degree")
     q = p + elevate_by
     knots, knots1 = curve.kv.knots, _refined_knots(curve.kv, insert, elevate_by, tol)
-    m, m1, src = len(knots), len(knots1), np.flatnonzero(fam.slots >= 0)   # span i: interval src[i]
+    m, m1, src = len(knots), len(knots1), np.flatnonzero(fam.slots >= 0)
     if len(fam.slots) != m - 1 or not np.array_equal(fam.spans, knots[src + _ENDS].T):
-        raise InvalidFamily("the curve's family is not built over its knots")
-    spans1 = containing_spans(fam.spans, knots1, tol)   # the one search: each target's source span
+        fam = derive_family(fam, knots, tol)   # built over other knots: re-derived over these
+        src = np.flatnonzero(fam.slots >= 0)
+    # the one search: each target interval's span, which is knot interval src[span]
+    spans1 = containing_spans(fam.spans, knots1, tol)
     kv1, fam1 = _unchecked(KnotVector, knots=knots1, degree=q), _derived(fam, knots1, spans1, tol)
     if basis is not None:   # refuse another curve's basis, as the full projection does
         _check_cpts(curve.cpts, basis.n_basis)
-        if basis.fam is not fam:   # the basis's span of each target interval: its source's, if
-            # the basis has the curve's live knot intervals; else a search names where it fails
-            breaks1, own = knots1[q : m1 - q], basis.local.slots
-            same = np.array_equal(basis.kv.knots, knots) and np.array_equal(
-                own >= 0, fam.slots[p : m - p - 1] >= 0)
-            _check_families(basis.fam, own[src[spans1[q : m1 - q - 1]] - p] if same else
-                            containing_spans(basis.fam.spans, breaks1, tol),
+        if basis.fam is not curve.fam:
+            breaks1 = knots1[q : m1 - q]
+            _check_families(basis.fam, containing_spans(basis.fam.spans, breaks1, tol),
                             fam1, fam1.slots[q : m1 - q - 1], breaks1)
     first, last = 0, kv1.n_basis - 1   # the control points that change
     if not elevate_by:   # from p before the first knot that moved to before the last
@@ -388,22 +388,24 @@ def refined_spline(curve: SplineCurve, basis: LocalBasis | None = None, *,
     at, old = shift + j0, curve.cpts   # the target index of cpts[0]; the others are copied
     cpts = old[:0]
     if j1 > j0:
-        span, dst, source = spans1[shift + q + j0 : shift + q + j1], breaks[j0 : j1 + 1], ()
+        span, dst = spans1[shift + q + j0 : shift + q + j1], breaks[j0 : j1 + 1]
         row = np.where(span >= 0, src[span] - lo, -1)   # in a source piece from knot interval lo
         if basis is None:   # a source basis exact p intervals inside its window's ends
             knots0, offset, slots0 = _clamped(knots, max(lo - p, p), min(hi + p, m - p - 1), p,
                                               fam.slots)
             slots0 = np.where(np.diff(knots0) > tol, slots0, -1)   # as a search under tol
             source = ((range(1, p), fam, slots0, knots0, False),)
+        else:   # the piece's rows, and so the table, are in the basis's spans
+            piece, source = _form_rows(old, basis, lo - p, hi - p), ()
+            span = np.where(row >= 0, piece.slots[row], -1)
         # one ladder pass: target right ends, source table and, with no basis, source right ends
-        right, tables, *ends0 = _ladders_at((range(1, q), fam1, slots, window, False),
-                                            (range(p - q, p), fam, span, dst, True), *source)
+        right, tables, *ends0 = _ladders_at(
+            (range(1, q), fam1, slots, window, False),
+            (range(p - q, p), fam if basis is None else basis.fam, span, dst, True), *source)
         if basis is None:
             basis0 = _basis_from_ends(_unchecked(KnotVector, knots=knots0, degree=p), fam, slots0,
                                       *ends0)
             piece = _form_rows(old[offset:], basis0, lo - p - offset, hi - p - offset)
-        else:
-            piece = _form_rows(old, basis, lo - p, hi - p)
         rows = _basis_from_ends(kv1 if whole else _unchecked(KnotVector, knots=window, degree=q),
                                 fam1, slots, right).local.coefs[j0:j1]
         cpts = _project(dst, rows, _target_rows(_reindex(piece, dst, row), tables), tol,

@@ -123,6 +123,18 @@ class TestConstruction:
                 "knot interval 3 [0.0, 0.5] lies inside the longer span [0.0, 1.0]")):
             build_local_basis(kv, fam)
 
+    @pytest.mark.parametrize("p, e", [(4, 1e-100), (5, 1e-60), (6, 1e-45)])
+    def test_tiny_pieces_beside_a_double_knot_keep_finite_rows(self, p, e):
+        """Live pieces of length e on both sides of a double knot, under a
+        caller's tol far below e: the rows on live intervals stay finite and
+        the rows on dead ones are zeros at every level, so nothing there
+        grows by 1/delta per level into inf * 0."""
+        kv = open_kv(p, (e, e, 2 * e, 0.5))
+        basis = build_local_basis(kv, build_family(kv.knots, tol=1e-300), tol=1e-300)
+        live, coefs = basis.local.slots >= 0, basis.local.coefs
+        assert np.isfinite(coefs[live]).all() and not coefs[~live].any()
+        assert all(np.isfinite(d).all() for d in basis.deltas)
+
     def test_rejects_degree_zero(self):
         kv = validate_open_knot_vector([0, 1], 0)
         fam = build_family(kv.knots, kind="linear")
