@@ -34,8 +34,8 @@ from .errors import (
     OutOfActiveRegion,
     OutOfInterval,
 )
-from .knots import (KnotFunctionFamily, KnotVector, _as_float, _ladder_polys, _ladders_at,
-                    _unchecked, containing_spans, find_interval, readonly)
+from .knots import (KnotFunctionFamily, KnotVector, _as_float, _is_batch, _ladder_polys,
+                    _ladders_at, _unchecked, containing_spans, find_interval, readonly)
 from .poly import DEFAULT_TOL, taylor_shift
 
 
@@ -142,9 +142,9 @@ class PiecewiseCurve:
         object.__setattr__(self, "slots", readonly(slots, dtype=int))
 
     def value(self, t, tol=DEFAULT_TOL):
-        """Curve value at t: a float, or an array of the d components.  An
-        array of N parameters gives values shaped (N,) or (N, d)."""
-        if isinstance(t, np.ndarray) and t.ndim:
+        """Curve value at t: a float, or an array of the d components.  A
+        batch of N parameters (`_is_batch`) gives values shaped (N,) or (N, d)."""
+        if _is_batch(t):
             return self.value_on(find_interval(self.breaks, t, tol), t, tol)
         return self._at(t, tol)
 
@@ -152,16 +152,15 @@ class PiecewiseCurve:
         """Value at t on interval j: one Horner pass over the interval's
         merged row in x, plus the closed forms' term if its span keeps them.
 
-        Arrays, lists or tuples j and t of N samples give a leading axis of
-        N, each row the scalar call's bits.  A scalar mixed with an array, or
-        two shapes, raise ValueError, and a j not in 0..intervals-1 IndexError.
+        Batches j and t (`_is_batch`) of N samples give a leading axis of N,
+        each row the scalar call's bits.  A scalar mixed with a batch, or two
+        shapes, raise ValueError, and a j not in 0..intervals-1 IndexError.
         """
-        seq = (np.ndarray, list, tuple)   # np.shape of a number costs more than the scalar path
-        array = isinstance(j, seq) or isinstance(t, seq)
-        if array and np.shape(j) != np.shape(t):
+        batch = _is_batch(j) or _is_batch(t)
+        if batch and np.shape(j) != np.shape(t):
             raise ValueError(f"j and t must both be scalars or arrays of one shape, "
                              f"got j {np.shape(j) or 'scalar'} and t {np.shape(t) or 'scalar'}")
-        if not (array and np.shape(j)):
+        if not batch:
             return self._at(t, tol, j)
         j = _interval_indices(j, len(self.slots))
         missing = np.extract(self.slots[j] < 0, j)
@@ -360,7 +359,7 @@ def eval_basis_function(basis: LocalBasis, i, t, tol=DEFAULT_TOL) -> float:
     """Value of basis function i at t inside the active region."""
     kv = basis.kv
     p, n, knots = kv.degree, kv.n_basis, kv.knots
-    if np.shape(t):
+    if _is_batch(t):
         raise ValueError(f"t must be a number, got an array shaped {np.shape(t)}")
     if not 0 <= i < n:
         raise IndexError(f"basis index {i} outside 0..{n - 1}")
@@ -374,11 +373,11 @@ def eval_basis_function(basis: LocalBasis, i, t, tol=DEFAULT_TOL) -> float:
 def nonzero_basis_values(basis: LocalBasis, t, tol=DEFAULT_TOL):
     """(first index, values) of the degree+1 basis functions covering t.
 
-    An array of N parameters gives first indices shaped (N,) and values
-    shaped (N, degree+1).
+    A batch of N parameters (`_is_batch`) gives first indices shaped (N,)
+    and values shaped (N, degree+1).
     """
     local = basis.local
-    if isinstance(t, np.ndarray) and t.ndim:
+    if _is_batch(t):
         j = find_interval(local.breaks, t, tol)
         return j, local.value_on(j, t, tol)
     return local._at(t, tol, pair=True)
@@ -388,8 +387,8 @@ def eval_curve(curve: SplineCurve, basis: LocalBasis, t, tol=DEFAULT_TOL):
     """Curve value sum(cpts_i * N_i(t)) over the nonzero basis functions.
 
     A float for control points shaped (n,), an array of d components for
-    (n, d).  An array of N parameters gives values shaped (N,) or (N, d),
-    each equal to the scalar call bit for bit.  The value is
+    (n, d).  A batch of N parameters (`_is_batch`) gives values shaped (N,)
+    or (N, d), each equal to the scalar call bit for bit.  The value is
     `form_piecewise(curve.cpts, basis).value(t, tol)`; the curve keeps that
     piecewise form for the last basis it was evaluated against (compared by
     identity), so repeated calls check sizes and build it and its rows once.

@@ -16,7 +16,6 @@ from .basis import (
     SplineCurve,
     build_local_basis,
     eval_curve,
-    form_piecewise,
     nonzero_basis_values,
 )
 from .curvefile import load_curve, save_curve
@@ -56,9 +55,13 @@ def _sample_points(kv, samples):
     return np.linspace(reg[0], reg[-1], max(samples, 0) + 1)
 
 
-def _cmd_eval(args, tol, coef_tol):
+def _curve_and_basis(args, tol):
     curve = SplineCurve(*load_curve(args.curve, tol))
-    basis = build_local_basis(curve.kv, curve.fam, tol)
+    return curve, build_local_basis(curve.kv, curve.fam, tol)
+
+
+def _cmd_eval(args, tol, coef_tol):
+    curve, basis = _curve_and_basis(args, tol)
     ts = _sample_points(curve.kv, args.samples)
     rows = np.column_stack([ts, eval_curve(curve, basis, ts, tol)])
     _write_csv(args.out, ["t"] + [f"f{k}" for k in range(curve.cpts.shape[1])], rows)
@@ -66,8 +69,8 @@ def _cmd_eval(args, tol, coef_tol):
 
 
 def _cmd_basis(args, tol, coef_tol):
-    kv, fam, _ = load_curve(args.curve, tol)
-    basis = build_local_basis(kv, fam, tol)
+    curve, basis = _curve_and_basis(args, tol)
+    kv = curve.kv
     ts = _sample_points(kv, args.samples)
     first, vals = nonzero_basis_values(basis, ts, tol)
     rows = np.column_stack([ts, np.zeros((len(ts), kv.n_basis))])
@@ -93,24 +96,22 @@ def _cmd_elevate(args, tol, coef_tol):
 
 
 def _cmd_greville(args, tol, coef_tol):
-    kv, fam, _ = load_curve(args.curve, tol)
-    basis = build_local_basis(kv, fam, tol)
+    _, basis = _curve_and_basis(args, tol)
     for g in greville_abscissae(basis, tol, coef_tol):
         print(repr(float(g)))
     return 0
 
 
 def _cmd_check(args, tol, coef_tol):
-    kv, fam, cpts = load_curve(args.curve, tol)
-    basis = build_local_basis(kv, fam, tol)
+    curve, basis = _curve_and_basis(args, tol)
+    kv, fam, cpts = curve.kv, curve.fam, curve.cpts
     _, vals = nonzero_basis_values(basis, _sample_points(kv, 500), tol)
     worst_pu = float(np.max(np.abs(vals.sum(axis=1) - 1.0)))
     # interior breakpoints between two intervals longer than tol
     br = kv.active_region()
     x = br[1:-1][(br[1:-1] - br[:-2] > tol) & (br[2:] - br[1:-1] > tol)]
-    piece = form_piecewise(cpts, basis)
-    jump = piece.value(x, tol) - piece.value(np.nextafter(x, -np.inf), tol)
-    worst_jump = float(np.max(np.abs(jump), initial=0.0))
+    below = eval_curve(curve, basis, np.nextafter(x, -np.inf), tol)
+    worst_jump = float(np.max(np.abs(eval_curve(curve, basis, x, tol) - below), initial=0.0))
     scale = 1.0 + float(np.max(np.abs(cpts)))
     applies = kv.degree > 1 or set(fam.kinds) == {"linear"}
     ok = (worst_pu <= 1e-9 or not applies) and worst_jump <= 1e-8 * scale
@@ -128,6 +129,7 @@ def build_parser():
                              "(default 1e-10, or $GBS_TOL)")
     common.add_argument("--coef-tol", type=float, default=None,
                         help="coefficient agreement tolerance (default tol * 1e4)")
+    common.add_argument("--curve", required=True)
 
     parser = argparse.ArgumentParser(
         prog="gbspline",
@@ -135,38 +137,32 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("eval", parents=[common], help="sample a curve to CSV")
-    s.add_argument("--curve", required=True)
     s.add_argument("--samples", type=int, required=True)
     s.add_argument("--out")
     s.set_defaults(func=_cmd_eval)
 
     s = sub.add_parser("insert", parents=[common], help="insert knots")
-    s.add_argument("--curve", required=True)
     s.add_argument("--at", type=float, action="append", required=True)
     s.add_argument("--out", required=True)
     s.set_defaults(func=_cmd_insert)
 
     s = sub.add_parser("elevate", parents=[common], help="raise the degree")
-    s.add_argument("--curve", required=True)
     s.add_argument("--by", type=int, required=True)
     s.add_argument("--out", required=True)
     s.set_defaults(func=_cmd_elevate)
 
     s = sub.add_parser("greville", parents=[common],
                        help="print control-point abscissae, one per line")
-    s.add_argument("--curve", required=True)
     s.set_defaults(func=_cmd_greville)
 
     s = sub.add_parser("basis", parents=[common],
                        help="sample every basis function to CSV")
-    s.add_argument("--curve", required=True)
     s.add_argument("--samples", type=int, required=True)
     s.add_argument("--out", required=True)
     s.set_defaults(func=_cmd_basis)
 
     s = sub.add_parser("check", parents=[common],
                        help="partition-of-unity and continuity diagnostics")
-    s.add_argument("--curve", required=True)
     s.set_defaults(func=_cmd_check)
     return parser
 

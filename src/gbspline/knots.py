@@ -100,18 +100,18 @@ def find_interval(breaks, t, tol=DEFAULT_TOL):
     """Index j of the positive-length interval [breaks[j], breaks[j+1]) holding t.
 
     The final interval is closed on the right; zero-length intervals are
-    skipped leftwards.  A 1-D array `t` gives an int array of one index per
-    entry, from one search; a scalar t (a real number or a 0-d array) is
-    taken as a Python float and gives an int.  A t outside the breaks, or
-    not finite, raises OutOfActiveRegion, naming the first such entry of an
-    array; a t that is neither a number nor an array raises TypeError, and
-    an array of two or more dimensions ValueError.  `PiecewiseCurve`'s
-    scalar evaluator bisects its own list of the breaks to the same index.
+    skipped leftwards.  A batch t (`_is_batch`) gives an int array of one
+    index per entry, from one search; one sample is taken as a Python float
+    and gives an int.  A t outside the breaks, or not finite, raises
+    OutOfActiveRegion, naming the first such entry of a batch; a t that is
+    neither raises TypeError, and a batch of two or more dimensions
+    ValueError.  `PiecewiseCurve`'s scalar evaluator bisects its own list of
+    the breaks to the same index.
     """
-    breaks, scalar = np.asarray(breaks), not (isinstance(t, np.ndarray) and t.ndim)
-    ts = np.array([_as_float(t)]) if scalar else t
+    breaks, scalar = np.asarray(breaks), not _is_batch(t)
+    ts = np.array([_as_float(t)]) if scalar else np.asarray(t)
     if ts.ndim > 1:
-        raise ValueError(f"t must be a number or a 1-D array, got an array shaped {t.shape}")
+        raise ValueError(f"t must be a number or a 1-D array, got an array shaped {ts.shape}")
     outside = np.flatnonzero(~((ts >= breaks[0]) & (ts <= breaks[-1])))
     if len(outside):
         i = int(outside[0])
@@ -122,6 +122,11 @@ def find_interval(breaks, t, tol=DEFAULT_TOL):
     live[0] = True
     j = np.maximum.accumulate(np.where(live, np.arange(len(live)), 0))[j]
     return int(j[0]) if scalar else j
+
+
+def _is_batch(t):
+    """The one rule: an array of ndim >= 1, a list or a tuple is a batch, else one sample."""
+    return isinstance(t, (list, tuple)) or isinstance(t, np.ndarray) and t.ndim > 0
 
 
 def _as_float(t):

@@ -14,35 +14,6 @@ from .errors import TargetsOutsideSource
 DEFAULT_TOL = 1e-10
 
 
-def poly_eval(coeffs, s):
-    """Horner evaluation of sum(c_k * s**k); `s` may be scalar or array.
-
-    Axis 0 of the coefficients indexes the degree; trailing axes broadcast
-    against `s`.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    s = np.asarray(s, dtype=float)
-    acc = np.zeros(s.shape)
-    for c in coeffs[::-1]:
-        acc = acc * s + c
-    return acc if acc.shape else float(acc)
-
-
-def integrate_poly(coeffs):
-    """Antiderivative vanishing at the local origin; the last axis is the degree."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    width = coeffs.shape[-1]
-    out = np.zeros(coeffs.shape[:-1] + (width + 1,))
-    out[..., 1:] = coeffs / np.arange(1, width + 1)
-    return out
-
-
-def derive_poly(coeffs):
-    """First derivative in the same local coordinate; the last axis is the degree."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    return coeffs[..., 1:] * np.arange(1, coeffs.shape[-1])
-
-
 def taylor_shift(coeffs, tau):
     """Coefficients of P(s + tau): the polynomial over an origin moved right by tau.
 

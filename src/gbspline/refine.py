@@ -11,15 +11,15 @@ skips the rewrite and shares only the projection.
 
 Knot insertion projects only on a clamped window of target knots around
 the new ones and copies every other control point; a degree raise's window
-is the whole target.  Per-interval work is independent, so every stage
-runs on arrays over the window at once.  One span search places the target
-intervals in the source spans; with the source family's own interval map
-it also gives each solved interval its source row and offset.  A curve
-whose family is built over other knots, and a caller's basis of another
-family object, each take one more search.  One ladder pass gives the
-target basis's right ends, the source table and, with no basis given, the
-source basis's right ends; one Taylor shift, one batched elimination and
-one scatter do the rest.
+is the whole target, clamped and solved by the same formulas.  Per-interval
+work is independent, so every stage runs on arrays over the window at once.
+One span search places the target intervals in the source spans; with the
+source family's own interval map it also gives each solved interval its
+source row and offset.  A curve whose family is built over other knots, and
+a caller's basis of another family object, each take one more search.  One
+ladder pass gives the target basis's right ends, the source table and, with
+no basis given, the source basis's right ends; one Taylor shift, one batched
+elimination and one scatter do the rest.
 """
 from __future__ import annotations
 
@@ -41,6 +41,7 @@ from .basis import (
     reverse_diagonal_averages,
 )
 from .errors import (
+    AllMissingDiagonal,
     DegreeTooSmall,
     FamilyNotClosedUnderDerivative,
     InconsistentCoefficient,
@@ -304,15 +305,11 @@ def _derived(fam: KnotFunctionFamily, knots, slots, tol) -> KnotFunctionFamily:
 
 def _clamped(knots, lo, hi, p, slots):
     """Open knot vector on [knots[lo], knots[hi]], each end moved to the inner copy of its
-    value and raised to multiplicity p + 1 (`knots` itself if both are the active region's
-    ends), the index in `knots` of its first function, and its intervals' entries of
-    `slots` (a map of knots' intervals), -1 on the copies."""
-    if lo == p and hi == len(knots) - p - 1:
-        return knots, 0, slots
-    if lo > p:
-        lo = int(np.searchsorted(knots, knots[lo], side="right")) - 1
-    if hi < len(knots) - p - 1:
-        hi = int(np.searchsorted(knots, knots[hi], side="left"))
+    value and raised to multiplicity p + 1 (a copy of `knots` if both are the active
+    region's ends), the index in `knots` of its first function, and its intervals' entries
+    of `slots` (a map of knots' intervals), -1 on the copies."""
+    lo = int(np.searchsorted(knots, knots[lo], side="right")) - 1
+    hi = int(np.searchsorted(knots, knots[hi], side="left"))
     return (np.concatenate(([knots[lo]] * p, knots[lo : hi + 1], [knots[hi]] * p)), lo - p,
             np.concatenate(([-1] * p, slots[lo:hi], [-1] * p)))
 
@@ -374,19 +371,19 @@ def refined_spline(curve: SplineCurve, basis: LocalBasis | None = None, *,
     # is one of `knots`, and each interval of those supports has only the target's functions
     window, shift, slots = _clamped(knots1, max(first - q, q), min(last + 2 * q + 1, m1 - q - 1),
                                     q, fam1.slots)
-    whole = window is knots1
     # source knot intervals lo..hi-1 cover the window
-    lo, hi = (p, m - p - 1) if whole else (shift + q, shift + len(window) - q - 1 - m1 + m)
-    # the window's knot intervals solved: j0..j1-1 of its active ones
-    breaks, j0, j1 = window[q : len(window) - q], 0, len(window) - 2 * q - 1
-    if not whole:   # from the first to the last live interval whose nonzero functions are
-        # all the target's own: a clamped end's gives systems the target has not
-        k = shift + np.arange(j1)
-        own = np.flatnonzero((np.diff(breaks) > tol) & (knots1[k] >= window[q])
-                             & (knots1[k + 2 * q + 1] <= window[-q - 1]))
-        j0, j1 = (own[0], own[-1] + 1) if len(own) else (0, 0)   # none: nothing changes
-    at, old = shift + j0, curve.cpts   # the target index of cpts[0]; the others are copied
-    cpts = old[:0]
+    lo, hi = np.searchsorted(knots, window[q], "right") - 1, np.searchsorted(knots, window[-q - 1])
+    # the window's knot intervals solved, j0..j1-1: from the first to the last live one whose
+    # nonzero functions are all the target's own (a clamped end's give systems the target has not)
+    breaks, k = window[q : len(window) - q], shift + np.arange(len(window) - 2 * q - 1)
+    own = np.flatnonzero((np.diff(breaks) > tol) & (knots1[k] >= window[q])
+                         & (knots1[k + 2 * q + 1] <= window[-q - 1]))
+    j0, j1 = (own[0], own[-1] + 1) if len(own) else (0, 0)   # none: nothing changes
+    at, end = shift + j0, shift + j1 + q   # coefficients at..end-1 are solved, the others copied
+    if first <= last and (first < at or last >= end):   # changed, unsolved: an end interval <= tol
+        raise AllMissingDiagonal("no finite estimates for coefficient "
+                                 f"{first if first < at else max(first, end)}")
+    old, cpts = curve.cpts, curve.cpts[:0]
     if j1 > j0:
         span, dst = spans1[shift + q + j0 : shift + q + j1], breaks[j0 : j1 + 1]
         row = np.where(span >= 0, src[span] - lo, -1)   # in a source piece from knot interval lo
@@ -406,8 +403,8 @@ def refined_spline(curve: SplineCurve, basis: LocalBasis | None = None, *,
             basis0 = _basis_from_ends(_unchecked(KnotVector, knots=knots0, degree=p), fam, slots0,
                                       *ends0)
             piece = _form_rows(old[offset:], basis0, lo - p - offset, hi - p - offset)
-        rows = _basis_from_ends(kv1 if whole else _unchecked(KnotVector, knots=window, degree=q),
-                                fam1, slots, right).local.coefs[j0:j1]
+        rows = _basis_from_ends(_unchecked(KnotVector, knots=window, degree=q), fam1, slots,
+                                right).local.coefs[j0:j1]
         cpts = _project(dst, rows, _target_rows(_reindex(piece, dst, row), tables), tol,
                         coef_tol, at)
     return SplineCurve(kv=kv1, fam=fam1, cpts=np.concatenate(

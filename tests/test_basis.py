@@ -6,6 +6,7 @@ import threading
 
 import mpmath
 import numpy as np
+from numpy.polynomial.polynomial import polyder, polyval
 import pytest
 
 from gbspline import (
@@ -33,7 +34,7 @@ from gbspline.errors import (
     OutOfInterval,
 )
 from gbspline.knots import containing_spans, find_interval
-from gbspline.poly import DEFAULT_TOL, derive_poly, poly_eval
+from gbspline.poly import DEFAULT_TOL
 from gbspline.reference import adaptive_simpson
 from conftest import ALL_KINDS, cox_de_boor, make_basis, open_kv, random_interiors
 
@@ -254,11 +255,11 @@ def _rep_derivative(basis, i, j, order, at_right):
     else:
         coeffs, a, b = np.zeros(1), 0.0, 0.0
     for _ in range(order):
-        coeffs = derive_poly(coeffs)
+        coeffs = polyder(coeffs)
     left, right = basis.fam.spans[slot]
     t = right if at_right else left
     u, v = basis.fam.value(slot, basis.degree - 1 - order, t)
-    return float(poly_eval(coeffs, t - basis.kv.knots[j]) + a * u + b * v)
+    return float(polyval(t - basis.kv.knots[j], coeffs) + a * u + b * v)
 
 
 class TestSmoothness:
@@ -825,13 +826,68 @@ class TestScalarParameterTypes:
         piece = form_piecewise(curve.cpts, basis)
         calls = (lambda t: eval_curve(curve, basis, t), lambda t: nonzero_basis_values(basis, t),
                  piece.value)
-        for bad in ([0.3], (0.3,), "0.3", None, 0.3j):
+        for bad in ("0.3", None, 0.3j, {0.3}):   # a list or tuple is a batch
             for call in calls:
                 with pytest.raises(TypeError, match=f"not {type(bad).__name__}$"):
                     call(bad)
         for call in calls:
             with pytest.raises(ValueError, match=r"shaped \(2, 1\)"):
                 call(np.array([[0.3], [0.6]]))
+
+
+class TestOneParameterRule:
+    """Every evaluator tells one sample from a batch by one rule: an array of
+    one or more dimensions, a list or a tuple is a batch, whose rows equal
+    the scalar calls bit for bit; anything else is one sample, evaluated as
+    float(t).  A 2-D batch raises ValueError (value_on, given a 1-D j, for
+    the two shapes) and a t that is neither a number nor a batch TypeError."""
+
+    TS = [0.0, 0.3, 0.5, 0.77, 1.0]
+    SCALARS = {"float": float, "int": int, "float32": np.float32, "0-d": np.array}
+    BATCHES = {"list": list, "tuple": tuple, "1-D": np.array}
+    BAD = {"2-D": (np.array([TS]), ValueError), "str": ("0.3", TypeError),
+           "None": (None, TypeError), "complex": (0.3j, TypeError)}
+
+    @staticmethod
+    def evaluator(name):
+        """(call(t, j), breaks): `name` on a planar curve over 4 intervals; only
+        value_on reads j, the intervals of t in t's own form."""
+        kv, fam, basis = make_basis(3, interior=(0.25, 0.5, 0.75), kind="exponential",
+                                    omega=1.5)
+        curve = SplineCurve(kv=kv, fam=fam,
+                            cpts=np.random.default_rng(4).uniform(-1, 1, (kv.n_basis, 2)))
+        piece = form_piecewise(curve.cpts, basis)
+        return {"eval_curve": lambda t, j: eval_curve(curve, basis, t),
+                "value": lambda t, j: piece.value(t),
+                "value_on": lambda t, j: piece.value_on(j, t),
+                "nonzero_basis_values": lambda t, j: nonzero_basis_values(basis, t),
+                "find_interval": lambda t, j: find_interval(piece.breaks, t)}[name], piece.breaks
+
+    @pytest.mark.parametrize("form", [*SCALARS, *BATCHES, *BAD])
+    @pytest.mark.parametrize("name", ["eval_curve", "value", "value_on", "nonzero_basis_values",
+                                      "find_interval"])
+    def test_batches_and_samples(self, name, form):
+        call, breaks = self.evaluator(name)
+        js = find_interval(breaks, np.array(self.TS)).tolist()
+        parts = lambda out: [np.asarray(a) for a in (out if isinstance(out, tuple) else (out,))]
+        if form in self.BAD:
+            t, error = self.BAD[form]
+            with pytest.raises(error):
+                call(t, np.array(js) if np.ndim(t) else js[1])
+        elif form in self.BATCHES:
+            make = self.BATCHES[form]
+            got = parts(call(make(self.TS), make(js)))
+            assert [len(a) for a in got] == [len(self.TS)] * len(got)
+            for k, (t, j) in enumerate(zip(self.TS, js)):
+                want = parts(call(t, j))
+                assert [a[k].tobytes() for a in got] == [a.tobytes() for a in want]
+        else:
+            make = self.SCALARS[form]
+            for t, j in zip(self.TS, js):
+                if t == int(t) or form != "int":
+                    x = make(t)
+                    got, want = parts(call(x, j)), parts(call(float(x), j))
+                    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 class TestScalarEvaluator:
@@ -902,9 +958,9 @@ class TestScalarEvaluator:
                     with pytest.raises(OutOfActiveRegion,
                                        match=rf"^t={shown} outside \[0.0, 1.0\]$"):
                         call(t)
-                with pytest.raises(TypeError,
-                                   match=r"^t must be a real number or an array, not list$"):
-                    call([0.3])
+                with pytest.raises(OutOfActiveRegion,   # a list is a batch, named by entry
+                                   match=r"^t\[1\]=1.5 outside \[0.0, 1.0\]$"):
+                    call([0.3, 1.5])
             with pytest.raises(OutOfInterval, match=r"^t=0.9 outside \[0.0, 0.25\]$"):
                 piece.value_on(0, 0.9)
             with pytest.raises(OutOfInterval, match=r"^t=0.249999999 outside \[0.75, 1.0\]$"):

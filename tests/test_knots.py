@@ -245,7 +245,7 @@ class TestFindInterval:
     def test_empty_batch(self):
         assert find_interval(self.BREAKS, np.array([])).shape == (0,)
 
-    @pytest.mark.parametrize("bad", [[0.5], (0.5,), "0.5", None, 0.5j, {0.5}])
+    @pytest.mark.parametrize("bad", [b"0.5", range(1), "0.5", None, 0.5j, {0.5}])
     def test_rejects_a_parameter_that_is_neither_a_number_nor_an_array(self, bad):
         for breaks in (self.BREAKS, self.BREAKS.tolist()):
             with pytest.raises(TypeError, match=f"or an array, not {type(bad).__name__}$"):

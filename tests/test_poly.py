@@ -1,56 +1,14 @@
 """Polynomial-term algebra in the shifted power basis."""
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyder, polyval
 from hypothesis import given, settings, strategies as st
 
 from gbspline.errors import TargetsOutsideSource
-from gbspline.poly import (
-    derive_poly,
-    integrate_poly,
-    left_taylor_series,
-    poly_eval,
-    restrict_poly,
-    taylor_shift,
-)
+from gbspline.poly import left_taylor_series, restrict_poly, taylor_shift
 
 coeff = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
-polynomial = st.lists(coeff, min_size=0, max_size=7)
-
-
-def test_eval_square():
-    assert poly_eval([1, 2, 1], 0.5) == pytest.approx(2.25, abs=1e-15)
-
-
-def test_eval_empty():
-    assert poly_eval([], 1.7) == 0.0
-
-
-def test_eval_constant():
-    assert poly_eval([3], 0.7) == 3.0
-
-
-def test_eval_array_argument():
-    s = np.array([0.0, 1.0, 2.0])
-    np.testing.assert_allclose(poly_eval([1, 1], s), [1.0, 2.0, 3.0])
-
-
-def test_integrate_constant():
-    np.testing.assert_array_equal(integrate_poly([1]), [0, 1])
-
-
-def test_integrate_linear():
-    np.testing.assert_array_equal(integrate_poly([0, 2]), [0, 0, 1])
-
-
-def test_integrate_then_eval():
-    assert poly_eval(integrate_poly([1, 1]), 1.0) == pytest.approx(1.5)
-
-
-def test_derive_inverts_integrate():
-    c = np.array([2.0, -1.0, 3.0])
-    np.testing.assert_allclose(derive_poly(integrate_poly(c)), c)
-    rows = np.arange(12.0).reshape(3, 4)   # one polynomial per row, degree last
-    np.testing.assert_allclose(derive_poly(integrate_poly(rows)), rows)
+polynomial = st.lists(coeff, min_size=0, max_size=7).map(lambda c: c or [0.0])   # polyval needs one
 
 
 def test_restrict_square_halves():
@@ -85,13 +43,13 @@ def test_restriction_preserves_values(coeffs, pieces, data):
     targets = np.array([0.0] + cuts + [2.0])
     rows = restrict_poly(coeffs, (0.0, 2.0), targets)
     # roundoff scales with the term magnitudes, not the (possibly cancelled) value
-    scale = max(1.0, poly_eval(np.abs(np.asarray(coeffs, float)), 2.0))
+    scale = max(1.0, polyval(2.0, np.abs(np.asarray(coeffs, float))))
     for s in np.linspace(0.0, 2.0, 100):
         j = min(int(np.searchsorted(targets, s, side="right")) - 1, len(targets) - 2)
         while j > 0 and targets[j + 1] == targets[j]:
             j -= 1
-        expected = poly_eval(coeffs, s)
-        got = poly_eval(rows[j], s - targets[j])
+        expected = polyval(s, coeffs)
+        got = polyval(s - targets[j], rows[j])
         assert got == pytest.approx(expected, abs=1e-12 * scale)
 
 
@@ -110,13 +68,12 @@ def test_left_right_taylor_agree(coeffs):
     coeffs = np.asarray(coeffs, float)
     derivs_left = []
     current = coeffs
-    for _ in range(len(coeffs) if len(coeffs) else 1):
-        derivs_left.append(poly_eval(current, 0.0))
-        current = derive_poly(current)
+    for _ in range(len(coeffs)):
+        derivs_left.append(polyval(0.0, current))
+        current = polyder(current)
     left = left_taylor_series(derivs_left)
     scale = max(1.0, float(np.max(np.abs(derivs_left))))
-    np.testing.assert_allclose(left, coeffs if len(coeffs) else [0.0],
-                               atol=1e-10 * scale)
+    np.testing.assert_allclose(left, coeffs, atol=1e-10 * scale)
 
 
 def test_taylor_shift_round_trip():

@@ -378,6 +378,35 @@ def test_a_raise_beside_a_tiny_piece_keeps_the_projection_error(by):
             refined_spline(curve, None, insert=(1e-170,), elevate_by=by, tol=1e-300)
 
 
+@pytest.mark.parametrize("interior, missing", [((5e-11, 0.5), 0), ((0.5, 1 - 5e-11), 7)])
+def test_an_end_interval_under_tol(interior, missing):
+    """An active region that starts or ends in an interval no longer than
+    tol: a degree raise needs the coefficient only that interval estimates
+    and names it; an insertion apart from it copies that coefficient and
+    keeps the curve, on a short curve as on a long one."""
+    kv = open_kv(3, interior)
+    curve = SplineCurve(kv=kv, fam=build_family(kv.knots), cpts=np.arange(float(kv.n_basis)))
+    with pytest.raises(AllMissingDiagonal, match=f"^no finite estimates for coefficient {missing}$"):
+        elevate_degree(curve, None, 1)
+    out = insert_knots(curve, None, [0.3])
+    ts = np.linspace(1e-9, 1 - 1e-9, 301)   # inside the live intervals
+    gap = np.abs(eval_curve(curve, refit(curve), ts) - eval_curve(out, refit(out), ts)).max()
+    assert gap <= 1e-13 and out.cpts[[0, -1]].tolist() == [0.0, kv.n_basis - 1.0]
+
+
+@pytest.mark.parametrize("intervals", [4, 40])
+def test_a_knot_filled_to_p_plus_1_repeats_one_control_point(intervals):
+    """Raising a knot of multiplicity p to p + 1 changes no control point: the
+    refined curve repeats the one ending at the knot, on the whole target or
+    on a window, where the solved intervals start right of it."""
+    kv = open_kv(3, np.linspace(0, 1, intervals + 1)[1:-1].tolist() + [0.5, 0.5])
+    curve = SplineCurve(kv=kv, fam=build_family(kv.knots), cpts=np.arange(float(kv.n_basis)))
+    k = int(np.searchsorted(kv.knots, 0.5, side="right")) - 4
+    for basis in (None, refit(curve)):
+        out = insert_knots(curve, basis, [0.5])
+        assert out.cpts.tobytes() == np.insert(curve.cpts, k, curve.cpts[k]).tobytes()
+
+
 def test_window_errors_name_global_intervals():
     """Errors raised on the window count intervals over the whole target:
     linear p=8 fails the pivot floor on every interval, and an insertion
@@ -971,16 +1000,26 @@ class TestMixedFamily:
     def test_elevation_matches_refine_curve_on_a_basis_built_apart(self, kind, omega, degree):
         # one ladder pass gives refined_spline both the target basis's right
         # ends and the source table; built apart they are the same bits
-        # (omega = 40 puts every span on the closed forms; linear cannot rise)
-        kv, fam, basis = make_basis(degree, interior=(0.15, 0.3, 0.5, 0.62, 0.8),
-                                    kind=kind, omega=omega)
-        curve = SplineCurve(kv=kv, fam=fam,
-                            cpts=np.random.default_rng(degree).uniform(-1, 1, kv.n_basis))
-        out = refined_spline(curve, basis, elevate_by=1)
-        knots1 = _refined_knots(kv, (), 1, DEFAULT_TOL)
-        basis1 = build_local_basis(KnotVector(knots1, degree + 1), derive_family(fam, knots1))
-        cpts = refine_curve(form_piecewise(curve.cpts, basis), basis1)
-        assert cpts.tobytes() == out.cpts.tobytes()
+        # (omega = 40 puts every span on the closed forms; linear cannot rise),
+        # on a uniform-ish mesh and on mesh_curve's non-uniform ones; only the
+        # geometric mesh from degree 5 on fails, with one singular first system
+        # named the same both ways
+        for mesh in ("uniform-ish", "geometric", "double knot", "sub-tol run"):
+            interior = (mesh_curve(mesh).kv.knots[4:-4] if mesh != "uniform-ish"
+                        else (0.15, 0.3, 0.5, 0.62, 0.8))
+            kv, fam, basis = make_basis(degree, interior=interior, kind=kind, omega=omega)
+            curve = SplineCurve(kv=kv, fam=fam,
+                                cpts=np.random.default_rng(degree).uniform(-1, 1, kv.n_basis))
+            knots1 = _refined_knots(kv, (), 1, DEFAULT_TOL)
+            basis1 = build_local_basis(KnotVector(knots1, degree + 1), derive_family(fam, knots1))
+            if mesh == "geometric" and degree >= 5:
+                with pytest.raises(SingularLocalSystem) as apart:
+                    refine_curve(form_piecewise(curve.cpts, basis), basis1)
+                with pytest.raises(SingularLocalSystem, match=f"^{re.escape(str(apart.value))}$"):
+                    refined_spline(curve, basis, elevate_by=1)
+                continue
+            cpts = refine_curve(form_piecewise(curve.cpts, basis), basis1)
+            assert cpts.tobytes() == refined_spline(curve, basis, elevate_by=1).cpts.tobytes(), mesh
 
     @pytest.mark.parametrize("kind, degree", [("linear", 2)] + [
         (kind, degree) for kind in ALL_KINDS + ("mixed",) for degree in range(3, 9)])

@@ -1,8 +1,9 @@
-"""Smoke runs of the example scripts and of `python -m gbspline`, so a removed
-or renamed name breaks a test."""
+"""Smoke runs of the example scripts, of the README's library quick start and
+of `python -m gbspline`, so a removed or renamed name breaks a test."""
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -45,6 +46,13 @@ def test_module_entry_point_checks_a_curve(tmp_path):
     proc = run_python("-m", "gbspline", "check", "--curve", str(src))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "OK"
+
+
+def test_readme_quick_start_runs():
+    block = re.search(r"^## Library quick start\n\n```python\n(.*?)^```",
+                      (ROOT / "README.md").read_text(encoding="utf-8"), re.S | re.M)
+    proc = run_python("-c", block.group(1))
+    assert proc.returncode == 0, proc.stderr
 
 
 def write_run(directory, workload, seed, trace, metrics, commit):
