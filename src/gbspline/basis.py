@@ -34,8 +34,9 @@ from .errors import (
     OutOfActiveRegion,
     OutOfInterval,
 )
-from .knots import (KnotFunctionFamily, KnotVector, _as_float, _is_batch, _ladder_polys,
-                    _ladders_at, _unchecked, containing_spans, find_interval, readonly)
+from .knots import (KnotFunctionFamily, KnotVector, _as_float, _as_floats, _is_batch,
+                    _ladder_polys, _ladders_at, _unchecked, containing_spans, find_interval,
+                    readonly)
 from .poly import DEFAULT_TOL, taylor_shift
 
 
@@ -154,7 +155,8 @@ class PiecewiseCurve:
 
         Batches j and t (`_is_batch`) of N samples give a leading axis of N,
         each row the scalar call's bits.  A scalar mixed with a batch, or two
-        shapes, raise ValueError, and a j not in 0..intervals-1 IndexError.
+        shapes, raise ValueError, a j not in 0..intervals-1 IndexError, and
+        an entry of t that is not a real number TypeError.
         """
         batch = _is_batch(j) or _is_batch(t)
         if batch and np.shape(j) != np.shape(t):
@@ -167,7 +169,7 @@ class PiecewiseCurve:
         if len(missing):
             _raise_no_generators(self.breaks, missing[0])
         ends, rows, weights, g = self._merged
-        shape, j, t = j.shape, j.ravel(), np.asarray(t, dtype=float).ravel()
+        shape, j, t = j.shape, j.ravel(), _as_floats(t).ravel()
         left, right, h, theta = ends[:, j]
         outside = np.flatnonzero((t < left - tol) | (t > right + tol))
         if len(outside):

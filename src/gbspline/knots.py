@@ -104,12 +104,12 @@ def find_interval(breaks, t, tol=DEFAULT_TOL):
     index per entry, from one search; one sample is taken as a Python float
     and gives an int.  A t outside the breaks, or not finite, raises
     OutOfActiveRegion, naming the first such entry of a batch; a t that is
-    neither raises TypeError, and a batch of two or more dimensions
-    ValueError.  `PiecewiseCurve`'s scalar evaluator bisects its own list of
-    the breaks to the same index.
+    neither, or a batch entry that is not a real number, raises TypeError,
+    and a batch of two or more dimensions ValueError.  `PiecewiseCurve`'s
+    scalar evaluator bisects its own list of the breaks to the same index.
     """
     breaks, scalar = np.asarray(breaks), not _is_batch(t)
-    ts = np.array([_as_float(t)]) if scalar else np.asarray(t)
+    ts = np.array([_as_float(t)]) if scalar else _as_floats(t)
     if ts.ndim > 1:
         raise ValueError(f"t must be a number or a 1-D array, got an array shaped {ts.shape}")
     outside = np.flatnonzero(~((ts >= breaks[0]) & (ts <= breaks[-1])))
@@ -135,6 +135,16 @@ def _as_float(t):
     if isinstance(t, (float, numbers.Real, np.ndarray)):
         return float(t)
     raise TypeError(f"t must be a real number or an array, not {type(t).__name__}")
+
+
+def _as_floats(t):
+    """A batch as a float array; TypeError names its first entry that is not a real number."""
+    ts = np.asarray(t)
+    if ts.dtype.kind not in "biuf":   # strings, None, complex, objects
+        for i, x in enumerate(np.asarray(t, dtype=object).flat):
+            if not isinstance(x, numbers.Real):
+                raise TypeError(f"entry {i} of t is a {type(x).__name__}, not a real number")
+    return ts.astype(float, copy=False)
 
 
 def containing_spans(spans, breaks, tol=DEFAULT_TOL) -> np.ndarray:

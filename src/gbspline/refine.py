@@ -18,8 +18,8 @@ source family's own interval map it also gives each solved interval its
 source row and offset.  A curve whose family is built over other knots, and
 a caller's basis of another family object, each take one more search.  One
 ladder pass gives the target basis's right ends, the source table and, with
-no basis given, the source basis's right ends; one Taylor shift, one batched
-elimination and one scatter do the rest.
+no basis given, the source basis's right ends; one Taylor shift where an
+offset is not zero, one batched inverse and one scatter do the rest.
 """
 from __future__ import annotations
 
@@ -82,21 +82,43 @@ def _tolerances(tol, coef_tol):
 
 
 def _solve(matrices, rhs, name):
-    """Gaussian elimination with partial pivoting over a stack of tiny systems.
+    """Solve a stack of tiny systems: one LAPACK inverse, checked per system.
 
     `matrices` is (systems, n, n) and `rhs` (systems, n) or (systems, n, d):
-    d right-hand sides share one elimination.  `name(i)` describes system i.
-    A pivot at or below 1e-13 times the system's largest entry (at least 1)
+    d right-hand sides share one system.  `name(i)` describes system i.  A
+    pivot at or below 1e-13 times the system's largest entry (at least 1)
     raises SingularLocalSystem, naming the first column where one occurs and
     the first system with one there; pivot ratios above PIVOT_RATIO_WARN give
     one warning for the whole stack, at its worst system ("the worst of N"
-    counts only a knot insertion's window).
+    counts only a knot insertion's window).  Every pivot of a partial-pivoting
+    LU lies in [1/(n |A^-1|), 2^(n-1) max|a|] (infinity norm), so a system with
+    2^(n-1) n max(1, max|a|) |A^-1| below PIVOT_RATIO_WARN / 10 clears both
+    checks tenfold and is solved as A^-1 b.  Only the others, or the whole
+    stack if one is exactly singular, go through the elimination.
     """
-    rhs = np.asarray(rhs, dtype=float)
-    count, n = rhs.shape[:2]
-    a = np.concatenate([np.asarray(matrices, dtype=float), rhs.reshape(count, n, -1)], axis=2)
+    a, b = np.asarray(matrices, dtype=float), np.asarray(rhs, dtype=float)
+    count, n = b.shape[:2]
+    b3 = b.reshape(count, n, -1)
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        return _eliminate(a, b3, name, count).reshape(b.shape)
+    with np.errstate(over="ignore", invalid="ignore"):   # uncertified systems are redone
+        x = inv @ b3
+        bound = (2.0 ** (n - 1) * n * np.maximum(1.0, np.abs(a).max(axis=(1, 2)))
+                 * np.linalg.norm(inv, np.inf, axis=(1, 2)))
+    bad = np.flatnonzero(~(bound < PIVOT_RATIO_WARN / 10))   # a nan bound too
+    if len(bad):
+        x[bad] = _eliminate(a[bad], b3[bad], lambda i: name(bad[i]), count)
+    return x.reshape(b.shape)
+
+
+def _eliminate(matrices, rhs, name, count):
+    """`_solve`'s checks and solutions by elimination, on systems of a stack of `count`."""
+    n = rhs.shape[1]
+    a = np.concatenate([matrices, rhs], axis=2)
     floor = 1e-13 * np.maximum(1.0, np.abs(a[:, :, :n]).max(axis=(1, 2), initial=0.0))
-    every = np.arange(count)
+    every = np.arange(len(a))
     # a system with a pivot below its floor runs on to nonsense alone, refused after the loop
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for col in range(n):
@@ -115,16 +137,16 @@ def _solve(matrices, rhs, name):
             f"system is singular at column {col} on {name(i)}: "
             f"|pivot| {pivots[i, col]:.3e} <= floor {floor[i]:.3e}")
     ratio = pivots.max(axis=1) / pivots.min(axis=1)
-    if count and ratio.max() > PIVOT_RATIO_WARN:
+    if ratio.max() > PIVOT_RATIO_WARN:
         i = int(np.argmax(ratio))
         warnings.warn(f"poorly conditioned local system on {name(i)} "
                       f"(pivot ratio {ratio[i]:.2e}, the worst of {count})",
-                      RuntimeWarning, stacklevel=2)
+                      RuntimeWarning, stacklevel=3)
     x = a[:, :, n:]
     for row in range(n - 1, -1, -1):
         dot = np.einsum("ik,ikm->im", a[:, row, row + 1 : n], x[:, row + 1 :])
         x[:, row] = (x[:, row] - dot) / a[:, row, row, None]
-    return x.reshape(rhs.shape)
+    return x
 
 
 def refine_local(curve: PiecewiseCurve, dst_breaks, tol=DEFAULT_TOL) -> PiecewiseCurve:
@@ -152,8 +174,11 @@ def _reindex(curve: PiecewiseCurve, dst, row):
     src = row[live]
     coefs = np.zeros((len(row),) + curve.coefs.shape[1:])
     coefs[live] = curve.coefs[src]
-    tau = (dst[live] - curve.breaks[src]).reshape((-1,) + (1,) * (coefs.ndim - 2))
-    coefs[live, :-2] = taylor_shift(coefs[live, :-2].swapaxes(0, 1), tau).swapaxes(0, 1)
+    tau = dst[live] - curve.breaks[src]
+    inside = np.flatnonzero(tau)   # a piece that starts its source row keeps it as it is
+    if len(inside):
+        at, tau = live[inside], tau[inside].reshape((-1,) + (1,) * (coefs.ndim - 2))
+        coefs[at, :-2] = taylor_shift(coefs[at, :-2].swapaxes(0, 1), tau).swapaxes(0, 1)
     return coefs
 
 

@@ -3,6 +3,7 @@ import itertools
 import re
 import sys
 import threading
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -846,7 +847,12 @@ class TestOneParameterRule:
     SCALARS = {"float": float, "int": int, "float32": np.float32, "0-d": np.array}
     BATCHES = {"list": list, "tuple": tuple, "1-D": np.array}
     BAD = {"2-D": (np.array([TS]), ValueError), "str": ("0.3", TypeError),
-           "None": (None, TypeError), "complex": (0.3j, TypeError)}
+           "None": (None, TypeError), "complex": (0.3j, TypeError),
+           "str in a list": ([0.0, 0.3, "0.5", 0.77, 1.0], TypeError),
+           "str array": (np.array(TS).astype(str), TypeError),
+           "None in a tuple": ((0.0, 0.3, None, 0.77, 1.0), TypeError),
+           "complex array": (np.array(TS) + 0j, TypeError),
+           "object array": (np.array([0.0, 0.3, object(), 0.77, 1.0], dtype=object), TypeError)}
 
     @staticmethod
     def evaluator(name):
@@ -888,6 +894,23 @@ class TestOneParameterRule:
                     x = make(t)
                     got, want = parts(call(x, j)), parts(call(float(x), j))
                     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    @pytest.mark.parametrize("name", ["eval_curve", "value", "value_on", "nonzero_basis_values",
+                                      "find_interval"])
+    def test_a_batch_names_its_first_entry_that_is_not_a_real_number(self, name):
+        """Batches convert by one rule, the scalar one entry by entry: a string
+        is not parsed and None is not read as NaN.  A batch of real numbers of
+        any type, Fractions too, is taken as its floats."""
+        call, breaks = self.evaluator(name)
+        js = np.array(find_interval(breaks, np.array(self.TS)))
+        with pytest.raises(TypeError, match=r"^entry 2 of t is a str, not a real number$"):
+            call([0.0, 0.3, "0.5", None, 1.0], js)
+        with pytest.raises(TypeError, match=r"^entry 0 of t is a complex, not a real number$"):
+            call(np.array(self.TS, dtype=complex), js)
+        exact = [Fraction(t).limit_denominator(100) for t in self.TS]
+        parts = lambda out: [np.asarray(a).tobytes()
+                             for a in (out if isinstance(out, tuple) else (out,))]
+        assert parts(call(exact, js)) == parts(call(np.array(exact, dtype=float), js))
 
 
 class TestScalarEvaluator:

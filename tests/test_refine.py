@@ -39,8 +39,10 @@ from gbspline.errors import (
     SingularLocalSystem,
 )
 from gbspline.knots import build_integral_table
-from gbspline.poly import DEFAULT_TOL
+from gbspline.poly import DEFAULT_TOL, taylor_shift
 from gbspline.refine import (
+    PIVOT_RATIO_WARN,
+    _eliminate,
     _refined_knots,
     _solve,
     derive_family,
@@ -788,6 +790,129 @@ class TestBatchedSolve:
         x = _solve(mats, rhs, str)
         np.testing.assert_allclose(x, np.linalg.solve(mats, rhs), rtol=0, atol=1e-12)
 
+    @staticmethod
+    def bound(mats):
+        """Each system's 2^(n-1) n max(1, max|a|) |A^-1|, inf where A is singular:
+        at or above PIVOT_RATIO_WARN / 10, no pivot bound clears its checks."""
+        n, out = mats.shape[-1], []
+        for a in mats:
+            try:
+                inv = np.linalg.inv(a)
+            except np.linalg.LinAlgError:
+                out.append(np.inf)
+                continue
+            out.append(2.0 ** (n - 1) * n * max(1.0, np.abs(a).max())
+                       * np.abs(inv).sum(axis=1).max())
+        return np.array(out)
+
+    @staticmethod
+    def outcome(solve):
+        """(solutions or the SingularLocalSystem text, every warning's text)."""
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            try:
+                x = solve()
+            except SingularLocalSystem as exc:
+                x = str(exc)
+        return x, [str(w.message) for w in record]
+
+    @staticmethod
+    def stack(rng, n, count):
+        """`count` systems of size n, each U diag(s) V^T times 10^[-8, 8] with a
+        condition number from 1 to 10^13, or to 10^16 one time in four; now and
+        then one is exactly singular (a zero row or a repeated row)."""
+        mats = []
+        for _ in range(count):
+            u, v = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+            s = np.logspace(0, -rng.uniform(0, 16 if rng.integers(4) == 0 else 13), n)
+            a = 10.0 ** rng.uniform(-8, 8) * (u * s) @ v.T
+            kind = rng.integers(40)
+            if kind == 0:
+                a[rng.integers(n)] = 0.0
+            elif kind == 1:
+                i, j = rng.choice(n, 2, replace=False)
+                a[i] = a[j]
+            mats.append(a)
+        return np.array(mats)
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_sweep_raises_and_warns_as_the_elimination(self, n, d):
+        """Stacks mixing systems a pivot bound clears with ones it cannot:
+        the same error text and warnings as the elimination alone, else the
+        same solutions within 1e-15 times the bound, relative; where no bound
+        clears a system, its very bytes."""
+        rng = np.random.default_rng([27, n, d])
+        seen = set()
+        for trial in range(30):
+            count = int(rng.integers(1, 7))
+            mats = self.stack(rng, n, count)
+            rhs = rng.uniform(-1, 1, (count, n) if d == 1 else (count, n, d))
+            name = lambda i: f"system {i} of trial {trial}"
+            got, got_warned = self.outcome(lambda: _solve(mats, rhs, name))
+            want, warned = self.outcome(lambda: _eliminate(
+                mats.copy(), rhs.reshape(count, n, d), name, count).reshape(rhs.shape))
+            assert got_warned == warned
+            if isinstance(want, str):
+                assert got == want
+                seen.add("raised")
+                continue
+            bound = self.bound(mats)
+            for x, y, b in zip(got.reshape(count, -1), want.reshape(count, -1), bound):
+                if b < PIVOT_RATIO_WARN / 10:
+                    assert np.abs(x - y).max() <= 1e-15 * b * np.abs(y).max()
+                    seen.add("inverse")
+                else:
+                    assert x.tobytes() == y.tobytes()
+                    seen.add("elimination")
+        assert {"raised", "inverse", "elimination"} <= seen
+
+    @pytest.mark.filterwarnings("ignore:poorly conditioned local system:RuntimeWarning")
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_a_system_solves_alike_in_any_stack(self, d):
+        """Each system's solution has the same bits alone as in the whole stack,
+        whether the inverse or the elimination solves it."""
+        rng = np.random.default_rng([28, d])
+        mats, rhs = self.stack(rng, 6, 60), rng.uniform(-1, 1, (60, 6, d))
+        keep = [i for i in range(60) if not isinstance(self.outcome(
+            lambda: _eliminate(mats[i : i + 1].copy(), rhs[i : i + 1], str, 1))[0], str)]
+        mats, rhs = mats[keep], rhs[keep].reshape((len(keep), 6) if d == 1 else (len(keep), 6, d))
+        bound = self.bound(mats)
+        assert (bound < PIVOT_RATIO_WARN / 10).any() and (bound >= PIVOT_RATIO_WARN / 10).any()
+        whole = _solve(mats, rhs, str)
+        for i in range(len(mats)):
+            assert _solve(mats[i : i + 1], rhs[i : i + 1], str)[0].tobytes() == whole[i].tobytes()
+
+    @pytest.mark.parametrize("kind, degree, intervals, insert, raise_by, eliminated", [
+        ("linear", 3, 64, (0.4321,), 0, False),
+        ("trigonometric", 3, 64, (0.4321,), 0, False),
+        ("exponential", 3, 64, (0.4321,), 0, False),
+        ("trigonometric", 3, 64, (), 1, False),
+        ("exponential", 3, 64, (), 1, False),
+        ("linear", 5, 128, (0.4321,), 0, True)])
+    def test_only_systems_no_bound_clears_reach_the_elimination(
+            self, monkeypatch, kind, degree, intervals, insert, raise_by, eliminated):
+        """Uniform p=3 insertions and degree raises are solved by the inverse
+        alone; a linear p=5, n=128 insertion's window holds systems with pivot
+        ratios near 1e12, which only the elimination may judge."""
+        calls = []
+
+        def spy(mats, rhs, name, count):
+            calls.append(len(mats))
+            return _eliminate(mats, rhs, name, count)
+
+        monkeypatch.setattr(gbspline.refine, "_eliminate", spy)
+        curve, basis = uniform_curve(kind, degree, intervals)
+        out = refined_spline(curve, basis, insert=insert, elevate_by=raise_by)
+        assert bool(calls) == eliminated
+        assert max_curve_diff(curve, basis, out, refit(out), samples=201) < 1e-8
+
+    def test_the_warning_points_at_the_caller(self):
+        mats = np.stack([np.eye(2), np.diag([1e8, 5e-5])])
+        with pytest.warns(RuntimeWarning, match="on system 1 .* the worst of 2") as record:
+            _solve(mats, np.ones((2, 2)), lambda i: f"system {i}")
+        assert [w.filename for w in record] == [__file__]
+
 
 class TestDeriveFamily:
     """derive_family skips build_family's checks, so it must build the very
@@ -946,6 +1071,46 @@ class TestOnePass:
         for name in ("knots", "spans", "omegas", "slots", "_kind_ids"):
             got = getattr(out.kv if name == "knots" else out.fam, name)
             assert not got.flags.writeable, name
+
+
+def shift_every_row(curve, dst, row):
+    """`_reindex` with a Taylor shift on every live row, by zero offsets too."""
+    live = np.flatnonzero(row >= 0)
+    src = row[live]
+    coefs = np.zeros((len(row),) + curve.coefs.shape[1:])
+    coefs[live] = curve.coefs[src]
+    tau = (dst[live] - curve.breaks[src]).reshape((-1,) + (1,) * (coefs.ndim - 2))
+    coefs[live, :-2] = taylor_shift(coefs[live, :-2].swapaxes(0, 1), tau).swapaxes(0, 1)
+    return coefs
+
+
+class TestReindex:
+    """A target interval that starts its source interval keeps its row as it
+    is, so a degree raise runs no Taylor shift; the control points equal
+    those of shifting every row, by zero offsets too."""
+
+    @pytest.mark.parametrize("mesh", TestOnePass.MESHES)
+    @pytest.mark.parametrize("dim", [None, 2])
+    @pytest.mark.parametrize("insert, raise_by", [((0.4321,), 0), ((0.02, 0.51), 0), ((), 1),
+                                                  ((0.4321,), 1)])
+    def test_rows_shift_only_by_nonzero_offsets(self, monkeypatch, mesh, dim, insert, raise_by):
+        curve = mesh_curve(mesh, linear=not raise_by)
+        if dim:
+            cpts = np.random.default_rng(6).uniform(-1, 1, (len(curve.cpts), dim))
+            curve = SplineCurve(kv=curve.kv, fam=curve.fam, cpts=cpts)
+        shifted = []
+
+        def spy(coefs, tau):
+            shifted.append(len(tau))
+            return taylor_shift(coefs, tau)
+
+        monkeypatch.setattr(gbspline.refine, "taylor_shift", spy)
+        out = refined_spline(curve, None, insert=insert, elevate_by=raise_by)
+        # a merged run of knots under tol moves its piece's start left of the source row's
+        assert bool(shifted) == (bool(insert) or mesh == "sub-tol run")
+        monkeypatch.setattr(gbspline.refine, "_reindex", shift_every_row)
+        want = refined_spline(curve, None, insert=insert, elevate_by=raise_by)
+        assert out.cpts.shape == want.cpts.shape and (out.cpts == want.cpts).all()
 
 
 class TestMixedFamily:
