@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     AllMissingDiagonal,
@@ -33,6 +34,7 @@ from .errors import (
     LengthMismatch,
     OutOfActiveRegion,
     OutOfInterval,
+    SingularLocalSystem,
 )
 from .knots import (KnotFunctionFamily, KnotVector, _as_float, _as_floats, _is_batch,
                     _ladder_polys, _ladders_at, _unchecked, containing_spans, find_interval,
@@ -279,30 +281,45 @@ class PiecewiseCurve:
 
 # construction ----------------------------------------------------------------
 
-def _next_level(table, reps, k, alive):
+def _next_level(table, reps, k, alive, knots):
     """One level of the construction recurrence (level k -> k + 1), for every
-    function at once: the level's normalization integrals and the new rows.
+    function at once, on rows laid out [slot, column, function]: the level's
+    normalization integrals and the new rows.
 
-    Each function's [poly | u v] rows integrate over its support intervals
-    in one contraction against `table`, there [h^(c+1)/(c+1) | the level's
-    right ends] (which equal the level below's integrals, as positive orders
-    vanish on the left), zero on dead intervals.  Function f's accumulated,
-    normalized integral fills its support slots 0..k; right of its support
-    (or when f vanishes identically) it is the unit step in slot k+1.  New
-    function i is that accumulation for f = i minus the one for f = i+1,
-    which starts one interval later.  `alive` marks each new function's live
-    slots; the others are zeroed, so they cannot grow level by level.
+    Function f reads slot s of `table` (interval-major [column, interval],
+    [h^(c+1)/(c+1) | the level's right ends], which equal the level below's
+    integrals, as positive orders vanish on the left) and of `alive` at
+    interval f + s through strided views, and integrates its rows, columns
+    added in order.  Its accumulated, normalized integral fills its support
+    slots 0..k; right of its support (or when none of its intervals is live)
+    it is the unit step in slot k+1.  New function i is that accumulation for
+    f = i minus the one for f = i+1, zero on dead slots.  An area that is not
+    a positive normal float, of a function with a live interval, raises
+    SingularLocalSystem naming that interval of `knots`.
     """
-    ints = np.einsum("fsw,fsw->fs", reps, table)
-    delta = ints.sum(axis=1)
-    acc = np.zeros((len(reps), k + 2, k + 2))
-    acc[:, 1 : k + 1, 0] = ints[:, :-1].cumsum(axis=1)
-    acc[:, : k + 1, 1:k] = reps[..., :-2] / np.arange(1, k)
-    acc[:, : k + 1, k:] = reps[..., -2:]
-    acc[:, : k + 1] /= np.where(delta != 0.0, delta, np.inf)[:, None, None]   # 0 if f vanishes
-    acc[:, k + 1, 0] = 1.0
-    acc[:-1, 1:] -= acc[1:, : k + 1]
-    return delta, np.where(alive[..., None], acc[:-1], 0.0)
+    count, (step, col), flag = reps.shape[-1], table.strides, alive.strides[0]
+    table = np.ndarray((k + 1, k + 1, count), float, table, 0, (col, step, col))
+    ints = (reps * table).sum(axis=1)
+    delta = ints.sum(axis=0)
+    live = np.ndarray((k + 1, count), bool, alive, 0, (flag, flag)).any(axis=0)
+    area = np.where(live, delta, np.inf)   # inf: f vanishes, its rows become 0
+    if not (normal := area >= 2.0**-1022).all():   # else zero, subnormal, negative or nan
+        j = (f := int(np.argmin(normal))) + int(np.argmax(alive[f:]))   # its first live interval
+        raise SingularLocalSystem(f"knot interval [{knots[j]}, {knots[j + 1]}]: a degree-{k} basis "
+                                  f"function over it has normalization area {delta[f]:.3e}, not a "
+                                  "positive normal float")
+    acc = np.empty((k + 2, k + 2, count))
+    acc[0, 0], acc[1, 0], acc[k + 1] = 0.0, ints[0], 0.0
+    for s in range(2, k + 1):   # cumsum along slots, which numpy runs column by column
+        np.add(acc[s - 1, 0], ints[s - 1], out=acc[s, 0])
+    np.divide(reps[:, :-2], np.arange(1, k)[:, None], out=acc[: k + 1, 1:k])
+    acc[: k + 1, k:] = reps[:, -2:]
+    acc[: k + 1] /= area
+    acc[k + 1, 0] = 1.0
+    acc[1:, :, :-1] -= acc[: k + 1, :, 1:]
+    new = acc[:, :, :-1]   # dead slots hold zeros already, but for the accumulated integral
+    new[:, 0] = np.where(np.ndarray((k + 2, count - 1), bool, alive, 0, (flag, flag)), new[:, 0], 0)
+    return delta, new
 
 
 def build_local_basis(kv: KnotVector, fam: KnotFunctionFamily, tol=DEFAULT_TOL) -> LocalBasis:
@@ -330,27 +347,24 @@ def build_local_basis(kv: KnotVector, fam: KnotFunctionFamily, tol=DEFAULT_TOL) 
 def _basis_from_ends(kv: KnotVector, fam: KnotFunctionFamily, slots, right) -> LocalBasis:
     """build_local_basis from the slot map of kv's knot intervals in `fam`
     and the ladder values of orders 1..p-1 at the right end of each
-    (`_ladders_at`), unchecked."""
+    (`_ladders_at`), unchecked.  One strided copy turns `_next_level`'s last
+    rows, [slot, column, function], into interval-major ones."""
     p, knots = kv.degree, kv.knots
     m, alive = len(knots), slots >= 0
     # the integrals of s^c over each live interval, c = 0..p-3
-    powers = np.where(alive[:, None], (knots[1:] - knots[:-1])[:, None] ** np.arange(1, p - 1), 0.0)
-    powers /= np.arange(1, p - 1)
-    reps = np.zeros((m - 2, 2, 2))   # no polynomial part yet: u, then v, zero where dead
-    reps[:, 0, 0] = alive[:-1]
-    reps[:, 1, 1] = alive[1:]
-    deltas, support = [], np.arange(m - 2)[:, None] + np.arange(p + 1)   # function f's intervals
+    c = np.arange(1, p - 1)[:, None]
+    powers = np.where(alive, (knots[1:] - knots[:-1]) ** c, 0.0) / c
+    reps = np.zeros((2, 2, m - 2))   # [slot, column, function]: u, then v, zero where dead
+    reps[0, 0], reps[1, 1], deltas = alive[:-1], alive[1:], []
     for level in range(1, p):   # level k has m - 1 - k functions of k + 1 intervals
-        table = np.concatenate([powers[:, : level - 1], right[level - 1]], axis=1)
-        delta, reps = _next_level(table[support[: m - 1 - level, : level + 1]], reps, level,
-                                  alive[support[: m - 2 - level, : level + 2]])
+        table = np.concatenate([powers[: level - 1], right[level - 1].T])
+        delta, reps = _next_level(table, reps, level, alive, knots)
         deltas.append(delta)
 
-    # function-major slots become interval-major rows, components last: row j,
-    # component c is function j + c's slot p - c
-    rows = np.arange(len(reps) - p)[:, None] + np.arange(p + 1)
-    local = _unchecked(PiecewiseCurve, breaks=kv.active_region(),
-                       coefs=reps[rows, p - np.arange(p + 1)].swapaxes(1, 2), degree=p, fam=fam,
+    # one strided copy: row j, column w, component c is function j + c's slot p - c
+    (slot, col, fn), count = reps.strides, reps.shape[-1] - p
+    coefs = as_strided(reps[p], (count, p + 1, p + 1), (fn, col, fn - slot)).copy()
+    local = _unchecked(PiecewiseCurve, breaks=kv.active_region(), coefs=coefs, degree=p, fam=fam,
                        slots=slots[p : m - p - 1])
     return LocalBasis(kv=kv, fam=fam, local=local, deltas=tuple(map(readonly, deltas)))
 
@@ -425,8 +439,10 @@ def reverse_diagonal_averages(coefs, tol=1e-6, *, first=0):
     if not count.all():
         raise AllMissingDiagonal(
             f"no finite estimates for coefficient {first + np.flatnonzero(count == 0)[0]}")
-    total = np.zeros((rows + cols - 1, flat.shape[1]))
-    np.add.at(total, diag[ok], flat[ok])
+    # one slice per column, last first: each diagonal adds its entries by rising row
+    total, kept = np.zeros((rows + cols - 1, flat.shape[1])), np.where(ok[:, None], flat, 0.0)
+    for c in range(cols - 1, -1, -1):
+        total[c : c + rows] += kept[c::cols]
     avg = total / count[:, None]
     stray = ok & (np.abs(flat - avg[diag]) > tol * np.maximum(1.0, np.abs(avg[diag]))).any(axis=1)
     if stray.any():

@@ -6,11 +6,11 @@ integrals are taken from the interval's left endpoint, so every positive
 order vanishes there; this canonical choice keeps all downstream
 bookkeeping free of integration constants.  Every order, derivatives too,
 is a polynomial in the interval's local coordinate with per-span
-coefficients, evaluated by Horner's rule.  A span's values depend on its
-kind, length and frequency alone, so one pass (`_ladders_at`) serves
-several callers at once: a refinement reads the target basis's right ends,
-the source generators' integral table and, with no basis given, the
-source basis's right ends from the same call.
+coefficients, read off at a span's ends, by Horner's rule inside.  A span's
+values depend on its kind, length and frequency alone, so one pass
+(`_ladders_at`) serves several callers at once: a refinement reads the
+target basis's right ends, the source generators' integral table and,
+with no basis given, the source basis's right ends from the same call.
 
 All types are immutable after construction and safe for concurrent reads.
 Scalar parameters are computed as Python floats whatever their type:
@@ -130,11 +130,12 @@ def _is_batch(t):
 
 
 def _as_float(t):
-    """A scalar parameter as a Python float (exact for float64 input)."""
-    # float first, as np.float64 is one; an array here is 0-d
-    if isinstance(t, (float, numbers.Real, np.ndarray)):
-        return float(t)
-    raise TypeError(f"t must be a real number or an array, not {type(t).__name__}")
+    """A scalar parameter as a Python float (exact for float64 input); a numpy
+    scalar or 0-d array by `_as_floats`' rule, so a string is never parsed."""
+    x = t.item() if isinstance(t, (np.ndarray, np.generic)) and t.dtype.kind not in "biuf" else t
+    if isinstance(x, (numbers.Real, np.ndarray, np.generic)):
+        return float(x)
+    raise TypeError(f"t must be a real number or an array, not {type(x).__name__}")
 
 
 def _as_floats(t):
@@ -263,16 +264,21 @@ def _ladder_polys(codes, h, omega, orders, need=True):
 
 
 def _ladder_values(codes, h, omega, orders, x, at, need=True):
-    """Ladder values (len(orders), 2, len(x)) of `_ladder_polys(codes, h,
-    omega, orders, need)` at local coordinates x, sample i on span at[i]: the
-    coefficients gathered once, one in-place Horner pass, then the closed
-    forms' term point by point."""
+    """Ladder values (len(orders), 2, len(x)) of `_ladder_polys(codes, h, omega,
+    orders, need)` at local coordinates x, sample i on span at[i]: read off the
+    span's table at x == 0 or 1 as Horner's rule gives them (the last row, the
+    rows added top-down), by one Horner pass inside; then the closed forms' term."""
     coefs, closed = _ladder_polys(codes, h, omega, orders, need)
-    coefs = coefs[..., at]
-    out = np.zeros(coefs.shape[1:])
-    for c in coefs:
-        out *= x
-        out += c
+    ends = np.stack([np.add.reduce(r, initial=0.0) for r in (coefs[-1:], coefs)], axis=2)
+    one = x == 1
+    out = ends.reshape(len(orders), 2, 2 * len(h))[..., at + len(h) * one]
+    inside = (x != one).nonzero()[0]   # x is neither 0 nor 1
+    if len(inside):
+        xs, coefs, acc = x[inside], coefs[..., at[inside]], np.zeros(out.shape[:2] + inside.shape)
+        for c in coefs:
+            acc *= xs
+            acc += c
+        out[..., inside] = acc
     if closed is not None:   # G through math, point by point, as in the scalar path
         on, theta, inv, scales = closed
         pts = np.flatnonzero(on[at])

@@ -105,8 +105,10 @@ def _solve(matrices, rhs, name):
         return _eliminate(a, b3, name, count).reshape(b.shape)
     with np.errstate(over="ignore", invalid="ignore"):   # uncertified systems are redone
         x = inv @ b3
-        bound = (2.0 ** (n - 1) * n * np.maximum(1.0, np.abs(a).max(axis=(1, 2)))
-                 * np.linalg.norm(inv, np.inf, axis=(1, 2)))
+        # with the systems last each reduction runs on whole rows; |A^-1| is the largest row sum
+        aa, ai = (np.abs(m.transpose(1, 2, 0), out=np.empty((n, n, count))) for m in (a, inv))
+        bound = (2.0 ** (n - 1) * n * np.maximum(1.0, aa.reshape(n * n, count).max(axis=0))
+                 * ai.sum(axis=1).max(axis=0))
     bad = np.flatnonzero(~(bound < PIVOT_RATIO_WARN / 10))   # a nan bound too
     if len(bad):
         x[bad] = _eliminate(a[bad], b3[bad], lambda i: name(bad[i]), count)

@@ -320,6 +320,71 @@ class TestDiagonals:
             reverse_diagonal_averages(np.array([[1.0, np.nan], [np.nan, 4.0]]))
 
 
+def add_at_averages(coefs, tol=1e-6, *, first=0):
+    """reverse_diagonal_averages with its diagonals summed by np.add.at, in
+    the order of the flattened table."""
+    coefs = np.asarray(coefs, dtype=float)
+    rows, cols = coefs.shape[:2]
+    flat = coefs.reshape(rows * cols, -1)
+    diag = (np.arange(rows)[:, None] + np.arange(cols)).ravel()
+    ok = np.isfinite(flat).all(axis=1)
+    count = np.bincount(diag[ok], minlength=rows + cols - 1)
+    if not count.all():
+        raise AllMissingDiagonal(
+            f"no finite estimates for coefficient {first + np.flatnonzero(count == 0)[0]}")
+    total = np.zeros((rows + cols - 1, flat.shape[1]))
+    np.add.at(total, diag[ok], flat[ok])
+    avg = total / count[:, None]
+    stray = ok & (np.abs(flat - avg[diag]) > tol * np.maximum(1.0, np.abs(avg[diag]))).any(axis=1)
+    if stray.any():
+        d = diag[stray].min()
+        vals = flat[ok & (diag == d)].reshape((-1,) + coefs.shape[2:])
+        raise InconsistentCoefficient(
+            f"estimates for coefficient {first + d} disagree: {vals.tolist()}")
+    return avg.reshape((rows + cols - 1,) + coefs.shape[2:])
+
+
+class TestDiagonalSums:
+    """reverse_diagonal_averages sums each diagonal with one slice per
+    column, last column first: the order np.add.at adds in, so the same
+    bytes and the same two messages."""
+
+    @staticmethod
+    def outcome(average, coefs, tol, first):
+        try:
+            return average(coefs, tol, first=first).tobytes()
+        except (AllMissingDiagonal, InconsistentCoefficient) as exc:
+            return type(exc).__name__, str(exc)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("first", [0, 17])
+    def test_equals_np_add_at_byte_for_byte(self, d, first):
+        rng = np.random.default_rng(d + first)
+        errors = set()
+        for trial in range(60):
+            rows, cols = int(rng.integers(1, 40)), int(rng.integers(1, 8))
+            # per-diagonal values, some zero, times a tiny spread, over many decades
+            exact = rng.standard_normal((rows + cols - 1, d)) * 10.0 ** rng.integers(-8, 9, (1, d))
+            exact[rng.random(rows + cols - 1) < 0.1] = 0.0
+            diag = np.arange(rows)[:, None] + np.arange(cols)
+            spread = 10.0 ** -rng.integers(9, 17) * rng.standard_normal((rows, cols, d))
+            coefs = exact[diag] * (1 + spread)
+            coefs[(coefs == 0) & (rng.random(coefs.shape) < 0.5)] = -0.0
+            coefs[rng.random(rows) < 0.15] = np.nan   # rows of missing estimates
+            if trial % 6 == 0:
+                coefs[0] = np.nan   # coefficient first + 0 has no estimate
+            if d == 3:
+                coefs[rng.random((rows, cols)) < 0.05, 1] = np.nan   # one component missing
+            if d == 1:
+                coefs = coefs[..., 0]
+            tol = 10.0 ** -rng.integers(6, 14)
+            want = self.outcome(add_at_averages, coefs, tol, first)
+            assert self.outcome(reverse_diagonal_averages, coefs, tol, first) == want
+            if isinstance(want, tuple):
+                errors.add(want[0])
+        assert errors == {"AllMissingDiagonal", "InconsistentCoefficient"}
+
+
 class TestPiecewiseForm:
     def test_unit_control_points_give_one(self):
         _, _, basis = make_basis(4, interior=(0.5,))
@@ -841,10 +906,13 @@ class TestOneParameterRule:
     one or more dimensions, a list or a tuple is a batch, whose rows equal
     the scalar calls bit for bit; anything else is one sample, evaluated as
     float(t).  A 2-D batch raises ValueError (value_on, given a 1-D j, for
-    the two shapes) and a t that is neither a number nor a batch TypeError."""
+    the two shapes) and a t that is neither a number nor a batch TypeError.
+    A numpy scalar or 0-d array counts by the batch rule: its dtype is bool,
+    integer or float, or it holds a real number."""
 
     TS = [0.0, 0.3, 0.5, 0.77, 1.0]
-    SCALARS = {"float": float, "int": int, "float32": np.float32, "0-d": np.array}
+    SCALARS = {"float": float, "int": int, "float32": np.float32, "0-d": np.array,
+               "numpy bool": np.bool_, "0-d object": lambda t: np.array(t, dtype=object)}
     BATCHES = {"list": list, "tuple": tuple, "1-D": np.array}
     BAD = {"2-D": (np.array([TS]), ValueError), "str": ("0.3", TypeError),
            "None": (None, TypeError), "complex": (0.3j, TypeError),
@@ -852,7 +920,10 @@ class TestOneParameterRule:
            "str array": (np.array(TS).astype(str), TypeError),
            "None in a tuple": ((0.0, 0.3, None, 0.77, 1.0), TypeError),
            "complex array": (np.array(TS) + 0j, TypeError),
-           "object array": (np.array([0.0, 0.3, object(), 0.77, 1.0], dtype=object), TypeError)}
+           "object array": (np.array([0.0, 0.3, object(), 0.77, 1.0], dtype=object), TypeError),
+           "0-d str": (np.array("0.3"), TypeError), "numpy str": (np.str_("0.3"), TypeError),
+           "0-d complex": (np.array(0.3 + 0j), TypeError),
+           "0-d None": (np.array(None, dtype=object), TypeError)}
 
     @staticmethod
     def evaluator(name):
@@ -890,7 +961,7 @@ class TestOneParameterRule:
         else:
             make = self.SCALARS[form]
             for t, j in zip(self.TS, js):
-                if t == int(t) or form != "int":
+                if t == int(t) or form not in ("int", "numpy bool"):
                     x = make(t)
                     got, want = parts(call(x, j)), parts(call(float(x), j))
                     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
@@ -911,6 +982,26 @@ class TestOneParameterRule:
         parts = lambda out: [np.asarray(a).tobytes()
                              for a in (out if isinstance(out, tuple) else (out,))]
         assert parts(call(exact, js)) == parts(call(np.array(exact, dtype=float), js))
+
+    @pytest.mark.parametrize("name", ["eval_curve", "value", "value_on", "nonzero_basis_values",
+                                      "find_interval"])
+    def test_a_numpy_scalar_follows_the_batch_rule(self, name):
+        """A 0-d array or numpy scalar is taken, or refused with the package's
+        message naming the type, as the same value in a batch would be: a
+        string is not parsed, and a numpy bool is read as the batch [True,
+        False] is."""
+        call, breaks = self.evaluator(name)
+        last = len(breaks) - 2
+        for t, kind in ((np.array("0.3"), "str"), (np.str_("0.3"), "str"),
+                        (np.array(0.3 + 0j), "complex"), (np.array(None, dtype=object), "NoneType")):
+            with pytest.raises(TypeError, match=f"^t must be a real number or an array, not {kind}$"):
+                call(t, 1)
+        parts = lambda out: [np.asarray(a).tobytes()
+                             for a in (out if isinstance(out, tuple) else (out,))]
+        for t, j in ((np.True_, last), (np.False_, 0), (np.array(True), last)):
+            assert parts(call(t, j)) == parts(call(float(t), j))
+        batch = parts(call([True, False], np.array([last, 0])))
+        assert batch == parts(call(np.array([1.0, 0.0]), np.array([last, 0])))
 
 
 class TestScalarEvaluator:

@@ -21,6 +21,7 @@ from gbspline.errors import (
 from gbspline.knots import (
     KINDS,
     _SERIES_THETA_MAX,
+    _ladder_polys,
     _ladder_values,
     _ladders_at,
     build_integral_table,
@@ -480,6 +481,53 @@ class TestLadderKernel:
         fam = TestArrayLadder.family("trigonometric")
         with pytest.raises(OutOfInterval, match=r"t=0\.5 outside \[0\.0, 0\.3\] \(entry 2\)"):
             fam.value(0, [0, 1], np.array([0.0, 0.1, 0.5]))
+
+
+def horner_everywhere(codes, h, omega, orders, x, at, need=True):
+    """`_ladder_values` by one Horner pass over every point's gathered
+    coefficients, ends included, then the same closed-form term."""
+    coefs, closed = _ladder_polys(codes, h, omega, orders, need)
+    coefs = coefs[..., at]
+    out = np.zeros(coefs.shape[1:])
+    for c in coefs:
+        out *= x
+        out += c
+    if closed is not None:
+        on, theta, inv, scales = closed
+        pts = np.flatnonzero(on[at])
+        sp = at[pts]
+        for i, k in enumerate(orders):
+            g = math.cosh if k & 1 else math.sinh
+            for w, z in enumerate((x[pts], 1.0 - x[pts])):
+                gz = np.fromiter(map(g, (theta[sp] * z).tolist()), float, len(pts))
+                out[i, w, pts] += (-1.0) ** (k * w) * scales[i][sp] * (inv[sp] * gz)
+    return out
+
+
+class TestEndValues:
+    """`_ladder_values` reads a point at x == 0 or 1 off its span's
+    coefficients (the last row, or the rows added top-down, each onto zero);
+    that is Horner's rule there, so the values keep its bytes: every kind,
+    exponential spans on the series and on the closed forms, orders -2..8,
+    with and without a `need` mask, ends alone or among inner points."""
+
+    @pytest.mark.parametrize("inner", [False, True])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_ends_equal_a_horner_pass_byte_for_byte(self, inner, masked):
+        rng = np.random.default_rng(3 + 2 * inner + masked)
+        # theta = omega * h: linear; trigonometric up to 3; exponential from 0.3 to 300
+        codes = np.array([0, 0, 1, 1, 1, 2, 2, 2, 2, 2, 2])
+        h = np.array([0.5, 2e-3, 0.25, 1.0, 3e-4, 0.25, 1.0, 0.5, 0.5, 2.0, 1.5])
+        omega = np.array([1.0, 1.0, 1.2, 3.0, 2.0, 1.2, 3.9, 9.0, 40.0, 10.0, 200.0])
+        orders = range(-2, 9)
+        need = rng.random((len(orders), len(h))) < 0.7 if masked else True
+        at = np.repeat(np.arange(len(h)), 4)
+        x = np.tile([0.0, 1.0, 1.0, 0.0], len(h))
+        if inner:
+            x[2::4] = rng.uniform(0, 1, len(h))
+        got = _ladder_values(codes, h, omega, orders, x, at, need)
+        assert got.tobytes() == horner_everywhere(codes, h, omega, orders, x, at, need).tobytes()
+        assert (omega * h > _SERIES_THETA_MAX).sum() == 4   # closed forms, up to theta = 300
 
 
 def ladder_reference(kind, which, k, s, h, omega):
