@@ -2,17 +2,18 @@
 
 On each knot interval a degree-p basis function is a polynomial term of
 degree at most p-2 plus a coefficient pair (a, b) multiplying the (p-1)-th
-integrals of that interval's generator pair.  The basis is stored interval
-by interval and evaluated through `PiecewiseCurve` alone.
+integrals of that interval's generator pair, all in one coordinate: the
+span's x = (t - left)/h, on ladders normalized to U_k/h^k.  The basis is
+stored interval by interval and evaluated through `PiecewiseCurve` alone.
 Construction runs the recursive-integral definition function by function;
 polynomial parts integrate symbolically and generator parts read the
 family's ladder values, so no quadrature enters the production path.
 
 Built values are immutable and safe to evaluate concurrently.  On its first
 evaluation a PiecewiseCurve merges each interval's row into one polynomial
-in its span's x (plus the closed forms' term on wide exponential spans).  A
-scalar t runs one evaluator that bisects a list of the breaks and evaluates
-a Python-float copy of the row, in one frame; a batch runs the same
+in x (plus the closed forms' term on wide exponential spans).  A scalar t
+runs one evaluator that bisects a list of the breaks and evaluates a
+Python-float copy of the row, in one frame; a batch runs the same
 operations on arrays, so batch rows equal scalar calls bit for bit.
 """
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .errors import (
 from .knots import (KnotFunctionFamily, KnotVector, _as_float, _as_floats, _is_batch,
                     _ladder_polys, _ladders_at, _unchecked, containing_spans, find_interval,
                     readonly)
-from .poly import DEFAULT_TOL, taylor_shift
+from .poly import DEFAULT_TOL
 
 
 def _check_cpts(cpts, n_basis):
@@ -113,14 +114,15 @@ class PiecewiseCurve:
     """One curve stored interval by interval over `breaks`.
 
     Row j of `coefs` holds interval j's local polynomial part, ascending,
-    then the coefficients of the (degree-1)-th ladders (u, v) of the family
-    span containing the interval: before refinement the interval itself,
-    after splitting the coarser source span.  A trailing axis of d
-    components is optional.  `slots` maps each interval to its family span,
-    -1 for intervals without generators; the builders pass the map they
-    made under their own tolerance, and it defaults to `containing_spans`
-    under the default one.  Evaluation reads one merged polynomial per
-    interval and component in its span's x; `_at` does it for a scalar t.
+    then the coefficients of the normalized (degree-1)-th ladders (u, v) of
+    the family span containing the interval, all in that span's x: before
+    refinement the span is the interval, after splitting the coarser source
+    span.  A trailing axis of d components is optional.  `slots` maps each
+    interval to its family span, -1 for intervals without generators; the
+    builders pass the map they made under their own tolerance, and it
+    defaults to `containing_spans` under the default one.  Evaluation reads
+    one merged polynomial per interval and component; `_at` does it for a
+    scalar t.
     """
 
     breaks: np.ndarray
@@ -208,16 +210,8 @@ class PiecewiseCurve:
         live = np.where(slots >= 0, np.arange(len(slots)), len(slots))
         after = np.append(np.minimum.accumulate(live[::-1])[::-1][1:], len(slots))
         ends = np.stack([lo, np.maximum(hi, self.breaks[after]), hi - lo, np.zeros(len(slots))])
-        # the polynomial part in x: s = h x - (break - left), so one Taylor
-        # shift where the interval starts inside its span, then c_i h^i
-        poly, tau = coefs[:-2], np.where(slots < 0, 0.0, lo - self.breaks[:-1])
-        inside = np.flatnonzero(tau)
-        if len(inside):
-            poly = poly.copy()
-            poly[..., inside] = taylor_shift(poly[..., inside], tau[inside])
-        poly = poly * col(ends[2] ** np.arange(len(poly))[:, None])
         rows = coefs[-2] * col(ladders[:, 0, 0]) + coefs[-1] * col(ladders[:, 0, 1])
-        rows[len(rows) - len(poly):] += poly[::-1]
+        rows[len(rows) - len(coefs) + 2 :] += coefs[:-2][::-1]   # the polynomial part
         weights = np.zeros((2,) + coefs.shape[1:])
         if closed is not None:   # exponential spans wider than the series' cutoff
             on, theta, inv, (scale,) = closed
@@ -283,14 +277,15 @@ class PiecewiseCurve:
 
 def _next_level(table, reps, k, alive, knots):
     """One level of the construction recurrence (level k -> k + 1), for every
-    function at once, on rows laid out [slot, column, function]: the level's
-    normalization integrals and the new rows.
+    function at once, on rows in x laid out [slot, column, function]: the
+    level's normalization integrals and the new rows.
 
     Function f reads slot s of `table` (interval-major [column, interval],
-    [h^(c+1)/(c+1) | the level's right ends], which equal the level below's
-    integrals, as positive orders vanish on the left) and of `alive` at
-    interval f + s through strided views, and integrates its rows, columns
-    added in order.  Its accumulated, normalized integral fills its support
+    h [1/(c+1) | the level's right ends | 1], zero where dead) and of `alive`
+    at interval f + s through strided views.  Its rows times the table are
+    its columns' integrals in t from the left (positive orders vanish
+    there), whose sums, columns added in order, are its integrals over its
+    intervals.  Its accumulated, normalized integral fills its support
     slots 0..k; right of its support (or when none of its intervals is live)
     it is the unit step in slot k+1.  New function i is that accumulation for
     f = i minus the one for f = i+1, zero on dead slots.  An area that is not
@@ -298,8 +293,9 @@ def _next_level(table, reps, k, alive, knots):
     SingularLocalSystem naming that interval of `knots`.
     """
     count, (step, col), flag = reps.shape[-1], table.strides, alive.strides[0]
-    table = np.ndarray((k + 1, k + 1, count), float, table, 0, (col, step, col))
-    ints = (reps * table).sum(axis=1)
+    table = np.ndarray((k + 1, k + 2, count), float, table, 0, (col, step, col))
+    parts = reps * table[:, : k + 1]
+    ints = parts.sum(axis=1)
     delta = ints.sum(axis=0)
     live = np.ndarray((k + 1, count), bool, alive, 0, (flag, flag)).any(axis=0)
     area = np.where(live, delta, np.inf)   # inf: f vanishes, its rows become 0
@@ -312,8 +308,8 @@ def _next_level(table, reps, k, alive, knots):
     acc[0, 0], acc[1, 0], acc[k + 1] = 0.0, ints[0], 0.0
     for s in range(2, k + 1):   # cumsum along slots, which numpy runs column by column
         np.add(acc[s - 1, 0], ints[s - 1], out=acc[s, 0])
-    np.divide(reps[:, :-2], np.arange(1, k)[:, None], out=acc[: k + 1, 1:k])
-    acc[: k + 1, k:] = reps[:, -2:]
+    acc[: k + 1, 1:k] = parts[:, :-2]   # h x^(c+1)/(c+1) times c's coefficient
+    np.multiply(reps[:, -2:], table[:, k + 1 :], out=acc[: k + 1, k:])   # h times the pair
     acc[: k + 1] /= area
     acc[k + 1, 0] = 1.0
     acc[1:, :, :-1] -= acc[: k + 1, :, 1:]
@@ -351,13 +347,12 @@ def _basis_from_ends(kv: KnotVector, fam: KnotFunctionFamily, slots, right) -> L
     rows, [slot, column, function], into interval-major ones."""
     p, knots = kv.degree, kv.knots
     m, alive = len(knots), slots >= 0
-    # the integrals of s^c over each live interval, c = 0..p-3
-    c = np.arange(1, p - 1)[:, None]
-    powers = np.where(alive, (knots[1:] - knots[:-1]) ** c, 0.0) / c
+    h = np.where(alive, knots[1:] - knots[:-1], 0.0)
+    powers = h / np.arange(1, p - 1)[:, None]   # the integrals in t of x^c, c = 0..p-3
     reps = np.zeros((2, 2, m - 2))   # [slot, column, function]: u, then v, zero where dead
     reps[0, 0], reps[1, 1], deltas = alive[:-1], alive[1:], []
     for level in range(1, p):   # level k has m - 1 - k functions of k + 1 intervals
-        table = np.concatenate([powers[: level - 1], right[level - 1].T])
+        table = np.concatenate([powers[: level - 1], h * right[level - 1].T, h[None]])
         delta, reps = _next_level(table, reps, level, alive, knots)
         deltas.append(delta)
 

@@ -6,8 +6,9 @@ integrals are taken from the interval's left endpoint, so every positive
 order vanishes there; this canonical choice keeps all downstream
 bookkeeping free of integration constants.  Every order, derivatives too,
 is a polynomial in the interval's local coordinate with per-span
-coefficients, read off at a span's ends, by Horner's rule inside.  A span's
-values depend on its kind, length and frequency alone, so one pass
+coefficients, read off at a span's ends, by Horner's rule inside, and
+normalized to U_k/h^k (only `KnotFunctionFamily.value` gives t units).  A
+span's values depend on its kind, length and frequency alone, so one pass
 (`_ladders_at`) serves several callers at once: a refinement reads the
 target basis's right ends, the source generators' integral table and,
 with no basis given, the source basis's right ends from the same call.
@@ -184,19 +185,19 @@ def _unchecked(cls, **fields):
 # ladder values ------------------------------------------------------------------
 #
 # On a span of length h, with theta = omega*h and x = (t - left)/h, ladder
-# member k (d/ds L_k = L_{k-1}, L_0 the generator) is the series
-#   u_k = h^k (theta/S) sum_j (sigma theta^2)^j x^(2j+1+k) / (2j+1+k)!
-#   v_k = h^k sum_j (sigma theta^2)^j [x^(2j+k) / (2j+k)!
-#                                      - (theta C/S) x^(2j+1+k) / (2j+1+k)!]
+# member k (d/dt U_k = U_{k-1}, U_0 the generator) is U_k = h^k u_k with
+#   u_k = (theta/S) sum_j (sigma theta^2)^j x^(2j+1+k) / (2j+1+k)!
+#   v_k = sum_j (sigma theta^2)^j [x^(2j+k) / (2j+k)!
+#                                  - (theta C/S) x^(2j+1+k) / (2j+1+k)!]
 # less its terms of negative power, with sigma, S, C = -1, sin, cos for the
 # trigonometric kind, +1, sinh, cosh for the exponential one and theta = 0
-# for the linear one.  A span keeps the terms j with theta^2j/(2j)! > 2^-53,
-# those where theta exceeds _SERIES_THETAS[j-1].  The terms grow like
-# e^theta before they fall, so exponential spans wider than
-# _SERIES_THETA_MAX keep the closed forms u_k = (h/theta)^k G_k(theta x)/S
-# + P_u(x) and v_k = (-h/theta)^k G_k(theta (1 - x))/S + P_v(x), G_k = sinh
-# for even k and cosh for odd k, where the polynomials P make positive
-# orders vanish at x = 0.
+# for the linear one; d/dx u_k = u_{k-1}, and no h^k enters.  A span keeps
+# the terms j with theta^2j/(2j)! > 2^-53, those where theta exceeds
+# _SERIES_THETAS[j-1].  The terms grow like e^theta before they fall, so
+# exponential spans wider than _SERIES_THETA_MAX keep the closed forms u_k
+# = theta^-k G_k(theta x)/S + P_u(x) and v_k = (-theta)^-k G_k(theta (1 -
+# x))/S + P_v(x), G_k = sinh for even k and cosh for odd k, where the
+# polynomials P make positive orders vanish at x = 0.
 
 _SERIES_THETAS = np.array([(2.0**-53 * math.factorial(2 * j)) ** (0.5 / j) for j in range(1, 60)])
 _SERIES_THETA_MAX = 4.0   # where the series' error overtakes the closed forms'
@@ -218,16 +219,14 @@ def _series_tables(orders, width):
     return *out, size, int(q.max(initial=0)) // 2
 
 
-def _ladder_polys(codes, h, omega, orders, need=True):
-    """u_k and v_k of each order k on spans of kind indices `codes`, lengths
-    `h` and frequencies `omega`: (their coefficients in x, highest power
-    first, shaped (size, len(orders), 2, spans) with u first and each span's
-    own list preceded by zeros; None, or (closed, theta, 1/S, [(h/theta)^k
-    per order]) if some span keeps the closed forms).
+def _ladder_polys(codes, h, omega, orders):
+    """The normalized u_k and v_k of each order k on spans of kind indices
+    `codes`, lengths `h` and frequencies `omega`: (their coefficients in x,
+    highest power first, shaped (size, len(orders), 2, spans) with u first
+    and each span's own list preceded by zeros; None, or (closed, theta, 1/S,
+    [theta^-k per order]) if some span keeps the closed forms).
     Only math's functions, pow and IEEE arithmetic enter, element by element,
-    so a span's numbers do not depend on what is asked for with it; h**k
-    raises OverflowError where it overflows.  Where `need` (orders, spans)
-    is False, h**k is taken as 1: those entries are not read."""
+    so a span's numbers do not depend on what is asked for with it."""
     n = len(h)
     theta = np.where(codes == KINDS.index("linear"), 0.0, omega * h)
     trig, expo = codes == _TRIGONOMETRIC, codes == _EXPONENTIAL
@@ -241,10 +240,10 @@ def _ladder_polys(codes, h, omega, orders, need=True):
     terms = np.where(closed, 0, 1 + _SERIES_THETAS.searchsorted(theta))
     half, fact, odd, cols, at, size, top = _series_tables(tuple(orders),
                                                           2 * int(terms.max(initial=0)))
-    powers = np.array([np.ones(n)] + [sq] * top).cumprod(axis=0)
-    hs = [h.tolist()] * len(orders) if need is True else np.where(need, h, 1.0).tolist()
-    hk = np.array([x**k for k, row in zip(orders, hs) for x in row]).reshape(len(orders), 1, n)
-    base = hk * powers[half] / fact
+    powers = np.ones((top + 1, n))
+    for i in range(top):
+        np.multiply(powers[i], sq, out=powers[i + 1])
+    base = powers[half] / fact
     base[:, cols >= 2 * terms] = 0.0
     out = np.zeros((size, len(orders), 2, n))
     out[at + (0,)] = np.where(odd, a * base, 0.0)
@@ -253,7 +252,7 @@ def _ladder_polys(codes, h, omega, orders, need=True):
         return out, None
     tc, inv, scales = np.where(closed, theta, 1.0), 1.0 / np.where(closed, sine, 1.0), []
     for o, k in enumerate(orders):
-        scales.append(hk[o, 0] / np.array([x**k for x in tc.tolist()]))
+        scales.append(1.0 / np.array([x**k for x in tc.tolist()]))
         power = np.ones(n)
         for i in range(k):   # minus the closed forms of orders k - i at x = 0
             c = scales[-1] * power / _FACTORIAL[i]
@@ -263,12 +262,12 @@ def _ladder_polys(codes, h, omega, orders, need=True):
     return out, (closed, theta, inv, scales)
 
 
-def _ladder_values(codes, h, omega, orders, x, at, need=True):
+def _ladder_values(codes, h, omega, orders, x, at):
     """Ladder values (len(orders), 2, len(x)) of `_ladder_polys(codes, h, omega,
-    orders, need)` at local coordinates x, sample i on span at[i]: read off the
+    orders)` at local coordinates x, sample i on span at[i]: read off the
     span's table at x == 0 or 1 as Horner's rule gives them (the last row, the
     rows added top-down), by one Horner pass inside; then the closed forms' term."""
-    coefs, closed = _ladder_polys(codes, h, omega, orders, need)
+    coefs, closed = _ladder_polys(codes, h, omega, orders)
     ends = np.stack([np.add.reduce(r, initial=0.0) for r in (coefs[-1:], coefs)], axis=2)
     one = x == 1
     out = ends.reshape(len(orders), 2, 2 * len(h))[..., at + len(h) * one]
@@ -292,11 +291,11 @@ def _ladder_values(codes, h, omega, orders, x, at, need=True):
 
 
 def _ladders_at(*requests):
-    """Ladder values for several requests from one `_ladder_values` pass.  A
-    request (orders, fam, slots, breaks, both), `orders` a range, asks on
-    every live interval j of `breaks` (fam's span slots[j]) for the right
-    end, or both ends if `both`, and gets an array [k, j, (e,) w] (order,
-    interval, end, generator 'u' first), zero on dead intervals."""
+    """Normalized ladder values for several requests from one `_ladder_values`
+    pass.  A request (orders, fam, slots, breaks, both), `orders` a range,
+    asks on every live interval j of `breaks` (fam's span slots[j]) for the
+    right end, or both ends if `both`, and gets an array [k, j, (e,) w]
+    (order, interval, end, generator 'u' first), zero on dead intervals."""
     spans, points = [], []
     for orders, fam, slots, breaks, both in requests:
         live = (slots >= 0).nonzero()[0]
@@ -317,14 +316,11 @@ def _ladders_at(*requests):
         new = np.concatenate(([True], (key[:, 1:] != key[:, :-1]).any(axis=0)))
         group = np.empty(len(order), dtype=int)
         group[order] = new.cumsum() - 1
-        need, start, at = np.zeros((len(orders), np.count_nonzero(new)), dtype=bool), 0, []
-        for (asked, *_, both), (live, _) in zip(requests, points):
-            g = group[start : start + len(live)]
-            need[asked.start - low : asked.stop - low, g] = True
-            at += [g, g] if both else [g]
-            start += len(live)
+        bounds = np.cumsum([0] + [len(live) for live, _ in points]).tolist()
+        at = np.concatenate([group[a:b] for a, b, (*_, both) in zip(bounds, bounds[1:], requests)
+                             for _ in range(1 + both)])
         h, codes, omega = key[:, new]
-        values = _ladder_values(codes.astype(int), h, omega, orders, x, np.concatenate(at), need)
+        values = _ladder_values(codes.astype(int), h, omega, orders, x, at)
     start, out = 0, []
     for (asked, _, slots, *_), (live, x) in zip(requests, points):
         part = values[asked.start - low : asked.stop - low, :, start : start + x.size]
@@ -366,7 +362,8 @@ class KnotFunctionFamily:
         it), `order` may be a sequence: one Horner pass gives an array
         shaped ([len(order),] 2, *t.shape), u first.  A scalar t, with an
         integer slot and order, runs the same pass on one sample and gives
-        the tuple (u, v) of Python floats.
+        the tuple (u, v) of Python floats.  Values are in t units, the
+        normalized ones times h**k: OverflowError where that overflows.
         """
         if isinstance(t, np.ndarray):
             orders, shape = [int(k) for k in np.atleast_1d(order).tolist()], t.shape
@@ -377,8 +374,10 @@ class KnotFunctionFamily:
                 i = outside[0]
                 raise OutOfInterval(f"t={t[i]} outside [{left[i]}, {right[i]}] (entry {i})")
             spans, at = np.unique(slot, return_inverse=True)
-            out = _ladder_values(self._kind_ids[spans], self.spans[spans, 1] - self.spans[spans, 0],
-                                 self.omegas[spans], orders, (t - left) / (right - left), at)
+            h = self.spans[spans, 1] - self.spans[spans, 0]
+            out = _ladder_values(self._kind_ids[spans], h, self.omegas[spans], orders,
+                                 (t - left) / (right - left), at)
+            out *= np.array([[x**k for x in h.tolist()] for k in orders])[:, None, at]
             out = out.reshape((len(orders), 2) + shape)
             return out if np.ndim(order) else out[0]
         slot, order = _index(slot), _index(order)   # a float is a TypeError, not truncated
@@ -439,7 +438,8 @@ def build_integral_table(fam: KnotFunctionFamily, breakpoints, derivative_offset
     Entry [k, j, e, w] is the k-th canonical integral of the
     `derivative_offset`-th derivative of generator w ('u' first) of the
     source interval containing target interval j, evaluated at endpoint e
-    (left, then right).  Zero-length target intervals are left as zeros.
+    (left, then right), over h^(k - derivative_offset) of that source
+    interval.  Zero-length target intervals are left as zeros.
     One `_ladder_values` pass covers every order, generator and target.
     """
     if derivative_offset < 0:

@@ -1,7 +1,7 @@
 """Polynomial terms in the shifted power basis.
 
-Each knot interval carries a local coordinate s with s = 0 at its left
-endpoint, so a coefficient row (c0, ..., cd) stands for sum(c_k * s**k).
+A coefficient row (c0, ..., cd) stands for sum(c_k * s**k) in a local
+coordinate s that is 0 at its interval's left end (the package's x).
 """
 from __future__ import annotations
 

@@ -4,10 +4,10 @@ A curve over a source knot vector is rewritten in the local coordinates of
 a target knot vector (same active region, enlarged spline space), then one
 small linear system per positive-length target interval recovers the
 coefficients of the nonzero target basis functions; anti-diagonal averaging
-aggregates the per-interval results.  Knot insertion, degree elevation, and
-any simultaneous combination all ride on the same pipeline.  The identity
-y = t is already written in target coordinates, so `greville_abscissae`
-skips the rewrite and shares only the projection.
+aggregates the per-interval results.  Rows are in their span's x, so every
+system has its interval's own scale.  Knot insertion, degree elevation and
+any combination ride on one pipeline; the identity y = t is already written
+in target coordinates, so `greville_abscissae` shares only the projection.
 
 Knot insertion projects only on a clamped window of target knots around
 the new ones and copies every other control point; a degree raise's window
@@ -15,11 +15,11 @@ is the whole target, clamped and solved by the same formulas.  Per-interval
 work is independent, so every stage runs on arrays over the window at once.
 One span search places the target intervals in the source spans; with the
 source family's own interval map it also gives each solved interval its
-source row and offset.  A curve whose family is built over other knots, and
+source row.  A curve whose family is built over other knots, and
 a caller's basis of another family object, each take one more search.  One
 ladder pass gives the target basis's right ends, the source table and, with
-no basis given, the source basis's right ends; one Taylor shift where an
-offset is not zero, one batched inverse and one scatter do the rest.
+no basis given, the source basis's right ends; a change of variable on
+split pieces, one batched inverse and one scatter do the rest.
 """
 from __future__ import annotations
 
@@ -155,32 +155,23 @@ def refine_local(curve: PiecewiseCurve, dst_breaks, tol=DEFAULT_TOL) -> Piecewis
     """Reindex a piecewise curve onto finer breakpoints.
 
     Each positive-length target interval copies the row of the source
-    interval containing it, then re-expands the polynomial columns (one
-    Taylor shift, by each target's offset in its source); the generator
-    pair stays unchanged.  Zero-length targets get zero rows.  A trailing
-    component axis carries through.
+    interval containing it, unchanged in the source span's x.  Zero-length
+    targets get zero rows.  A trailing component axis carries through.
     """
     src = np.asarray(curve.breaks, dtype=float)
     dst = np.asarray(dst_breaks, dtype=float)
     rows = np.flatnonzero(np.diff(src) > tol)
     idx = containing_spans(np.stack([src[rows], src[rows + 1]], axis=1), dst, tol)
     row = np.append(rows, -1)[idx]   # -1 on zero-length targets
-    return PiecewiseCurve(breaks=dst, coefs=_reindex(curve, dst, row), degree=curve.degree,
+    return PiecewiseCurve(breaks=dst, coefs=_reindex(curve, row), degree=curve.degree,
                           fam=curve.fam, slots=np.where(row >= 0, curve.slots[row], -1))
 
 
-def _reindex(curve: PiecewiseCurve, dst, row):
-    """`refine_local`'s rows from its map: interval j of `dst` is a piece of
-    curve's interval row[j], or has zero length where row[j] is -1."""
-    live = np.flatnonzero(row >= 0)
-    src = row[live]
-    coefs = np.zeros((len(row),) + curve.coefs.shape[1:])
-    coefs[live] = curve.coefs[src]
-    tau = dst[live] - curve.breaks[src]
-    inside = np.flatnonzero(tau)   # a piece that starts its source row keeps it as it is
-    if len(inside):
-        at, tau = live[inside], tau[inside].reshape((-1,) + (1,) * (coefs.ndim - 2))
-        coefs[at, :-2] = taylor_shift(coefs[at, :-2].swapaxes(0, 1), tau).swapaxes(0, 1)
+def _reindex(curve: PiecewiseCurve, row):
+    """`refine_local`'s rows from its map: interval j of the target is a
+    piece of curve's interval row[j], or has zero length where row[j] is -1."""
+    coefs = curve.coefs[row]   # a copy, in which -1 reads the last row
+    coefs[row < 0] = 0.0
     return coefs
 
 
@@ -197,7 +188,7 @@ def represent_knot_funcs(gen, tables_src):
     values: there the target's positive orders vanish.  Zero-length
     intervals, whose table rows are zeros, get zeros.
 
-    Returns rows as `PiecewiseCurve.coefs`: corrections, then the new pair.
+    Returns rows as `PiecewiseCurve.coefs` at the source's scale: corrections, then the pair.
     """
     orders, num = tables_src.shape[:2]
     gen = np.asarray(gen, dtype=float)
@@ -245,15 +236,28 @@ def refine_curve(curve: PiecewiseCurve, basis: LocalBasis,
     local = refine_local(curve, target.breaks, tol)
     _check_families(curve.fam, local.slots, target.fam, target.slots, target.breaks)
     tables = build_integral_table(curve.fam, target.breaks, q - p, q - 1, tol)
-    return _project(target.breaks, target.coefs, _target_rows(local.coefs, tables), tol, coef_tol)
+    lfunc = _target_rows(local.coefs, tables, curve.fam, local.slots, target.breaks)
+    return _project(target.breaks, target.coefs, lfunc, tol, coef_tol)
 
 
-def _target_rows(coefs, tables):
+def _target_rows(coefs, tables, fam, slots, dst):
     """The rows, in target coordinates, of a curve reindexed onto the target
-    breaks (its rows `coefs` there), from its source generators' integral
-    table there: the rewritten generator terms plus the polynomial parts."""
-    lfunc = represent_knot_funcs(coefs[:, -2:], tables)
-    lfunc[:, : coefs.shape[1] - 2] += coefs[:, :-2]
+    breaks `dst` (its rows `coefs` there, in the x of span slots[j] of
+    `fam`), from its source generators' integral table there: the rewritten
+    generator terms plus the polynomial parts.  A piece cut at tau of its
+    span, rho of its length, has x_src = tau + rho x: its polynomial part
+    takes a Taylor shift by tau, and column i of its row rho^i (the pair q-1)."""
+    lfunc, poly = represent_knot_funcs(coefs[:, -2:], tables), coefs[:, :-2]
+    lo, hi = fam.spans[slots].T   # a dead interval (slot -1) reads the last span, and is not cut
+    cut = np.flatnonzero((slots >= 0) & ((dst[:-1] != lo) | (dst[1:] != hi)))
+    if len(cut):
+        pad, cols, poly, h = (1,) * (coefs.ndim - 2), lfunc.shape[1], poly.copy(), hi[cut] - lo[cut]
+        tau, rho = (dst[cut] - lo[cut]) / h, (dst[cut + 1] - dst[cut]) / h
+        scale = (rho[:, None] ** np.minimum(np.arange(cols), cols - 2)).reshape((-1, cols) + pad)
+        moved = taylor_shift(poly[cut].swapaxes(0, 1), tau.reshape((-1,) + pad))
+        poly[cut] = moved.swapaxes(0, 1) * scale[:, : poly.shape[1]]
+        lfunc[cut] *= scale
+    lfunc[:, : poly.shape[1]] += poly
     return lfunc
 
 
@@ -432,8 +436,9 @@ def refined_spline(curve: SplineCurve, basis: LocalBasis | None = None, *,
             piece = _form_rows(old[offset:], basis0, lo - p - offset, hi - p - offset)
         rows = _basis_from_ends(_unchecked(KnotVector, knots=window, degree=q), fam1, slots,
                                 right).local.coefs[j0:j1]
-        cpts = _project(dst, rows, _target_rows(_reindex(piece, dst, row), tables), tol,
-                        coef_tol, at)
+        lfunc = _target_rows(_reindex(piece, row), tables, fam if basis is None else basis.fam,
+                             span, dst)
+        cpts = _project(dst, rows, lfunc, tol, coef_tol, at)
     return SplineCurve(kv=kv1, fam=fam1, cpts=np.concatenate(
         [old[:first], cpts[first - at : last + 1 - at], old[len(old) - kv1.n_basis + last + 1 :]]))
 
@@ -459,7 +464,7 @@ def greville_abscissae(basis: LocalBasis, tol=DEFAULT_TOL, coef_tol=None) -> np.
 
     Used as the x-axis positions when plotting control points.  The identity
     is already written in the target's local coordinates, polynomial part
-    left + s and no generator term, so it is projected directly.  For degree
+    left + h x and no generator term, so it is projected directly.  For degree
     2 the local polynomial part is a bare constant, so the identity exists
     only when the generator integrals supply the slope (the linear kind).
     """
@@ -467,14 +472,14 @@ def greville_abscissae(basis: LocalBasis, tol=DEFAULT_TOL, coef_tol=None) -> np.
     p = basis.kv.degree
     if p < 2:
         raise DegreeTooSmall("identity representation needs degree >= 2")
-    breaks = basis.kv.active_region()
-    lfunc = np.zeros((len(breaks) - 1, p + 1))
-    lfunc[:, 0] = breaks[:-1]
+    breaks, (left, right) = basis.kv.active_region(), basis.fam.spans[basis.local.slots].T
+    lfunc, h = np.zeros((len(breaks) - 1, p + 1)), right - left   # dead: the last span's
+    lfunc[:, 0] = left
     if p >= 3:
-        lfunc[:, 1] = 1.0
+        lfunc[:, 1] = h
     elif any(kind != "linear" for kind in basis.fam.kinds):
         raise InconsistentCoefficient(
             "y = x lies outside the degree-2 local spaces of this family")
     else:
-        lfunc[:, 1:] = 1.0   # first integrals of the linear pair sum to the local coordinate
+        lfunc[:, 1:] = h[:, None]   # first integrals of the linear pair sum to x
     return _project(breaks, basis.local.coefs, lfunc, tol, coef_tol)

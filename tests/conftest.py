@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder, polyval
 
 from gbspline import build_family, build_local_basis, validate_open_knot_vector
 
@@ -46,3 +47,23 @@ def random_interiors(rng, max_knots=8, max_mult=2):
     for v in values:
         interior.extend([float(v)] * int(rng.integers(1, max_mult + 1)))
     return interior[:max_knots]
+
+
+def one_sided_derivative(basis, i, j, order, at_right):
+    """Exact order-th derivative in t of basis function i's stored row on knot
+    interval j, at its right or left end; None on an interval without
+    generators.  Rows are in x = (t - left)/h of the interval's span, on
+    ladders normalized by h^k, so d^r/dt^r is (d^r/dx^r) / h^r."""
+    slot = basis.fam.slots[j]
+    if slot < 0:
+        return None
+    p = basis.degree
+    if i <= j <= i + p:
+        coeffs = np.array(basis.local.coefs[j - p, :-2, i - j + p])
+        a, b = basis.local.coefs[j - p, -2:, i - j + p]
+    else:
+        coeffs, a, b = np.zeros(1), 0.0, 0.0
+    left, right = basis.fam.spans[slot]
+    h, k = right - left, p - 1 - order
+    u, v = basis.fam.value(slot, k, right if at_right else left)   # t units: h^k times x's
+    return float(polyval(float(at_right), polyder(coeffs, order)) + (a * u + b * v) / h**k) / h**order

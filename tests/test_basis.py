@@ -7,7 +7,6 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
-from numpy.polynomial.polynomial import polyder, polyval
 import pytest
 
 from gbspline import (
@@ -37,7 +36,8 @@ from gbspline.errors import (
 from gbspline.knots import containing_spans, find_interval
 from gbspline.poly import DEFAULT_TOL
 from gbspline.reference import adaptive_simpson
-from conftest import ALL_KINDS, cox_de_boor, make_basis, open_kv, random_interiors
+from conftest import (ALL_KINDS, cox_de_boor, make_basis, one_sided_derivative, open_kv,
+                      random_interiors)
 
 
 class TestConstruction:
@@ -88,8 +88,9 @@ class TestConstruction:
 
     @staticmethod
     def right_ends_read(monkeypatch, kv, fam):
-        """The right-end ladder values that building the basis reads (one
-        `_ladder_values` call), and `fam.value` at the same ends."""
+        """The normalized right-end ladder values that building the basis
+        reads (one `_ladder_values` call), times h**k as `fam.value` takes
+        them to t units, and `fam.value` at the same ends."""
         calls = []
         def record(*args):
             calls.append(ladder_values(*args))
@@ -100,7 +101,9 @@ class TestConstruction:
         assert len(calls) == 1
         slots = containing_spans(fam.spans, kv.knots)
         live = np.flatnonzero(slots >= 0)
-        return calls[0], fam.value(slots[live], range(1, kv.degree), kv.knots[live + 1])
+        h = (fam.spans[slots[live], 1] - fam.spans[slots[live], 0]).tolist()
+        scale = np.array([[x**k for x in h] for k in range(1, kv.degree)])[:, None]
+        return calls[0] * scale, fam.value(slots[live], range(1, kv.degree), kv.knots[live + 1])
 
     @pytest.mark.parametrize("kind, omega", [("linear", 1.0), ("trigonometric", np.pi / 2),
                                              ("exponential", 1.5), ("exponential", 40.0)])
@@ -244,25 +247,6 @@ class TestCoxDeBoorReduction:
                         assert got == pytest.approx(expected, abs=1e-10)
 
 
-def _rep_derivative(basis, i, j, order, at_right):
-    """Exact order-th derivative of function i's representation on interval j."""
-    slot = basis.fam.slots[j]
-    if slot < 0:
-        return None
-    p = basis.degree
-    if i <= j <= i + p:
-        coeffs = np.array(basis.local.coefs[j - p, :-2, i - j + p])
-        a, b = basis.local.coefs[j - p, -2:, i - j + p]
-    else:
-        coeffs, a, b = np.zeros(1), 0.0, 0.0
-    for _ in range(order):
-        coeffs = polyder(coeffs)
-    left, right = basis.fam.spans[slot]
-    t = right if at_right else left
-    u, v = basis.fam.value(slot, basis.degree - 1 - order, t)
-    return float(polyval(t - basis.kv.knots[j], coeffs) + a * u + b * v)
-
-
 class TestSmoothness:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("degree", [2, 3, 4, 5])
@@ -273,8 +257,8 @@ class TestSmoothness:
             j_right = int(np.searchsorted(knots, x, side="right")) - 1
             for i in range(basis.n_basis):
                 for order in range(1, degree):
-                    left = _rep_derivative(basis, i, j_right - 1, order, at_right=True)
-                    right = _rep_derivative(basis, i, j_right, order, at_right=False)
+                    left = one_sided_derivative(basis, i, j_right - 1, order, at_right=True)
+                    right = one_sided_derivative(basis, i, j_right, order, at_right=False)
                     scale = max(1.0, abs(left), abs(right))
                     assert abs(left - right) <= 1e-4 * scale
 
@@ -495,9 +479,10 @@ def test_piecewise_value_follows_the_interval_map():
     with a finer one."""
     breaks = np.array([0.0, 0.5, 0.5 + 1e-12, 1.0])
     fam = build_family(breaks, kind="linear", tol=1e-14)
-    parts = dict(breaks=breaks, coefs=np.tile([0.0, 1.0, 1.0], (3, 1)), degree=2, fam=fam)
+    coefs = np.diff(breaks)[:, None] * [0.0, 1.0, 1.0]
+    parts = dict(breaks=breaks, coefs=coefs, degree=2, fam=fam)
     piece = PiecewiseCurve(**parts, slots=fam.slots)
-    # first integrals of the linear pair sum to the local coordinate
+    # first integrals of the linear pair sum to x, so h times them to t - left
     t = 0.5 + 5e-13
     assert piece.value(t, tol=1e-14) == pytest.approx(t - 0.5, rel=1e-9, abs=0)
     with pytest.raises(IntervalStraddle, match=r"interval 1 \["):
@@ -727,8 +712,9 @@ class TestMergedRows:
     @staticmethod
     def exact(piece, j, t):
         """Interval j's stored row at t in 50-digit arithmetic: the polynomial
-        part in s plus a * u + b * v, the ladders of order degree - 1 summed
-        from their series in x until a term falls below 1e-60."""
+        part in x plus a * u + b * v, the normalized ladders of order
+        degree - 1 summed from their series in x until a term falls below
+        1e-60."""
         fam, k = piece.fam, piece.degree - 1
         slot = piece.slots[j]
         with mpmath.workdps(50):
@@ -746,8 +732,7 @@ class TestMergedRows:
                 if abs(even) < 1e-60:
                     break
             rows = piece.coefs[j].reshape(piece.coefs.shape[1], -1).T.tolist()
-            s = t - mpmath.mpf(float(piece.breaks[j]))
-            return [float(mpmath.polyval(row[-3::-1], s) + row[-2] * h**k * u + row[-1] * h**k * v)
+            return [float(mpmath.polyval(row[-3::-1], x) + row[-2] * u + row[-1] * v)
                     for row in rows]
 
     @pytest.mark.parametrize("kind", ["exponential", "mixed"])

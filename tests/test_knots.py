@@ -295,7 +295,8 @@ class TestIntegralTable:
     def test_linear_derivative_offset(self):
         fam = build_family([0, .5, 1], kind="linear")
         table = build_integral_table(fam, [0, .5, 1], 1, 2)
-        np.testing.assert_allclose(table[0, :, :, 0], 1 / 0.5)  # u' = 1/h
+        # normalized by h^-1: u' = 1/h in t units
+        np.testing.assert_allclose(table[0, :, :, 0] * 0.5**-1, 1 / 0.5)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_matching_interval_is_normalized(self, kind):
@@ -335,8 +336,8 @@ class TestIntegralTable:
 
 class TestArrayLadder:
     """A span's ladder values do not depend on what else one call asks for:
-    an integral table or an array call equals, bit for bit, one scalar
-    `fam.value` call per entry."""
+    an integral table (times h**k, as `fam.value` takes it to t units) or an
+    array call equals, bit for bit, one scalar `fam.value` call per entry."""
 
     KINDS = ALL_KINDS + ("mixed", "wide")
 
@@ -362,7 +363,9 @@ class TestArrayLadder:
         live = np.flatnonzero(slots >= 0)
         want = [[[fam.value(int(slots[j]), k - offset, targets[j + e]) for e in (0, 1)]
                  for j in live] for k in range(9)]
-        assert table[:, live].tobytes() == np.array(want).tobytes()
+        h = (fam.spans[slots[live], 1] - fam.spans[slots[live], 0]).tolist()
+        scale = np.array([[x ** (k - offset) for x in h] for k in range(9)])[..., None, None]
+        assert (table[:, live] * scale).tobytes() == np.array(want).tobytes()
         np.testing.assert_array_equal(table[:, slots < 0], 0.0)
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -483,10 +486,10 @@ class TestLadderKernel:
             fam.value(0, [0, 1], np.array([0.0, 0.1, 0.5]))
 
 
-def horner_everywhere(codes, h, omega, orders, x, at, need=True):
+def horner_everywhere(codes, h, omega, orders, x, at):
     """`_ladder_values` by one Horner pass over every point's gathered
     coefficients, ends included, then the same closed-form term."""
-    coefs, closed = _ladder_polys(codes, h, omega, orders, need)
+    coefs, closed = _ladder_polys(codes, h, omega, orders)
     coefs = coefs[..., at]
     out = np.zeros(coefs.shape[1:])
     for c in coefs:
@@ -509,24 +512,22 @@ class TestEndValues:
     coefficients (the last row, or the rows added top-down, each onto zero);
     that is Horner's rule there, so the values keep its bytes: every kind,
     exponential spans on the series and on the closed forms, orders -2..8,
-    with and without a `need` mask, ends alone or among inner points."""
+    ends alone or among inner points."""
 
     @pytest.mark.parametrize("inner", [False, True])
-    @pytest.mark.parametrize("masked", [False, True])
-    def test_ends_equal_a_horner_pass_byte_for_byte(self, inner, masked):
-        rng = np.random.default_rng(3 + 2 * inner + masked)
+    def test_ends_equal_a_horner_pass_byte_for_byte(self, inner):
+        rng = np.random.default_rng(3 + 2 * inner)
         # theta = omega * h: linear; trigonometric up to 3; exponential from 0.3 to 300
         codes = np.array([0, 0, 1, 1, 1, 2, 2, 2, 2, 2, 2])
         h = np.array([0.5, 2e-3, 0.25, 1.0, 3e-4, 0.25, 1.0, 0.5, 0.5, 2.0, 1.5])
         omega = np.array([1.0, 1.0, 1.2, 3.0, 2.0, 1.2, 3.9, 9.0, 40.0, 10.0, 200.0])
         orders = range(-2, 9)
-        need = rng.random((len(orders), len(h))) < 0.7 if masked else True
         at = np.repeat(np.arange(len(h)), 4)
         x = np.tile([0.0, 1.0, 1.0, 0.0], len(h))
         if inner:
             x[2::4] = rng.uniform(0, 1, len(h))
-        got = _ladder_values(codes, h, omega, orders, x, at, need)
-        assert got.tobytes() == horner_everywhere(codes, h, omega, orders, x, at, need).tobytes()
+        got = _ladder_values(codes, h, omega, orders, x, at)
+        assert got.tobytes() == horner_everywhere(codes, h, omega, orders, x, at).tobytes()
         assert (omega * h > _SERIES_THETA_MAX).sum() == 4   # closed forms, up to theta = 300
 
 
