@@ -38,8 +38,8 @@ from .errors import (
     SingularLocalSystem,
 )
 from .knots import (KnotFunctionFamily, KnotVector, _as_float, _as_floats, _is_batch,
-                    _ladder_polys, _ladders_at, _unchecked, containing_spans, find_interval,
-                    readonly)
+                    _kinds_thetas, _ladder_polys, _ladders_at, _unchecked, containing_spans,
+                    find_interval, readonly)
 from .poly import DEFAULT_TOL
 
 
@@ -204,7 +204,8 @@ class PiecewiseCurve:
         # an interval without generators (slot -1) reads the last span, but
         # evaluation refuses it before reading its row
         lo, hi = fam.spans[slots].T
-        ladders, closed = _ladder_polys(fam._kind_ids[slots], hi - lo, fam.omegas[slots], [k])
+        codes, theta = _kinds_thetas(fam, slots, hi - lo)
+        ladders, closed = _ladder_polys(codes, theta, [k])
         coefs = np.moveaxis(self.coefs, 0, -1)   # columns, [components,] intervals
         col = lambda a: a.reshape(a.shape[:-1] + (1,) * (coefs.ndim - 2) + a.shape[-1:])
         live = np.where(slots >= 0, np.arange(len(slots)), len(slots))
@@ -214,7 +215,7 @@ class PiecewiseCurve:
         rows[len(rows) - len(coefs) + 2 :] += coefs[:-2][::-1]   # the polynomial part
         weights = np.zeros((2,) + coefs.shape[1:])
         if closed is not None:   # exponential spans wider than the series' cutoff
-            on, theta, inv, (scale,) = closed
+            on, inv, (scale,) = closed
             weight = np.where(on, scale * inv, 0.0)
             ends[3] = np.where(on, theta, 0.0)
             weights[:] = coefs[-2] * weight, coefs[-1] * ((-1.0) ** k * weight)

@@ -8,7 +8,7 @@ bookkeeping free of integration constants.  Every order, derivatives too,
 is a polynomial in the interval's local coordinate with per-span
 coefficients, read off at a span's ends, by Horner's rule inside, and
 normalized to U_k/h^k (only `KnotFunctionFamily.value` gives t units).  A
-span's values depend on its kind, length and frequency alone, so one pass
+span's values depend on its kind and theta = omega h alone, so one pass
 (`_ladders_at`) serves several callers at once: a refinement reads the
 target basis's right ends, the source generators' integral table and,
 with no basis given, the source basis's right ends from the same call.
@@ -41,7 +41,7 @@ from .errors import (
 from .poly import DEFAULT_TOL
 
 KINDS = ("linear", "trigonometric", "exponential")
-_TRIGONOMETRIC, _EXPONENTIAL = KINDS.index("trigonometric"), KINDS.index("exponential")
+_LINEAR, _TRIGONOMETRIC, _EXPONENTIAL = range(len(KINDS))   # indices in KINDS
 # trigonometric pairs stop being Chebyshev at pi; sinh overflows past log(max)
 _OMEGA_H_MAX = np.array([math.inf, math.pi, math.log(np.finfo(float).max)])   # by kind index
 
@@ -219,16 +219,21 @@ def _series_tables(orders, width):
     return *out, size, int(q.max(initial=0)) // 2
 
 
-def _ladder_polys(codes, h, omega, orders):
+def _kinds_thetas(fam, span, h):
+    """Kind index and theta = omega h (0 if linear) of fam's spans `span`, of lengths h."""
+    codes = fam._kind_ids[span]
+    return codes, np.where(codes == _LINEAR, 0.0, fam.omegas[span] * h)
+
+
+def _ladder_polys(codes, theta, orders):
     """The normalized u_k and v_k of each order k on spans of kind indices
-    `codes`, lengths `h` and frequencies `omega`: (their coefficients in x,
+    `codes` and `theta` (`_kinds_thetas`): (their coefficients in x,
     highest power first, shaped (size, len(orders), 2, spans) with u first
-    and each span's own list preceded by zeros; None, or (closed, theta, 1/S,
+    and each span's own list preceded by zeros; None, or (closed, 1/S,
     [theta^-k per order]) if some span keeps the closed forms).
     Only math's functions, pow and IEEE arithmetic enter, element by element,
     so a span's numbers do not depend on what is asked for with it."""
-    n = len(h)
-    theta = np.where(codes == KINDS.index("linear"), 0.0, omega * h)
+    n = len(theta)
     trig, expo = codes == _TRIGONOMETRIC, codes == _EXPONENTIAL
     closed = expo & (theta > _SERIES_THETA_MAX)
     sine, cosine = np.ones(n), np.ones(n)   # the linear kind's limits
@@ -259,18 +264,18 @@ def _ladder_polys(codes, h, omega, orders):
             pair = (-(c * inv), c * (cosine * inv)) if (k - i) % 2 else (np.zeros(n), -c)
             out[len(out) - 1 - i, o] = np.where(closed, pair, 0.0)
             power = power * tc
-    return out, (closed, theta, inv, scales)
+    return out, (closed, inv, scales)
 
 
-def _ladder_values(codes, h, omega, orders, x, at):
-    """Ladder values (len(orders), 2, len(x)) of `_ladder_polys(codes, h, omega,
+def _ladder_values(codes, theta, orders, x, at):
+    """Ladder values (len(orders), 2, len(x)) of `_ladder_polys(codes, theta,
     orders)` at local coordinates x, sample i on span at[i]: read off the
     span's table at x == 0 or 1 as Horner's rule gives them (the last row, the
     rows added top-down), by one Horner pass inside; then the closed forms' term."""
-    coefs, closed = _ladder_polys(codes, h, omega, orders)
+    coefs, closed = _ladder_polys(codes, theta, orders)
     ends = np.stack([np.add.reduce(r, initial=0.0) for r in (coefs[-1:], coefs)], axis=2)
     one = x == 1
-    out = ends.reshape(len(orders), 2, 2 * len(h))[..., at + len(h) * one]
+    out = ends.reshape(len(orders), 2, 2 * len(theta))[..., at + len(theta) * one]
     inside = (x != one).nonzero()[0]   # x is neither 0 nor 1
     if len(inside):
         xs, coefs, acc = x[inside], coefs[..., at[inside]], np.zeros(out.shape[:2] + inside.shape)
@@ -279,7 +284,7 @@ def _ladder_values(codes, h, omega, orders, x, at):
             acc += c
         out[..., inside] = acc
     if closed is not None:   # G through math, point by point, as in the scalar path
-        on, theta, inv, scales = closed
+        on, inv, scales = closed
         pts = np.flatnonzero(on[at])
         sp = at[pts]
         for i, k in enumerate(orders):
@@ -302,25 +307,25 @@ def _ladders_at(*requests):
         span = slots[live]
         left, right = fam.spans[span].T
         h = right - left
-        spans.append((h, fam._kind_ids[span], fam.omegas[span]))
+        spans.append(_kinds_thetas(fam, span, h))
         points.append((live, (breaks[live + _ENDS if both else live + 1] - left) / h))   # [(e,) j]
-    h, codes, omega = map(np.concatenate, zip(*spans))
+    codes, theta = map(np.concatenate, zip(*spans))
     x = np.concatenate([x.ravel() for _, x in points])
     low = min(r[0].start for r in requests)
     orders = range(low, max(r[0].stop for r in requests))
-    if len(requests) == 1 and len(x) == len(h):   # point i on span i: cheaper ungrouped
-        values = _ladder_values(codes, h, omega, orders, x, np.arange(len(x)))
-    else:   # spans of one kind, h and omega are built once, with the orders any request asks
-        order = np.lexsort((omega, codes, h))
-        key = np.array([h, codes, omega])[:, order]
+    if len(requests) == 1 and len(x) == len(theta):   # point i on span i: cheaper ungrouped
+        values = _ladder_values(codes, theta, orders, x, np.arange(len(x)))
+    else:   # spans of one kind and theta are built once, with the orders any request asks
+        order = np.lexsort((codes, theta))
+        key = np.array([theta, codes])[:, order]
         new = np.concatenate(([True], (key[:, 1:] != key[:, :-1]).any(axis=0)))
         group = np.empty(len(order), dtype=int)
         group[order] = new.cumsum() - 1
         bounds = np.cumsum([0] + [len(live) for live, _ in points]).tolist()
         at = np.concatenate([group[a:b] for a, b, (*_, both) in zip(bounds, bounds[1:], requests)
                              for _ in range(1 + both)])
-        h, codes, omega = key[:, new]
-        values = _ladder_values(codes.astype(int), h, omega, orders, x, at)
+        theta, codes = key[:, new]
+        values = _ladder_values(codes.astype(int), theta, orders, x, at)
     start, out = 0, []
     for (asked, _, slots, *_), (live, x) in zip(requests, points):
         part = values[asked.start - low : asked.stop - low, :, start : start + x.size]
@@ -375,7 +380,7 @@ class KnotFunctionFamily:
                 raise OutOfInterval(f"t={t[i]} outside [{left[i]}, {right[i]}] (entry {i})")
             spans, at = np.unique(slot, return_inverse=True)
             h = self.spans[spans, 1] - self.spans[spans, 0]
-            out = _ladder_values(self._kind_ids[spans], h, self.omegas[spans], orders,
+            out = _ladder_values(*_kinds_thetas(self, spans, h), orders,
                                  (t - left) / (right - left), at)
             out *= np.array([[x**k for x in h.tolist()] for k in orders])[:, None, at]
             out = out.reshape((len(orders), 2) + shape)

@@ -14,19 +14,19 @@ from .errors import TargetsOutsideSource
 DEFAULT_TOL = 1e-10
 
 
-def taylor_shift(coeffs, tau):
-    """Coefficients of P(s + tau): the polynomial over an origin moved right by tau.
+def taylor_shift(coeffs, tau, rho=1.0):
+    """Coefficients of P(tau + rho s): the polynomial over an origin moved right
+    by tau and a unit scaled by rho, by Horner's rule on the polynomial tau + rho s.
 
-    Axis 0 indexes the degree; trailing axes carry through.  `tau` may be an
-    array broadcasting against the trailing axes: one shift per row.
+    Axis 0 indexes the degree; trailing axes carry through.  `tau` and `rho`
+    may be arrays broadcasting against the trailing axes: one change per row.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    powers = [tau**e for e in range(len(coeffs))]
-    out = np.zeros((len(coeffs),) + np.broadcast_shapes(coeffs.shape[1:], tau.shape))
-    for deg, c in enumerate(coeffs):
-        for k in range(deg + 1):
-            out[k] += c * math.comb(deg, k) * powers[deg - k]
+    tau, rho = np.asarray(tau, dtype=float), np.asarray(rho, dtype=float)
+    out = np.zeros((len(coeffs),) + np.broadcast_shapes(coeffs.shape[1:], tau.shape, rho.shape))
+    for c in coeffs[::-1]:   # out = out * (tau + rho s) + c
+        out[1:] = out[1:] * tau + out[:-1] * rho
+        out[0] = out[0] * tau + c
     return out
 
 

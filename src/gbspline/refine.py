@@ -245,18 +245,18 @@ def _target_rows(coefs, tables, fam, slots, dst):
     breaks `dst` (its rows `coefs` there, in the x of span slots[j] of
     `fam`), from its source generators' integral table there: the rewritten
     generator terms plus the polynomial parts.  A piece cut at tau of its
-    span, rho of its length, has x_src = tau + rho x: its polynomial part
-    takes a Taylor shift by tau, and column i of its row rho^i (the pair q-1)."""
+    span, rho of its length, has x_src = tau + rho x: its polynomial part is
+    substituted, and column i of its rewritten generator terms takes rho^i
+    (the pair q-1)."""
     lfunc, poly = represent_knot_funcs(coefs[:, -2:], tables), coefs[:, :-2]
     lo, hi = fam.spans[slots].T   # a dead interval (slot -1) reads the last span, and is not cut
     cut = np.flatnonzero((slots >= 0) & ((dst[:-1] != lo) | (dst[1:] != hi)))
     if len(cut):
         pad, cols, poly, h = (1,) * (coefs.ndim - 2), lfunc.shape[1], poly.copy(), hi[cut] - lo[cut]
-        tau, rho = (dst[cut] - lo[cut]) / h, (dst[cut + 1] - dst[cut]) / h
-        scale = (rho[:, None] ** np.minimum(np.arange(cols), cols - 2)).reshape((-1, cols) + pad)
-        moved = taylor_shift(poly[cut].swapaxes(0, 1), tau.reshape((-1,) + pad))
-        poly[cut] = moved.swapaxes(0, 1) * scale[:, : poly.shape[1]]
-        lfunc[cut] *= scale
+        tau, rho = (dst[cut] - lo[cut]) / h, ((dst[cut + 1] - dst[cut]) / h).reshape((-1,) + pad)
+        moved = taylor_shift(poly[cut].swapaxes(0, 1), tau.reshape(rho.shape), rho)
+        poly[cut] = moved.swapaxes(0, 1)
+        lfunc[cut] *= rho[:, None] ** np.minimum(np.arange(cols), cols - 2).reshape((cols,) + pad)
     lfunc[:, : poly.shape[1]] += poly
     return lfunc
 
@@ -281,18 +281,11 @@ def _check_families(fam, slots, fam1, slots1, breaks):
 # drivers ----------------------------------------------------------------------
 
 def _refined_knots(kv: KnotVector, inserts, raise_by, tol):
-    """Target knot vector: sorted insertion plus degree-raise repetitions.  A knot within
-    tol of its group's first takes its value; an insert joins the nearer (left on a tie)."""
+    """Target knot vector: the source's knots and the inserts, sorted, and raise_by more copies
+    of each run's first knot (a run: a maximal chain of gaps no longer than tol, of at most
+    p + 1 knots).  An insert within tol of a knot takes the nearer's value, the left on a tie."""
     reg, p = kv.active_region(), kv.degree
     a, b, inner = float(reg[0]), float(reg[-1]), reg[1:-1]
-    gap = inner[1:] - inner[:-1]
-    short = (gap > 0) & (gap <= tol)
-    if short.any():
-        first = np.flatnonzero(np.concatenate(([True], gap > tol)))
-        for i in (np.flatnonzero(short) + 1).tolist():   # a run of short gaps splits past tol
-            if inner[i] - inner[first[np.searchsorted(first, i) - 1]] > tol:
-                first = np.insert(first, np.searchsorted(first, i), i)
-        inner = np.repeat(inner[first], np.diff(np.append(first, len(inner))))
     for x in inserts:
         x = float(x)
         if not (a + tol < x < b - tol):
@@ -303,13 +296,13 @@ def _refined_knots(kv: KnotVector, inserts, raise_by, tol):
         if abs(x - near) <= tol:
             x, i = near, int(np.searchsorted(inner, near, side="right"))
         inner = np.concatenate((inner[:i], [x], inner[i:]))
-    over = np.flatnonzero(inner[p + 1 :] == inner[: max(len(inner) - p - 1, 0)])
+    first = np.diff(inner, prepend=-np.inf) > tol   # each run's first knot
+    size = np.diff(np.append(np.flatnonzero(first), len(inner)))
+    over = np.flatnonzero(size > p + 1)
     if len(over):
-        x = inner[over[0]]
-        raise MultiplicityOverflow(
-            f"knot {x} would reach multiplicity {np.count_nonzero(inner == x)} > {p + 1}")
-    if raise_by:   # raise_by more copies of each value
-        inner = np.repeat(inner, 1 + raise_by * (inner > np.concatenate(([-np.inf], inner[:-1]))))
+        raise MultiplicityOverflow(f"knot {inner[first][over[0]]} would reach multiplicity "
+                                   f"{size[over[0]]} > {p + 1}, counting its run")
+    inner = np.repeat(inner, 1 + raise_by * first)
     return np.concatenate(([a] * (p + raise_by + 1), inner, [b] * (p + raise_by + 1)))
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gbspline.knots
 from gbspline import build_family, validate_open_knot_vector
 from gbspline.errors import (
     IntervalStraddle,
@@ -400,12 +401,11 @@ class TestArrayLadder:
         x1, x2 = np.ones(5), rng.uniform(0, 1, 10)
         x2[:2] = 0.0, 1.0
         at2 = np.repeat(np.arange(5), 2)
+        theta, theta2 = (omega * h, omega * h2) if code else (0 * h, 0 * h2)
         for p, q in ((3, 3), (2, 3), (2, 4), (5, 7)):
-            first = _ladder_values(np.full(5, code), h, np.full(5, omega), range(1, q), x1,
-                                   np.arange(5))
-            second = _ladder_values(np.full(5, code), h2, np.full(5, omega), range(p - q, p),
-                                    x2, at2)
-            both = _ladder_values(np.full(10, code), np.concatenate([h, h2]), np.full(10, omega),
+            first = _ladder_values(np.full(5, code), theta, range(1, q), x1, np.arange(5))
+            second = _ladder_values(np.full(5, code), theta2, range(p - q, p), x2, at2)
+            both = _ladder_values(np.full(10, code), np.concatenate([theta, theta2]),
                                   range(p - q, q), np.concatenate([x1, x2]),
                                   np.concatenate([np.arange(5), 5 + at2]))
             assert both[q - p + 1 :, :, :5].tobytes() == first.tobytes()
@@ -415,7 +415,7 @@ class TestArrayLadder:
                                              ("exponential", 1.3), ("exponential", 12.0)])
     @pytest.mark.parametrize("repeated", [True, False])
     def test_one_pass_over_two_requests_matches_two_passes(self, kind, omega, repeated):
-        """`_ladders_at` groups spans of equal (h, kind, omega) across requests
+        """`_ladders_at` groups spans of equal (kind, theta) across requests
         and splits the values back: right ends on trigonometric omega = 1.3
         spans, and both ends of every piece of the same spans cut in two (one
         piece of zero length) under the same family (first case) or another
@@ -435,6 +435,24 @@ class TestArrayLadder:
             apart = _ladders_at(first) + _ladders_at(second)
             assert [a.shape for a in joint] == [a.shape for a in apart]
             assert [a.tobytes() for a in joint] == [a.tobytes() for a in apart]
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_spans_of_one_kind_and_theta_are_built_once(self, monkeypatch, kind):
+        """Normalized ladders depend on the kind and theta = omega h alone:
+        spans of 0.25 at omega 2 and of 0.5 at omega 1 (theta 0 on the
+        linear kind) share one group, and give the bytes of two passes."""
+        fam1 = build_family([0.0, 0.25, 0.5], kind=kind, omega=2.0)
+        fam2 = build_family([0.0, 0.5, 1.0], kind=kind, omega=1.0)
+        first = (range(1, 4), fam1, fam1.slots, np.array([0.0, 0.25, 0.5]), False)
+        second = (range(-1, 3), fam2, fam2.slots, np.array([0.0, 0.5, 1.0]), True)
+        apart = _ladders_at(first) + _ladders_at(second)
+        thetas, values = [], gbspline.knots._ladder_values
+        monkeypatch.setattr(gbspline.knots, "_ladder_values",
+                            lambda codes, theta, *rest: thetas.append(theta)
+                            or values(codes, theta, *rest))
+        joint = _ladders_at(first, second)
+        assert [t.tolist() for t in thetas] == [[0.0 if kind == "linear" else 0.5]]
+        assert [a.tobytes() for a in joint] == [a.tobytes() for a in apart]
 
     def test_array_t_outside_its_interval(self):
         fam = self.family("trigonometric")
@@ -486,17 +504,17 @@ class TestLadderKernel:
             fam.value(0, [0, 1], np.array([0.0, 0.1, 0.5]))
 
 
-def horner_everywhere(codes, h, omega, orders, x, at):
+def horner_everywhere(codes, theta, orders, x, at):
     """`_ladder_values` by one Horner pass over every point's gathered
     coefficients, ends included, then the same closed-form term."""
-    coefs, closed = _ladder_polys(codes, h, omega, orders)
+    coefs, closed = _ladder_polys(codes, theta, orders)
     coefs = coefs[..., at]
     out = np.zeros(coefs.shape[1:])
     for c in coefs:
         out *= x
         out += c
     if closed is not None:
-        on, theta, inv, scales = closed
+        on, inv, scales = closed
         pts = np.flatnonzero(on[at])
         sp = at[pts]
         for i, k in enumerate(orders):
@@ -526,9 +544,10 @@ class TestEndValues:
         x = np.tile([0.0, 1.0, 1.0, 0.0], len(h))
         if inner:
             x[2::4] = rng.uniform(0, 1, len(h))
-        got = _ladder_values(codes, h, omega, orders, x, at)
-        assert got.tobytes() == horner_everywhere(codes, h, omega, orders, x, at).tobytes()
-        assert (omega * h > _SERIES_THETA_MAX).sum() == 4   # closed forms, up to theta = 300
+        theta = np.where(codes == 0, 0.0, omega * h)
+        got = _ladder_values(codes, theta, orders, x, at)
+        assert got.tobytes() == horner_everywhere(codes, theta, orders, x, at).tobytes()
+        assert (theta > _SERIES_THETA_MAX).sum() == 4   # closed forms, up to theta = 300
 
 
 def ladder_reference(kind, which, k, s, h, omega):

@@ -1,6 +1,7 @@
 """Polynomial-term algebra in the shifted power basis."""
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 from numpy.polynomial.polynomial import polyder, polyval
 from hypothesis import given, settings, strategies as st
 
@@ -79,3 +80,12 @@ def test_left_right_taylor_agree(coeffs):
 def test_taylor_shift_round_trip():
     c = np.array([1.0, -2.0, 0.5, 3.0])
     np.testing.assert_allclose(taylor_shift(taylor_shift(c, 0.7), -0.7), c, atol=1e-12)
+    # x = 0.3 + 0.25 s and back, s = -1.2 + 4 x
+    np.testing.assert_allclose(taylor_shift(taylor_shift(c, 0.3, 0.25), -1.2, 4.0), c, atol=1e-12)
+    # three polynomials, each with its own tau and rho, against numpy's composition P(tau + rho s)
+    c = np.random.default_rng(4).uniform(-2, 2, (7, 3))
+    taus, rhos = np.array([0.3, -1.5, 0.0]), np.array([0.25, 2.0, 1.0])
+    got = taylor_shift(c, taus, rhos)
+    for j in range(3):
+        want = Polynomial(c[:, j])(Polynomial([taus[j], rhos[j]])).coef
+        np.testing.assert_allclose(got[:, j], want, rtol=1e-13, atol=1e-13)

@@ -480,11 +480,6 @@ def test_window_errors_name_global_intervals(monkeypatch):
     """Errors raised on the window count intervals over the whole target:
     with a target basis whose every local system has two equal columns, an
     insertion solves, and names, only the window's."""
-    interior = sorted(np.linspace(0, 1, 65)[1:-1].tolist() + [0.5 + 6e-11, 0.5 + 1.2e-10])
-    kv = open_kv(3, interior)   # two short intervals at 0.5 merge into a knot no span holds
-    curve = SplineCurve(kv=kv, fam=build_family(kv.knots), cpts=np.ones(kv.n_basis))
-    with pytest.raises(IntervalStraddle, match=r"^interval 37 \[0\.5, 0\.50000000012\] "):
-        insert_knots(curve, None, [0.45])
     curve, basis = uniform_curve("linear", 8, 64)
     build = gbspline.refine._basis_from_ends
     monkeypatch.setattr(gbspline.refine, "_basis_from_ends",
@@ -1051,10 +1046,7 @@ def test_refined_knots_pass_the_knot_vector_checks(data):
     count = int(np.count_nonzero(np.diff(kv.knots) > tol))   # intervals with generators
     kinds = data.draw(st.lists(st.sampled_from(ALL_KINDS), min_size=count, max_size=count))
     fam = build_family(kv.knots, kinds=kinds, omegas=[1.5] * count)
-    try:
-        got = derive_family(fam, knots1)
-    except IntervalStraddle:   # a sub-tol run whose merged knot leaves a wider piece
-        return
+    got = derive_family(fam, knots1)   # every live piece lies in one source span
     mids = [(a + b) / 2 for a, b in zip(knots1[:-1], knots1[1:]) if b - a > tol]
     lo, hi = fam.spans.T   # each piece inherits from the span nearest its midpoint
     src = [int(np.argmin(np.maximum(np.maximum(lo - m, m - hi), 0.0))) for m in mids]
@@ -1075,7 +1067,7 @@ def mesh_curve(mesh, degree=3, linear=True):
         interior = (0.8 ** np.arange(20, 1, -1)).tolist()
     elif mesh == "double knot":
         interior += [0.5]
-    elif mesh == "sub-tol run":   # three knots 3e-11 apart, which refinement merges
+    elif mesh == "sub-tol run":   # three knots 3e-11 apart, kept apart in every target
         interior += [0.5 + 3e-11, 0.5 + 6e-11]
     elif mesh == "mixed kinds":
         kinds = ["trigonometric", "exponential", "linear" if linear else "trigonometric",
@@ -1085,6 +1077,56 @@ def mesh_curve(mesh, degree=3, linear=True):
     count = np.count_nonzero(np.diff(kv.knots) > DEFAULT_TOL)   # intervals with generators
     fam = build_family(kv.knots, kinds=(kinds * 2)[:count], omegas=(omegas * 2)[:count])
     return SplineCurve(kv=kv, fam=fam, cpts=np.random.default_rng(5).uniform(-1, 1, kv.n_basis))
+
+
+RUN = (0.25, 0.5, 0.5 + 5e-11, 0.5 + 1e-10, 0.75)   # two gaps of 5e-11: a run of dead intervals
+
+
+class TestSubTolRun:
+    """A run of gaps each no longer than tol but together longer: the target
+    keeps every source knot, so each live target piece lies in one source
+    span.  Uniform-ish open knots on [0, 1], control points from seed 0."""
+
+    @staticmethod
+    def curve(degree, kind, interior=RUN):
+        kv = open_kv(degree, interior)
+        fam = build_family(kv.knots, kind=kind, omega=np.pi / 2)
+        return SplineCurve(kv=kv, fam=fam, cpts=np.random.default_rng(0).uniform(-1, 1, kv.n_basis))
+
+    @staticmethod
+    def assert_preserved(curve, out):
+        ts = np.linspace(0, 1, 301)
+        gap = np.abs(eval_curve(out, refit(out), ts) - eval_curve(curve, refit(curve), ts)).max()
+        assert gap <= 1e-8 * max(1.0, float(np.abs(curve.cpts).max()))
+
+    @pytest.mark.parametrize("degree, kind, insert, raise_by", [
+        (p, kind, insert, r) for p in (2, 3, 4) for kind in ALL_KINDS
+        for insert in ((0.1,), (0.6,), (0.5 + 2e-11,), (0.3, 0.7)) for r in (0, 1)
+        if not (r and kind == "linear")])
+    def test_every_refinement_preserves_the_curve(self, degree, kind, insert, raise_by):
+        """An insert at 0.5 + 2e-11 joins 0.5, the nearer knot, so at p = 2
+        the run would hold 4 knots, and one basis function no live interval:
+        MultiplicityOverflow names the run's first knot."""
+        curve = self.curve(degree, kind)
+        if degree == 2 and insert == (0.5 + 2e-11,):
+            with pytest.raises(MultiplicityOverflow, match=r"^knot 0\.5 would reach multiplicity 4 > 3"):
+                refined_spline(curve, None, insert=insert, elevate_by=raise_by)
+            return
+        out = refined_spline(curve, None, insert=insert, elevate_by=raise_by)
+        self.assert_preserved(curve, out)
+        # the source's knots and the inserts, and raise_by copies of each run's first knot
+        inserts = [x for x in insert if x != 0.5 + 2e-11]
+        want = sorted(list(RUN) + [0.5] * (len(inserts) < len(insert)) + inserts
+                      + (inserts + [0.25, 0.5, 0.75]) * raise_by)
+        assert out.kv.knots[degree + raise_by + 1 : -degree - raise_by - 1].tolist() == want
+
+    def test_a_run_in_a_long_curve_refines_on_its_window(self):
+        """64 intervals and a run at 0.5: an insert at 0.45 puts the run in the window."""
+        interior = sorted(np.linspace(0, 1, 65)[1:-1].tolist() + [0.5 + 6e-11, 0.5 + 1.2e-10])
+        curve = self.curve(3, "trigonometric", interior)
+        out = insert_knots(curve, None, [0.45])
+        self.assert_preserved(curve, out)
+        assert out.kv.knots.tolist() == sorted(curve.kv.knots.tolist() + [0.45])
 
 
 class TestOnePass:
@@ -1150,13 +1192,11 @@ def move_every_piece(coefs, tables, fam, slots, dst):
     lfunc, pad = represent_knot_funcs(coefs[:, -2:], tables), (1,) * (coefs.ndim - 2)
     at = np.flatnonzero(slots >= 0)
     lo, hi = fam.spans[slots[at]].T
-    tau, rho = (dst[at] - lo) / (hi - lo), (dst[at + 1] - dst[at]) / (hi - lo)
+    tau, rho = ((v / (hi - lo)).reshape((-1,) + pad) for v in (dst[at] - lo, dst[at + 1] - dst[at]))
     cols = lfunc.shape[1]
-    scale = (rho[:, None] ** np.minimum(np.arange(cols), cols - 2)).reshape((len(at), cols) + pad)
     poly = coefs[:, :-2].copy()
-    poly[at] = taylor_shift(poly[at].swapaxes(0, 1), tau.reshape((-1,) + pad)).swapaxes(
-        0, 1) * scale[:, : poly.shape[1]]
-    lfunc[at] *= scale
+    poly[at] = taylor_shift(poly[at].swapaxes(0, 1), tau, rho).swapaxes(0, 1)
+    lfunc[at] *= rho[:, None] ** np.minimum(np.arange(cols), cols - 2).reshape((cols,) + pad)
     lfunc[:, : poly.shape[1]] += poly
     return lfunc
 
@@ -1178,14 +1218,13 @@ class TestChangeOfVariable:
             curve = SplineCurve(kv=curve.kv, fam=curve.fam, cpts=cpts)
         shifted = []
 
-        def spy(coefs, tau):
+        def spy(coefs, tau, rho):
             shifted.append(len(tau))
-            return taylor_shift(coefs, tau)
+            return taylor_shift(coefs, tau, rho)
 
         monkeypatch.setattr(gbspline.refine, "taylor_shift", spy)
         out = refined_spline(curve, None, insert=insert, elevate_by=raise_by)
-        # a merged run of knots under tol moves its piece's start left of its span's
-        assert bool(shifted) == (bool(insert) or mesh == "sub-tol run")
+        assert bool(shifted) == bool(insert)   # a raise cuts no piece, on every mesh
         monkeypatch.setattr(gbspline.refine, "_target_rows", move_every_piece)
         want = refined_spline(curve, None, insert=insert, elevate_by=raise_by)
         assert out.cpts.shape == want.cpts.shape and out.cpts.tobytes() == want.cpts.tobytes()
