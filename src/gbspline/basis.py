@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     AllMissingDiagonal,
@@ -276,46 +275,45 @@ class PiecewiseCurve:
 
 # construction ----------------------------------------------------------------
 
-def _next_level(table, reps, k, alive, knots):
+def _next_level(table, reps, k, alive, dead, knots):
     """One level of the construction recurrence (level k -> k + 1), for every
     function at once, on rows in x laid out [slot, column, function]: the
     level's normalization integrals and the new rows.
 
     Function f reads slot s of `table` (interval-major [column, interval],
     h [1/(c+1) | the level's right ends | 1], zero where dead) and of `alive`
-    at interval f + s through strided views.  Its rows times the table are
-    its columns' integrals in t from the left (positive orders vanish
-    there), whose sums, columns added in order, are its integrals over its
-    intervals.  Its accumulated, normalized integral fills its support
-    slots 0..k; right of its support (or when none of its intervals is live)
-    it is the unit step in slot k+1.  New function i is that accumulation for
-    f = i minus the one for f = i+1, zero on dead slots.  An area that is not
-    a positive normal float, of a function with a live interval, raises
-    SingularLocalSystem naming that interval of `knots`.
+    (`dead` its negation) at interval f + s through strided views.  Its rows
+    times the table are its columns' integrals in t from the left (positive
+    orders vanish there), whose sums, columns added in order, are its
+    integrals over its intervals.  Its accumulated, normalized integral fills
+    its support slots 0..k; right of its support (or when none of its
+    intervals is live) it is the unit step in slot k+1.  New function i is
+    that accumulation for f = i minus the one for f = i+1, zero on dead
+    slots.  An area that is not a positive normal float, of a function with a
+    live interval, raises SingularLocalSystem naming that interval of `knots`.
     """
     count, (step, col), flag = reps.shape[-1], table.strides, alive.strides[0]
     table = np.ndarray((k + 1, k + 2, count), float, table, 0, (col, step, col))
     parts = reps * table[:, : k + 1]
-    ints = parts.sum(axis=1)
-    delta = ints.sum(axis=0)
-    live = np.ndarray((k + 1, count), bool, alive, 0, (flag, flag)).any(axis=0)
+    ints = np.add.reduce(parts, axis=1)
+    acc = (grid := np.zeros((k + 3, k + 2, count)))[1:]   # slot s is grid[s + 1], after zeros
+    acc[1, 0] = ints[0]
+    for s in range(2, k + 1):   # cumsum along slots, which numpy runs column by column
+        np.add(acc[s - 1, 0], ints[s - 1], out=acc[s, 0])
+    delta = acc[k, 0] + ints[k]   # the sum over slots, added slot by slot as a reduction does
+    live = np.logical_or.reduce(np.ndarray((k + 1, count), bool, alive, 0, (flag, flag)))
     area = np.where(live, delta, np.inf)   # inf: f vanishes, its rows become 0
     if not (normal := area >= 2.0**-1022).all():   # else zero, subnormal, negative or nan
         j = (f := int(np.argmin(normal))) + int(np.argmax(alive[f:]))   # its first live interval
         raise SingularLocalSystem(f"knot interval [{knots[j]}, {knots[j + 1]}]: a degree-{k} basis "
                                   f"function over it has normalization area {delta[f]:.3e}, not a "
                                   "positive normal float")
-    acc = np.empty((k + 2, k + 2, count))
-    acc[0, 0], acc[1, 0], acc[k + 1] = 0.0, ints[0], 0.0
-    for s in range(2, k + 1):   # cumsum along slots, which numpy runs column by column
-        np.add(acc[s - 1, 0], ints[s - 1], out=acc[s, 0])
     acc[: k + 1, 1:k] = parts[:, :-2]   # h x^(c+1)/(c+1) times c's coefficient
     np.multiply(reps[:, -2:], table[:, k + 1 :], out=acc[: k + 1, k:])   # h times the pair
     acc[: k + 1] /= area
     acc[k + 1, 0] = 1.0
-    acc[1:, :, :-1] -= acc[: k + 1, :, 1:]
-    new = acc[:, :, :-1]   # dead slots hold zeros already, but for the accumulated integral
-    new[:, 0] = np.where(np.ndarray((k + 2, count - 1), bool, alive, 0, (flag, flag)), new[:, 0], 0)
+    new = acc[:, :, :-1] - grid[: k + 2, :, 1:]   # zero on dead slots, but for column 0
+    np.copyto(new[:, 0], 0.0, where=np.ndarray((k + 2, count - 1), bool, dead, 0, (flag, flag)))
     return delta, new
 
 
@@ -338,31 +336,28 @@ def build_local_basis(kv: KnotVector, fam: KnotFunctionFamily, tol=DEFAULT_TOL) 
         j, k = int(live[wide[0]]), wide[0]
         raise InvalidFamily(f"knot interval {j} [{knots[j]}, {knots[j + 1]}] lies inside the "
                             f"longer span [{lo[k]}, {hi[k]}]; build the family over the knots")
-    return _basis_from_ends(kv, fam, slots, *_ladders_at((range(1, p), fam, slots, knots, False)))
+    right = _ladders_at((range(1, p), fam, slots, knots, False))
+    rows, deltas = _basis_rows(knots, p, slots, *right)
+    local = _unchecked(PiecewiseCurve, breaks=kv.active_region(), coefs=rows.copy(), degree=p,
+                       fam=fam, slots=slots[p : len(knots) - p - 1])
+    return LocalBasis(kv=kv, fam=fam, local=local, deltas=tuple(map(readonly, deltas)))
 
 
-def _basis_from_ends(kv: KnotVector, fam: KnotFunctionFamily, slots, right) -> LocalBasis:
-    """build_local_basis from the slot map of kv's knot intervals in `fam`
-    and the ladder values of orders 1..p-1 at the right end of each
-    (`_ladders_at`), unchecked.  One strided copy turns `_next_level`'s last
-    rows, [slot, column, function], into interval-major ones."""
-    p, knots = kv.degree, kv.knots
+def _basis_rows(knots, p, slots, right):
+    """The recurrence from `_ladders_at`'s right ends: the active intervals' rows [interval,
+    column, component], a strided view of the last level's, and the levels' areas."""
     m, alive = len(knots), slots >= 0
     h = np.where(alive, knots[1:] - knots[:-1], 0.0)
     powers = h / np.arange(1, p - 1)[:, None]   # the integrals in t of x^c, c = 0..p-3
     reps = np.zeros((2, 2, m - 2))   # [slot, column, function]: u, then v, zero where dead
-    reps[0, 0], reps[1, 1], deltas = alive[:-1], alive[1:], []
+    reps[0, 0], reps[1, 1], deltas, dead = alive[:-1], alive[1:], [], ~alive
     for level in range(1, p):   # level k has m - 1 - k functions of k + 1 intervals
         table = np.concatenate([powers[: level - 1], h * right[level - 1].T, h[None]])
-        delta, reps = _next_level(table, reps, level, alive, knots)
+        delta, reps = _next_level(table, reps, level, alive, dead, knots)
         deltas.append(delta)
-
-    # one strided copy: row j, column w, component c is function j + c's slot p - c
-    (slot, col, fn), count = reps.strides, reps.shape[-1] - p
-    coefs = as_strided(reps[p], (count, p + 1, p + 1), (fn, col, fn - slot)).copy()
-    local = _unchecked(PiecewiseCurve, breaks=kv.active_region(), coefs=coefs, degree=p, fam=fam,
-                       slots=slots[p : m - p - 1])
-    return LocalBasis(kv=kv, fam=fam, local=local, deltas=tuple(map(readonly, deltas)))
+    # row j, column w, component c is function j + c's slot p - c
+    (slot, col, fn), count = reps.strides, m - 2 * p - 1
+    return np.ndarray((count, p + 1, p + 1), float, reps, p * slot, (fn, col, fn - slot)), deltas
 
 
 # evaluation ------------------------------------------------------------------
@@ -430,7 +425,7 @@ def reverse_diagonal_averages(coefs, tol=1e-6, *, first=0):
     rows, cols = coefs.shape[:2]
     flat = coefs.reshape(rows * cols, -1)
     diag = (np.arange(rows)[:, None] + np.arange(cols)).ravel()
-    ok = np.isfinite(flat).all(axis=1)
+    ok = np.logical_and.reduce(np.isfinite(flat), axis=1)
     count = np.bincount(diag[ok], minlength=rows + cols - 1)
     if not count.all():
         raise AllMissingDiagonal(
@@ -458,14 +453,13 @@ def form_piecewise(cpts, basis: LocalBasis) -> PiecewiseCurve:
     """
     cpts = np.asarray(cpts, dtype=float)
     _check_cpts(cpts, basis.n_basis)
-    return _form_rows(cpts, basis, 0, len(basis.local.breaks) - 1)
+    return _form_rows(cpts, basis.local, 0, len(basis.local.breaks) - 1)
 
 
-def _form_rows(cpts, basis: LocalBasis, start, stop) -> PiecewiseCurve:
-    """form_piecewise over active intervals start..stop-1 alone, from checked
-    control points (their index counted in the basis), unchecked."""
-    local = basis.local
-    windows = cpts[np.arange(start, stop)[:, None] + np.arange(basis.degree + 1)]
+def _form_rows(cpts, local: PiecewiseCurve, start, stop) -> PiecewiseCurve:
+    """form_piecewise over active intervals start..stop-1 of a basis's `local`
+    alone, from checked control points (their index counted in the basis), unchecked."""
+    windows = cpts[np.arange(start, stop)[:, None] + np.arange(local.degree + 1)]
     return _unchecked(PiecewiseCurve, breaks=local.breaks[start : stop + 1],
                       coefs=np.einsum("jwc,jc...->jw...", local.coefs[start:stop], windows),
-                      degree=basis.degree, fam=basis.fam, slots=local.slots[start:stop])
+                      degree=local.degree, fam=local.fam, slots=local.slots[start:stop])

@@ -38,7 +38,7 @@ from .errors import (
     OutOfInterval,
     TooShort,
 )
-from .poly import DEFAULT_TOL
+from .poly import DEFAULT_TOL, FACTORIAL as _FACTORIAL
 
 KINDS = ("linear", "trigonometric", "exponential")
 _LINEAR, _TRIGONOMETRIC, _EXPONENTIAL = range(len(KINDS))   # indices in KINDS
@@ -201,7 +201,6 @@ def _unchecked(cls, **fields):
 
 _SERIES_THETAS = np.array([(2.0**-53 * math.factorial(2 * j)) ** (0.5 / j) for j in range(1, 60)])
 _SERIES_THETA_MAX = 4.0   # where the series' error overtakes the closed forms'
-_FACTORIAL = np.array([math.factorial(n) for n in range(171)], dtype=float)
 _ENDS = np.array([[0], [1]])   # an interval's left and right end in the breaks
 
 
@@ -236,11 +235,13 @@ def _ladder_polys(codes, theta, orders):
     n = len(theta)
     trig, expo = codes == _TRIGONOMETRIC, codes == _EXPONENTIAL
     closed = expo & (theta > _SERIES_THETA_MAX)
-    sine, cosine = np.ones(n), np.ones(n)   # the linear kind's limits
+    unit = np.empty((3, n))
+    unit.fill(1.0)
+    sine, cosine, a = unit[0], unit[1], unit[2]   # the linear kind's limits
     for on, s, c in ((trig, math.sin, math.cos), (expo, math.sinh, math.cosh)):
-        z = theta[on].tolist()
-        sine[on], cosine[on] = list(map(s, z)), list(map(c, z))
-    a = np.divide(theta, sine, out=np.ones(n), where=theta > 0)   # theta/S, 1 in the limit
+        if z := theta[on].tolist():
+            sine[on], cosine[on] = list(map(s, z)), list(map(c, z))
+    np.divide(theta, sine, out=a, where=theta > 0)   # theta/S, 1 in the limit
     sq = np.where(closed, 0.0, np.where(trig, -theta, theta) * theta)
     terms = np.where(closed, 0, 1 + _SERIES_THETAS.searchsorted(theta))
     half, fact, odd, cols, at, size, top = _series_tables(tuple(orders),
@@ -249,7 +250,7 @@ def _ladder_polys(codes, theta, orders):
     for i in range(top):
         np.multiply(powers[i], sq, out=powers[i + 1])
     base = powers[half] / fact
-    base[:, cols >= 2 * terms] = 0.0
+    np.copyto(base, 0.0, where=cols >= 2 * terms)
     out = np.zeros((size, len(orders), 2, n))
     out[at + (0,)] = np.where(odd, a * base, 0.0)
     out[at + (1,)] = np.where(odd, -(a * cosine * base), base)
@@ -273,7 +274,8 @@ def _ladder_values(codes, theta, orders, x, at):
     span's table at x == 0 or 1 as Horner's rule gives them (the last row, the
     rows added top-down), by one Horner pass inside; then the closed forms' term."""
     coefs, closed = _ladder_polys(codes, theta, orders)
-    ends = np.stack([np.add.reduce(r, initial=0.0) for r in (coefs[-1:], coefs)], axis=2)
+    ends = np.concatenate([np.add.reduce(rows, initial=0.0)[:, :, None]   # [k, w, end, span]
+                           for rows in (coefs[-1:], coefs)], axis=2)
     one = x == 1
     out = ends.reshape(len(orders), 2, 2 * len(theta))[..., at + len(theta) * one]
     inside = (x != one).nonzero()[0]   # x is neither 0 nor 1
@@ -301,33 +303,37 @@ def _ladders_at(*requests):
     asks on every live interval j of `breaks` (fam's span slots[j]) for the
     right end, or both ends if `both`, and gets an array [k, j, (e,) w]
     (order, interval, end, generator 'u' first), zero on dead intervals."""
-    spans, points = [], []
+    codes, theta, xs, lives, low, high = [], [], [], [], math.inf, -math.inf
     for orders, fam, slots, breaks, both in requests:
+        low, high = min(low, orders.start), max(high, orders.stop)
         live = (slots >= 0).nonzero()[0]
         span = slots[live]
         left, right = fam.spans[span].T
-        h = right - left
-        spans.append(_kinds_thetas(fam, span, h))
-        points.append((live, (breaks[live + _ENDS if both else live + 1] - left) / h))   # [(e,) j]
-    codes, theta = map(np.concatenate, zip(*spans))
-    x = np.concatenate([x.ravel() for _, x in points])
-    low = min(r[0].start for r in requests)
-    orders = range(low, max(r[0].stop for r in requests))
+        kind, t = _kinds_thetas(fam, span, h := right - left)
+        codes.append(kind), theta.append(t), lives.append(live)
+        xs.append((breaks[live + _ENDS if both else live + 1] - left) / h)   # [(e,) j]
+    codes, theta, x = np.concatenate(codes), np.concatenate(theta), np.concatenate(xs, axis=None)
+    orders = range(low, high)
     if len(requests) == 1 and len(x) == len(theta):   # point i on span i: cheaper ungrouped
         values = _ladder_values(codes, theta, orders, x, np.arange(len(x)))
     else:   # spans of one kind and theta are built once, with the orders any request asks
-        order = np.lexsort((codes, theta))
-        key = np.array([theta, codes])[:, order]
-        new = np.concatenate(([True], (key[:, 1:] != key[:, :-1]).any(axis=0)))
+        # key: theta's bits, flipped if trigonometric (linear spans build as exponential theta 0)
+        bits = theta.view(np.int64)
+        key = np.where(codes == _TRIGONOMETRIC, ~bits, bits)
+        order = key.argsort()
+        key = key[order]
+        new = np.empty(len(order), dtype=bool)
+        new[:1] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
         group = np.empty(len(order), dtype=int)
         group[order] = new.cumsum() - 1
-        bounds = np.cumsum([0] + [len(live) for live, _ in points]).tolist()
-        at = np.concatenate([group[a:b] for a, b, (*_, both) in zip(bounds, bounds[1:], requests)
-                             for _ in range(1 + both)])
-        theta, codes = key[:, new]
-        values = _ladder_values(codes.astype(int), theta, orders, x, at)
+        first, at, a = order[new], [], 0
+        for live, (*_, both) in zip(lives, requests):   # each point's group, request by request
+            at += [group[a : a + len(live)]] * (1 + both)
+            a += len(live)
+        values = _ladder_values(codes[first], theta[first], orders, x, np.concatenate(at))
     start, out = 0, []
-    for (asked, _, slots, *_), (live, x) in zip(requests, points):
+    for (asked, _, slots, *_), live, x in zip(requests, lives, xs):
         part = values[asked.start - low : asked.stop - low, :, start : start + x.size]
         out.append(np.zeros((len(asked), len(slots)) + x.shape[:-1] + (2,)))
         out[-1][:, live] = part.reshape((len(asked), 2) + x.shape).swapaxes(1, -1)

@@ -12,6 +12,7 @@ import numpy as np
 from .errors import TargetsOutsideSource
 
 DEFAULT_TOL = 1e-10
+FACTORIAL = np.array([math.factorial(n) for n in range(171)], dtype=float)   # all that are finite
 
 
 def taylor_shift(coeffs, tau, rho=1.0):
@@ -23,10 +24,12 @@ def taylor_shift(coeffs, tau, rho=1.0):
     """
     coeffs = np.asarray(coeffs, dtype=float)
     tau, rho = np.asarray(tau, dtype=float), np.asarray(rho, dtype=float)
-    out = np.zeros((len(coeffs),) + np.broadcast_shapes(coeffs.shape[1:], tau.shape, rho.shape))
-    for c in coeffs[::-1]:   # out = out * (tau + rho s) + c
-        out[1:] = out[1:] * tau + out[:-1] * rho
-        out[0] = out[0] * tau + c
+    out = np.zeros((len(coeffs),) + np.broadcast(np.empty(coeffs.shape[1:]), tau, rho).shape)
+    for c in coeffs[::-1]:   # out = out * (tau + rho s) + c, in place
+        shifted = out[:-1] * rho
+        out *= tau
+        out[1:] += shifted
+        out[0] += c
     return out
 
 
@@ -57,5 +60,4 @@ def left_taylor_series(derivs):
     Axis 0 indexes the derivative order; trailing axes carry through.
     """
     derivs = np.asarray(derivs, dtype=float)
-    fact = np.array([math.factorial(k) for k in range(len(derivs))], dtype=float)
-    return derivs / fact.reshape((-1,) + (1,) * (derivs.ndim - 1))
+    return derivs / FACTORIAL[: len(derivs)].reshape((-1,) + (1,) * (derivs.ndim - 1))

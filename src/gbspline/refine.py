@@ -13,12 +13,12 @@ Knot insertion projects only on a clamped window of target knots around
 the new ones and copies every other control point; a degree raise's window
 is the whole target, clamped and solved by the same formulas.  Per-interval
 work is independent, so every stage runs on arrays over the window at once.
-One span search places the target intervals in the source spans; with the
-source family's own interval map it also gives each solved interval its
-source row.  A curve whose family is built over other knots, and
-a caller's basis of another family object, each take one more search.  One
-ladder pass gives the target basis's right ends, the source table and, with
-no basis given, the source basis's right ends; a change of variable on
+The target keeps every source knot, so the source family's own interval
+map places each target interval in its span and gives each solved interval
+its source row, with no span search.  A curve whose family is built over
+other knots, and a caller's basis of another family object, each take one.
+One ladder pass gives the target basis's right ends, the source table and,
+with no basis given, the source basis's right ends; a change of variable on
 split pieces, one batched inverse and one scatter do the rest.
 """
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .basis import (
     LocalBasis,
     PiecewiseCurve,
     SplineCurve,
-    _basis_from_ends,
+    _basis_rows,
     _check_cpts,
     _form_rows,
     build_local_basis,  # not called here; the benchmark's self-test reaches it through this module
@@ -107,9 +107,9 @@ def _solve(matrices, rhs, name):
         x = inv @ b3
         # with the systems last each reduction runs on whole rows; |A^-1| is the largest row sum
         aa, ai = (np.abs(m.transpose(1, 2, 0), out=np.empty((n, n, count))) for m in (a, inv))
-        bound = (2.0 ** (n - 1) * n * np.maximum(1.0, aa.reshape(n * n, count).max(axis=0))
-                 * ai.sum(axis=1).max(axis=0))
-    bad = np.flatnonzero(~(bound < PIVOT_RATIO_WARN / 10))   # a nan bound too
+        bound = (2.0 ** (n - 1) * n * np.maximum(1.0, np.maximum.reduce(aa.reshape(n * n, count)))
+                 * np.maximum.reduce(np.add.reduce(ai, axis=1)))
+    bad = (~(bound < PIVOT_RATIO_WARN / 10)).nonzero()[0]   # a nan bound too
     if len(bad):
         x[bad] = _eliminate(a[bad], b3[bad], lambda i: name(bad[i]), count)
     return x.reshape(b.shape)
@@ -208,7 +208,7 @@ def _project(breaks, rows, lfunc, tol, coef_tol, first=0) -> np.ndarray:
     right-hand sides, and aggregate by anti-diagonal averaging.  Errors count
     intervals and coefficients from `first`, the place of `rows` in the
     target's rows."""
-    live = np.flatnonzero(np.diff(breaks) > tol)
+    live = (breaks[1:] - breaks[:-1] > tol).nonzero()[0]
     coefs = np.full(lfunc.shape, np.nan)
     coefs[live] = _solve(
         rows[live], lfunc[live],
@@ -250,7 +250,7 @@ def _target_rows(coefs, tables, fam, slots, dst):
     (the pair q-1)."""
     lfunc, poly = represent_knot_funcs(coefs[:, -2:], tables), coefs[:, :-2]
     lo, hi = fam.spans[slots].T   # a dead interval (slot -1) reads the last span, and is not cut
-    cut = np.flatnonzero((slots >= 0) & ((dst[:-1] != lo) | (dst[1:] != hi)))
+    cut = ((slots >= 0) & ((dst[:-1] != lo) | (dst[1:] != hi))).nonzero()[0]
     if len(cut):
         pad, cols, poly, h = (1,) * (coefs.ndim - 2), lfunc.shape[1], poly.copy(), hi[cut] - lo[cut]
         tau, rho = (dst[cut] - lo[cut]) / h, ((dst[cut + 1] - dst[cut]) / h).reshape((-1,) + pad)
@@ -283,27 +283,37 @@ def _check_families(fam, slots, fam1, slots1, breaks):
 def _refined_knots(kv: KnotVector, inserts, raise_by, tol):
     """Target knot vector: the source's knots and the inserts, sorted, and raise_by more copies
     of each run's first knot (a run: a maximal chain of gaps no longer than tol, of at most
-    p + 1 knots).  An insert within tol of a knot takes the nearer's value, the left on a tie."""
+    p + 1 knots; an error names a longer run of the curve's own first).  An insert within tol
+    of a knot takes the nearer's value, the left on a tie."""
     reg, p = kv.active_region(), kv.degree
     a, b, inner = float(reg[0]), float(reg[-1]), reg[1:-1]
     for x in inserts:
         x = float(x)
         if not (a + tol < x < b - tol):
-            raise KnotOutsideActiveRegion(
-                f"knot {x} not strictly inside ({a}, {b})")
-        i = int(np.searchsorted(inner, x, side="right"))
+            raise KnotOutsideActiveRegion(f"knot {x} not strictly inside ({a}, {b})")
+        i = int(inner.searchsorted(x, "right"))
         near = min(inner[max(i - 1, 0) : i + 1].tolist(), key=lambda v: abs(x - v), default=x)
         if abs(x - near) <= tol:
-            x, i = near, int(np.searchsorted(inner, near, side="right"))
+            x, i = near, int(inner.searchsorted(near, "right"))
         inner = np.concatenate((inner[:i], [x], inner[i:]))
-    first = np.diff(inner, prepend=-np.inf) > tol   # each run's first knot
-    size = np.diff(np.append(np.flatnonzero(first), len(inner)))
-    over = np.flatnonzero(size > p + 1)
-    if len(over):
-        raise MultiplicityOverflow(f"knot {inner[first][over[0]]} would reach multiplicity "
-                                   f"{size[over[0]]} > {p + 1}, counting its run")
+    first, over = _runs(inner, p, tol)
+    if over:
+        own = _runs(reg[1:-1], p, tol)[1]
+        raise MultiplicityOverflow(
+            f"the curve's knots hold a run of {own[1]} knots from {own[0]} with no gap over "
+            f"tol={tol:g}, more than degree + 1 = {p + 1}" if own else
+            f"knot {over[0]} would reach multiplicity {over[1]} > {p + 1}, counting its run")
     inner = np.repeat(inner, 1 + raise_by * first)
     return np.concatenate(([a] * (p + raise_by + 1), inner, [b] * (p + raise_by + 1)))
+
+
+def _runs(knots, p, tol):
+    """Each run's first knot in sorted `knots` (a mask) and (knot, size) of the first over p + 1."""
+    first = np.concatenate(([True], knots[1:] - knots[:-1] > tol))
+    start = first.nonzero()[0]
+    size = np.concatenate((start[1:], [len(knots)])) - start
+    over = (size > p + 1).nonzero()[0]
+    return first, (knots[start[over[0]]], size[over[0]]) if len(over) else None
 
 
 def derive_family(fam: KnotFunctionFamily, knots, tol=DEFAULT_TOL) -> KnotFunctionFamily:
@@ -317,11 +327,11 @@ def derive_family(fam: KnotFunctionFamily, knots, tol=DEFAULT_TOL) -> KnotFuncti
 def _derived(fam: KnotFunctionFamily, knots, slots, tol) -> KnotFunctionFamily:
     """derive_family from `slots`, the span of fam holding each interval of knots."""
     pos = slots >= 0
-    if not pos.any():
+    if not len(live := pos.nonzero()[0]):
         raise InvalidFamily(f"no knot interval is longer than tol={tol:g}")
-    src, live = slots[pos], pos.nonzero()[0]
+    src = slots[live]
     cut = (src[1:] != src[:-1] + 1).nonzero()[0]   # runs of consecutive source spans
-    runs = zip(src[np.append(0, cut + 1)].tolist(), src[np.append(cut, len(src) - 1)].tolist())
+    runs = zip([src[0]] + src[cut + 1].tolist(), src[cut].tolist() + [src[-1]])
     return _unchecked(KnotFunctionFamily, spans=knots[live + _ENDS].T, omegas=fam.omegas[src],
                       kinds=tuple(chain.from_iterable(fam.kinds[a : b + 1] for a, b in runs)),
                       slots=np.where(pos, pos.cumsum() - 1, -1), _kind_ids=fam._kind_ids[src])
@@ -332,8 +342,8 @@ def _clamped(knots, lo, hi, p, slots):
     value and raised to multiplicity p + 1 (a copy of `knots` if both are the active
     region's ends), the index in `knots` of its first function, and its intervals' entries
     of `slots` (a map of knots' intervals), -1 on the copies."""
-    lo = int(np.searchsorted(knots, knots[lo], side="right")) - 1
-    hi = int(np.searchsorted(knots, knots[hi], side="left"))
+    lo = int(knots.searchsorted(knots[lo], "right")) - 1
+    hi = int(knots.searchsorted(knots[hi], "left"))
     return (np.concatenate(([knots[lo]] * p, knots[lo : hi + 1], [knots[hi]] * p)), lo - p,
             np.concatenate(([-1] * p, slots[lo:hi], [-1] * p)))
 
@@ -371,12 +381,16 @@ def refined_spline(curve: SplineCurve, basis: LocalBasis | None = None, *,
             "derivatives of linear generators collapse; cannot raise the degree")
     q = p + elevate_by
     knots, knots1 = curve.kv.knots, _refined_knots(curve.kv, insert, elevate_by, tol)
-    m, m1, src = len(knots), len(knots1), np.flatnonzero(fam.slots >= 0)
+    m, m1, src = len(knots), len(knots1), (fam.slots >= 0).nonzero()[0]
     if len(fam.slots) != m - 1 or not np.array_equal(fam.spans, knots[src + _ENDS].T):
         fam = derive_family(fam, knots, tol)   # built over other knots: re-derived over these
-        src = np.flatnonzero(fam.slots >= 0)
-    # the one search: each target interval's span, which is knot interval src[span]
-    spans1 = containing_spans(fam.spans, knots1, tol)
+        src = (fam.slots >= 0).nonzero()[0]
+    # each target interval lies in its left end's source interval: read off the source map,
+    # a live one's span is the search's; the search runs only to refuse one in a dead interval
+    spans1 = np.where(live1 := knots1[1:] - knots1[:-1] > tol,
+                      fam.slots[knots[:-1].searchsorted(knots1[:-1], "right") - 1], -1)
+    if (live1 & (spans1 < 0)).any():
+        spans1 = containing_spans(fam.spans, knots1, tol)   # span i is knot interval src[i]
     kv1, fam1 = _unchecked(KnotVector, knots=knots1, degree=q), _derived(fam, knots1, spans1, tol)
     if basis is not None:   # refuse another curve's basis, as the full projection does
         _check_cpts(curve.cpts, basis.n_basis)
@@ -386,22 +400,23 @@ def refined_spline(curve: SplineCurve, basis: LocalBasis | None = None, *,
                             fam1, fam1.slots[q : m1 - q - 1], breaks1)
     first, last = 0, kv1.n_basis - 1   # the control points that change
     if not elevate_by:   # from p before the first knot that moved to before the last
-        moved = np.flatnonzero(knots1[:m] != knots)
-        if not len(moved):
+        moved = knots1[:m] != knots
+        if not moved.any():
             return SplineCurve(kv=kv1, fam=fam1, cpts=curve.cpts)
-        first = moved[0] - p
-        last = np.flatnonzero(knots1[m1 - m :] != knots)[-1] + m1 - m - 1
+        first = int(moved.argmax()) - p
+        last = m1 - 2 - int((knots1[m1 - m :] != knots)[::-1].argmax())
     # the changed functions' supports and q knots more each side: every interval outside
     # is one of `knots`, and each interval of those supports has only the target's functions
     window, shift, slots = _clamped(knots1, max(first - q, q), min(last + 2 * q + 1, m1 - q - 1),
                                     q, fam1.slots)
     # source knot intervals lo..hi-1 cover the window
-    lo, hi = np.searchsorted(knots, window[q], "right") - 1, np.searchsorted(knots, window[-q - 1])
-    # the window's knot intervals solved, j0..j1-1: from the first to the last live one whose
-    # nonzero functions are all the target's own (a clamped end's give systems the target has not)
-    breaks, k = window[q : len(window) - q], shift + np.arange(len(window) - 2 * q - 1)
-    own = np.flatnonzero((np.diff(breaks) > tol) & (knots1[k] >= window[q])
-                         & (knots1[k + 2 * q + 1] <= window[-q - 1]))
+    lo, hi = knots.searchsorted(window[q], "right") - 1, knots.searchsorted(window[-q - 1])
+    # the window's knot intervals solved, j0..j1-1: the first to the last live one whose nonzero
+    # functions are the target's own (not a clamped end's), with supports inside the breaks
+    breaks, base = window[q : len(window) - q], shift + q   # breaks[j] is knots1[base + j]
+    ja = max(int(knots1.searchsorted(window[q])) - shift, 0)
+    jb = min(int(knots1.searchsorted(window[-q - 1], "right")) - 2 * q - 1 - shift, len(breaks) - 1)
+    own = live1[base + ja : base + max(jb, ja)].nonzero()[0] + ja
     j0, j1 = (own[0], own[-1] + 1) if len(own) else (0, 0)   # none: nothing changes
     at, end = shift + j0, shift + j1 + q   # coefficients at..end-1 are solved, the others copied
     if first <= last and (first < at or last >= end):   # changed, unsolved: an end interval <= tol
@@ -414,21 +429,21 @@ def refined_spline(curve: SplineCurve, basis: LocalBasis | None = None, *,
         if basis is None:   # a source basis exact p intervals inside its window's ends
             knots0, offset, slots0 = _clamped(knots, max(lo - p, p), min(hi + p, m - p - 1), p,
                                               fam.slots)
-            slots0 = np.where(np.diff(knots0) > tol, slots0, -1)   # as a search under tol
+            slots0 = np.where(knots0[1:] - knots0[:-1] > tol, slots0, -1)   # as a search under tol
             source = ((range(1, p), fam, slots0, knots0, False),)
         else:   # the piece's rows, and so the table, are in the basis's spans
-            piece, source = _form_rows(old, basis, lo - p, hi - p), ()
+            piece, source = _form_rows(old, basis.local, lo - p, hi - p), ()
             span = np.where(row >= 0, piece.slots[row], -1)
         # one ladder pass: target right ends, source table and, with no basis, source right ends
         right, tables, *ends0 = _ladders_at(
             (range(1, q), fam1, slots, window, False),
             (range(p - q, p), fam if basis is None else basis.fam, span, dst, True), *source)
         if basis is None:
-            basis0 = _basis_from_ends(_unchecked(KnotVector, knots=knots0, degree=p), fam, slots0,
-                                      *ends0)
-            piece = _form_rows(old[offset:], basis0, lo - p - offset, hi - p - offset)
-        rows = _basis_from_ends(_unchecked(KnotVector, knots=window, degree=q), fam1, slots,
-                                right).local.coefs[j0:j1]
+            rows0 = _basis_rows(knots0, p, slots0, *ends0)[0].copy()   # einsum sums by layout
+            local0 = _unchecked(PiecewiseCurve, breaks=knots0[p : len(knots0) - p], degree=p,
+                                coefs=rows0, fam=fam, slots=slots0[p : len(knots0) - p - 1])
+            piece = _form_rows(old[offset:], local0, lo - p - offset, hi - p - offset)
+        rows = _basis_rows(window, q, slots, right)[0][j0:j1]
         lfunc = _target_rows(_reindex(piece, row), tables, fam if basis is None else basis.fam,
                              span, dst)
         cpts = _project(dst, rows, lfunc, tol, coef_tol, at)

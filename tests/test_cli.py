@@ -320,8 +320,7 @@ class TestCommands:
 
         for module in (gbspline.cli, gbspline.refine):
             monkeypatch.setattr(module, "build_local_basis", counting(build_local_basis))
-        monkeypatch.setattr(gbspline.refine, "_basis_from_ends",
-                            counting(gbspline.refine._basis_from_ends))
+        monkeypatch.setattr(gbspline.refine, "_basis_rows", counting(gbspline.refine._basis_rows))
         src = tmp_path / "c.json"
         write_demo_curve(src, dim=3, seed=4)
         assert main([args[0], "--curve", str(src), *args[1:],

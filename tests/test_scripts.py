@@ -120,3 +120,18 @@ def test_collect_bench_pairs_runs(tmp_path):
         sys.path.remove(str(ROOT / "scripts"))
     collect_bench.resummarize(out, collect_bench.directions(ROOT / "BENCHMARK.json"))
     assert json.loads(out.read_text())["summary"] == summary
+
+
+@pytest.mark.parametrize("workload, count", [("evaluate", 6), ("refine", 4), ("cli", 11)])
+def test_output_hashes_lists_every_operation_alike_in_two_processes(workload, count):
+    """One line per operation of the tiny grids: its label, a tab, then a
+    SHA-256 or an error; a second process prints the same listing."""
+    args = ("output_hashes.py", "--workload", workload, "--seed", "1", "--tiny")
+    first, second = run_script(*args), run_script(*args)
+    assert first.returncode == 0, first.stderr
+    lines = first.stdout.splitlines()
+    assert len(lines) == count
+    for line in lines:
+        label, digest = line.split("\t")
+        assert label and re.fullmatch(r"[0-9a-f]{64}|\w+: .*", digest), line
+    assert second.stdout == first.stdout
